@@ -15,9 +15,9 @@ from .theta_gram import (GramPoint, ThetaEval, gram_point, gram_points,
                     gram_spacing_report, theta, theta_derivative)
 from .zeta import (ZEval, ZetaHalfLine, hardy_z, hardy_z_many, set_threads,
                    zeta_euler_maclaurin, zeta_half_line)
-from .zeros import (CountResult, CriticalZero, ZeroTable,
+from .zeros import (CountResult, CriticalZero, ZeroTable, certified_table,
                     completeness_certificate, count_zeros, find_zeros,
-                    s_at_gram, shared_table, table_for_height)
+                    gram_index_for_height, s_at_gram)
 from .gram_law import (DeltaRecord, IntervalRecord, NuHistogram,
                        classify_intervals, delta_array, delta_n, gsp_flags,
                        interval_counts, nu_histogram, offset_ladder_check,
@@ -30,7 +30,7 @@ from .moments import (EPSILON_DEFAULT, MomentConfig, MomentReport,
 from .primes import (DiagonalCheck, PrimeTable, VxhResult,
                      diagonal_identity_check, mertens_sums, residual_moments,
                      sieve_primes, v_xh, v_y)
-from .store import CacheManifest, load_range, save_range
+from .store import CacheManifest, cached_table, load_range, save_range
 from .ingest import MatchReport, ingest_external_table
 from .reports import Report, render, to_csv, to_json
 from .regression import RegressionContext, exit_code, run_paper_regression

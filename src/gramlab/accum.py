@@ -33,25 +33,3 @@ def csum(arr: np.ndarray) -> float:
         return math.fsum(a.tolist())
     partials = [math.fsum(a[i : i + CHUNK].tolist()) for i in range(0, a.size, CHUNK)]
     return math.fsum(partials)
-
-
-class KahanAccumulator:
-    """Running compensated sum (Neumaier variant) for streaming use."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s + self.c

@@ -16,8 +16,8 @@ from . import gram_law, ingest, moments, primes, regression, store
 from .errors import (DomainError, GramLabError, ParseError, PreconditionError,
                      ResourceError, UncertifiedRange)
 from .reports import Report, render
-from .theta_gram import gram_points, theta
-from .zeros import ZeroTable
+from .theta_gram import gram_points
+from .zeros import ZeroTable, gram_index_for_height
 from .zeta import set_threads
 
 RANGE_SUBDIR = "zrange"
@@ -33,27 +33,7 @@ def _fail(code: int, message: str):
 def _obtain_table(ctx_obj, n_needed: int) -> ZeroTable:
     cache_dir = ctx_obj.get("cache_dir")
     path = Path(cache_dir) / RANGE_SUBDIR if cache_dir else None
-    if path is not None and (path / "manifest.json").exists():
-        manifest = store.load_manifest(path)
-        if manifest.n_max_gram >= n_needed:
-            table, _ = store.load_range(path)
-            return table
-    table = ZeroTable.build(n_needed + 40)
-    while table.certified_n < n_needed:
-        n_needed += 40
-        table = ZeroTable.build(n_needed + 40)
-    # the headroom past the certified anchor is not persisted, so serve the
-    # same prefix now that a later cache hit will load
-    table = table.certified_prefix()
-    if path is not None:
-        store.save_range(table, path, epsilon=ctx_obj["epsilon"],
-                         allow_uncertified=ctx_obj["allow_uncertified"])
-    return table
-
-
-def _table_for_height(ctx_obj, t_hi: float) -> ZeroTable:
-    n = int(math.ceil(theta(max(t_hi, 10.0)).value / math.pi + 1.0)) + 3
-    return _obtain_table(ctx_obj, n)
+    return store.cached_table(n_needed, path, epsilon=ctx_obj["epsilon"])
 
 
 def _emit(ctx_obj, report: Report) -> None:
@@ -68,13 +48,11 @@ def _emit(ctx_obj, report: Report) -> None:
               show_default=True)
 @click.option("--epsilon", type=float, default=moments.EPSILON_DEFAULT,
               show_default=True, help="epsilon parameter in (0, 1e-3)")
-@click.option("--allow-uncertified", is_flag=True, default=False)
 @click.pass_context
-def main(ctx, cache_dir, threads, fmt, epsilon, allow_uncertified):
+def main(ctx, cache_dir, threads, fmt, epsilon):
     """Numerical laboratory for Gram points, Hardy Z zeros, and Gram's law."""
     set_threads(threads)
-    ctx.obj = {"cache_dir": cache_dir, "format": fmt, "epsilon": epsilon,
-               "allow_uncertified": allow_uncertified}
+    ctx.obj = {"cache_dir": cache_dir, "format": fmt, "epsilon": epsilon}
 
 
 @main.command()
@@ -96,7 +74,7 @@ def gram(obj, n_lo, n_hi):
 @click.pass_obj
 def zeros(obj, t_lo, t_hi):
     """Certified zeros of Z in (t-lo, t-hi]."""
-    table = _table_for_height(obj, t_hi)
+    table = _obtain_table(obj, gram_index_for_height(t_hi))
     rep = Report(kind="classification")
     for z in table.find_zeros(t_lo, t_hi):
         rep.add("find_zeros", {"t_lo": t_lo, "t_hi": t_hi}, index=z.index,
@@ -257,7 +235,7 @@ def ingest_cmd(obj, path, match_tol):
     """Match an external ordinate table against computed zeros."""
     ext = ingest.parse_ordinate_file(path)
     t_hi = float(ext[-1]) + 5.0 if ext.size else 30.0
-    table = _table_for_height(obj, t_hi)
+    table = _obtain_table(obj, gram_index_for_height(t_hi))
     r = ingest.ingest_external_table(path, table, match_tol=match_tol)
     rep = Report(kind="match")
     rep.add("ingest_external_table", {"path": str(path), "match_tol": match_tol},

@@ -165,15 +165,7 @@ def offset_ladder_check(table: ZeroTable, n: int) -> bool:
     """Exact ladder of offsets inside one interval.
 
     If G_n holds zeros with indices s..s+r, then Delta_{s+j} = r - j - S(t_n+0)
-    for j = 0..r; empty intervals (r = -1) pass vacuously.
+    for j = 0..r, which holds exactly when each of them has enclosing Gram
+    index n; empty intervals (r = -1) pass vacuously.
     """
-    counts = interval_counts(table, n, n)
-    r = int(counts[0]) - 1
-    if r < 0:
-        return True
-    first = int(np.searchsorted(table.zeros, table.gram[n - 1], side="right")) + 1
-    s_n = table.s_at_gram(n)
-    for j in range(r + 1):
-        if delta_n(table, first + j).delta != r - j - s_n:
-            return False
-    return True
+    return offset_ladder_check_range(table, n, n)

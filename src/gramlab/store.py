@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ChecksumMismatch, ParseError, UncertifiedRange, VersionMismatch
 from .moments import EPSILON_DEFAULT
-from .zeros import ZeroTable
+from .zeros import ZeroTable, certified_table
 
 STORE_VERSION = 1
 
@@ -64,12 +64,11 @@ def _zeros_csv(table: ZeroTable) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def save_range(table: ZeroTable, path: str | Path, epsilon: float = EPSILON_DEFAULT,
-               allow_uncertified: bool = False) -> CacheManifest:
-    """Persist a table; uncertified tables are refused without the override."""
-    if table.certified_n < table.gram.size - 1 and not allow_uncertified:
-        raise UncertifiedRange(
-            "table is not certified to its full extent; pass allow_uncertified to persist")
+def save_range(table: ZeroTable, path: str | Path,
+               epsilon: float = EPSILON_DEFAULT) -> CacheManifest:
+    """Persist a table; tables not certified to their full extent are refused."""
+    if table.certified_n < table.gram.size - 1:
+        raise UncertifiedRange("table is not certified to its full extent")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     gram_b = _gram_csv(table)
@@ -125,3 +124,19 @@ def load_range(path: str | Path) -> tuple[ZeroTable, CacheManifest]:
     zeros = _parse_csv(zero_b, "zeros.csv")
     table = ZeroTable.from_arrays(gram, zeros)
     return table, manifest
+
+
+def cached_table(n_needed: int, path: str | Path | None,
+                 epsilon: float = EPSILON_DEFAULT) -> ZeroTable:
+    """Table certified through Gram index n_needed, through the range at path.
+
+    Loads path when its manifest reaches n_needed; otherwise builds with
+    `certified_table` and saves the result there.  path None caches nothing.
+    """
+    if path is not None and (Path(path) / "manifest.json").exists() \
+            and load_manifest(path).n_max_gram >= n_needed:
+        return load_range(path)[0]
+    table = certified_table(n_needed)
+    if path is not None:
+        save_range(table, path, epsilon=epsilon)
+    return table

@@ -154,25 +154,7 @@ def gram_point(n: int) -> GramPoint:
     """Gram point t_n: theta(t_n) = (n-1) pi, t_n > 7, residual < 1e-12."""
     if n < 0:
         raise DomainError("gram point index must be >= 0")
-    target = (n - 1.0) * math.pi
-    tol = float(residual_tolerance(target))
-    t = float(gram_points(n, n)[0])
-    resid = float(_theta_raw(t) - target)
-    if abs(resid) >= tol:
-        # bisection fallback on a bracketing interval around the seed
-        lo, hi = 7.0 + 1e-9, max(2.0 * t, 30.0)
-        flo = float(_theta_raw(lo)) - target
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = float(_theta_raw(mid)) - target
-            if abs(fm) < tol:
-                return GramPoint(n=n, t=mid)
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        raise ConvergenceError(f"gram point bisection failed for n = {n}")
-    return GramPoint(n=n, t=t)
+    return GramPoint(n=n, t=float(gram_points(n, n)[0]))
 
 
 def gram_spacing_report(N: int, M: int, m: int) -> float:

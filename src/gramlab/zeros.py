@@ -4,13 +4,14 @@ Strategy: evaluate Z at every Gram point of the target range, split the range
 into blocks bounded by "regular" Gram points (where (-1)^(n-1) Z(t_n) > 0),
 and search each block for exactly as many sign changes as it has intervals,
 densifying the grid (up to 64x per interval) until the quota is met.  Regular
-endpoints pin S = 0 there, so meeting every quota reconciles the located
-sign-change count with the Riemann-von Mangoldt count across the whole range;
-blocks that cannot be reconciled leave the table certified only up to the
-last anchor before them.  Brackets are then sharpened by lockstep bisection.
+endpoints only make S(t_n) even there, not zero, so a met quota is the Rosser
+rule and the located count is a lower bound on N(t).  Blocks whose quota
+cannot be met leave the table certified only up to the last anchor before
+them.  Brackets are then sharpened by lockstep bisection.
 
 The trailing edge of a scan stops at the last regular Gram point, so tables
-are always built with headroom past the index range the caller needs.
+are built with headroom past the index range the caller needs; that policy
+lives in `certified_table` alone.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class CountResult:
 
 @dataclass
 class ScanDiagnostics:
-    n_scanned: int = 0
     blocks: int = 0
     densified_blocks: int = 0
     max_depth: int = 0
@@ -103,8 +103,8 @@ class ZeroTable:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, n_max: int, z_eval: Callable[[np.ndarray], np.ndarray] | None = None,
-              depth_cap: int = DEPTH_CAP) -> "ZeroTable":
+    def build(cls, n_max: int,
+              z_eval: Callable[[np.ndarray], np.ndarray] | None = None) -> "ZeroTable":
         if n_max < 1:
             raise DomainError("n_max must be >= 1")
         z_eval = z_eval or _z_eval_default
@@ -112,7 +112,7 @@ class ZeroTable:
         zg = z_eval(gram)
         n_idx = np.arange(gram.size)
         regular = np.where(n_idx % 2 == 1, zg, -zg) > 0.0  # (-1)^(n-1) Z(t_n) > 0
-        diag = ScanDiagnostics(n_scanned=int(gram.size))
+        diag = ScanDiagnostics()
         if not regular[0]:
             raise UncertifiedRange("no regular anchor at the base of the range")
 
@@ -129,7 +129,7 @@ class ZeroTable:
                 found = [(float(gram[a]), float(gram[b]))]
             else:
                 found = cls._scan_block(gram, signs, int(a), int(b), quota,
-                                        z_eval, depth_cap, diag)
+                                        z_eval, DEPTH_CAP, diag)
             if found is None:
                 diag.failed_blocks.append((int(a), int(b)))
                 certified_n = int(a)
@@ -179,13 +179,12 @@ class ZeroTable:
         return None
 
     @classmethod
-    def from_arrays(cls, gram: np.ndarray, zeros: np.ndarray,
-                    bracket_half: float = BRACKET_HALF_WIDTH) -> "ZeroTable":
+    def from_arrays(cls, gram: np.ndarray, zeros: np.ndarray) -> "ZeroTable":
         """Reconstruct a (certified) table from persisted height arrays."""
-        diag = ScanDiagnostics(n_scanned=int(gram.size))
         return cls(np.asarray(gram, dtype=float), None,
                    np.asarray(zeros, dtype=float),
-                   np.full(len(zeros), bracket_half), int(gram.size) - 1, diag)
+                   np.full(len(zeros), BRACKET_HALF_WIDTH), int(gram.size) - 1,
+                   ScanDiagnostics())
 
     def certified_prefix(self) -> "ZeroTable":
         """This table cut at its certified anchor t_{certified_n}.
@@ -298,40 +297,41 @@ def _bisect_refine(lo, hi, z_eval, half_width=BRACKET_HALF_WIDTH):
 
 
 # ---------------------------------------------------------------------------
-# module-level convenience with a shared growing table
+# the one table-growth policy, and module-level queries over it
 
-_SHARED: ZeroTable | None = None
-
-
-def shared_table(n_max: int) -> ZeroTable:
-    """Process-wide table covering at least gram index n_max (with headroom)."""
-    global _SHARED
-    need = n_max + 40
-    if _SHARED is None or _SHARED.certified_n < n_max:
-        _SHARED = ZeroTable.build(need)
-        while _SHARED.certified_n < n_max:  # trailing anchor fell short
-            need += 40
-            _SHARED = ZeroTable.build(need)
-    return _SHARED
+HEADROOM = 40  # Gram points built past the caller's need
 
 
-def table_for_height(t_hi: float) -> ZeroTable:
-    """Shared table certified to height >= t_hi."""
-    th1 = theta(max(t_hi, 10.0)).value / math.pi + 1.0
-    return shared_table(int(math.ceil(th1)) + 3)
+def certified_table(n_needed: int) -> ZeroTable:
+    """Table certified through Gram index n_needed, cut at its certified anchor.
+
+    Builds n_needed + HEADROOM points and grows by HEADROOM while the last
+    regular anchor falls short of n_needed.
+    """
+    n_max = n_needed + HEADROOM
+    table = ZeroTable.build(n_max)
+    while table.certified_n < n_needed:
+        n_max += HEADROOM
+        table = ZeroTable.build(n_max)
+    return table.certified_prefix()
+
+
+def gram_index_for_height(t: float) -> int:
+    """A Gram index whose point lies past height t."""
+    return int(math.ceil(theta(max(t, 10.0)).value / math.pi + 1.0)) + 3
 
 
 def find_zeros(t_lo: float, t_hi: float) -> list[CriticalZero]:
-    return table_for_height(t_hi).find_zeros(t_lo, t_hi)
+    return certified_table(gram_index_for_height(t_hi)).find_zeros(t_lo, t_hi)
 
 
 def count_zeros(t: float) -> CountResult:
-    return table_for_height(t).count_zeros(t)
+    return certified_table(gram_index_for_height(t)).count_zeros(t)
 
 
 def s_at_gram(n: int) -> int:
-    return shared_table(n).s_at_gram(n)
+    return certified_table(n).s_at_gram(n)
 
 
 def completeness_certificate(t_lo: float, t_hi: float):
-    return table_for_height(t_hi).completeness_certificate(t_lo, t_hi)
+    return certified_table(gram_index_for_height(t_hi)).completeness_certificate(t_lo, t_hi)

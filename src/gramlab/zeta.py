@@ -164,10 +164,6 @@ def set_threads(n: int) -> None:
     _THREADS = max(1, int(n))
 
 
-def get_threads() -> int:
-    return _THREADS
-
-
 def _hardy_z_chunk(seg: np.ndarray) -> np.ndarray:
     a = np.sqrt(seg / TWO_PI)
     N = a.astype(np.int64)

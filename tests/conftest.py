@@ -11,18 +11,7 @@ CACHE_ROOT = Path(tempfile.gettempdir()) / "gramlab-test-cache-v1"
 
 
 def _cached_table(n_max: int) -> ZeroTable:
-    path = CACHE_ROOT / f"n{n_max}"
-    if (path / "manifest.json").exists():
-        try:
-            table, manifest = store.load_range(path)
-            if manifest.n_max_gram == n_max:
-                return table
-        except Exception:
-            pass
-    table = ZeroTable.build(n_max)
-    if table.certified_n == n_max:
-        store.save_range(table, path)
-    return table
+    return store.cached_table(n_max, CACHE_ROOT / f"n{n_max}")
 
 
 @pytest.fixture(scope="session")

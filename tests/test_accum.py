@@ -1,9 +1,8 @@
 import math
 
 import numpy as np
-from hypothesis import given, strategies as st
 
-from gramlab.accum import KahanAccumulator, csum, fsum
+from gramlab.accum import csum, fsum
 
 
 def test_csum_matches_fsum_exactly():
@@ -19,17 +18,6 @@ def test_csum_ill_conditioned():
 
 def test_csum_empty():
     assert csum(np.empty(0)) == 0.0
-
-
-@given(st.lists(st.floats(min_value=-1e12, max_value=1e12,
-                          allow_nan=False, allow_infinity=False), max_size=300))
-def test_kahan_close_to_fsum(xs):
-    acc = KahanAccumulator()
-    for x in xs:
-        acc.add(x)
-    exact = math.fsum(xs)
-    scale = max(1.0, sum(abs(x) for x in xs))
-    assert abs(acc.value - exact) <= 1e-12 * scale
 
 
 def test_fsum_passthrough():

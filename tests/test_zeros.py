@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from gramlab import zeros as zr
 from gramlab import zeta as zt
 from gramlab.errors import PreconditionError, UncertifiedRange
 from gramlab.zeros import ZeroTable, _bisect_refine
@@ -64,6 +65,13 @@ def test_s_at_gram_values(table_built):
     assert table_built.s_at_gram(127) == -1
     # the exact identity r(128) = 1 with the empty G_127 forces S = 0 here
     assert table_built.s_at_gram(128) == 0
+
+
+def test_module_level_queries():
+    # each builds its own certified table through the one provider
+    assert zr.count_zeros(30.0).n_of_t == 3
+    assert zr.s_at_gram(127) == -1
+    assert [z.index for z in zr.find_zeros(8.0, 30.0)] == [1, 2, 3]
 
 
 def test_s_bounded_by_9_log_t(table_full):
