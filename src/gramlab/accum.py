@@ -1,27 +1,21 @@
-"""Compensated summation helpers.
+"""Compensated summation of float arrays.
 
-Every real-valued accumulation in gramlab routes through these functions so
-that rounding stays below the analytic error terms we report.  Scalar streams
-use math.fsum (exactly rounded); arrays are reduced chunk-wise with fsum over
-chunk partials, which keeps the error within a few ulps while staying fast,
-and gives a deterministic, fixed association order independent of threading.
+Array statistics (Mertens sums, V(x;h), moment sums) are reduced here so that
+rounding stays below the analytic error terms we report; scalar streams call
+math.fsum directly.  Arrays are reduced chunk-wise with fsum over chunk
+partials, which keeps the error within a few ulps while staying fast, and
+gives a deterministic, fixed association order independent of threading.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
 # chunk size for array reductions; fixed so that parallel callers always
 # produce the same partials in the same order
 CHUNK = 1 << 16
-
-
-def fsum(values: Iterable[float]) -> float:
-    """Exactly rounded sum of a scalar stream."""
-    return math.fsum(values)
 
 
 def csum(arr: np.ndarray) -> float:

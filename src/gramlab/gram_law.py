@@ -56,25 +56,25 @@ class NuHistogram:
         return self.counts.get(0, 0) == rhs - self.s_at_end
 
 
-def _require_range(table: ZeroTable, n_lo: int, n_hi: int) -> None:
+def _edges(table: ZeroTable, n_lo: int, n_hi: int) -> np.ndarray:
+    """N(t_n) for n = n_lo-1..n_hi: zeros of G_n are zeros[edges[i]:edges[i+1]]."""
     if not (1 <= n_lo <= n_hi):
         raise UncertifiedRange("interval range must satisfy 1 <= n_lo <= n_hi")
     if n_hi > table.certified_n:
         raise UncertifiedRange(
             f"interval range up to {n_hi} exceeds certified index {table.certified_n}")
+    return np.searchsorted(table.zeros, table.gram[n_lo - 1 : n_hi + 1], side="right")
 
 
 def interval_counts(table: ZeroTable, n_lo: int, n_hi: int) -> np.ndarray:
     """Zero ordinate count of each G_n = (t_{n-1}, t_n], n_lo..n_hi."""
-    _require_range(table, n_lo, n_hi)
-    edges = np.searchsorted(table.zeros, table.gram[n_lo - 1 : n_hi + 1], side="right")
-    return np.diff(edges).astype(np.int64)
+    return np.diff(_edges(table, n_lo, n_hi)).astype(np.int64)
 
 
 def classify_intervals(table: ZeroTable, n_lo: int, n_hi: int) -> list[IntervalRecord]:
     """One record per interval, flags per the three Gram's-law definitions."""
-    counts = interval_counts(table, n_lo, n_hi)
-    edges = np.searchsorted(table.zeros, table.gram[n_lo - 1 : n_hi + 1], side="right")
+    edges = _edges(table, n_lo, n_hi)
+    counts = np.diff(edges)
     recs = []
     for i, n in enumerate(range(n_lo, n_hi + 1)):
         c = int(counts[i])
@@ -149,14 +149,11 @@ def offset_ladder_check_range(table: ZeroTable, n_lo: int, n_hi: int) -> bool:
     Equivalent to offset_ladder_check at every n: each zero inside G_n must
     have enclosing Gram index exactly n.
     """
-    _require_range(table, n_lo, n_hi)
-    lo = int(np.searchsorted(table.zeros, table.gram[n_lo - 1], side="right"))
-    hi = int(np.searchsorted(table.zeros, table.gram[n_hi], side="right"))
+    edges = _edges(table, n_lo, n_hi)
+    lo, hi = int(edges[0]), int(edges[-1])
     if lo == hi:
         return True
-    zs = table.zeros[lo:hi]
-    m = np.searchsorted(table.gram, zs, side="left")
-    edges = np.searchsorted(table.zeros, table.gram[n_lo - 1 : n_hi + 1], side="right")
+    m = np.searchsorted(table.gram, table.zeros[lo:hi], side="left")
     owner = np.repeat(np.arange(n_lo, n_hi + 1), np.diff(edges))
     return bool(np.array_equal(m, owner))
 

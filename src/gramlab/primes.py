@@ -13,6 +13,7 @@ then the primes as little-endian uint64.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,6 +62,16 @@ class DiagonalCheck:
 # ---------------------------------------------------------------------------
 # sieve
 
+def _base_primes(root: int) -> np.ndarray:
+    """Primes <= root by a plain sieve; the base for _sieve_block."""
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, int(math.isqrt(root)) + 1):
+        if small[p]:
+            small[p * p :: p] = False
+    return np.nonzero(small)[0].astype(np.uint64)
+
+
 def _sieve_block(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     """Primes in [lo, hi) given base primes covering sqrt(hi)."""
     size = hi - lo
@@ -90,12 +101,7 @@ def sieve_primes(limit: int, ceiling: int = SIEVE_CEILING,
         if cache_path.exists():
             return PrimeTable(limit=limit, primes=load_prime_cache(cache_path))
     root = int(math.isqrt(limit))
-    small = np.ones(root + 1, dtype=bool)
-    small[:2] = False
-    for p in range(2, int(math.isqrt(root)) + 1):
-        if small[p]:
-            small[p * p :: p] = False
-    base = np.nonzero(small)[0].astype(np.uint64)
+    base = _base_primes(root)
     chunks = [base]
     seg = 1 << 22
     for lo in range(root + 1, limit + 1, seg):
@@ -109,12 +115,16 @@ def sieve_primes(limit: int, ceiling: int = SIEVE_CEILING,
 
 
 def save_prime_cache(path: str | Path, table: PrimeTable) -> None:
+    """Write the cache to a temporary file beside `path`, then rename it into
+    place, so a crash mid-write never leaves a truncated cache at `path`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(bytes([_VERSION]))
         fh.write(table.primes.astype("<u8").tobytes())
+    os.replace(tmp, path)
 
 
 def load_prime_cache(path: str | Path) -> np.ndarray:
@@ -123,20 +133,15 @@ def load_prime_cache(path: str | Path) -> np.ndarray:
         raise ChecksumMismatch(f"{path}: bad magic header")
     if raw[8] != _VERSION:
         raise VersionMismatch(f"{path}: unsupported sieve cache version {raw[8]}")
+    if (len(raw) - 9) % 8:
+        raise ChecksumMismatch(f"{path}: truncated payload of {len(raw) - 9} bytes")
     return np.frombuffer(raw[9:], dtype="<u8")
 
 
 def verify_spot_range(table: PrimeTable, lo: int, hi: int) -> bool:
     """Re-sieve [lo, hi] independently and compare against the table."""
     hi = min(hi, table.limit)
-    root = int(math.isqrt(hi))
-    small = np.ones(root + 1, dtype=bool)
-    small[:2] = False
-    for p in range(2, int(math.isqrt(root)) + 1):
-        if small[p]:
-            small[p * p :: p] = False
-    base = np.nonzero(small)[0].astype(np.uint64)
-    fresh = _sieve_block(max(lo, 2), hi + 1, base)
+    fresh = _sieve_block(max(lo, 2), hi + 1, _base_primes(int(math.isqrt(hi))))
     mine = table.primes[(table.primes >= max(lo, 2)) & (table.primes <= hi)]
     return fresh.size == mine.size and bool(np.all(fresh == mine))
 

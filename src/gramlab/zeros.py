@@ -161,11 +161,8 @@ class ZeroTable:
                 ts = gram[a : b + 1]
                 sg = signs[a : b + 1]
             else:
-                segs = 1 << depth
-                ts = np.empty((b - a) * segs + 1)
-                for i, n in enumerate(range(a, b)):
-                    ts[i * segs : (i + 1) * segs + 1] = np.linspace(
-                        gram[n], gram[n + 1], segs + 1)
+                grid = np.linspace(gram[a:b], gram[a + 1 : b + 1], (1 << depth) + 1, axis=1)
+                ts = np.append(grid[:, :-1].ravel(), gram[b])
                 sg = _signs(z_eval(ts))
             flips = np.nonzero(sg[:-1] != sg[1:])[0]
             if flips.size == quota:

@@ -2,11 +2,13 @@
 
 Two independent evaluation routes:
 
-* riemann_siegel: main sum of length floor(sqrt(t/2pi)) plus four correction
-  terms built from derivatives of Psi(p) = cos(2pi(p^2-p-1/16))/cos(2pi p).
-  The Psi Taylor table (about p = 1/2, where the function is even) is
-  generated once per process by high-precision series division; the heavy
-  cancellation in that convolution rules out float64 generation.
+* riemann_siegel: main sum of length floor(sqrt(t/2pi)) plus the correction
+  terms C_0..C_4, fixed combinations of derivatives of
+  Psi(p) = cos(2pi(p^2-p-1/16))/cos(2pi p).  Each C_k is one polynomial in
+  (p - 1/2)^2 (times p - 1/2 for odd k), generated once per process by
+  folding the Psi Taylor series about p = 1/2 with the C_k weights at
+  high precision; the heavy cancellation in the series division rules out
+  float64 generation.
 * euler_maclaurin: classical zeta summation with Bernoulli corrections and a
   rigorous tail estimate; serves as the cross-method oracle and the small-t
   route.
@@ -25,7 +27,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .accum import fsum
 from .errors import DomainError, PrecisionError, PreconditionError
 from .theta_gram import T_MIN, _theta_raw, theta_many
 
@@ -60,19 +61,32 @@ class ZetaHalfLine:
 
 
 # ---------------------------------------------------------------------------
-# Psi Taylor table and correction coefficients
+# Riemann-Siegel correction polynomials
 
 _PSI_TERMS = 88
-_DERIV_ORDERS = (0, 1, 2, 3, 4, 5, 6, 8, 9, 12)
+
+# C_k = sum of weight * Psi^(order) / pi^power over its (order, weight, power)
+# rows: the classical corrections C_0..C_4 (Gabcke 1979)
+_RS_WEIGHTS = (
+    ((0, Fraction(1), 0),),
+    ((3, Fraction(-1, 96), 2),),
+    ((2, Fraction(1, 64), 2), (6, Fraction(1, 18432), 4)),
+    ((1, Fraction(-1, 64), 2), (5, Fraction(-1, 3840), 4), (9, Fraction(-1, 5308416), 6)),
+    ((0, Fraction(1, 128), 2), (4, Fraction(19, 24576), 4),
+     (8, Fraction(11, 5898240), 6), (12, Fraction(1, 2038431744), 8)),
+)
 
 
 @lru_cache(maxsize=1)
-def _psi_tables() -> dict[int, np.ndarray]:
-    """Highest-first polyval tables for Psi^(j)(1/2 + u), j in _DERIV_ORDERS.
+def _rs_polys() -> tuple[np.ndarray, ...]:
+    """Highest-first polyval arrays in v = u^2 for C_0..C_4 at p = 1/2 + u.
 
     Psi(1/2+u) = [sin(pi/8) cos(2pi u^2) - cos(pi/8) sin(2pi u^2)] / cos(2pi u)
-    is entire and even in u; its Taylor coefficients are obtained by series
-    division carried out at 120 significant digits.
+    is entire and even in u; its first _PSI_TERMS Taylor coefficients are
+    obtained by series division and folded with _RS_WEIGHTS into the Taylor
+    coefficients of each C_k, all at 120 significant digits, before any
+    rounding to float.  C_k has the parity of k, so its other coefficients
+    are exact zeros: even k gives a polynomial in v, odd k one times u.
     """
     import mpmath
 
@@ -95,42 +109,31 @@ def _psi_tables() -> dict[int, np.ndarray]:
         while 2 * l < n_terms:
             den[2 * l] = (-1) ** l * (2 * pi) ** (2 * l) / mpmath.factorial(2 * l)
             l += 1
-        coeffs = [mpmath.mpf(0)] * n_terms
+        a = [mpmath.mpf(0)] * n_terms
         for k in range(n_terms):
             acc = num[k]
             for i in range(1, k + 1):
-                acc -= den[i] * coeffs[k - i]
-            coeffs[k] = acc
-        a = [float(c) for c in coeffs]
+                acc -= den[i] * a[k - i]
+            a[k] = acc
 
-    tables: dict[int, np.ndarray] = {}
-    for order in _DERIV_ORDERS:
-        row = []
-        for i in range(n_terms - order):
-            fac = 1.0
-            for m in range(i + order, i, -1):
-                fac *= m
-            row.append(fac * a[i + order])
-        tables[order] = np.asarray(row[::-1])
-    return tables
+        polys = []
+        for k, rows in enumerate(_RS_WEIGHTS):
+            # Psi^(order)(1/2+u) has Taylor coefficients (i+order)!/i! a[i+order]
+            c = [mpmath.mpf(0)] * (n_terms - min(order for order, _, _ in rows))
+            for order, w, power in rows:
+                scale = mpmath.mpf(w.numerator) / w.denominator / pi ** power
+                for i in range(n_terms - order):
+                    c[i] += scale * math.perm(i + order, order) * a[i + order]
+            polys.append(np.asarray([float(x) for x in c[k % 2 :: 2]][::-1]))
+    return tuple(polys)
 
 
 def _rs_corrections(p: np.ndarray) -> tuple[np.ndarray, ...]:
     """Correction factors C0..C4 at fractional parts p (array in [0,1))."""
-    tab = _psi_tables()
     u = np.asarray(p, dtype=float) - 0.5
-    d = {j: np.polyval(tab[j], u) for j in _DERIV_ORDERS}
-    pi2 = math.pi * math.pi
-    pi4 = pi2 * pi2
-    pi6 = pi4 * pi2
-    pi8 = pi4 * pi4
-    c0 = d[0]
-    c1 = -d[3] / (96.0 * pi2)
-    c2 = d[2] / (64.0 * pi2) + d[6] / (18432.0 * pi4)
-    c3 = -d[1] / (64.0 * pi2) - d[5] / (3840.0 * pi4) - d[9] / (5308416.0 * pi6)
-    c4 = (d[0] / (128.0 * pi2) + 19.0 * d[4] / (24576.0 * pi4)
-          + 11.0 * d[8] / (5898240.0 * pi6) + d[12] / (2038431744.0 * pi8))
-    return c0, c1, c2, c3, c4
+    v = u * u
+    c0, c1, c2, c3, c4 = (np.polyval(c, v) for c in _rs_polys())
+    return c0, u * c1, c2, u * c3, c4
 
 
 def rs_err_bound(t) -> np.ndarray:
@@ -148,7 +151,7 @@ def _hardy_z_rs_scalar(t: float) -> float:
     p = a - N
     th = float(_theta_raw(t))
     terms = [math.cos(th - t * math.log(n)) / math.sqrt(n) for n in range(1, N + 1)]
-    s = 2.0 * fsum(terms)
+    s = 2.0 * math.fsum(terms)
     c0, c1, c2, c3, c4 = (float(c[0]) for c in _rs_corrections(np.asarray([p])))
     q = math.sqrt(TWO_PI / t)
     rem = (-1) ** (N - 1) * (TWO_PI / t) ** 0.25 * (c0 + q * (c1 + q * (c2 + q * (c3 + q * c4))))
@@ -254,8 +257,8 @@ def zeta_euler_maclaurin(sigma: float, t: float, target_err: float = 1e-12):
         n = np.arange(1, N, dtype=float)
         amp = n ** -sigma
         phase = t * np.log(n)
-        head = complex(fsum((amp * np.cos(phase)).tolist()),
-                       -fsum((amp * np.sin(phase)).tolist()))
+        head = complex(math.fsum((amp * np.cos(phase)).tolist()),
+                       -math.fsum((amp * np.sin(phase)).tolist()))
         lnN = math.log(N)
         Npow = math.exp(-sigma * lnN) * complex(math.cos(t * lnN), -math.sin(t * lnN))
         value = head + Npow * N / (s - 1) + 0.5 * Npow

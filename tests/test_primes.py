@@ -47,6 +47,11 @@ def test_sieve_cache_roundtrip(tmp_path):
     v2.write_bytes(raw[:8] + bytes([2]) + raw[9:])
     with pytest.raises(VersionMismatch):
         pr.load_prime_cache(v2)
+    # payload cut inside a prime
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(raw[:-3])
+    with pytest.raises(ChecksumMismatch):
+        pr.load_prime_cache(cut)
 
 
 def test_sieve_disk_cache_used(tmp_path):
