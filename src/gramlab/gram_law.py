@@ -75,30 +75,23 @@ def classify_intervals(table: ZeroTable, n_lo: int, n_hi: int) -> list[IntervalR
     """One record per interval, flags per the three Gram's-law definitions."""
     edges = _edges(table, n_lo, n_hi)
     counts = np.diff(edges)
+    near = np.zeros(edges.size, dtype=bool)    # at t_n, n = n_lo-1..n_hi
+    if table.zeros.size:
+        t = table.gram[n_lo - 1 : n_hi + 1]
+        for idx in (edges - 1, edges):         # nearest zeros on either side
+            z = table.zeros[np.clip(idx, 0, table.zeros.size - 1)]
+            near |= np.abs(z - t) < AMBIGUITY_TOL
+    amb = near[:-1] | near[1:]     # a zero of G_n can only be near t_{n-1} or t_n
     recs = []
     for i, n in enumerate(range(n_lo, n_hi + 1)):
         c = int(counts[i])
         first = int(edges[i]) + 1      # 1-based index of first zero inside
         # strict law: the namesake zero index n falls inside G_n
         sgl = c > 0 and first <= n <= first + c - 1
-        amb = bool(
-            np.any(table.zero_ambiguous[edges[i] : edges[i + 1]])
-            or _boundary_ambiguity(table, n)
-        )
         recs.append(IntervalRecord(
             n=n, zero_count=c, r=c - 1, sgl=sgl, gl=c == 1, wgl=c % 2 == 1,
-            ambiguous=amb))
+            ambiguous=bool(amb[i])))
     return recs
-
-
-def _boundary_ambiguity(table: ZeroTable, n: int) -> bool:
-    """A zero within tolerance of either endpoint of G_n."""
-    for edge in (table.gram[n - 1], table.gram[n]):
-        i = int(np.searchsorted(table.zeros, edge))
-        for j in (i - 1, i):
-            if 0 <= j < table.zeros.size and abs(table.zeros[j] - edge) < AMBIGUITY_TOL:
-                return True
-    return False
 
 
 def delta_n(table: ZeroTable, zero_index: int) -> DeltaRecord:

@@ -99,7 +99,12 @@ def sieve_primes(limit: int, ceiling: int = SIEVE_CEILING,
     if cache_dir is not None and limit >= SIEVE_CACHE_THRESHOLD:
         cache_path = Path(cache_dir) / f"primes_{limit:012d}.bin"
         if cache_path.exists():
-            return PrimeTable(limit=limit, primes=load_prime_cache(cache_path))
+            table = PrimeTable(limit=limit, primes=load_prime_cache(cache_path))
+            # a payload cut at a whole prime still loads: re-sieve past its end
+            last = int(table.primes[-1]) if table.primes.size else 1
+            if not verify_spot_range(table, last + 1, limit):
+                raise ChecksumMismatch(f"{cache_path}: primes missing after {last}")
+            return table
     root = int(math.isqrt(limit))
     base = _base_primes(root)
     chunks = [base]
@@ -140,9 +145,11 @@ def load_prime_cache(path: str | Path) -> np.ndarray:
 
 def verify_spot_range(table: PrimeTable, lo: int, hi: int) -> bool:
     """Re-sieve [lo, hi] independently and compare against the table."""
-    hi = min(hi, table.limit)
-    fresh = _sieve_block(max(lo, 2), hi + 1, _base_primes(int(math.isqrt(hi))))
-    mine = table.primes[(table.primes >= max(lo, 2)) & (table.primes <= hi)]
+    lo, hi = max(lo, 2), min(hi, table.limit)
+    fresh = _sieve_block(lo, hi + 1, _base_primes(int(math.isqrt(hi))))
+    i = np.searchsorted(table.primes, np.uint64(lo))
+    j = np.searchsorted(table.primes, np.uint64(hi), side="right")
+    mine = table.primes[i:j]
     return fresh.size == mine.size and bool(np.all(fresh == mine))
 
 

@@ -3,7 +3,8 @@
 Strategy: evaluate Z at every Gram point of the target range, split the range
 into blocks bounded by "regular" Gram points (where (-1)^(n-1) Z(t_n) > 0),
 and search each block for exactly as many sign changes as it has intervals,
-densifying the grid (up to 64x per interval) until the quota is met.  Regular
+densifying every unmet block in lockstep (one Z call per depth, at the new
+midpoints only, up to 64x per interval) until the quota is met.  Regular
 endpoints only make S(t_n) even there, not zero, so a met quota is the Rosser
 rule and the located count is a lower bound on N(t).  Blocks whose quota
 cannot be met leave the table certified only up to the last anchor before
@@ -116,64 +117,15 @@ class ZeroTable:
         if not regular[0]:
             raise UncertifiedRange("no regular anchor at the base of the range")
 
-        anchors = np.nonzero(regular)[0]
-        zeros: list[float] = []
-        half: list[float] = []
-        certified_n = int(anchors[-1])
-        signs = _signs(zg)
-        for a, b in zip(anchors[:-1], anchors[1:]):
-            diag.blocks += 1
-            quota = int(b - a)
-            if quota == 1:
-                # regular anchors on both ends force exactly one sign change
-                found = [(float(gram[a]), float(gram[b]))]
-            else:
-                found = cls._scan_block(gram, signs, int(a), int(b), quota,
-                                        z_eval, DEPTH_CAP, diag)
-            if found is None:
-                diag.failed_blocks.append((int(a), int(b)))
-                certified_n = int(a)
-                break
-            for lo, hi in found:
-                mid, h = (0.5 * (lo + hi), 0.5 * (hi - lo))
-                zeros.append(mid)
-                half.append(h)
-
-        zeros_arr = np.asarray(zeros)
-        half_arr = np.asarray(half)
-        if zeros_arr.size:
-            lo, hi = zeros_arr - half_arr, zeros_arr + half_arr
-            lo, hi = _bisect_refine(lo, hi, z_eval)
-            zeros_arr = 0.5 * (lo + hi)
-            # publish the uniform certified half-width: every final bracket
-            # fits inside [t - 1e-9, t + 1e-9], which keeps built and loaded
-            # tables byte-identical in reports
-            half_arr = np.full(zeros_arr.size, BRACKET_HALF_WIDTH)
-        return cls(gram, zg, zeros_arr, half_arr, certified_n, diag)
-
-    @staticmethod
-    def _scan_block(gram, signs, a, b, quota, z_eval, depth_cap, diag):
-        """Brackets of sign changes in (t_a, t_b], or None if quota unmet."""
-        if quota == 0:
-            return []
-        for depth in range(depth_cap + 1):
-            if depth == 0:
-                ts = gram[a : b + 1]
-                sg = signs[a : b + 1]
-            else:
-                grid = np.linspace(gram[a:b], gram[a + 1 : b + 1], (1 << depth) + 1, axis=1)
-                ts = np.append(grid[:, :-1].ravel(), gram[b])
-                sg = _signs(z_eval(ts))
-            flips = np.nonzero(sg[:-1] != sg[1:])[0]
-            if flips.size == quota:
-                if depth > 0:
-                    diag.densified_blocks += 1
-                    diag.max_depth = max(diag.max_depth, depth)
-                return [(float(ts[i]), float(ts[i + 1])) for i in flips]
-            if flips.size > quota:
-                # more sign changes than the anchors allow: not reconcilable
-                return None
-        return None
+        lo, hi, s_lo, certified_n = _scan(gram, _signs(zg), np.nonzero(regular)[0],
+                                          z_eval, diag)
+        lo, hi = _bisect_refine(lo, hi, s_lo, z_eval)
+        zeros = 0.5 * (lo + hi)
+        # publish the uniform certified half-width: every final bracket fits
+        # inside [t - 1e-9, t + 1e-9], which keeps built and loaded tables
+        # byte-identical in reports
+        half = np.full(zeros.size, BRACKET_HALF_WIDTH)
+        return cls(gram, zg, zeros, half, certified_n, diag)
 
     @classmethod
     def from_arrays(cls, gram: np.ndarray, zeros: np.ndarray) -> "ZeroTable":
@@ -272,20 +224,64 @@ class ZeroTable:
                             certified=True, ambiguous=bool(self.zero_ambiguous[k]))
 
 
-def _bisect_refine(lo, hi, z_eval, half_width=BRACKET_HALF_WIDTH):
-    """Lockstep bisection of sign-change brackets to the target half-width."""
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
+def _scan(gram, signs, anchors, z_eval, diag):
+    """Sign-change brackets of the blocks between anchors, densified in lockstep.
+
+    Every Gram interval of an open block is a row of signs, 2^d + 1 wide at
+    depth d.  Each depth calls z_eval once, at the odd columns only: the even
+    columns are the previous grid bit for bit, and the Gram points carry
+    `signs`.  A block retires once its flips reach its quota; flips never drop
+    under subdivision, so an overshoot can only fail.  Returns (lo, hi, sign of
+    Z at lo, certified_n), cut at the first block unmet at DEPTH_CAP.
+    """
+    quota = np.diff(anchors)
+    rows = np.arange(anchors[0], anchors[-1])       # left Gram index per row
+    block = np.repeat(np.arange(quota.size), quota)
+    grid = np.stack([signs[rows], signs[rows + 1]], axis=1)
+    met_at = np.full(quota.size, -1)
+    found = []
+    for depth in range(DEPTH_CAP + 1):
+        ts = np.linspace(gram[rows], gram[rows + 1], (1 << depth) + 1, axis=1)
+        if depth:
+            s = np.sign(z_eval(ts[:, 1::2].ravel())).reshape(rows.size, -1)
+            finer = np.empty(ts.shape, dtype=np.int8)
+            finer[:, ::2] = grid
+            # an exact zero carries its left neighbour's sign, as in _signs
+            finer[:, 1::2] = np.where(s == 0, grid[:, :-1], s)
+            grid = finer
+        r, c = np.nonzero(grid[:, :-1] != grid[:, 1:])
+        flips = np.bincount(block[r], minlength=quota.size)
+        met = flips == quota
+        met_at[met] = depth
+        take = met[block[r]]
+        r, c = r[take], c[take]
+        found.append((ts[r, c], ts[r, c + 1], grid[r, c]))
+        open_rows = flips[block] < quota[block]
+        rows, block, grid = rows[open_rows], block[open_rows], grid[open_rows]
+        if not rows.size:
+            break
+    unmet = np.nonzero(met_at < 0)[0]
+    cut = int(unmet[0]) if unmet.size else quota.size
+    if unmet.size:
+        diag.failed_blocks.append((int(anchors[cut]), int(anchors[cut + 1])))
+    diag.blocks = min(cut + 1, quota.size)
+    diag.densified_blocks = int(np.count_nonzero(met_at[:cut] > 0))
+    diag.max_depth = int(met_at[:cut].max(initial=0))
+    lo, hi, s_lo = (np.concatenate(a) for a in zip(*found))
+    order = np.argsort(lo)
+    order = order[lo[order] < gram[anchors[cut]]]
+    return lo[order], hi[order], s_lo[order], int(anchors[cut])
+
+
+def _bisect_refine(lo, hi, s_lo, z_eval, half_width=BRACKET_HALF_WIDTH):
+    """Lockstep bisection of brackets, Z of sign s_lo at lo, to the half-width."""
     if not lo.size:
         return lo, hi
-    s_lo = np.sign(z_eval(lo))
-    s_lo[s_lo == 0] = 1.0
     width = float(np.max(hi - lo))
     n_steps = max(0, int(math.ceil(math.log2(max(width, 1e-300) / (2 * half_width)))))
     for _ in range(n_steps):
         mid = 0.5 * (lo + hi)
-        zm = z_eval(mid)
-        s_mid = np.sign(zm)
+        s_mid = np.sign(z_eval(mid))
         s_mid[s_mid == 0] = -s_lo[s_mid == 0]  # exact hit: keep zero inside
         take_left = s_mid == s_lo
         lo = np.where(take_left, mid, lo)

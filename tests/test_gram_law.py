@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from gramlab import gram_law as gl
 from gramlab.errors import UncertifiedRange
+from gramlab.zeros import ZeroTable
 
 
 def test_first_126_intervals_satisfy_both_laws(table_small):
@@ -48,6 +49,15 @@ def test_gl_implies_wgl_and_flag_consistency(table_mid):
         assert r.gl == (r.zero_count == 1)
         if r.gl:
             assert r.wgl
+
+
+@pytest.mark.parametrize("shift, flagged", [(5e-10, [50, 51]), (-5e-10, [50, 51]), (2e-9, [])])
+def test_ambiguity_from_a_zero_near_a_gram_point(table_small, shift, flagged):
+    """A zero within AMBIGUITY_TOL of t_50, on either side, flags G_50 and G_51."""
+    zeros = table_small.zeros.copy()
+    zeros[np.searchsorted(zeros, table_small.gram[50])] = table_small.gram[50] + shift
+    table = ZeroTable.from_arrays(table_small.gram, zeros)
+    assert [r.n for r in gl.classify_intervals(table, 40, 60) if r.ambiguous] == flagged
 
 
 def test_delta_examples(table_small):

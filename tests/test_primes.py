@@ -60,6 +60,10 @@ def test_sieve_disk_cache_used(tmp_path):
     assert len(files) == 1
     t2 = pr.sieve_primes(10**7, cache_dir=tmp_path)
     assert np.array_equal(t1.primes, t2.primes)
+    # a cache cut at a whole prime loads; the re-sieved tail exposes it
+    files[0].write_bytes(files[0].read_bytes()[:-16])
+    with pytest.raises(ChecksumMismatch):
+        pr.sieve_primes(10**7, cache_dir=tmp_path)
 
 
 def test_mertens_hand_value_at_10():

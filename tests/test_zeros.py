@@ -7,7 +7,7 @@ import pytest
 from gramlab import zeros as zr
 from gramlab import zeta as zt
 from gramlab.errors import PreconditionError, UncertifiedRange
-from gramlab.zeros import ZeroTable, _bisect_refine
+from gramlab.zeros import ScanDiagnostics, ZeroTable, _bisect_refine, _scan
 from gramlab.theta_gram import theta
 
 mpmath.mp.dps = 25
@@ -121,9 +121,9 @@ def test_densification_contract():
         return (ts - 0.40) * (ts - 0.47) + 0.0 * ts
 
     signs = np.sign(f(gram)).astype(np.int8)
-    diag = type("D", (), {"densified_blocks": 0, "max_depth": 0})()
-    found = ZeroTable._scan_block(gram, signs, 0, 2, 2, f, 6, diag)
-    assert found is not None and len(found) == 2
+    diag = ScanDiagnostics()
+    lo, hi, s_lo, certified_n = _scan(gram, signs, np.array([0, 2]), f, diag)
+    assert certified_n == 2 and lo.size == 2
     assert diag.max_depth >= 4
     # a pair closer than the 64x grid stays hidden: quota unmet, no certificate
     def g(ts):
@@ -131,16 +131,34 @@ def test_densification_contract():
         return (ts - 0.400) * (ts - 0.401)
 
     signs = np.sign(g(gram)).astype(np.int8)
-    assert ZeroTable._scan_block(gram, signs, 0, 2, 2, g, 6, diag) is None
+    lo, hi, s_lo, certified_n = _scan(gram, signs, np.array([0, 2]), g, ScanDiagnostics())
+    assert certified_n == 0 and lo.size == 0
 
 
 def test_bisect_refine_contracts():
     def f(ts):
         return np.cos(np.asarray(ts, dtype=float))
 
-    lo, hi = _bisect_refine(np.array([1.0]), np.array([2.0]), f)
+    lo, hi = _bisect_refine(np.array([1.0]), np.array([2.0]), np.array([1]), f)
     assert hi[0] - lo[0] <= 2e-9
     assert abs(0.5 * (lo[0] + hi[0]) - math.pi / 2) < 2e-9
+
+
+def test_build_evaluates_each_height_once():
+    """Lockstep densification: one Z call per depth, no height evaluated twice."""
+    calls = []
+
+    def counter(ts):
+        calls.append(np.array(ts, dtype=float))
+        return zr._z_eval_default(ts)
+
+    table = ZeroTable.build(2000, z_eval=counter)
+    heights = np.concatenate(calls)
+    assert np.unique(heights).size == heights.size
+    # one Gram pass, the densification depths, and the 32 bisection steps that
+    # take G_1, the widest bracket, down to 2e-9
+    assert len(calls) <= 1 + zr.DEPTH_CAP + 32
+    assert np.array_equal(table.zeros, ZeroTable.build(2000).zeros)
 
 
 def test_from_arrays_roundtrip_semantics(table_built):
