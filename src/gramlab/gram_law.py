@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UncertifiedRange
-from .zeros import AMBIGUITY_TOL, ZeroTable
+from .zeros import ZeroTable, near
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,8 @@ def classify_intervals(table: ZeroTable, n_lo: int, n_hi: int) -> list[IntervalR
     """One record per interval, flags per the three Gram's-law definitions."""
     edges = _edges(table, n_lo, n_hi)
     counts = np.diff(edges)
-    near = np.zeros(edges.size, dtype=bool)    # at t_n, n = n_lo-1..n_hi
-    if table.zeros.size:
-        t = table.gram[n_lo - 1 : n_hi + 1]
-        for idx in (edges - 1, edges):         # nearest zeros on either side
-            z = table.zeros[np.clip(idx, 0, table.zeros.size - 1)]
-            near |= np.abs(z - t) < AMBIGUITY_TOL
-    amb = near[:-1] | near[1:]     # a zero of G_n can only be near t_{n-1} or t_n
+    at = near(table.zeros, table.gram[n_lo - 1 : n_hi + 1])   # n = n_lo-1..n_hi
+    amb = at[:-1] | at[1:]     # a zero of G_n can only be near t_{n-1} or t_n
     recs = []
     for i, n in enumerate(range(n_lo, n_hi + 1)):
         c = int(counts[i])
@@ -96,14 +91,9 @@ def classify_intervals(table: ZeroTable, n_lo: int, n_hi: int) -> list[IntervalR
 
 def delta_n(table: ZeroTable, zero_index: int) -> DeltaRecord:
     """Offset Delta_n = m - n where t_{m-1} < gamma_n <= t_m."""
-    if not (1 <= zero_index <= table.zeros.size):
-        raise UncertifiedRange(f"zero index {zero_index} outside certified table")
-    t = table.zeros[zero_index - 1]
-    m = int(np.searchsorted(table.gram, t, side="left"))
-    if m > table.certified_n:
-        raise UncertifiedRange(f"enclosing gram interval of zero {zero_index} uncertified")
-    return DeltaRecord(zero_index=zero_index, gram_index=m,
-                       delta=m - zero_index, on_line=True)
+    delta = int(delta_array(table, zero_index, zero_index)[0])
+    return DeltaRecord(zero_index=zero_index, gram_index=zero_index + delta,
+                       delta=delta, on_line=True)
 
 
 def delta_array(table: ZeroTable, n_lo: int, n_hi: int) -> np.ndarray:

@@ -72,6 +72,17 @@ def _z_eval_default(ts: np.ndarray) -> np.ndarray:
     return out
 
 
+def near(points: np.ndarray, ts) -> np.ndarray:
+    """True where an entry of the ascending `points` lies within AMBIGUITY_TOL of ts."""
+    ts = np.asarray(ts, dtype=float)
+    if not points.size:
+        return np.zeros(ts.shape, dtype=bool)
+    i = np.searchsorted(points, ts)
+    below = points[np.maximum(i - 1, 0)]            # the two neighbours of each t
+    above = points[np.minimum(i, points.size - 1)]
+    return (np.abs(below - ts) < AMBIGUITY_TOL) | (np.abs(above - ts) < AMBIGUITY_TOL)
+
+
 def _signs(z: np.ndarray) -> np.ndarray:
     """Sign array treating exact zeros as carrying the left neighbor's sign."""
     s = np.sign(z).astype(np.int8)
@@ -92,14 +103,7 @@ class ZeroTable:
         self.diagnostics = diagnostics
         counts = np.searchsorted(zeros, gram, side="right")
         self.s_gram = counts.astype(np.int64) - np.arange(gram.size, dtype=np.int64)
-        # ambiguity: any zero within tolerance of any gram point
-        amb = np.zeros(zeros.size, dtype=bool)
-        if zeros.size:
-            pos = np.searchsorted(gram, zeros)
-            for shift in (0, 1):
-                idx = np.clip(pos - 1 + shift, 0, gram.size - 1)
-                amb |= np.abs(gram[idx] - zeros) < AMBIGUITY_TOL
-        self.zero_ambiguous = amb
+        self.zero_ambiguous = near(gram, zeros)
 
     # -- construction ------------------------------------------------------
 
@@ -171,15 +175,9 @@ class ZeroTable:
             raise PreconditionError("count_zeros requires t > 7")
         self._require_certified_t(t)
         n_of_t = int(np.searchsorted(self.zeros, t, side="right"))
-        at_zero = False
-        if self.zeros.size:
-            i = np.searchsorted(self.zeros, t)
-            for j in (i - 1, i):
-                if 0 <= j < self.zeros.size and abs(self.zeros[j] - t) < AMBIGUITY_TOL:
-                    at_zero = True
         s_of_t = n_of_t - theta(t).value / math.pi - 1.0
         return CountResult(t=float(t), n_of_t=n_of_t, s_of_t=s_of_t,
-                           certified=True, at_zero=at_zero)
+                           certified=True, at_zero=bool(near(self.zeros, t)))
 
     def s_at_gram(self, n: int) -> int:
         """S(t_n + 0) = N(t_n + 0) - n, an exact integer."""
@@ -193,12 +191,7 @@ class ZeroTable:
         self._require_certified_t(t_hi)
         i = int(np.searchsorted(self.zeros, t_lo, side="right"))
         j = int(np.searchsorted(self.zeros, t_hi, side="right"))
-        return [
-            CriticalZero(index=k + 1, t=float(self.zeros[k]),
-                         bracket_width=float(self.bracket_half[k]),
-                         certified=True, ambiguous=bool(self.zero_ambiguous[k]))
-            for k in range(i, j)
-        ]
+        return [self.zero(k) for k in range(i + 1, j + 1)]
 
     def completeness_certificate(self, t_lo: float, t_hi: float):
         """True iff located sign changes match N(t_hi+0) - N(t_lo+0)."""

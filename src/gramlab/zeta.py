@@ -13,8 +13,9 @@ Two independent evaluation routes:
   rigorous tail estimate; serves as the cross-method oracle and the small-t
   route.
 
-Scalar paths accumulate with math.fsum; the vectorized path uses numpy
-pairwise reduction, whose rounding (~1e-13 at our sum lengths) sits far below
+The scalar Euler-Maclaurin path accumulates with math.fsum.  Riemann-Siegel
+has one implementation, the vectorized one (a scalar t is a 1-element array);
+its numpy pairwise reduction rounds at ~1e-13 at our sum lengths, far below
 the reported error bounds, which are dominated by phase rounding at large t.
 """
 
@@ -144,19 +145,6 @@ def rs_err_bound(t) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Riemann-Siegel evaluation
-
-def _hardy_z_rs_scalar(t: float) -> float:
-    a = math.sqrt(t / TWO_PI)
-    N = int(a)
-    p = a - N
-    th = float(_theta_raw(t))
-    terms = [math.cos(th - t * math.log(n)) / math.sqrt(n) for n in range(1, N + 1)]
-    s = 2.0 * math.fsum(terms)
-    c0, c1, c2, c3, c4 = (float(c[0]) for c in _rs_corrections(np.asarray([p])))
-    q = math.sqrt(TWO_PI / t)
-    rem = (-1) ** (N - 1) * (TWO_PI / t) ** 0.25 * (c0 + q * (c1 + q * (c2 + q * (c3 + q * c4))))
-    return s + rem
-
 
 _THREADS = 1
 
@@ -337,7 +325,7 @@ def hardy_z(t: float, method: str = "auto") -> ZEval:
     if method == "riemann_siegel":
         if t < RS_MIN_T:
             raise DomainError("riemann_siegel route requires t >= 10")
-        z = _hardy_z_rs_scalar(t)
+        z = float(_hardy_z_chunk(np.array([float(t)]))[0])
         return ZEval(t=float(t), z=z, err_bound=float(rs_err_bound(t)), method=method)
     if method == "euler_maclaurin":
         z, bound = _hardy_z_em_scalar(t)

@@ -53,11 +53,15 @@ def test_gl_implies_wgl_and_flag_consistency(table_mid):
 
 @pytest.mark.parametrize("shift, flagged", [(5e-10, [50, 51]), (-5e-10, [50, 51]), (2e-9, [])])
 def test_ambiguity_from_a_zero_near_a_gram_point(table_small, shift, flagged):
-    """A zero within AMBIGUITY_TOL of t_50, on either side, flags G_50 and G_51."""
+    """A zero within AMBIGUITY_TOL of t_50, on either side, flags G_50 and G_51,
+    the zero itself, and a count taken at t_50."""
     zeros = table_small.zeros.copy()
-    zeros[np.searchsorted(zeros, table_small.gram[50])] = table_small.gram[50] + shift
+    planted = int(np.searchsorted(zeros, table_small.gram[50]))
+    zeros[planted] = table_small.gram[50] + shift
     table = ZeroTable.from_arrays(table_small.gram, zeros)
     assert [r.n for r in gl.classify_intervals(table, 40, 60) if r.ambiguous] == flagged
+    assert np.nonzero(table.zero_ambiguous)[0].tolist() == ([planted] if flagged else [])
+    assert table.count_zeros(float(table.gram[50])).at_zero == bool(flagged)
 
 
 def test_delta_examples(table_small):

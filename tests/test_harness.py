@@ -167,6 +167,11 @@ def test_cli_zeros_uses_cache(tmp_path):
     assert (cache / "zrange" / "manifest.json").read_bytes() == manifest
 
 
+# stdout of `--format json verify-paper --n-limit 1200`, checked in so that
+# a change to any report byte shows up as a test failure
+_VERIFY_PAPER_1200 = Path(__file__).parent / "data" / "verify_paper_1200.json"
+
+
 def test_cli_verify_paper_deterministic(tmp_path):
     cache = tmp_path / "cache"
     args = ["--cache-dir", str(cache), "--format", "json", "verify-paper",
@@ -175,6 +180,7 @@ def test_cli_verify_paper_deterministic(tmp_path):
     r2 = _run_cli(args, tmp_path)
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
+    assert r1.stdout == _VERIFY_PAPER_1200.read_text()
     payload = json.loads(r1.stdout)
     statuses = {row["status"] for row in payload["rows"]}
     assert statuses <= {"pass", "skip"}
