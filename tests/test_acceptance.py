@@ -8,6 +8,7 @@ C2's middle-ordinate subcheck is a documented strict xfail: the published
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,3 +247,18 @@ def test_c12_determinism(table_small):
     _line("C12", ok, "two verification runs render byte-identical reports")
     assert ok
     assert regression.exit_code(rep1) == 0
+
+
+# to_json of the n_limit = 1e5 run on table_full, checked in so that every row
+# above n = 1200 (Titchmarsh counts through the 1e5 offset statistics) is
+# pinned byte for byte, not only its status
+_VERIFY_PAPER_1E5 = Path(__file__).parent / "data" / "verify_paper_1e5.json"
+
+
+def test_c12_rows_through_1e5_pinned(table_full):
+    ctx = regression.RegressionContext(table=table_full, n_limit=100000,
+                                       sieve_limit=10**6)
+    out = to_json(regression.run_paper_regression(ctx))
+    ok = out == _VERIFY_PAPER_1E5.read_text()
+    _line("C12", ok, "verification rows through n = 1e5 match the pinned report")
+    assert ok
