@@ -246,8 +246,8 @@ def ingest_cmd(obj, path, match_tol):
 
 
 @main.command("verify-paper")
-@click.option("--n-limit", type=int, default=100000, show_default=True,
-              help="gram index budget for the heavy assertions")
+@click.option("--n-limit", type=click.IntRange(min=1), default=100000,
+              show_default=True, help="gram index budget for the heavy assertions")
 @click.pass_obj
 def verify_paper(obj, n_limit):
     """Run every published-value regression; exit 1 on any failure."""
@@ -266,7 +266,7 @@ def entry() -> None:
     except click.exceptions.Exit as exc:  # pragma: no cover - click plumbing
         sys.exit(exc.exit_code)
     except click.UsageError as exc:
-        _fail(2, str(exc))
+        _fail(2, exc.format_message())
     except UncertifiedRange as exc:
         _fail(3, str(exc))
     except _PRECOND as exc:

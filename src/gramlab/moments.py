@@ -85,13 +85,19 @@ def _require_s_range(table: ZeroTable, n_hi: int) -> None:
             f"range needs S up to gram index {n_hi}, certified only to {table.certified_n}")
 
 
-def _int_power_sum(values: np.ndarray, power: int) -> int:
-    """Exact sum of values**power over an integer array."""
+def _int_power_sum(values: np.ndarray, power: int, weights: np.ndarray | None = None) -> int:
+    """Exact sum of values**power (times weights) over integer arrays.
+
+    int64 is used only when size * vmax**power * max|weight| < 2**63, so that
+    no partial sum can wrap; otherwise the sum is taken in Python integers.
+    """
+    if weights is None:
+        weights = np.ones_like(values)
     vmax = int(np.abs(values).max()) if values.size else 0
-    if vmax and power * math.log2(vmax) > 60:
-        return sum(int(v) ** power for v in values.tolist())
-    out = np.sum(np.asarray(values, dtype=np.int64) ** power)
-    return int(out)
+    wmax = int(np.abs(weights).max()) if weights.size else 0
+    if values.size * vmax ** power * wmax < 2 ** 63:
+        return int(np.sum(np.asarray(values, dtype=np.int64) ** power * weights))
+    return sum(int(v) ** power * int(w) for v, w in zip(values.tolist(), weights.tolist()))
 
 
 def _satisfied(total: int | float, log10_bound: float) -> bool:
@@ -178,11 +184,7 @@ def alternating_sum(table: ZeroTable, cfg: MomentConfig) -> MomentReport:
         total = int(r.sum())
         return MomentReport(config=cfg, sum=total,
                             notes=("T_0 telescopes to S(t_{N+M}+0) - S(t_N+0)",))
-    vmax = int(np.abs(sn).max()) if sn.size else 0
-    if vmax and j * math.log2(max(vmax, 2)) > 58:
-        total = sum(int(a) ** j * int(b) for a, b in zip(sn.tolist(), r.tolist()))
-    else:
-        total = int(np.sum(sn.astype(np.int64) ** j * r))
+    total = _int_power_sum(sn, j, r)
     L = cfg.L
     if j % 2 == 1:
         k = (j + 1) // 2

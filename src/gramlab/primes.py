@@ -166,12 +166,11 @@ def mertens_sums(x: int, ceiling: int = SIEVE_CEILING,
     return csum(np.log(p) / p), csum(1.0 / p)
 
 
-def _v_sum(ts, y: float, primes: np.ndarray | None = None) -> np.ndarray:
+def _v_sum(ts, y: float) -> np.ndarray:
     """(1/pi) sum_{p<y} sin(t ln p)/sqrt(p) for scalar or array t."""
-    if primes is None:
-        if y <= 2:
-            return np.zeros(np.shape(ts))
-        primes = sieve_primes(int(math.ceil(y))).primes
+    if y <= 2:
+        return np.zeros(np.shape(ts))
+    primes = sieve_primes(int(math.ceil(y))).primes
     p = primes[primes < y].astype(float)
     if p.size == 0:
         return np.zeros(np.shape(ts))

@@ -105,8 +105,12 @@ def _parse_csv(raw: bytes, what: str) -> np.ndarray:
 
 
 def load_manifest(path: str | Path) -> CacheManifest:
-    data = json.loads((Path(path) / "manifest.json").read_text(encoding="utf-8"))
-    return CacheManifest(**data)
+    """The manifest at path; a truncated or incomplete one is a ChecksumMismatch."""
+    mpath = Path(path) / "manifest.json"
+    try:
+        return CacheManifest(**json.loads(mpath.read_text(encoding="utf-8")))
+    except (ValueError, TypeError) as exc:  # truncated JSON, missing or extra field
+        raise ChecksumMismatch(f"{mpath}: damaged manifest ({exc})") from None
 
 
 def load_range(path: str | Path) -> tuple[ZeroTable, CacheManifest]:
@@ -116,8 +120,11 @@ def load_range(path: str | Path) -> tuple[ZeroTable, CacheManifest]:
     if manifest.version != STORE_VERSION:
         raise VersionMismatch(
             f"store version {manifest.version}, supported {STORE_VERSION}")
-    gram_b = (path / "gram.csv").read_bytes()
-    zero_b = (path / "zeros.csv").read_bytes()
+    try:
+        gram_b = (path / "gram.csv").read_bytes()
+        zero_b = (path / "zeros.csv").read_bytes()
+    except FileNotFoundError as exc:
+        raise ChecksumMismatch(f"{exc.filename}: missing from the range") from None
     if _digest(gram_b, zero_b) != manifest.checksum:
         raise ChecksumMismatch(f"{path}: data does not match manifest checksum")
     gram = _parse_csv(gram_b, "gram.csv")

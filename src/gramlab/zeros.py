@@ -266,12 +266,12 @@ def _scan(gram, signs, anchors, z_eval, diag):
     return lo[order], hi[order], s_lo[order], int(anchors[cut])
 
 
-def _bisect_refine(lo, hi, s_lo, z_eval, half_width=BRACKET_HALF_WIDTH):
-    """Lockstep bisection of brackets, Z of sign s_lo at lo, to the half-width."""
+def _bisect_refine(lo, hi, s_lo, z_eval):
+    """Lockstep bisection of brackets, Z of sign s_lo at lo, to BRACKET_HALF_WIDTH."""
     if not lo.size:
         return lo, hi
     width = float(np.max(hi - lo))
-    n_steps = max(0, int(math.ceil(math.log2(max(width, 1e-300) / (2 * half_width)))))
+    n_steps = max(0, int(math.ceil(math.log2(max(width, 1e-300) / (2 * BRACKET_HALF_WIDTH)))))
     for _ in range(n_steps):
         mid = 0.5 * (lo + hi)
         s_mid = np.sign(z_eval(mid))

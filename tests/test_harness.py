@@ -37,6 +37,31 @@ def test_corrupt_byte_detected(table_small, tmp_path):
         store.load_range(tmp_path / "rng")
 
 
+def test_manifest_missing_field_detected(table_small, tmp_path):
+    store.save_range(table_small, tmp_path / "rng")
+    mpath = tmp_path / "rng" / "manifest.json"
+    data = json.loads(mpath.read_text())
+    del data["checksum"]
+    mpath.write_text(json.dumps(data))
+    with pytest.raises(ChecksumMismatch, match="manifest.json"):
+        store.load_range(tmp_path / "rng")
+
+
+def test_manifest_truncated_detected(table_small, tmp_path):
+    store.save_range(table_small, tmp_path / "rng")
+    mpath = tmp_path / "rng" / "manifest.json"
+    mpath.write_bytes(mpath.read_bytes()[:40])
+    with pytest.raises(ChecksumMismatch, match="manifest.json"):
+        store.load_range(tmp_path / "rng")
+
+
+def test_missing_data_file_detected(table_small, tmp_path):
+    store.save_range(table_small, tmp_path / "rng")
+    (tmp_path / "rng" / "gram.csv").unlink()
+    with pytest.raises(ChecksumMismatch, match="gram.csv"):
+        store.load_range(tmp_path / "rng")
+
+
 def test_version_mismatch(table_small, tmp_path):
     store.save_range(table_small, tmp_path / "rng")
     mpath = tmp_path / "rng" / "manifest.json"
@@ -184,6 +209,21 @@ def test_cli_verify_paper_deterministic(tmp_path):
     payload = json.loads(r1.stdout)
     statuses = {row["status"] for row in payload["rows"]}
     assert statuses <= {"pass", "skip"}
+
+
+def test_cli_verify_paper_n_limit_floor(tmp_path):
+    # interval additivity draws pairs below index 3, so it skips at 1 and 2
+    cache = tmp_path / "cache"
+    for n_limit in ("1", "2"):
+        r = _run_cli(["--cache-dir", str(cache), "--format", "json", "verify-paper",
+                      "--n-limit", n_limit], tmp_path)
+        assert r.returncode == 0, r.stderr
+        rows = {row["assertion"]: row for row in json.loads(r.stdout)["rows"]}
+        assert rows["interval_additivity"]["status"] == "skip"
+        assert rows["interval_additivity"]["detail"] == "insufficient range"
+    r = _run_cli(["verify-paper", "--n-limit", "0"], tmp_path)
+    assert r.returncode == 2
+    assert "n-limit" in r.stderr
 
 
 def test_cli_classify_json(tmp_path):

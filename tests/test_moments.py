@@ -79,6 +79,20 @@ def test_adjacent_bound_large_k_no_overflow(table_small):
     assert rep.bound == math.inf and rep.log10_bound > 308
 
 
+def test_adjacent_moment_exact_past_int64(table_full):
+    # eight terms of 2^60 each: the sum passes 2^63 although every term fits
+    cfg = mo.MomentConfig(N=90000, M=10000, m=1, k=30)
+    s = table_full.s_gram
+    r = s[90001:100001] - s[90000:100000]
+    assert mo.adjacent_difference_moment(table_full, cfg).sum \
+        == sum(int(v) ** 60 for v in r.tolist())
+
+
+def test_weighted_power_sum_exact_past_int64():
+    values, weights = np.full(16, 8, dtype=np.int64), np.full(16, -5, dtype=np.int64)
+    assert mo._int_power_sum(values, 19, weights) == -16 * 5 * 8 ** 19
+
+
 def test_first_moment_facts(table_small):
     rep = mo.first_moment(table_small, 100, 500)
     assert rep.sum > 0
