@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gram_law, moments, primes
-from .errors import PreconditionError
+from .errors import PreconditionError, UncertifiedRange
 from .reports import Report
 from .theta_gram import gram_points, gram_spacing_report, theta, theta_derivative
 from .zeros import ZeroTable
@@ -80,7 +80,10 @@ def _z_min(z: np.ndarray, n_max: int, expected: tuple[int, float]) -> tuple[bool
 def _nu_identities(tab: ZeroTable, top: int) -> tuple[bool, str]:
     sampled = list(range(1000, top + 1, 1000)) or [min(200, top)]
     for N in sampled:
-        gram_law.nu_histogram(tab, N)  # raises UncertifiedRange on a broken identity
+        try:
+            gram_law.nu_histogram(tab, N)  # raises on a broken identity
+        except UncertifiedRange:
+            return False, f"first failure at N = {N}"
     return True, f"sampled every 1000 up to {sampled[-1]}"
 
 

@@ -8,7 +8,9 @@ midpoints only, up to 64x per interval) until the quota is met.  Regular
 endpoints only make S(t_n) even there, not zero, so a met quota is the Rosser
 rule and the located count is a lower bound on N(t).  Blocks whose quota
 cannot be met leave the table certified only up to the last anchor before
-them.  Brackets are then sharpened by lockstep bisection.
+them.  The brackets are then sharpened in lockstep by the Illinois variant of
+false position, from the Z values the scan left at their ends: one Z call per
+pass, on the brackets still wider than 1e-9, each retiring as it gets there.
 
 The trailing edge of a scan stops at the last regular Gram point, so tables
 are built with headroom past the index range the caller needs; that policy
@@ -32,6 +34,12 @@ AMBIGUITY_TOL = 1e-9
 # final bracket half-width
 BRACKET_HALF_WIDTH = 1e-9
 DEPTH_CAP = 6  # up to 2^6 = 64 segments per Gram interval
+# Z calls per build: the Gram pass, one per densification depth, and the
+# refinement passes, at least 32 of them: bisection takes G_1, the widest
+# bracket, to 2e-9 in 32
+Z_CALLS = 1 + DEPTH_CAP + 32
+# refinement retires a bracket this narrow; its midpoint is the zero
+REFINE_WIDTH = 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,15 +66,18 @@ class ScanDiagnostics:
     densified_blocks: int = 0
     max_depth: int = 0
     failed_blocks: list = field(default_factory=list)
+    densify_active: list = field(default_factory=list)  # rows per densification depth
+    refine_active: list = field(default_factory=list)   # rows per refinement pass
 
 
 def _z_eval_default(ts: np.ndarray) -> np.ndarray:
     """Z on an array of heights; scalar euler_maclaurin route below t=30."""
     ts = np.asarray(ts, dtype=float)
-    out = np.empty(ts.shape)
     low = ts < RS_SWITCH_T
-    if low.any():
-        out[low] = [hardy_z(float(t)).z for t in ts[low]]
+    if not low.any():
+        return hardy_z_many(ts)
+    out = np.empty(ts.shape)
+    out[low] = [hardy_z(float(t)).z for t in ts[low]]
     if (~low).any():
         out[~low] = hardy_z_many(ts[~low])
     return out
@@ -115,15 +126,16 @@ class ZeroTable:
         z_eval = z_eval or _z_eval_default
         gram = gram_points(n_max)
         zg = z_eval(gram)
-        n_idx = np.arange(gram.size)
-        regular = np.where(n_idx % 2 == 1, zg, -zg) > 0.0  # (-1)^(n-1) Z(t_n) > 0
+        # (-1)^(n-1) Z(t_n) > 0
+        regular = np.where(np.arange(gram.size) % 2 == 1, zg, -zg) > 0.0
         diag = ScanDiagnostics()
         if not regular[0]:
             raise UncertifiedRange("no regular anchor at the base of the range")
 
-        lo, hi, s_lo, certified_n = _scan(gram, _signs(zg), np.nonzero(regular)[0],
-                                          z_eval, diag)
-        lo, hi = _bisect_refine(lo, hi, s_lo, z_eval)
+        lo, hi, z_lo, z_hi, certified_n = _scan(gram, zg, np.nonzero(regular)[0],
+                                                z_eval, diag)
+        passes = Z_CALLS - 1 - len(diag.densify_active)
+        _refine(lo, hi, z_lo, z_hi, z_eval, passes, diag)
         zeros = 0.5 * (lo + hi)
         # publish the uniform certified half-width: every final bracket fits
         # inside [t - 1e-9, t + 1e-9], which keeps built and loaded tables
@@ -217,40 +229,49 @@ class ZeroTable:
                             certified=True, ambiguous=bool(self.zero_ambiguous[k]))
 
 
-def _scan(gram, signs, anchors, z_eval, diag):
+def _scan(gram, zg, anchors, z_eval, diag):
     """Sign-change brackets of the blocks between anchors, densified in lockstep.
 
-    Every Gram interval of an open block is a row of signs, 2^d + 1 wide at
-    depth d.  Each depth calls z_eval once, at the odd columns only: the even
-    columns are the previous grid bit for bit, and the Gram points carry
-    `signs`.  A block retires once its flips reach its quota; flips never drop
-    under subdivision, so an overshoot can only fail.  Returns (lo, hi, sign of
-    Z at lo, certified_n), cut at the first block unmet at DEPTH_CAP.
+    Every Gram interval of an open block is a row of Z values and their signs,
+    2^d + 1 wide at depth d.  Each depth calls z_eval once, at the odd columns
+    only: the even columns are the previous grid bit for bit, and the Gram
+    points carry `zg`.  A block retires once its flips reach its quota; flips
+    never drop under subdivision, so an overshoot can only fail.  Returns
+    (lo, hi, Z at lo, Z at hi, certified_n), cut at the first block unmet at
+    DEPTH_CAP.  Z at hi is never an exact zero: one would carry lo's sign.
     """
     quota = np.diff(anchors)
     rows = np.arange(anchors[0], anchors[-1])       # left Gram index per row
     block = np.repeat(np.arange(quota.size), quota)
+    signs = _signs(zg)
     grid = np.stack([signs[rows], signs[rows + 1]], axis=1)
+    zgrid = np.stack([zg[rows], zg[rows + 1]], axis=1)
     met_at = np.full(quota.size, -1)
     found = []
     for depth in range(DEPTH_CAP + 1):
         ts = np.linspace(gram[rows], gram[rows + 1], (1 << depth) + 1, axis=1)
         if depth:
-            s = np.sign(z_eval(ts[:, 1::2].ravel())).reshape(rows.size, -1)
+            diag.densify_active.append(int(rows.size))
+            z = z_eval(ts[:, 1::2].ravel()).reshape(rows.size, -1)
+            s = np.sign(z)
             finer = np.empty(ts.shape, dtype=np.int8)
             finer[:, ::2] = grid
             # an exact zero carries its left neighbour's sign, as in _signs
             finer[:, 1::2] = np.where(s == 0, grid[:, :-1], s)
-            grid = finer
+            zfiner = np.empty(ts.shape)
+            zfiner[:, ::2] = zgrid
+            zfiner[:, 1::2] = z
+            grid, zgrid = finer, zfiner
         r, c = np.nonzero(grid[:, :-1] != grid[:, 1:])
         flips = np.bincount(block[r], minlength=quota.size)
         met = flips == quota
         met_at[met] = depth
         take = met[block[r]]
         r, c = r[take], c[take]
-        found.append((ts[r, c], ts[r, c + 1], grid[r, c]))
+        found.append((ts[r, c], ts[r, c + 1], zgrid[r, c], zgrid[r, c + 1]))
         open_rows = flips[block] < quota[block]
-        rows, block, grid = rows[open_rows], block[open_rows], grid[open_rows]
+        rows, block = rows[open_rows], block[open_rows]
+        grid, zgrid = grid[open_rows], zgrid[open_rows]
         if not rows.size:
             break
     unmet = np.nonzero(met_at < 0)[0]
@@ -260,26 +281,54 @@ def _scan(gram, signs, anchors, z_eval, diag):
     diag.blocks = min(cut + 1, quota.size)
     diag.densified_blocks = int(np.count_nonzero(met_at[:cut] > 0))
     diag.max_depth = int(met_at[:cut].max(initial=0))
-    lo, hi, s_lo = (np.concatenate(a) for a in zip(*found))
+    lo, hi, z_lo, z_hi = (np.concatenate(a) for a in zip(*found))
     order = np.argsort(lo)
     order = order[lo[order] < gram[anchors[cut]]]
-    return lo[order], hi[order], s_lo[order], int(anchors[cut])
+    return lo[order], hi[order], z_lo[order], z_hi[order], int(anchors[cut])
 
 
-def _bisect_refine(lo, hi, s_lo, z_eval):
-    """Lockstep bisection of brackets, Z of sign s_lo at lo, to BRACKET_HALF_WIDTH."""
-    if not lo.size:
-        return lo, hi
-    width = float(np.max(hi - lo))
-    n_steps = max(0, int(math.ceil(math.log2(max(width, 1e-300) / (2 * BRACKET_HALF_WIDTH)))))
-    for _ in range(n_steps):
-        mid = 0.5 * (lo + hi)
-        s_mid = np.sign(z_eval(mid))
-        s_mid[s_mid == 0] = -s_lo[s_mid == 0]  # exact hit: keep zero inside
-        take_left = s_mid == s_lo
-        lo = np.where(take_left, mid, lo)
-        hi = np.where(take_left, hi, mid)
-    return lo, hi
+def _refine(lo, hi, z_lo, z_hi, z_eval, passes, diag):
+    """Lockstep Illinois refinement of brackets [lo, hi] to width REFINE_WIDTH.
+
+    Each of at most `passes` passes calls z_eval once, on the rows still wider
+    than REFINE_WIDTH: at the secant point of the working ends, or at the
+    midpoint when that point is not strictly inside.  An end kept on two
+    passes running has its Z value halved (the Illinois rule, Dowell &
+    Jarratt 1971), so both ends move.  An exact zero counts as the sign
+    opposite lo, which keeps it inside.  A row that bisection alone could only
+    just take to REFINE_WIDTH in the passes left is bisected, so a bracket
+    ends at most max(REFINE_WIDTH, width / 2^passes) wide.  Narrows lo and hi
+    in place; the working state holds the unfinished rows only.
+    """
+    row = np.nonzero(hi - lo > REFINE_WIDTH)[0]
+    a, b, fa, fb = lo[row], hi[row], z_lo[row], z_hi[row]
+    s = -np.sign(fb).astype(np.int8)            # sign of Z at lo
+    last = np.zeros(row.size, dtype=np.int8)    # end moved last pass: +1 a, -1 b
+    for passes_left in range(passes, 0, -1):
+        if not row.size:
+            break
+        diag.refine_active.append(int(row.size))
+        x = fb - fa
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(b - a, x, out=x)
+        x *= fa
+        np.subtract(a, x, out=x)                # the secant point
+        bisect = ~((a < x) & (x < b)) | (b - a > REFINE_WIDTH * 2.0 ** (passes_left - 1))
+        x[bisect] = 0.5 * (a[bisect] + b[bisect])
+        fx = z_eval(x)
+        left = np.sign(fx) == s                 # x replaces the lo end
+        right = ~left
+        fb[left & (last == 1)] *= 0.5           # the other end kept twice running
+        fa[right & (last == -1)] *= 0.5
+        np.copyto(a, x, where=left)
+        np.copyto(fa, fx, where=left)
+        np.copyto(b, x, where=right)
+        np.copyto(fb, fx, where=right)
+        last = np.where(left, np.int8(1), np.int8(-1))
+        done = b - a <= REFINE_WIDTH
+        lo[row[done]], hi[row[done]] = a[done], b[done]
+        row, a, b, fa, fb, s, last = (v[~done] for v in (row, a, b, fa, fb, s, last))
+    lo[row], hi[row] = a, b
 
 
 # ---------------------------------------------------------------------------

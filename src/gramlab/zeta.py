@@ -164,11 +164,13 @@ def _hardy_z_chunk(seg: np.ndarray) -> np.ndarray:
     n = np.arange(1, n_max + 1, dtype=float)
     logn = np.log(n)
     rsqrt = 1.0 / np.sqrt(n)
-    phases = th[:, None] - seg[:, None] * logn[None, :]
-    terms = np.cos(phases) * rsqrt[None, :]
+    # one len(seg) x n_max buffer: phases, then cosines, then terms, in place
+    terms = np.multiply.outer(seg, logn)
+    np.subtract(th[:, None], terms, out=terms)
+    np.cos(terms, out=terms)
+    terms *= rsqrt
     # mask out n > N(t) rows before reduction
-    mask = n[None, :] <= N[:, None]
-    z = 2.0 * np.sum(terms, axis=1, where=mask)
+    z = 2.0 * np.sum(terms, axis=1, where=n <= N[:, None])
     c0, c1, c2, c3, c4 = _rs_corrections(p)
     q = np.sqrt(TWO_PI / seg)
     rem = np.where(N % 2 == 1, 1.0, -1.0) * (TWO_PI / seg) ** 0.25 \

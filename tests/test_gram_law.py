@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gramlab import gram_law as gl
+from gramlab import regression
 from gramlab.errors import UncertifiedRange
 from gramlab.zeros import ZeroTable
 
@@ -111,6 +112,25 @@ def test_nu_histogram_identities(table_small):
 def test_nu_identities_property(table_small, N):
     h = gl.nu_histogram(table_small, N)
     assert h.identity_total() and h.identity_weighted() and h.identity_empty()
+
+
+def test_broken_nu_identity_fails_its_row_only(table_small, monkeypatch):
+    ctx = regression.RegressionContext(table=table_small, n_limit=1200,
+                                       sieve_limit=10**6)
+    good = regression.run_paper_regression(ctx).rows
+    counts = gl.interval_counts
+
+    def broken(table, n_lo, n_hi):
+        c = counts(table, n_lo, n_hi)
+        c[6::7] = 0                       # every 7th interval loses its zeros
+        return c
+
+    monkeypatch.setattr(gl, "interval_counts", broken)
+    rows = regression.run_paper_regression(ctx).rows
+    assert [r["assertion"] for r in rows] == [r["assertion"] for r in good]
+    changed = [(g, r) for g, r in zip(good, rows) if g != r]
+    assert [(g["assertion"], g["status"], r["status"], r["detail"]) for g, r in changed] \
+        == [("nu_identities", "pass", "fail", "first failure at N = 1000")]
 
 
 def test_interval_count_equals_s_difference(table_small):

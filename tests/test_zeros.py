@@ -7,7 +7,7 @@ import pytest
 from gramlab import zeros as zr
 from gramlab import zeta as zt
 from gramlab.errors import PreconditionError, UncertifiedRange
-from gramlab.zeros import ScanDiagnostics, ZeroTable, _bisect_refine, _scan
+from gramlab.zeros import ScanDiagnostics, ZeroTable, _refine, _scan
 from gramlab.theta_gram import theta
 
 mpmath.mp.dps = 25
@@ -120,32 +120,83 @@ def test_densification_contract():
         ts = np.asarray(ts, dtype=float)
         return (ts - 0.40) * (ts - 0.47) + 0.0 * ts
 
-    signs = np.sign(f(gram)).astype(np.int8)
     diag = ScanDiagnostics()
-    lo, hi, s_lo, certified_n = _scan(gram, signs, np.array([0, 2]), f, diag)
+    lo, hi, z_lo, z_hi, certified_n = _scan(gram, f(gram), np.array([0, 2]), f, diag)
     assert certified_n == 2 and lo.size == 2
     assert diag.max_depth >= 4
+    # the end values are Z at the bracket ends, which refinement reuses
+    assert np.array_equal(z_lo, f(lo)) and np.array_equal(z_hi, f(hi))
     # a pair closer than the 64x grid stays hidden: quota unmet, no certificate
     def g(ts):
         ts = np.asarray(ts, dtype=float)
         return (ts - 0.400) * (ts - 0.401)
 
-    signs = np.sign(g(gram)).astype(np.int8)
-    lo, hi, s_lo, certified_n = _scan(gram, signs, np.array([0, 2]), g, ScanDiagnostics())
+    lo, hi, z_lo, z_hi, certified_n = _scan(gram, g(gram), np.array([0, 2]), g,
+                                            ScanDiagnostics())
     assert certified_n == 0 and lo.size == 0
 
 
-def test_bisect_refine_contracts():
-    def f(ts):
-        return np.cos(np.asarray(ts, dtype=float))
+def _refine_one(f, lo, hi, passes=zr.Z_CALLS - 1 - zr.DEPTH_CAP):
+    """_refine on the one bracket [lo, hi]: (lo, hi, Z calls) after it.
 
-    lo, hi = _bisect_refine(np.array([1.0]), np.array([2.0]), np.array([1]), f)
-    assert hi[0] - lo[0] <= 2e-9
-    assert abs(0.5 * (lo[0] + hi[0]) - math.pi / 2) < 2e-9
+    The default pass budget is the smallest a build leaves refinement.
+    """
+    calls = []
+
+    def z(ts):
+        calls.append(np.array(ts, dtype=float))
+        return f(np.asarray(ts, dtype=float))
+
+    diag = ScanDiagnostics()
+    a, b = np.array([lo]), np.array([hi])
+    _refine(a, b, f(a), f(b), z, passes, diag)
+    heights = np.concatenate(calls) if calls else np.empty(0)
+    # never a height twice, nor a bracket end, which the scan evaluated
+    assert np.unique(np.append(heights, [lo, hi])).size == heights.size + 2
+    assert len(calls) == len(diag.refine_active) <= passes
+    return float(a[0]), float(b[0]), len(calls)
+
+
+def test_refine_cos_root():
+    lo, hi, passes = _refine_one(np.cos, 1.0, 2.0)
+    assert hi - lo <= zr.REFINE_WIDTH
+    assert abs(0.5 * (lo + hi) - math.pi / 2) < 1e-9
+    assert passes < 10                       # bisection takes 30
+
+
+def test_refine_convex_stall():
+    """Plain false position keeps the left end of t^10 - 1 on [0, 1.5]."""
+    def f(ts):
+        return ts ** 10 - 1.0
+
+    a, b = 0.0, 1.5
+    for _ in range(32):
+        x = a - f(a) * (b - a) / (f(b) - f(a))
+        a, b = (x, b) if f(x) < 0 else (a, x)
+    assert b - a > 0.5
+    lo, hi, _ = _refine_one(f, 0.0, 1.5)
+    assert hi - lo <= zr.REFINE_WIDTH and lo <= 1.0 <= hi
+    # with room to spare, the halved end values alone converge
+    lo, hi, passes = _refine_one(f, 0.0, 1.5, passes=64)
+    assert hi - lo <= zr.REFINE_WIDTH and passes < 20
+    # short of passes, the stragglers are bisected: width / 2^passes at most
+    lo, hi, passes = _refine_one(f, 0.0, 1.5, passes=12)
+    assert passes == 12 and hi - lo <= 1.5 / 2 ** 12 and lo <= 1.0 <= hi
+
+
+def test_refine_secant_on_the_root():
+    """An exact zero at the secant point counts as the sign opposite lo."""
+    lo, hi, _ = _refine_one(lambda ts: ts - 1.5, 1.0, 2.0)
+    assert hi == 1.5 and 1.5 - zr.REFINE_WIDTH <= lo < 1.5
+
+
+def test_refine_narrow_bracket_makes_no_call():
+    lo, hi, passes = _refine_one(np.cos, 1.5707963264, 1.5707963271)
+    assert passes == 0 and (lo, hi) == (1.5707963264, 1.5707963271)
 
 
 def test_build_evaluates_each_height_once():
-    """Lockstep densification: one Z call per depth, no height evaluated twice."""
+    """One Z call per densification depth and per refinement pass, no height twice."""
     calls = []
 
     def counter(ts):
@@ -155,8 +206,8 @@ def test_build_evaluates_each_height_once():
     table = ZeroTable.build(2000, z_eval=counter)
     heights = np.concatenate(calls)
     assert np.unique(heights).size == heights.size
-    # one Gram pass, the densification depths, and the 32 bisection steps that
-    # take G_1, the widest bracket, down to 2e-9
+    # one Gram pass, the densification depths, and the refinement passes:
+    # refinement may use what densification left of the Z_CALLS budget
     assert len(calls) <= 1 + zr.DEPTH_CAP + 32
     assert np.array_equal(table.zeros, ZeroTable.build(2000).zeros)
 
