@@ -24,7 +24,6 @@ from .zeros import ZeroTable
 
 EULER_GAMMA = 0.5772156649015329
 EPSILON_DEFAULT = 9e-4
-ALPHA = 27.0 / 82.0
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,6 @@ class MomentConfig:
     m: int = 0
     k: int = 1
     epsilon: float = EPSILON_DEFAULT
-    exploratory: bool = True
     # derived constants, filled in __post_init__
     L: float = field(init=False, default=0.0)
     x: float = field(init=False, default=0.0)
@@ -42,7 +40,6 @@ class MomentConfig:
     A: float = field(init=False, default=0.0)
     B: float = field(init=False, default=0.0)
     lam: float = field(init=False, default=0.0)
-    regime_ok: bool = field(init=False, default=False)
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1e-3):
@@ -58,13 +55,6 @@ class MomentConfig:
         object.__setattr__(self, "A", a_const)
         object.__setattr__(self, "B", a_const * a_const * math.exp(-8.0))
         object.__setattr__(self, "lam", (2.0 * self.B * math.e * math.pi ** 2) ** 2)
-        lo = self.N ** (ALPHA + 0.9 * self.epsilon)
-        hi = self.N ** (ALPHA + self.epsilon)
-        regime = lo <= self.M <= hi
-        object.__setattr__(self, "regime_ok", regime)
-        if not self.exploratory and not regime:
-            raise PreconditionError(
-                f"M = {self.M} outside the admissible window [{lo:.3g}, {hi:.3g}]")
 
 
 @dataclass(frozen=True)

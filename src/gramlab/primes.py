@@ -134,6 +134,8 @@ def save_prime_cache(path: str | Path, table: PrimeTable) -> None:
 
 def load_prime_cache(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
+    if len(raw) < 9:
+        raise ChecksumMismatch(f"{path}: truncated header of {len(raw)} bytes")
     if raw[:8] != _MAGIC:
         raise ChecksumMismatch(f"{path}: bad magic header")
     if raw[8] != _VERSION:
@@ -171,14 +173,12 @@ def _v_sum(ts, y: float) -> np.ndarray:
     if y <= 2:
         return np.zeros(np.shape(ts))
     primes = sieve_primes(int(math.ceil(y))).primes
-    p = primes[primes < y].astype(float)
-    if p.size == 0:
-        return np.zeros(np.shape(ts))
+    p = primes[primes < y].astype(float)   # holds 2, since y > 2
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
     lnp = np.log(p)
     w = 1.0 / np.sqrt(p)
     out = np.empty(ts_arr.shape)
-    chunk = max(1, (1 << 22) // max(p.size, 1))
+    chunk = max(1, (1 << 22) // p.size)
     for i in range(0, ts_arr.size, chunk):
         seg = ts_arr[i : i + chunk]
         out[i : i + chunk] = np.sin(seg[:, None] * lnp[None, :]) @ w
@@ -210,24 +210,19 @@ def v_xh(x: float, h: float, ceiling: int = SIEVE_CEILING,
 
 
 def residual_moments(table: ZeroTable, N: int, M: int, k: int,
-                     epsilon: float = EPSILON_DEFAULT, y: float | None = None,
-                     exploratory: bool = True) -> MomentReport:
+                     epsilon: float = EPSILON_DEFAULT, y: float | None = None) -> MomentReport:
     """Sum of R(t_n+0)^(2k) over N < n <= N+M, R = S + V_y, against the
     (very loose) moment bound (A e^-4 k)^(2k) M.
 
     In the admissible regime y = x^(1/4k) with x = t_N^(0.1 eps); that regime
-    requires ln x >= 192 k, far beyond desk scale, so exploratory mode accepts
-    an explicit y (or the degenerate derived one) and notes the fact.
+    requires ln x >= 192 k, far beyond desk scale, so the sum is always
+    exploratory: it takes an explicit y (or the degenerate derived one), and
+    the report notes the fact.
     """
     if k < 1:
         raise PreconditionError("residual_moments requires k >= 1")
     cfg = MomentConfig(N=N, M=M, m=0, k=k, epsilon=epsilon)
-    notes = []
-    if not exploratory and k > math.log(cfg.x) / 192.0:
-        raise PreconditionError(
-            f"k = {k} exceeds ln(x)/192 = {math.log(cfg.x) / 192.0:.3g}")
-    if exploratory:
-        notes.append("exploratory: admissible regime ln x >= 192 k unreachable at desk scale")
+    notes = ("exploratory: admissible regime ln x >= 192 k unreachable at desk scale",)
     if y is None:
         y = cfg.y
     if N + M > table.certified_n:
@@ -241,7 +236,7 @@ def residual_moments(table: ZeroTable, N: int, M: int, k: int,
     return MomentReport(config=cfg, sum=total, bound=_finite(log10_bound),
                         log10_bound=log10_bound,
                         bound_satisfied=_satisfied(total, log10_bound),
-                        notes=tuple(notes))
+                        notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +245,11 @@ def residual_moments(table: ZeroTable, N: int, M: int, k: int,
 _DIAGONAL_Y_CEILING_K2 = 1000.0
 
 
-def diagonal_identity_check(k: int, y: float, a: dict[int, complex] | None = None,
-                            ceiling: int = SIEVE_CEILING) -> DiagonalCheck:
+def diagonal_identity_check(k: int, y: float,
+                            a: dict[int, complex] | None = None) -> DiagonalCheck:
     """Brute-force both sides of the diagonal identity over primes <= y.
 
-    k = 1: the left side equals sigma1 exactly (theta_1 = 0).
+    k = 1: the left side is sigma1 by definition (theta_1 = 0).
     k = 2: the normalized residue (lhs - 2 sigma1^2) / (2 * 4 * sigma2)
            must lie in [-1, 0].
     """
@@ -268,15 +263,14 @@ def diagonal_identity_check(k: int, y: float, a: dict[int, complex] | None = Non
         raise PreconditionError("require y > e^3 for k = 2")
     if k == 2 and y > _DIAGONAL_Y_CEILING_K2:
         raise ResourceError(f"k = 2 brute force capped at y <= {_DIAGONAL_Y_CEILING_K2}")
-    primes = [int(p) for p in sieve_primes(int(y), ceiling=ceiling).primes if p <= y]
+    primes = [int(p) for p in sieve_primes(int(y)).primes if p <= y]
     coeff = {p: (a.get(p, 0j) if a is not None else 1.0 + 0j) for p in primes}
     mags = [abs(coeff[p]) ** 2 for p in primes]
     sigma1 = math.fsum(m / p for m, p in zip(mags, primes))
     sigma2 = math.fsum((m / p) ** 2 for m, p in zip(mags, primes))
     if k == 1:
-        lhs = math.fsum(m / p for m, p in zip(mags, primes))
-        return DiagonalCheck(k=1, y=y, lhs=lhs, sigma1=sigma1, sigma2=sigma2,
-                             theta=0.0, ok=lhs == sigma1)
+        return DiagonalCheck(k=1, y=y, lhs=sigma1, sigma1=sigma1, sigma2=sigma2,
+                             theta=0.0, ok=True)
     prods: dict[int, complex] = {}
     for p1 in primes:
         for p2 in primes:

@@ -114,7 +114,7 @@ def load_manifest(path: str | Path) -> CacheManifest:
 
 
 def load_range(path: str | Path) -> tuple[ZeroTable, CacheManifest]:
-    """Load a persisted range; verifies version and checksum."""
+    """Load a persisted range; verifies version, checksum and extent."""
     path = Path(path)
     manifest = load_manifest(path)
     if manifest.version != STORE_VERSION:
@@ -129,6 +129,11 @@ def load_range(path: str | Path) -> tuple[ZeroTable, CacheManifest]:
         raise ChecksumMismatch(f"{path}: data does not match manifest checksum")
     gram = _parse_csv(gram_b, "gram.csv")
     zeros = _parse_csv(zero_b, "zeros.csv")
+    claimed = (manifest.n_max_gram, manifest.zero_count, [manifest.t_max])
+    held = (gram.size - 1, zeros.size, gram[-1:].tolist())
+    if claimed != held:
+        raise ChecksumMismatch(f"{path}: manifest (n_max_gram, zero_count, [t_max]) "
+                               f"= {claimed}, data {held}")
     table = ZeroTable.from_arrays(gram, zeros)
     return table, manifest
 

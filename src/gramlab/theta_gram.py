@@ -33,8 +33,6 @@ _TAIL_COEF = 127.0 / 430080.0
 class ThetaEval:
     t: float
     value: float
-    d1: float
-    d2: float
     err_bound: float
 
 
@@ -66,7 +64,8 @@ def _theta_d2_raw(t):
 
 
 def theta(t: float) -> ThetaEval:
-    """Evaluate theta with derivatives and a truncation bound.
+    """Evaluate theta with its truncation bound; `theta_derivative` gives
+    the derivatives.
 
     Requires t >= 7; below that the asymptotic series is not trusted and
     the Gram equation loses uniqueness.
@@ -77,8 +76,6 @@ def theta(t: float) -> ThetaEval:
     return ThetaEval(
         t=float(t),
         value=float(_theta_raw(t)),
-        d1=float(_theta_d1_raw(t)),
-        d2=float(_theta_d2_raw(t)),
         err_bound=tail,
     )
 

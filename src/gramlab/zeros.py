@@ -332,7 +332,7 @@ def _refine(lo, hi, z_lo, z_hi, z_eval, passes, diag):
 
 
 # ---------------------------------------------------------------------------
-# the one table-growth policy, and module-level queries over it
+# the one table provider, and module-level queries over it
 
 HEADROOM = 40  # Gram points built past the caller's need
 
@@ -340,14 +340,16 @@ HEADROOM = 40  # Gram points built past the caller's need
 def certified_table(n_needed: int) -> ZeroTable:
     """Table certified through Gram index n_needed, cut at its certified anchor.
 
-    Builds n_needed + HEADROOM points and grows by HEADROOM while the last
-    regular anchor falls short of n_needed.
+    Builds n_needed + HEADROOM points once.  UncertifiedRange if the last
+    anchor falls short of n_needed: a block below n_needed cannot meet its
+    quota, or no regular Gram point lies in the headroom.
     """
-    n_max = n_needed + HEADROOM
-    table = ZeroTable.build(n_max)
-    while table.certified_n < n_needed:
-        n_max += HEADROOM
-        table = ZeroTable.build(n_max)
+    table = ZeroTable.build(n_needed + HEADROOM)
+    if table.certified_n < n_needed:
+        failed = table.diagnostics.failed_blocks
+        why = (f"Gram block {failed[0]} cannot meet its quota" if failed
+               else f"no regular Gram point in the {HEADROOM} points past it")
+        raise UncertifiedRange(f"gram index {n_needed} not certified: {why}")
     return table.certified_prefix()
 
 

@@ -303,13 +303,11 @@ def _theta_value(t: float) -> float:
     return float(_theta_raw(t)) if t >= T_MIN else _theta_exact(t)
 
 
-def _hardy_z_em_scalar(t: float, target_err: float | None = None):
-    if target_err is None:
-        # keep the target above the phase-rounding floor at this height
-        ln_n = math.log(max(0.75 * t, 24.0))
-        floor = 8.0 * 2.22e-16 * (1.0 + t * math.sqrt(ln_n ** 3 / 3.0))
-        target_err = max(1e-11, 4.0 * floor)
-    zeta_val, bound = zeta_euler_maclaurin(0.5, t, target_err)
+def _hardy_z_em_scalar(t: float):
+    # keep the target above the phase-rounding floor at this height
+    ln_n = math.log(max(0.75 * t, 24.0))
+    floor = 8.0 * 2.22e-16 * (1.0 + t * math.sqrt(ln_n ** 3 / 3.0))
+    zeta_val, bound = zeta_euler_maclaurin(0.5, t, max(1e-11, 4.0 * floor))
     th = _theta_value(t)
     z = (complex(math.cos(th), math.sin(th)) * zeta_val).real
     return z, bound

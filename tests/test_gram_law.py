@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gramlab import gram_law as gl
-from gramlab import regression
+from gramlab import moments, regression
 from gramlab.errors import UncertifiedRange
 from gramlab.zeros import ZeroTable
 
@@ -131,6 +131,24 @@ def test_broken_nu_identity_fails_its_row_only(table_small, monkeypatch):
     changed = [(g, r) for g, r in zip(good, rows) if g != r]
     assert [(g["assertion"], g["status"], r["status"], r["detail"]) for g, r in changed] \
         == [("nu_identities", "pass", "fail", "first failure at N = 1000")]
+
+
+def test_broken_occupancy_fails_empty_count_identity(table_full, monkeypatch):
+    # M1 comes from interval occupancy and r(n) from S at Gram points, so
+    # occupancy that disagrees with S fails the row
+    ctx = regression.RegressionContext(table=table_full, n_limit=11000,
+                                       sieve_limit=10**6)
+    counts = gl.interval_counts
+
+    def broken(table, n_lo, n_hi):
+        c = counts(table, n_lo, n_hi)
+        c[6::7] = 0
+        return c
+
+    for module in (gl, moments):          # every binding of interval_counts
+        monkeypatch.setattr(module, "interval_counts", broken)
+    rows = {r["assertion"]: r for r in regression.run_paper_regression(ctx).rows}
+    assert rows["empty_count_identity"]["status"] == "fail"
 
 
 def test_interval_count_equals_s_difference(table_small):

@@ -1,19 +1,22 @@
+import dataclasses
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import gramlab
+from gramlab import cli, store
 from gramlab import ingest as ing
-from gramlab import store
 from gramlab.errors import ChecksumMismatch, ParseError, UncertifiedRange, VersionMismatch
 from gramlab.reports import Report, render, to_csv, to_json
-from gramlab.zeros import ZeroTable
+from gramlab.zeros import ScanDiagnostics, ZeroTable
 
 
 def test_save_load_roundtrip(table_small, tmp_path):
@@ -59,6 +62,18 @@ def test_missing_data_file_detected(table_small, tmp_path):
     store.save_range(table_small, tmp_path / "rng")
     (tmp_path / "rng" / "gram.csv").unlink()
     with pytest.raises(ChecksumMismatch, match="gram.csv"):
+        store.load_range(tmp_path / "rng")
+
+
+@pytest.mark.parametrize("field, value", [("n_max_gram", 200000), ("zero_count", 1),
+                                          ("t_max", 1e6)])
+def test_manifest_extent_checked_against_data(table_small, tmp_path, field, value):
+    store.save_range(table_small, tmp_path / "rng")
+    mpath = tmp_path / "rng" / "manifest.json"
+    data = json.loads(mpath.read_text())
+    data[field] = value
+    mpath.write_text(json.dumps(data))
+    with pytest.raises(ChecksumMismatch, match="n_max_gram"):
         store.load_range(tmp_path / "rng")
 
 
@@ -174,6 +189,26 @@ def test_cli_gram_and_exit_codes(tmp_path):
     assert r.stdout.splitlines()[0] == "sum_logp_over_p,sum_recip_p,ln_x"
 
 
+def test_cli_damaged_caches_exit_1(table_small, tmp_path, monkeypatch, capsys):
+    # a manifest claiming more than its data, and a sieve cache holding only
+    # its magic: each is one error line and exit 1, not a traceback
+    cache = tmp_path / "cache"
+    store.save_range(table_small, cache / "zrange")
+    mpath = cache / "zrange" / "manifest.json"
+    data = json.loads(mpath.read_text())
+    data["n_max_gram"] = 200000
+    mpath.write_text(json.dumps(data))
+    (cache / "primes_000010000000.bin").write_bytes(b"GRAMLAB\0")
+    for args in (["classify", "--n-lo", "150000", "--n-hi", "150001"],
+                 ["primes", "--kind", "mertens", "--x", "1e7"]):
+        monkeypatch.setattr(sys, "argv", ["gramlab", "--cache-dir", str(cache), *args])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_zeros_uses_cache(tmp_path):
     cache = tmp_path / "cache"
     r = _run_cli(["--cache-dir", str(cache), "zeros", "--t-lo", "8", "--t-hi", "50"],
@@ -254,10 +289,13 @@ def test_cli_cache_irregular_top(tmp_path):
     assert warm.stdout == cold.stdout
 
 
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
 def test_bench_tracer_layers_resolve():
     # the traced benchmark rebinds every name in LAYERS by getattr, so a
     # renamed or deleted public function would crash `--trace 1`
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    path = _BENCH / "tracer.py"
     spec = importlib.util.spec_from_file_location("gramlab_bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -272,3 +310,20 @@ def test_bench_tracer_layers_resolve():
                 if owner is None:
                     missing.append(f"gramlab.{layer}.{name}")
     assert not missing
+
+
+def test_bench_reads_what_gramlab_provides(table_small, tmp_path):
+    # the rest of what the benchmark's code reads of gramlab by name: the
+    # ScanDiagnostics fields behind the zeros.* metrics, the files whose sizes
+    # give store.bytes_*, and the CLI options the workloads pass
+    tracer = (_BENCH / "tracer.py").read_text()
+    fields = set(re.findall(r"\bd\.(\w+)", tracer))
+    assert fields == {"blocks", "densified_blocks", "max_depth", "failed_blocks"}
+    assert fields <= {f.name for f in dataclasses.fields(ScanDiagnostics)}
+    store.save_range(table_small, tmp_path / "rng")
+    written = set(re.findall(r'"(\w+\.(?:csv|json))"', tracer))
+    assert {"gram.csv", "zeros.csv"} <= written
+    assert all((tmp_path / "rng" / name).is_file() for name in written)
+    assert '"--threads", "1"' in (_BENCH / "workloads.py").read_text()
+    r = CliRunner().invoke(cli.main, ["--threads", "1", "gram", "--n-hi", "1"])
+    assert r.exit_code == 0, r.output

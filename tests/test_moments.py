@@ -16,7 +16,6 @@ def test_config_constants():
     assert cfg.L == pytest.approx(math.log(math.log(10000)), rel=1e-12)
     assert cfg.x == pytest.approx(float(mo.gram_points(10000, 10000)[0]) ** (0.1 * 9e-4))
     assert cfg.y == pytest.approx(cfg.x ** 0.25)
-    assert not cfg.regime_ok  # M = 1000 far above N^(alpha+eps) ~ 21
 
 
 def test_config_epsilon_open_interval():
@@ -24,16 +23,6 @@ def test_config_epsilon_open_interval():
         mo.MomentConfig(N=100, M=10, epsilon=1e-3)
     with pytest.raises(PreconditionError):
         mo.MomentConfig(N=100, M=10, epsilon=0.0)
-
-
-def test_config_regime_enforcement():
-    with pytest.raises(PreconditionError):
-        mo.MomentConfig(N=10000, M=1000, exploratory=False)
-    # the admissible window is ~0.02 wide at desk N and rarely contains an
-    # integer; N = 10109 is the first N >= 1e4 where M = 21 fits
-    cfg = mo.MomentConfig(N=10109, M=21, exploratory=False)
-    assert cfg.regime_ok
-    assert not mo.MomentConfig(N=10000, M=21).regime_ok
 
 
 def test_block_moment_zero_shift(table_small):

@@ -8,7 +8,7 @@ from gramlab import zeros as zr
 from gramlab import zeta as zt
 from gramlab.errors import PreconditionError, UncertifiedRange
 from gramlab.zeros import ScanDiagnostics, ZeroTable, _refine, _scan
-from gramlab.theta_gram import theta
+from gramlab.theta_gram import gram_points, theta
 
 mpmath.mp.dps = 25
 
@@ -210,6 +210,31 @@ def test_build_evaluates_each_height_once():
     # refinement may use what densification left of the Z_CALLS budget
     assert len(calls) <= 1 + zr.DEPTH_CAP + 32
     assert np.array_equal(table.zeros, ZeroTable.build(2000).zeros)
+
+
+def test_certified_table_builds_once_and_names_the_failed_block(monkeypatch):
+    """A block below the need that cannot meet its quota fails the request."""
+    t127, t128 = gram_points(128, 127)
+    default, build = zr._z_eval_default, ZeroTable.build.__func__
+    builds = []
+
+    def hide_g128(ts):
+        # Z < 0 at t_126, t_127 and t_128; keep it so across G_128's two zeros
+        z = default(ts)
+        inside = (t127 < ts) & (ts < t128)
+        z[inside] = -np.abs(z[inside])
+        return z
+
+    def capped_build(cls, n_max, z_eval=None):
+        builds.append(n_max)
+        assert len(builds) == 1, f"rebuilt at {builds}"
+        return build(cls, n_max, z_eval)
+
+    monkeypatch.setattr(zr, "_z_eval_default", hide_g128)
+    monkeypatch.setattr(ZeroTable, "build", classmethod(capped_build))
+    with pytest.raises(UncertifiedRange, match=r"\(126, 128\)"):
+        zr.certified_table(200)
+    assert builds == [200 + zr.HEADROOM]
 
 
 def test_from_arrays_roundtrip_semantics(table_built):
