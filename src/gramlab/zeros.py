@@ -8,9 +8,10 @@ midpoints only, up to 64x per interval) until the quota is met.  Regular
 endpoints only make S(t_n) even there, not zero, so a met quota is the Rosser
 rule and the located count is a lower bound on N(t).  Blocks whose quota
 cannot be met leave the table certified only up to the last anchor before
-them.  The brackets are then sharpened in lockstep by the Illinois variant of
-false position, from the Z values the scan left at their ends: one Z call per
-pass, on the brackets still wider than 1e-9, each retiring as it gets there.
+them.  The brackets are then sharpened in lockstep by false position with
+Anderson-Bjorck scaling and a minimum step, from the Z values the scan left at
+their ends: one Z call per pass, on the brackets still wider than 1e-9, each
+retiring as it gets there.
 
 The trailing edge of a scan stops at the last regular Gram point, so tables
 are built with headroom past the index range the caller needs; that policy
@@ -34,12 +35,16 @@ AMBIGUITY_TOL = 1e-9
 # final bracket half-width
 BRACKET_HALF_WIDTH = 1e-9
 DEPTH_CAP = 6  # up to 2^6 = 64 segments per Gram interval
-# Z calls per build: the Gram pass, one per densification depth, and the
-# refinement passes, at least 32 of them: bisection takes G_1, the widest
-# bracket, to 2e-9 in 32
+# a bound on the Z calls per build, not the typical count (22 for
+# build(100030)): the Gram pass, one per densification depth, and at least 32
+# refinement passes, as halving alone takes G_1, the widest bracket, to 2e-9
+# in 32
 Z_CALLS = 1 + DEPTH_CAP + 32
 # refinement retires a bracket this narrow; its midpoint is the zero
 REFINE_WIDTH = 1e-9
+# least distance of a secant point from a bracket end: a bracket whose end sits
+# on the root is left under REFINE_WIDTH by the next pass
+REFINE_STEP = 0.45e-9
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,7 @@ class ScanDiagnostics:
     failed_blocks: list = field(default_factory=list)
     densify_active: list = field(default_factory=list)  # rows per densification depth
     refine_active: list = field(default_factory=list)   # rows per refinement pass
+    refine_heights: list = field(default_factory=list)  # heights per refinement pass
 
 
 def _z_eval_default(ts: np.ndarray) -> np.ndarray:
@@ -287,47 +293,97 @@ def _scan(gram, zg, anchors, z_eval, diag):
     return lo[order], hi[order], z_lo[order], z_hi[order], int(anchors[cut])
 
 
+def _ab_scale(f_kept, f_replaced, fx, where):
+    """Scale f_kept by m = 1 - fx/f_replaced where `where`, or by 1/2 where m <= 0.1."""
+    m = fx[where]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m /= f_replaced[where]
+    np.subtract(1.0, m, out=m)
+    m[~(m > 0.1)] = 0.5
+    f_kept[where] *= m
+
+
+def _secant_points(a, b, fa, fb, out):
+    """Secant points of the brackets [a, b], at least REFINE_STEP inside, into `out`.
+
+    The midpoint stands in where the secant point is not finite.
+    """
+    w = b - a
+    np.subtract(fa, fb, out=out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(w, out, out=out)
+    out *= fa                                   # the secant point less a
+    wild = ~np.isfinite(out)
+    out[wild] = 0.5 * w[wild]
+    np.maximum(out, REFINE_STEP, out=out)
+    w -= REFINE_STEP
+    np.minimum(out, w, out=out)
+    out += a
+
+
 def _refine(lo, hi, z_lo, z_hi, z_eval, passes, diag):
-    """Lockstep Illinois refinement of brackets [lo, hi] to width REFINE_WIDTH.
+    """Lockstep Anderson-Bjorck refinement of brackets [lo, hi] to width REFINE_WIDTH.
 
     Each of at most `passes` passes calls z_eval once, on the rows still wider
-    than REFINE_WIDTH: at the secant point of the working ends, or at the
-    midpoint when that point is not strictly inside.  An end kept on two
-    passes running has its Z value halved (the Illinois rule, Dowell &
-    Jarratt 1971), so both ends move.  An exact zero counts as the sign
-    opposite lo, which keeps it inside.  A row that bisection alone could only
-    just take to REFINE_WIDTH in the passes left is bisected, so a bracket
-    ends at most max(REFINE_WIDTH, width / 2^passes) wide.  Narrows lo and hi
-    in place; the working state holds the unfinished rows only.
+    than REFINE_WIDTH, at the secant point x of the working ends.  x is moved
+    at least REFINE_STEP inside the bracket, so an end that sits on the root
+    closes its bracket on the next pass; the midpoint stands in for an x that
+    is not finite.  An end that x has not replaced on two passes running has
+    its Z value scaled by m = 1 - f(x)/f(replaced end), or by 1/2 where
+    m <= 0.1 (Anderson & Bjorck 1973), so both ends move.  An exact zero
+    counts as the sign opposite lo, which keeps it inside.  A row that
+    bisection alone could only just take to REFINE_WIDTH in the passes left
+    is also evaluated at its midpoint, in the same call, and keeps the part of
+    its bracket that holds the sign change, so its width at least halves: a
+    bracket ends at most max(REFINE_WIDTH, width / 2^passes) wide, and no row
+    gives up the secant step.  Narrows lo and hi in place; the working state
+    is compacted in place to the unfinished rows after every pass.
     """
     row = np.nonzero(hi - lo > REFINE_WIDTH)[0]
     a, b, fa, fb = lo[row], hi[row], z_lo[row], z_hi[row]
     s = -np.sign(fb).astype(np.int8)            # sign of Z at lo
-    last = np.zeros(row.size, dtype=np.int8)    # end moved last pass: +1 a, -1 b
+    last = np.zeros(row.size, dtype=np.int8)    # end x replaced last pass: +1 a, -1 b
     for passes_left in range(passes, 0, -1):
         if not row.size:
             break
-        diag.refine_active.append(int(row.size))
-        x = fb - fa
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(b - a, x, out=x)
-        x *= fa
-        np.subtract(a, x, out=x)                # the secant point
-        bisect = ~((a < x) & (x < b)) | (b - a > REFINE_WIDTH * 2.0 ** (passes_left - 1))
-        x[bisect] = 0.5 * (a[bisect] + b[bisect])
-        fx = z_eval(x)
+        n = row.size
+        diag.refine_active.append(n)
+        pair = np.nonzero(b - a > REFINE_WIDTH * 2.0 ** (passes_left - 1))[0]
+        ts = np.empty(n + pair.size)            # the secant points, then the midpoints
+        x = ts[:n]
+        _secant_points(a, b, fa, fb, x)
+        mid = 0.5 * (a[pair] + b[pair])
+        fresh = mid != x[pair]                  # unpaired where x is the midpoint
+        pair = pair[fresh]
+        ts = ts[:n + pair.size]
+        ts[n:] = mid[fresh]
+        mid = ts[n:]
+        diag.refine_heights.append(int(ts.size))
+        fx = z_eval(ts)
+        fx, fm = fx[:n], fx[n:]
         left = np.sign(fx) == s                 # x replaces the lo end
         right = ~left
-        fb[left & (last == 1)] *= 0.5           # the other end kept twice running
-        fa[right & (last == -1)] *= 0.5
+        _ab_scale(fb, fa, fx, left & (last == 1))   # an end kept on two passes running
+        _ab_scale(fa, fb, fx, right & (last == -1))
         np.copyto(a, x, where=left)
         np.copyto(fa, fx, where=left)
         np.copyto(b, x, where=right)
         np.copyto(fb, fx, where=right)
-        last = np.where(left, np.int8(1), np.int8(-1))
+        np.copyto(last, 1, where=left)
+        np.copyto(last, -1, where=right)
+        # a paired row's midpoint then narrows what x left, if it lies inside
+        inside = (a[pair] < mid) & (mid < b[pair])
+        pair, mid, fm = pair[inside], mid[inside], fm[inside]
+        up = np.sign(fm) == s[pair]             # the midpoint replaces the lo end
+        a[pair[up]], fa[pair[up]] = mid[up], fm[up]
+        b[pair[~up]], fb[pair[~up]] = mid[~up], fm[~up]
         done = b - a <= REFINE_WIDTH
         lo[row[done]], hi[row[done]] = a[done], b[done]
-        row, a, b, fa, fb, s, last = (v[~done] for v in (row, a, b, fa, fb, s, last))
+        keep = np.nonzero(~done)[0]             # compacted in place
+        for v in (row, a, b, fa, fb, s, last):
+            v[:keep.size] = v[keep]
+        row, a, b, fa, fb, s, last = (v[:keep.size]
+                                      for v in (row, a, b, fa, fb, s, last))
     lo[row], hi[row] = a, b
 
 

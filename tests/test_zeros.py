@@ -154,6 +154,7 @@ def _refine_one(f, lo, hi, passes=zr.Z_CALLS - 1 - zr.DEPTH_CAP):
     # never a height twice, nor a bracket end, which the scan evaluated
     assert np.unique(np.append(heights, [lo, hi])).size == heights.size + 2
     assert len(calls) == len(diag.refine_active) <= passes
+    assert diag.refine_heights == [c.size for c in calls]
     return float(a[0]), float(b[0]), len(calls)
 
 
@@ -176,12 +177,32 @@ def test_refine_convex_stall():
     assert b - a > 0.5
     lo, hi, _ = _refine_one(f, 0.0, 1.5)
     assert hi - lo <= zr.REFINE_WIDTH and lo <= 1.0 <= hi
-    # with room to spare, the halved end values alone converge
+    # with room to spare, the scaled end values alone converge
     lo, hi, passes = _refine_one(f, 0.0, 1.5, passes=64)
     assert hi - lo <= zr.REFINE_WIDTH and passes < 20
-    # short of passes, the stragglers are bisected: width / 2^passes at most
+    # short of passes, the midpoints paired with the secant points still finish
     lo, hi, passes = _refine_one(f, 0.0, 1.5, passes=12)
-    assert passes == 12 and hi - lo <= 1.5 / 2 ** 12 and lo <= 1.0 <= hi
+    assert passes <= 12 and hi - lo <= zr.REFINE_WIDTH and lo <= 1.0 <= hi
+
+
+def test_refine_end_on_the_root():
+    """A secant point rounding onto an end that sits on the root still moves inside."""
+    lo, hi, passes = _refine_one(np.cos, math.pi / 2, 2.0)
+    assert passes <= 2                       # bisection takes about 30
+    assert hi - lo <= zr.REFINE_WIDTH and lo <= mpmath.pi / 2 <= hi
+
+
+def test_refine_one_sided_secant_keeps_the_budget():
+    """Every secant point lands left of the root; paired midpoints halve the width."""
+    secants = []
+
+    def f(ts):
+        secants.append(ts[0])
+        return np.exp(700.0 * (ts - 0.7)) - 1.0
+
+    lo, hi, passes = _refine_one(f, 0.0, 1.0, passes=8)
+    assert max(secants[2:]) < 0.7            # the first two calls are the ends
+    assert passes == 8 and hi - lo <= 1.0 / 2 ** 8 and lo <= 0.7 <= hi
 
 
 def test_refine_secant_on_the_root():
@@ -210,6 +231,25 @@ def test_build_evaluates_each_height_once():
     # refinement may use what densification left of the Z_CALLS budget
     assert len(calls) <= 1 + zr.DEPTH_CAP + 32
     assert np.array_equal(table.zeros, ZeroTable.build(2000).zeros)
+
+
+def test_build_refinement_counts():
+    """Refinement of build(20000) takes 14 passes and 6.42 heights per zero.
+
+    Counts, not times, so they repeat exactly.  A budget rule that traps slow
+    rows into bisection to the last pass (33 passes, 9.31 heights) fails it.
+    """
+    calls = []
+
+    def counter(ts):
+        calls.append(np.asarray(ts).size)
+        return zr._z_eval_default(ts)
+
+    table = ZeroTable.build(20000, z_eval=counter)
+    diag = table.diagnostics
+    assert calls[1 + len(diag.densify_active):] == diag.refine_heights
+    assert len(diag.refine_heights) <= 16
+    assert sum(diag.refine_heights) / table.zeros.size <= 6.75
 
 
 def test_certified_table_builds_once_and_names_the_failed_block(monkeypatch):
