@@ -1,10 +1,22 @@
-"""Compensated summation of float arrays.
+"""Correctly rounded summation of float arrays.
 
 Array statistics (Mertens sums, V(x;h), moment sums) are reduced here so that
 rounding stays below the analytic error terms we report; scalar streams call
-math.fsum directly.  Arrays are reduced chunk-wise with fsum over chunk
-partials, which keeps the error within a few ulps while staying fast, and
-gives a deterministic, fixed association order.
+math.fsum directly.  An array is cut into chunks of CHUNK elements; each
+chunk's sum is rounded correctly (to nearest, ties to even), and the chunk
+partials are then added with math.fsum.  The result depends on the array
+alone, and equals math.fsum(math.fsum(chunk) for chunk in chunks) bit for bit.
+
+A chunk is summed exactly in numpy by error-free extraction (Rump, Ogita and
+Oishi, "Accurate floating-point summation part I: faithful rounding", SIAM J.
+Sci. Comput. 31, 2008).  With sigma a power of two above 2n max|r| for n
+values r, each q = (r + sigma) - sigma is a multiple of 2^-53 sigma, r - q is
+exact, and every partial sum of the q is a multiple of 2^-53 sigma below
+sigma, so sum(q) is exact in any order.  The remainders r - q shrink by 2^35
+a pass, and the loop ends when they are all zero; on the subnormal grid every
+step is exact.  The chunk's sum is then math.fsum of the exact pass sums.
+Non-finite entries and magnitudes near overflow go to math.fsum itself, so
+NaN, infinities and overflow behave as fsum does.
 """
 
 from __future__ import annotations
@@ -16,12 +28,46 @@ import numpy as np
 # chunk size for array reductions; fixed, so the partials (and hence the
 # rounded result) depend on the array alone
 CHUNK = 1 << 16
+_SPREAD = CHUNK.bit_length()       # 2**_SPREAD >= 2 * CHUNK
+_HUGE = 2.0 ** (1022 - _SPREAD)    # below this, r + sigma cannot overflow
+
+
+def _chunk_sum(c: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
+    """Correctly rounded sum of at most CHUNK float64 values; q and r are work
+    buffers of c's size."""
+    lo, hi = c.min(), c.max()
+    if not (-_HUGE < lo and hi < _HUGE):       # NaN, an infinity, or near overflow
+        return math.fsum(memoryview(c))
+    parts = []          # exact sums whose total is the chunk's exact sum
+    rest, top = c, max(-lo, hi)
+    while top:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + _SPREAD)   # > 2 CHUNK |rest|
+        np.add(rest, sigma, out=q)
+        q -= sigma
+        parts.append(float(q.sum()))
+        rest = np.subtract(rest, q, out=r)
+        top = max(-r.min(), r.max())
+    return math.fsum(parts)
+
+
+def csums(arr: np.ndarray, *terms) -> tuple[float, ...]:
+    """csum(term(a)) for each elementwise term, a = arr as float64.
+
+    The terms are evaluated one CHUNK of arr at a time, so no full-length
+    temporary is made; each term maps a float64 chunk to an array of its size.
+    """
+    a = np.asarray(arr).ravel()
+    partials = [[] for _ in terms]
+    work = np.empty((2, min(a.size, CHUNK)))
+    for i in range(0, a.size, CHUNK):
+        c = a[i : i + CHUNK].astype(float, copy=False)
+        q, r = work[:, : c.size]
+        for acc, term in zip(partials, terms):
+            acc.append(_chunk_sum(term(c), q, r))
+    # fsum of one partial is that partial, and of none is 0.0
+    return tuple(math.fsum(acc) for acc in partials)
 
 
 def csum(arr: np.ndarray) -> float:
-    """Compensated sum of a 1-D float array with a fixed reduction order."""
-    a = np.asarray(arr, dtype=float).ravel()
-    # fsum reads the doubles straight from the buffer; fsum of one partial is
-    # that partial, and of none is 0.0
-    return math.fsum(math.fsum(memoryview(a[i : i + CHUNK]))
-                     for i in range(0, a.size, CHUNK))
+    """Sum of a float array: correctly rounded chunks, then fsum of the partials."""
+    return csums(arr, lambda c: c)[0]

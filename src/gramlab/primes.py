@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .accum import csum
+from .accum import csum, csums
 from .errors import (ChecksumMismatch, PreconditionError, ResourceError,
                      UncertifiedRange, VersionMismatch)
 from .moments import EPSILON_DEFAULT, MomentConfig, MomentReport, _satisfied, _finite
@@ -133,16 +133,22 @@ def save_prime_cache(path: str | Path, table: PrimeTable) -> None:
 
 
 def load_prime_cache(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 9:
-        raise ChecksumMismatch(f"{path}: truncated header of {len(raw)} bytes")
-    if raw[:8] != _MAGIC:
-        raise ChecksumMismatch(f"{path}: bad magic header")
-    if raw[8] != _VERSION:
-        raise VersionMismatch(f"{path}: unsupported sieve cache version {raw[8]}")
-    if (len(raw) - 9) % 8:
-        raise ChecksumMismatch(f"{path}: truncated payload of {len(raw) - 9} bytes")
-    return np.frombuffer(raw[9:], dtype="<u8")
+    """The primes of a sieve cache file, read once into their array."""
+    with open(path, "rb") as fh:
+        head = fh.read(9)
+        if len(head) < 9:
+            raise ChecksumMismatch(f"{path}: truncated header of {len(head)} bytes")
+        if head[:8] != _MAGIC:
+            raise ChecksumMismatch(f"{path}: bad magic header")
+        if head[8] != _VERSION:
+            raise VersionMismatch(f"{path}: unsupported sieve cache version {head[8]}")
+        size = os.fstat(fh.fileno()).st_size - 9
+        if size % 8:
+            raise ChecksumMismatch(f"{path}: truncated payload of {size} bytes")
+        primes = np.fromfile(fh, dtype="<u8", count=size // 8)
+    if primes.size != size // 8:
+        raise ChecksumMismatch(f"{path}: payload ends after {primes.size} primes")
+    return primes
 
 
 def verify_spot_range(table: PrimeTable, lo: int, hi: int) -> bool:
@@ -160,12 +166,11 @@ def verify_spot_range(table: PrimeTable, lo: int, hi: int) -> bool:
 
 def mertens_sums(x: int, ceiling: int = SIEVE_CEILING,
                  cache_dir: str | Path | None = None) -> tuple[float, float]:
-    """(sum_{p<=x} ln p / p, sum_{p<=x} 1/p), compensated accumulation."""
+    """(sum_{p<=x} ln p / p, sum_{p<=x} 1/p), each sum correctly rounded by chunk."""
     if x < 2:
         raise PreconditionError("mertens_sums requires x >= 2")
     primes = sieve_primes(int(x), ceiling=ceiling, cache_dir=cache_dir).primes
-    p = primes.astype(float)
-    return csum(np.log(p) / p), csum(1.0 / p)
+    return csums(primes, lambda p: np.log(p) / p, lambda p: 1.0 / p)
 
 
 def _v_sum(ts, y: float) -> np.ndarray:
@@ -202,8 +207,7 @@ def v_xh(x: float, h: float, ceiling: int = SIEVE_CEILING,
     if not h * math.log(x) > 2.0:
         raise PreconditionError("require h ln x > 2")
     primes = sieve_primes(int(x), ceiling=ceiling, cache_dir=cache_dir).primes
-    p = primes[primes <= x].astype(float)
-    value = csum(np.sin(0.5 * h * np.log(p)) ** 2 / p)
+    value = csums(primes, lambda p: np.sin(0.5 * h * np.log(p)) ** 2 / p)[0]
     main = 0.5 * math.log(h * math.log(x))
     return VxhResult(x=float(x), h=float(h), value=value, main=main,
                      deviation=abs(value - main))

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gram_law, moments, primes
-from .errors import UncertifiedRange
 from .reports import Report
 from .theta_gram import gram_points, gram_spacing_report, theta, theta_derivative
 from .zeros import ZeroTable
@@ -79,10 +78,16 @@ def _z_min(z: np.ndarray, n_max: int, expected: tuple[int, float]) -> tuple[bool
 
 def _nu_identities(tab: ZeroTable, top: int) -> tuple[bool, str]:
     sampled = list(range(1000, top + 1, 1000)) or [min(200, top)]
+    counts = gram_law.interval_counts(tab, 1, top)
+    nu = np.zeros(int(counts.max()) + 1, dtype=np.int64)
+    prev = 0
     for N in sampled:
-        try:
-            gram_law.nu_histogram(tab, N)  # raises on a broken identity
-        except UncertifiedRange:
+        nu += np.bincount(counts[prev:N], minlength=nu.size)  # histogram of G_1..G_N
+        prev = N
+        hist = gram_law.NuHistogram(upper_index=N, counts=dict(enumerate(nu.tolist())),
+                                    s_at_end=tab.s_at_gram(N))
+        if not (hist.identity_total() and hist.identity_weighted()
+                and hist.identity_empty()):
             return False, f"first failure at N = {N}"
     return True, f"sampled every 1000 up to {sampled[-1]}"
 

@@ -1,8 +1,77 @@
 import math
 
 import numpy as np
+import pytest
 
-from gramlab.accum import csum
+from gramlab.accum import CHUNK, csum, csums
+
+LENGTHS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
+
+
+def chunked_fsum(a: np.ndarray) -> float:
+    """The reference: math.fsum of each CHUNK slice, then of the partials."""
+    return math.fsum(math.fsum(a[i : i + CHUNK].tolist()) for i in range(0, a.size, CHUNK))
+
+
+def outcome(f, a):
+    try:
+        return float.hex(f(a))       # the hex keeps the sign of zero
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _data(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "prime_like":       # ln p / p over odd p, as in the Mertens sums
+        p = 1e7 + 1.0 + 2.0 * np.arange(n)
+        return np.log(p) / p
+    if kind == "cancelling":
+        x = rng.uniform(-1, 1, n // 2) * 10.0 ** rng.integers(-8, 8, n // 2)
+        a = np.concatenate([x, -x, rng.uniform(-1e-12, 1e-12, n - 2 * (n // 2))])
+        rng.shuffle(a)
+        return a
+    if kind == "wide":             # exponents across +-300
+        return rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-300, 300, n)
+    if kind == "subnormal":
+        return rng.integers(-2**40, 2**40, n) * 5e-324
+    if kind == "zeros":
+        return rng.choice([0.0, -0.0, 1e-310, -1e-310, 3.0, -3.0], n)
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind", ["prime_like", "cancelling", "wide", "subnormal", "zeros"])
+@pytest.mark.parametrize("n", LENGTHS)
+def test_csum_equals_chunked_fsum(kind, n):
+    a = _data(kind, n, np.random.default_rng(n))
+    assert outcome(csum, a) == outcome(chunked_fsum, a)
+
+
+@pytest.mark.parametrize("n", LENGTHS[1:])
+def test_csum_signed_zero(n):
+    for a in (np.full(n, -0.0), np.full(n, 0.0), np.tile([-0.0, 0.0], n)[:n]):
+        assert outcome(csum, a) == outcome(chunked_fsum, a)
+    x = np.random.default_rng(n).standard_normal(n)
+    a = np.concatenate([x, -x[::-1]])          # exact total zero, cancelling across chunks
+    assert outcome(csum, a) == outcome(chunked_fsum, a)
+
+
+@pytest.mark.parametrize("special", [
+    [math.nan], [math.inf], [-math.inf], [math.inf, -math.inf], [math.inf, math.nan],
+    [1e308, 1e308], [1e308, 1e308, -1e308], [-1e308, -1e308], [2.0**1006, 2.0**1006],
+])
+@pytest.mark.parametrize("at", [0, CHUNK - 1, CHUNK + 5])
+def test_csum_special_values_as_fsum(special, at):
+    a = np.random.default_rng(at).uniform(-1, 1, 2 * CHUNK)
+    a[at : at + len(special)] = special
+    assert outcome(csum, a) == outcome(chunked_fsum, a)
+
+
+def test_csums_evaluates_terms_by_chunk():
+    p = np.arange(3, 3 + 2 * (CHUNK + 9), 2, dtype=np.uint64)
+    pf = p.astype(float)
+    got = csums(p, lambda c: np.log(c) / c, lambda c: 1.0 / c)
+    assert [float.hex(g) for g in got] == [float.hex(chunked_fsum(np.log(pf) / pf)),
+                                          float.hex(chunked_fsum(1.0 / pf))]
+    assert csums(np.empty(0), lambda c: c, lambda c: c) == (0.0, 0.0)
 
 
 def test_csum_matches_fsum_exactly():
@@ -18,4 +87,3 @@ def test_csum_ill_conditioned():
 
 def test_csum_empty():
     assert csum(np.empty(0)) == 0.0
-

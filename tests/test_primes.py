@@ -72,6 +72,15 @@ def test_sieve_disk_cache_used(tmp_path):
         pr.sieve_primes(10**7, cache_dir=tmp_path)
 
 
+def test_prime_sums_at_1e7_pinned(tmp_path):
+    # 664,579 primes, so 11 chunks of the summation; values from before the
+    # sums were evaluated chunk by chunk, as float.hex
+    lp, rp = pr.mertens_sums(10**7, cache_dir=tmp_path)
+    assert (lp.hex(), rp.hex()) == ("0x1.d924752d6bd33p+3", "0x1.854e369c8494cp+1")
+    assert pr.v_xh(1e7, 0.2, cache_dir=tmp_path).value.hex() == "0x1.a6fe730127f56p-1"
+    assert pr.v_xh(1e7, 0.39, cache_dir=tmp_path).value.hex() == "0x1.248becb9c7a6cp+0"
+
+
 def test_mertens_hand_value_at_10():
     lp, rp = pr.mertens_sums(10)
     assert rp == pytest.approx(1.0 / 2 + 1.0 / 3 + 1.0 / 5 + 1.0 / 7, abs=1e-15)
