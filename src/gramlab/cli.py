@@ -106,10 +106,10 @@ def delta(obj, n_lo, n_hi):
     """Zero-to-Gram offsets Delta_n for zero indices in [n-lo, n-hi]."""
     table = _obtain_table(obj, n_hi + 60)
     rep = Report(kind="classification")
-    for idx in range(n_lo, n_hi + 1):
-        d = gram_law.delta_n(table, idx)
-        rep.add("delta_n", {"zero_index": idx}, zero_index=d.zero_index,
-                gram_index=d.gram_index, delta=d.delta, on_line=d.on_line)
+    deltas = gram_law.delta_array(table, n_lo, n_hi).tolist()
+    for idx, d in zip(range(n_lo, n_hi + 1), deltas):
+        rep.add("delta_n", {"zero_index": idx}, zero_index=idx,
+                gram_index=idx + d, delta=d, on_line=True)
     _emit(obj, rep)
 
 

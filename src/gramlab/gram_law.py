@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UncertifiedRange
+from .errors import PreconditionError, UncertifiedRange
 from .zeros import ZeroTable, near
 
 
@@ -59,10 +59,8 @@ class NuHistogram:
 def _edges(table: ZeroTable, n_lo: int, n_hi: int) -> np.ndarray:
     """N(t_n) for n = n_lo-1..n_hi: zeros of G_n are zeros[edges[i]:edges[i+1]]."""
     if not (1 <= n_lo <= n_hi):
-        raise UncertifiedRange("interval range must satisfy 1 <= n_lo <= n_hi")
-    if n_hi > table.certified_n:
-        raise UncertifiedRange(
-            f"interval range up to {n_hi} exceeds certified index {table.certified_n}")
+        raise PreconditionError("interval range must satisfy 1 <= n_lo <= n_hi")
+    table.require_gram_index(n_hi)
     return np.searchsorted(table.zeros, table.gram[n_lo - 1 : n_hi + 1], side="right")
 
 
@@ -97,13 +95,14 @@ def delta_n(table: ZeroTable, zero_index: int) -> DeltaRecord:
 
 
 def delta_array(table: ZeroTable, n_lo: int, n_hi: int) -> np.ndarray:
-    """Delta_n for zero indices n_lo..n_hi as an integer array."""
-    if not (1 <= n_lo <= n_hi <= table.zeros.size):
-        raise UncertifiedRange("zero index range outside certified table")
+    """Delta_n for zero indices n_lo..n_hi; no zero lies above the last Gram point."""
+    if not (1 <= n_lo <= n_hi):
+        raise PreconditionError("zero index range must satisfy 1 <= n_lo <= n_hi")
+    if n_hi > table.zeros.size:
+        raise UncertifiedRange(
+            f"zero index {n_hi} beyond the {table.zeros.size} zeros of the table")
     ts = table.zeros[n_lo - 1 : n_hi]
     m = np.searchsorted(table.gram, ts, side="left").astype(np.int64)
-    if m.size and int(m.max()) > table.certified_n:
-        raise UncertifiedRange("some enclosing gram intervals are uncertified")
     return m - np.arange(n_lo, n_hi + 1, dtype=np.int64)
 
 

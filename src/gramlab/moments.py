@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accum import csum
-from .errors import PreconditionError, UncertifiedRange
+from .errors import PreconditionError
 from .gram_law import delta_array, interval_counts
 from .theta_gram import gram_points
 from .zeros import ZeroTable
@@ -69,12 +69,6 @@ class MomentReport:
     notes: tuple[str, ...] = ()
 
 
-def _require_s_range(table: ZeroTable, n_hi: int) -> None:
-    if n_hi > table.certified_n:
-        raise UncertifiedRange(
-            f"range needs S up to gram index {n_hi}, certified only to {table.certified_n}")
-
-
 def _int_power_sum(values: np.ndarray, power: int, weights: np.ndarray | None = None) -> int:
     """Exact sum of values**power (times weights) over integer arrays.
 
@@ -104,7 +98,7 @@ def block_difference_moment(table: ZeroTable, cfg: MomentConfig) -> MomentReport
     """Sum of (S(t_{n+m}+0) - S(t_n+0))^(2k) over N < n <= N+M."""
     if cfg.k < 1:
         raise PreconditionError("block_difference_moment requires k >= 1")
-    _require_s_range(table, cfg.N + cfg.M + cfg.m)
+    table.require_gram_index(cfg.N + cfg.M + cfg.m)
     if cfg.m == 0:
         return MomentReport(config=cfg, sum=0, notes=("m = 0: identical endpoints",))
     s = table.s_gram
@@ -130,7 +124,7 @@ def adjacent_difference_moment(table: ZeroTable, cfg: MomentConfig) -> MomentRep
     """Sum of r(n)^(2k) with r(n) = S(t_n+0) - S(t_{n-1}+0); bound must hold."""
     if cfg.k < 1:
         raise PreconditionError("adjacent_difference_moment requires k >= 1")
-    _require_s_range(table, cfg.N + cfg.M)
+    table.require_gram_index(cfg.N + cfg.M)
     s = table.s_gram
     r = s[cfg.N + 1 : cfg.N + cfg.M + 1] - s[cfg.N : cfg.N + cfg.M]
     total = _int_power_sum(r, 2 * cfg.k)
@@ -145,8 +139,10 @@ def adjacent_difference_moment(table: ZeroTable, cfg: MomentConfig) -> MomentRep
 def first_moment(table: ZeroTable, N: int, M: int,
                  epsilon: float = EPSILON_DEFAULT) -> MomentReport:
     """Sum of |r(n)| over N < n <= N+M; the ratio to M is the quantity of interest."""
+    if N < 0:
+        raise PreconditionError("first_moment requires N >= 0")
     cfg = MomentConfig(N=max(N, 3), M=M, m=1, k=1, epsilon=epsilon)
-    _require_s_range(table, N + M)
+    table.require_gram_index(N + M)
     s = table.s_gram
     r = s[N + 1 : N + M + 1] - s[N : N + M]
     total = int(np.abs(r).sum())
@@ -165,7 +161,7 @@ def empty_and_crowded_counts(table: ZeroTable, N: int, M: int) -> tuple[int, int
 
 def alternating_sum(table: ZeroTable, cfg: MomentConfig) -> MomentReport:
     """T_k = sum S^k(t_n+0) (S(t_n+0) - S(t_{n-1}+0)) with k = cfg.k >= 0."""
-    _require_s_range(table, cfg.N + cfg.M)
+    table.require_gram_index(cfg.N + cfg.M)
     s = table.s_gram
     sn = s[cfg.N + 1 : cfg.N + cfg.M + 1]
     r = sn - s[cfg.N : cfg.N + cfg.M]
@@ -217,8 +213,7 @@ def selberg_delta_moment(table: ZeroTable, N: int, M: int, k: int, parity: str,
 
 def titchmarsh_correlation(table: ZeroTable, N: int) -> MomentReport:
     """Sum of Z(t_{n-1}) Z(t_n) for n <= N against the -2(gamma+1)N asymptotic."""
-    if N + 1 > table.gram.size:
-        raise UncertifiedRange(f"need gram points to index {N}")
+    table.require_gram_index(N)
     cfg = MomentConfig(N=max(N, 3), M=N, m=1, k=1)
     z = table.z_values()
     total = csum(z[0:N] * z[1 : N + 1])

@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .accum import csum, csums
-from .errors import (ChecksumMismatch, PreconditionError, ResourceError,
-                     UncertifiedRange, VersionMismatch)
+from .errors import ChecksumMismatch, PreconditionError, ResourceError, VersionMismatch
 from .moments import EPSILON_DEFAULT, MomentConfig, MomentReport, _satisfied, _finite
 from .zeros import ZeroTable
 
@@ -87,11 +86,10 @@ def _sieve_block(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return (np.nonzero(mask)[0] + lo).astype(np.uint64)
 
 
-def sieve_primes(limit: int, ceiling: int = SIEVE_CEILING,
-                 cache_dir: str | Path | None = None) -> PrimeTable:
+def sieve_primes(limit: int, cache_dir: str | Path | None = None) -> PrimeTable:
     """All primes <= limit via a segmented sieve; cached on disk when large."""
-    if limit > ceiling:
-        raise ResourceError(f"sieve limit {limit} exceeds ceiling {ceiling}")
+    if limit > SIEVE_CEILING:
+        raise ResourceError(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
     limit = int(limit)
     if limit < 2:
         return PrimeTable(limit=limit, primes=np.empty(0, dtype=np.uint64))
@@ -164,12 +162,11 @@ def verify_spot_range(table: PrimeTable, lo: int, hi: int) -> bool:
 # ---------------------------------------------------------------------------
 # prime sums
 
-def mertens_sums(x: int, ceiling: int = SIEVE_CEILING,
-                 cache_dir: str | Path | None = None) -> tuple[float, float]:
+def mertens_sums(x: int, cache_dir: str | Path | None = None) -> tuple[float, float]:
     """(sum_{p<=x} ln p / p, sum_{p<=x} 1/p), each sum correctly rounded by chunk."""
     if x < 2:
         raise PreconditionError("mertens_sums requires x >= 2")
-    primes = sieve_primes(int(x), ceiling=ceiling, cache_dir=cache_dir).primes
+    primes = sieve_primes(int(x), cache_dir=cache_dir).primes
     return csums(primes, lambda p: np.log(p) / p, lambda p: 1.0 / p)
 
 
@@ -198,15 +195,14 @@ def v_y(t: float, y: float) -> float:
     return float(_v_sum(float(t), y))
 
 
-def v_xh(x: float, h: float, ceiling: int = SIEVE_CEILING,
-         cache_dir: str | Path | None = None) -> VxhResult:
+def v_xh(x: float, h: float, cache_dir: str | Path | None = None) -> VxhResult:
     """V(x;h) = sum_{p<=x} sin^2(h ln p / 2) / p and its deviation from
     (1/2) ln(h ln x)."""
     if not (0.0 < h < H_CEILING):
         raise PreconditionError(f"require 0 < h < {H_CEILING}")
     if not h * math.log(x) > 2.0:
         raise PreconditionError("require h ln x > 2")
-    primes = sieve_primes(int(x), ceiling=ceiling, cache_dir=cache_dir).primes
+    primes = sieve_primes(int(x), cache_dir=cache_dir).primes
     value = csums(primes, lambda p: np.sin(0.5 * h * np.log(p)) ** 2 / p)[0]
     main = 0.5 * math.log(h * math.log(x))
     return VxhResult(x=float(x), h=float(h), value=value, main=main,
@@ -229,8 +225,7 @@ def residual_moments(table: ZeroTable, N: int, M: int, k: int,
     notes = ("exploratory: admissible regime ln x >= 192 k unreachable at desk scale",)
     if y is None:
         y = cfg.y
-    if N + M > table.certified_n:
-        raise UncertifiedRange(f"need S to gram index {N + M}")
+    table.require_gram_index(N + M)
     ts = table.gram[N + 1 : N + M + 1]
     s_vals = table.s_gram[N + 1 : N + M + 1].astype(float)
     v_vals = _v_sum(ts, y)
@@ -267,7 +262,7 @@ def diagonal_identity_check(k: int, y: float,
         raise PreconditionError("require y > e^3 for k = 2")
     if k == 2 and y > _DIAGONAL_Y_CEILING_K2:
         raise ResourceError(f"k = 2 brute force capped at y <= {_DIAGONAL_Y_CEILING_K2}")
-    primes = [int(p) for p in sieve_primes(int(y)).primes if p <= y]
+    primes = sieve_primes(int(y)).primes.tolist()
     coeff = {p: (a.get(p, 0j) if a is not None else 1.0 + 0j) for p in primes}
     mags = [abs(coeff[p]) ** 2 for p in primes]
     sigma1 = math.fsum(m / p for m, p in zip(mags, primes))

@@ -132,7 +132,7 @@ def _offset_second_moment(tab: ZeroTable) -> tuple[bool, str]:
 
 
 def _mertens(ctx: RegressionContext, x: int) -> tuple[bool, str]:
-    lp, rp = primes.mertens_sums(x, ceiling=ctx.sieve_limit, cache_dir=ctx.cache_dir)
+    lp, rp = primes.mertens_sums(x, cache_dir=ctx.cache_dir)
     theta_val = (rp - math.log(math.log(x)) - MERTENS_CONSTANT) * math.log(x) ** 2
     return lp < math.log(x) and -0.5 < theta_val < 1.0, f"theta {theta_val:.4f}"
 
@@ -143,7 +143,7 @@ def _vxh_grid(ctx: RegressionContext) -> tuple[bool, str]:
     for x, h in ((1e4, 0.39), (1e6, 0.2), (1e6, 0.39), (1e8, 0.2), (1e8, 0.39)):
         if x > ctx.sieve_limit:
             continue
-        res = primes.v_xh(x, h, ceiling=ctx.sieve_limit, cache_dir=ctx.cache_dir)
+        res = primes.v_xh(x, h, cache_dir=ctx.cache_dir)
         detail.append(f"x={x:g},h={h}:dev={res.deviation:.3f}")
         if res.deviation > 1.05:
             ok = False

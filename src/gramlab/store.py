@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ChecksumMismatch, ParseError, UncertifiedRange, VersionMismatch
+from .errors import ChecksumMismatch, ParseError, VersionMismatch
 from .moments import EPSILON_DEFAULT
 from .zeros import ZeroTable, certified_table
 
@@ -66,9 +66,7 @@ def _zeros_csv(table: ZeroTable) -> bytes:
 
 def save_range(table: ZeroTable, path: str | Path,
                epsilon: float = EPSILON_DEFAULT) -> CacheManifest:
-    """Persist a table; tables not certified to their full extent are refused."""
-    if table.certified_n < table.gram.size - 1:
-        raise UncertifiedRange("table is not certified to its full extent")
+    """Persist a table; its manifest's n_max_gram is the certified index."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     gram_b = _gram_csv(table)
@@ -114,7 +112,8 @@ def load_manifest(path: str | Path) -> CacheManifest:
 
 
 def load_range(path: str | Path) -> tuple[ZeroTable, CacheManifest]:
-    """Load a persisted range; verifies version, checksum and extent."""
+    """Load a persisted range; verifies version, checksum, extent, and that no
+    zero lies above the last Gram point, the certified anchor of a built table."""
     path = Path(path)
     manifest = load_manifest(path)
     if manifest.version != STORE_VERSION:
@@ -134,6 +133,9 @@ def load_range(path: str | Path) -> tuple[ZeroTable, CacheManifest]:
     if claimed != held:
         raise ChecksumMismatch(f"{path}: manifest (n_max_gram, zero_count, [t_max]) "
                                f"= {claimed}, data {held}")
+    if zeros.size and not zeros[-1] < gram[-1]:
+        raise ChecksumMismatch(f"{path}: zero {fmt_height(zeros[-1])} is not below "
+                               "the last Gram point")
     table = ZeroTable.from_arrays(gram, zeros)
     return table, manifest
 

@@ -6,12 +6,12 @@ and search each block for exactly as many sign changes as it has intervals,
 densifying every unmet block in lockstep (one Z call per depth, at the new
 midpoints only, up to 64x per interval) until the quota is met.  Regular
 endpoints only make S(t_n) even there, not zero, so a met quota is the Rosser
-rule and the located count is a lower bound on N(t).  Blocks whose quota
-cannot be met leave the table certified only up to the last anchor before
-them.  The brackets are then sharpened in lockstep by false position with
-Anderson-Bjorck scaling and a minimum step, from the Z values the scan left at
-their ends: one Z call per pass, on the brackets still wider than 1e-9, each
-retiring as it gets there.
+rule and the located count is a lower bound on N(t).  A table ends at its
+certified anchor: the last regular Gram point below any block whose quota
+cannot be met.  The brackets are then sharpened in lockstep by false position
+with Anderson-Bjorck scaling and a minimum step, from the Z values the scan
+left at their ends: one Z call per pass, on the brackets still wider than
+1e-9, each retiring as it gets there.
 
 The trailing edge of a scan stops at the last regular Gram point, so tables
 are built with headroom past the index range the caller needs; that policy
@@ -109,14 +109,17 @@ def _signs(z: np.ndarray) -> np.ndarray:
 
 
 class ZeroTable:
-    """Gram points, Z values, and certified zeros for indices 0..n_max."""
+    """Gram points 0..certified_n, their Z values, and the zeros below the last.
 
-    def __init__(self, gram, z_gram, zeros, brackets, certified_n, diagnostics):
+    The last Gram point is a regular anchor through which the zero count is
+    certified; no zero lies above it.
+    """
+
+    def __init__(self, gram, z_gram, zeros, brackets, diagnostics):
         self.gram = gram                  # t_n, index = n
         self.z_gram = z_gram              # Z(t_n), or None until first needed
         self.zeros = zeros                # ascending ordinates, 1-based count
         self.bracket_half = brackets      # same length as zeros
-        self.certified_n = certified_n    # certification holds for n <= this
         self.diagnostics = diagnostics
         counts = np.searchsorted(zeros, gram, side="right")
         self.s_gram = counts.astype(np.int64) - np.arange(gram.size, dtype=np.int64)
@@ -138,8 +141,8 @@ class ZeroTable:
         if not regular[0]:
             raise UncertifiedRange("no regular anchor at the base of the range")
 
-        lo, hi, z_lo, z_hi, certified_n = _scan(gram, zg, np.nonzero(regular)[0],
-                                                z_eval, diag)
+        lo, hi, z_lo, z_hi, anchor = _scan(gram, zg, np.nonzero(regular)[0],
+                                           z_eval, diag)
         passes = Z_CALLS - 1 - len(diag.densify_active)
         _refine(lo, hi, z_lo, z_hi, z_eval, passes, diag)
         zeros = 0.5 * (lo + hi)
@@ -147,28 +150,14 @@ class ZeroTable:
         # inside [t - 1e-9, t + 1e-9], which keeps built and loaded tables
         # byte-identical in reports
         half = np.full(zeros.size, BRACKET_HALF_WIDTH)
-        return cls(gram, zg, zeros, half, certified_n, diag)
+        return cls(gram[: anchor + 1], zg[: anchor + 1], zeros, half, diag)
 
     @classmethod
     def from_arrays(cls, gram: np.ndarray, zeros: np.ndarray) -> "ZeroTable":
         """Reconstruct a (certified) table from persisted height arrays."""
         return cls(np.asarray(gram, dtype=float), None,
                    np.asarray(zeros, dtype=float),
-                   np.full(len(zeros), BRACKET_HALF_WIDTH), int(gram.size) - 1,
-                   ScanDiagnostics())
-
-    def certified_prefix(self) -> "ZeroTable":
-        """This table cut at its certified anchor t_{certified_n}.
-
-        Keeps Gram points 0..certified_n, their Z values, and the zeros (with
-        brackets) up to t_{certified_n}.  Z is non-zero at a regular anchor,
-        so no zero sits on the cut.
-        """
-        n = self.certified_n
-        k = int(np.searchsorted(self.zeros, self.gram[n], side="right"))
-        z_gram = None if self.z_gram is None else self.z_gram[: n + 1]
-        return ZeroTable(self.gram[: n + 1], z_gram, self.zeros[:k],
-                         self.bracket_half[:k], n, self.diagnostics)
+                   np.full(len(zeros), BRACKET_HALF_WIDTH), ScanDiagnostics())
 
     # -- queries -----------------------------------------------------------
 
@@ -179,8 +168,19 @@ class ZeroTable:
         return self.z_gram
 
     @property
+    def certified_n(self) -> int:
+        """The last Gram index, through which the table is certified."""
+        return self.gram.size - 1
+
+    @property
     def t_certified(self) -> float:
-        return float(self.gram[self.certified_n])
+        return float(self.gram[-1])
+
+    def require_gram_index(self, n: int) -> None:
+        """UncertifiedRange if Gram index n lies past the table."""
+        if n > self.certified_n:
+            raise UncertifiedRange(
+                f"gram index {n} beyond certified index {self.certified_n}")
 
     def _require_certified_t(self, t: float) -> None:
         if t > self.t_certified + 1e-12:
@@ -199,8 +199,9 @@ class ZeroTable:
 
     def s_at_gram(self, n: int) -> int:
         """S(t_n + 0) = N(t_n + 0) - n, an exact integer."""
-        if not (0 <= n <= self.certified_n):
-            raise UncertifiedRange(f"gram index {n} outside certified range")
+        if n < 0:
+            raise PreconditionError("s_at_gram requires n >= 0")
+        self.require_gram_index(n)
         return int(self.s_gram[n])
 
     def find_zeros(self, t_lo: float, t_hi: float) -> list[CriticalZero]:
@@ -243,8 +244,9 @@ def _scan(gram, zg, anchors, z_eval, diag):
     only: the even columns are the previous grid bit for bit, and the Gram
     points carry `zg`.  A block retires once its flips reach its quota; flips
     never drop under subdivision, so an overshoot can only fail.  Returns
-    (lo, hi, Z at lo, Z at hi, certified_n), cut at the first block unmet at
-    DEPTH_CAP.  Z at hi is never an exact zero: one would carry lo's sign.
+    (lo, hi, Z at lo, Z at hi, anchor), cut at the Gram index `anchor`: the
+    lower end of the first block unmet at DEPTH_CAP, or the last anchor.
+    Z at hi is never an exact zero: one would carry lo's sign.
     """
     quota = np.diff(anchors)
     rows = np.arange(anchors[0], anchors[-1])       # left Gram index per row
@@ -394,10 +396,10 @@ HEADROOM = 40  # Gram points built past the caller's need
 
 
 def certified_table(n_needed: int) -> ZeroTable:
-    """Table certified through Gram index n_needed, cut at its certified anchor.
+    """Table certified through Gram index n_needed, ending at its certified anchor.
 
-    Builds n_needed + HEADROOM points once.  UncertifiedRange if the last
-    anchor falls short of n_needed: a block below n_needed cannot meet its
+    Builds n_needed + HEADROOM points once.  UncertifiedRange if the anchor
+    falls short of n_needed: a block below n_needed cannot meet its
     quota, or no regular Gram point lies in the headroom.
     """
     table = ZeroTable.build(n_needed + HEADROOM)
@@ -406,7 +408,7 @@ def certified_table(n_needed: int) -> ZeroTable:
         why = (f"Gram block {failed[0]} cannot meet its quota" if failed
                else f"no regular Gram point in the {HEADROOM} points past it")
         raise UncertifiedRange(f"gram index {n_needed} not certified: {why}")
-    return table.certified_prefix()
+    return table
 
 
 def gram_index_for_height(t: float) -> int:

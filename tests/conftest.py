@@ -1,13 +1,25 @@
+import hashlib
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import gramlab
 from gramlab import store
 from gramlab.zeros import ZeroTable
 
-# persisted across pytest runs; delete the directory to force a rebuild
-CACHE_ROOT = Path(tempfile.gettempdir()) / "gramlab-test-cache-v1"
+
+def _kernel_digest() -> str:
+    """Digest of the modules that decide a table's Gram points and zeros."""
+    h = hashlib.blake2b(digest_size=8)
+    for name in ("theta_gram.py", "zeta.py", "zeros.py"):
+        h.update((Path(gramlab.__file__).parent / name).read_bytes())
+    return h.hexdigest()
+
+
+# persisted across pytest runs and keyed by the kernel that built it, so a
+# change to that kernel rebuilds; delete the directory to force a rebuild
+CACHE_ROOT = Path(tempfile.gettempdir()) / f"gramlab-test-cache-{_kernel_digest()}"
 
 
 def _cached_table(n_max: int) -> ZeroTable:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gramlab import gram_law as gl
-from gramlab import moments, regression
-from gramlab.errors import UncertifiedRange
+from gramlab import moments, primes, regression
+from gramlab.errors import PreconditionError, UncertifiedRange
 from gramlab.zeros import ZeroTable
 
 
@@ -172,6 +172,50 @@ def test_uncertified_range_raises(table_small):
         gl.delta_n(table_small, table_small.zeros.size + 1)
     with pytest.raises(UncertifiedRange):
         gl.nu_histogram(table_small, top + 10)
+
+
+def _cfg(n):
+    """Moments over (n - 11, n]: N + M = n."""
+    return moments.MomentConfig(N=n - 11, M=11, m=1, k=1)
+
+
+# each query, asked to reach Gram index n
+_RANGE_QUERIES = {
+    "s_at_gram": lambda t, n: t.s_at_gram(n),
+    "classify_intervals": lambda t, n: gl.classify_intervals(t, 1, n),
+    "interval_counts": lambda t, n: gl.interval_counts(t, n - 5, n),
+    "nu_histogram": lambda t, n: gl.nu_histogram(t, n),
+    "block": lambda t, n: moments.block_difference_moment(
+        t, moments.MomentConfig(N=n - 12, M=11, m=1, k=1)),
+    "adjacent": lambda t, n: moments.adjacent_difference_moment(t, _cfg(n)),
+    "first": lambda t, n: moments.first_moment(t, n - 11, 11),
+    "alternating": lambda t, n: moments.alternating_sum(t, _cfg(n)),
+    "titchmarsh": lambda t, n: moments.titchmarsh_correlation(t, n),
+    "residual": lambda t, n: primes.residual_moments(t, n - 11, 11, 1, y=10.0),
+}
+
+
+@pytest.mark.parametrize("query", sorted(_RANGE_QUERIES))
+def test_range_queries_stop_at_the_last_gram_point(table_small, query):
+    ask = _RANGE_QUERIES[query]
+    top = table_small.certified_n
+    ask(table_small, top)
+    with pytest.raises(UncertifiedRange, match=f"gram index {top + 1} beyond"):
+        ask(table_small, top + 1)
+
+
+def test_malformed_ranges_are_preconditions(table_small):
+    for lo, hi in ((0, 5), (5, 3)):
+        with pytest.raises(PreconditionError):
+            gl.classify_intervals(table_small, lo, hi)
+        with pytest.raises(PreconditionError):
+            gl.delta_array(table_small, lo, hi)
+    with pytest.raises(PreconditionError):
+        gl.nu_histogram(table_small, 0)
+    with pytest.raises(PreconditionError):
+        table_small.s_at_gram(-1)
+    with pytest.raises(PreconditionError):   # would read S off the end of the table
+        moments.first_moment(table_small, -5, 3)
 
 
 def test_sgl_gl_independence_witnesses(table_mid):

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 import gramlab
 from gramlab import cli, store
 from gramlab import ingest as ing
-from gramlab.errors import ChecksumMismatch, ParseError, UncertifiedRange, VersionMismatch
+from gramlab.errors import ChecksumMismatch, ParseError, VersionMismatch
 from gramlab.reports import Report, render, to_csv, to_json
 from gramlab.zeros import ScanDiagnostics, ZeroTable
 
@@ -87,12 +87,21 @@ def test_version_mismatch(table_small, tmp_path):
         store.load_range(tmp_path / "rng")
 
 
-def test_uncertified_refused(table_small, tmp_path):
-    partial = ZeroTable(table_small.gram, table_small.z_gram, table_small.zeros,
-                        table_small.bracket_half, table_small.certified_n - 50,
-                        table_small.diagnostics)
-    with pytest.raises(UncertifiedRange):
-        store.save_range(partial, tmp_path / "rng")
+def test_zero_above_last_gram_point_detected(table_small, tmp_path):
+    # a zero past the certified anchor, with the manifest made to agree
+    store.save_range(table_small, tmp_path / "rng")
+    zpath = tmp_path / "rng" / "zeros.csv"
+    k = table_small.zeros.size + 1
+    zpath.write_text(zpath.read_text()
+                     + f"{k},{store.fmt_height(table_small.gram[-1] + 0.5)}\n")
+    mpath = tmp_path / "rng" / "manifest.json"
+    data = json.loads(mpath.read_text())
+    data["zero_count"] = k
+    data["checksum"] = store._digest((tmp_path / "rng" / "gram.csv").read_bytes(),
+                                     zpath.read_bytes())
+    mpath.write_text(json.dumps(data))
+    with pytest.raises(ChecksumMismatch, match="not below the last Gram point"):
+        store.load_range(tmp_path / "rng")
 
 
 def test_heights_roundtrip_binary64(table_small, tmp_path):
@@ -207,6 +216,20 @@ def test_cli_damaged_caches_exit_1(table_small, tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert exc.value.code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [["classify", "--n-lo", "0", "--n-hi", "5"],
+                                  ["classify", "--n-lo", "5", "--n-hi", "3"],
+                                  ["delta", "--n-lo", "0", "--n-hi", "3"],
+                                  ["delta", "--n-lo", "5", "--n-hi", "3"],
+                                  ["nu", "--upper-n", "0"]])
+def test_cli_malformed_range_exits_2(args, monkeypatch, capsys):
+    # a bad lower bound or order is a precondition error, not an uncertified range
+    monkeypatch.setattr(sys, "argv", ["gramlab", *args])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 2
+    assert "n_lo <= n_hi" in capsys.readouterr().err
 
 
 def test_cli_zeros_uses_cache(tmp_path):

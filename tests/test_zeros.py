@@ -252,11 +252,9 @@ def test_build_refinement_counts():
     assert sum(diag.refine_heights) / table.zeros.size <= 6.75
 
 
-def test_certified_table_builds_once_and_names_the_failed_block(monkeypatch):
-    """A block below the need that cannot meet its quota fails the request."""
+def _hide_g128(default=zr._z_eval_default):
+    """Z with G_128's two zeros hidden: the block (126, 128) cannot meet its quota."""
     t127, t128 = gram_points(128, 127)
-    default, build = zr._z_eval_default, ZeroTable.build.__func__
-    builds = []
 
     def hide_g128(ts):
         # Z < 0 at t_126, t_127 and t_128; keep it so across G_128's two zeros
@@ -265,16 +263,36 @@ def test_certified_table_builds_once_and_names_the_failed_block(monkeypatch):
         z[inside] = -np.abs(z[inside])
         return z
 
+    return hide_g128
+
+
+def test_certified_table_builds_once_and_names_the_failed_block(monkeypatch):
+    """A block below the need that cannot meet its quota fails the request."""
+    build = ZeroTable.build.__func__
+    builds = []
+
     def capped_build(cls, n_max, z_eval=None):
         builds.append(n_max)
         assert len(builds) == 1, f"rebuilt at {builds}"
         return build(cls, n_max, z_eval)
 
-    monkeypatch.setattr(zr, "_z_eval_default", hide_g128)
+    monkeypatch.setattr(zr, "_z_eval_default", _hide_g128())
     monkeypatch.setattr(ZeroTable, "build", classmethod(capped_build))
     with pytest.raises(UncertifiedRange, match=r"\(126, 128\)"):
         zr.certified_table(200)
     assert builds == [200 + zr.HEADROOM]
+
+
+@pytest.mark.parametrize("n_max, hide, anchor", [(160, False, 160), (127, False, 126),
+                                                (160, True, 126)])
+def test_build_ends_at_a_regular_anchor(n_max, hide, anchor):
+    """A build keeps no Gram point past its certified anchor, and no zero above it."""
+    table = ZeroTable.build(n_max, z_eval=_hide_g128() if hide else None)
+    n = table.certified_n
+    assert n == anchor == table.gram.size - 1
+    assert (-1) ** (n - 1) * table.z_values()[n] > 0.0
+    assert table.zeros[-1] < table.gram[-1]
+    assert table.diagnostics.failed_blocks == ([(126, 128)] if hide else [])
 
 
 def test_from_arrays_roundtrip_semantics(table_built):
