@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ChecksumMismatch, ParseError, VersionMismatch
 from .moments import EPSILON_DEFAULT
-from .zeros import ZeroTable, certified_table
+from .zeros import ZeroTable, certified_table, require_under_ceiling
 
 STORE_VERSION = 1
 
@@ -146,7 +146,9 @@ def cached_table(n_needed: int, path: str | Path | None,
 
     Loads path when its manifest reaches n_needed; otherwise builds with
     `certified_table` and saves the result there.  path None caches nothing.
+    ResourceError, before the cache is read, past the table ceiling.
     """
+    require_under_ceiling(n_needed)
     if path is not None and (Path(path) / "manifest.json").exists() \
             and load_manifest(path).n_max_gram >= n_needed:
         return load_range(path)[0]

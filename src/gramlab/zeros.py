@@ -11,7 +11,13 @@ certified anchor: the last regular Gram point below any block whose quota
 cannot be met.  The brackets are then sharpened in lockstep by false position
 with Anderson-Bjorck scaling and a minimum step, from the Z values the scan
 left at their ends: one Z call per pass, on the brackets still wider than
-1e-9, each retiring as it gets there.
+1e-9, each retiring as it gets there.  The Gram pass and the densification
+evaluate Z directly.  Refinement does too below RS_SWITCH_T, and everywhere
+when the caller passes its own z_eval; otherwise each run of up to
+LOCAL_BRACKETS brackets above RS_SWITCH_T is refined from a Taylor expansion
+of the Riemann-Siegel main sum about each bracket's centre
+(`zeta._hardy_z_local`), which costs one cos+sin pass per bracket in place of
+a full sum per height.
 
 The trailing edge of a scan stops at the last regular Gram point, so tables
 are built with headroom past the index range the caller needs; that policy
@@ -26,19 +32,20 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, UncertifiedRange
+from .errors import DomainError, PreconditionError, ResourceError, UncertifiedRange
 from .theta_gram import gram_points, theta
-from .zeta import RS_SWITCH_T, hardy_z, hardy_z_many
+from .zeta import LOCAL_BRACKETS, RS_SWITCH_T, _hardy_z_local, hardy_z, hardy_z_many
 
 # zeros and Gram points closer than this are flagged ambiguous
 AMBIGUITY_TOL = 1e-9
 # final bracket half-width
 BRACKET_HALF_WIDTH = 1e-9
 DEPTH_CAP = 6  # up to 2^6 = 64 segments per Gram interval
-# a bound on the Z calls per build, not the typical count (22 for
-# build(100030)): the Gram pass, one per densification depth, and at least 32
-# refinement passes, as halving alone takes G_1, the widest bracket, to 2e-9
-# in 32
+# a bound on the Z calls per build with one z_eval, not the typical count (22
+# for build(100030)): the Gram pass, one per densification depth, and at
+# least 32 refinement passes, as halving alone takes G_1, the widest bracket,
+# to 2e-9 in 32.  The default build refines each run of brackets through its
+# own evaluator, in as many passes as densification left of this budget.
 Z_CALLS = 1 + DEPTH_CAP + 32
 # refinement retires a bracket this narrow; its midpoint is the zero
 REFINE_WIDTH = 1e-9
@@ -132,9 +139,9 @@ class ZeroTable:
               z_eval: Callable[[np.ndarray], np.ndarray] | None = None) -> "ZeroTable":
         if n_max < 1:
             raise DomainError("n_max must be >= 1")
-        z_eval = z_eval or _z_eval_default
+        direct = z_eval or _z_eval_default
         gram = gram_points(n_max)
-        zg = z_eval(gram)
+        zg = direct(gram)
         # (-1)^(n-1) Z(t_n) > 0
         regular = np.where(np.arange(gram.size) % 2 == 1, zg, -zg) > 0.0
         diag = ScanDiagnostics()
@@ -142,9 +149,12 @@ class ZeroTable:
             raise UncertifiedRange("no regular anchor at the base of the range")
 
         lo, hi, z_lo, z_hi, anchor = _scan(gram, zg, np.nonzero(regular)[0],
-                                           z_eval, diag)
+                                           direct, diag)
         passes = Z_CALLS - 1 - len(diag.densify_active)
-        _refine(lo, hi, z_lo, z_hi, z_eval, passes, diag)
+        if z_eval is not None:
+            _refine(lo, hi, z_lo, z_hi, z_eval, passes, diag)
+        else:
+            _refine_local(lo, hi, z_lo, z_hi, passes, diag)
         zeros = 0.5 * (lo + hi)
         # publish the uniform certified half-width: every final bracket fits
         # inside [t - 1e-9, t + 1e-9], which keeps built and loaded tables
@@ -389,19 +399,50 @@ def _refine(lo, hi, z_lo, z_hi, z_eval, passes, diag):
     lo[row], hi[row] = a, b
 
 
+def _refine_local(lo, hi, z_lo, z_hi, passes, diag):
+    """_refine of the brackets below RS_SWITCH_T through _z_eval_default, then of
+    each run of LOCAL_BRACKETS above it through that run's own expansion.
+
+    diag sums each pass's rows and heights across the runs.
+    """
+    low = int(np.searchsorted(lo, RS_SWITCH_T))
+    runs = [(0, low)] + [(i, min(i + LOCAL_BRACKETS, lo.size))
+                         for i in range(low, lo.size, LOCAL_BRACKETS)]
+    for i, j in runs:
+        z_eval = _z_eval_default if j <= low else _hardy_z_local(lo[i:j], hi[i:j])
+        part = ScanDiagnostics()
+        _refine(lo[i:j], hi[i:j], z_lo[i:j], z_hi[i:j], z_eval, passes, part)
+        for total, add in ((diag.refine_active, part.refine_active),
+                           (diag.refine_heights, part.refine_heights)):
+            total.extend([0] * (len(add) - len(total)))
+            for k, v in enumerate(add):
+                total[k] += v
+
+
 # ---------------------------------------------------------------------------
 # the one table provider, and module-level queries over it
 
 HEADROOM = 40  # Gram points built past the caller's need
+# the largest Gram index a table is built for, twice the 1e6 stretch:
+# build(3e5) peaks at 90 MB, so build(2e6) needs roughly 0.4 GB
+GRAM_CEILING = 2 * 10**6
+
+
+def require_under_ceiling(n_needed: int) -> None:
+    """ResourceError if a table through Gram index n_needed is past GRAM_CEILING."""
+    if n_needed > GRAM_CEILING:
+        raise ResourceError(f"gram index {n_needed} exceeds ceiling {GRAM_CEILING}")
 
 
 def certified_table(n_needed: int) -> ZeroTable:
     """Table certified through Gram index n_needed, ending at its certified anchor.
 
-    Builds n_needed + HEADROOM points once.  UncertifiedRange if the anchor
+    Builds n_needed + HEADROOM points once.  ResourceError, before building,
+    if n_needed exceeds GRAM_CEILING.  UncertifiedRange if the anchor
     falls short of n_needed: a block below n_needed cannot meet its
     quota, or no regular Gram point lies in the headroom.
     """
+    require_under_ceiling(n_needed)
     table = ZeroTable.build(n_needed + HEADROOM)
     if table.certified_n < n_needed:
         failed = table.diagnostics.failed_blocks

@@ -13,6 +13,15 @@ Two independent evaluation routes:
   rigorous tail estimate; serves as the cross-method oracle and the small-t
   route.
 
+Zero refinement evaluates Z many times inside short brackets, and there a
+third form of the Riemann-Siegel route, `_hardy_z_local`, expands the main
+sum about each bracket's centre c: with moments
+M_k = sum_n n^(-1/2) e^(i(theta(c) - c ln n)) (ln n)^k / k!, taken once per
+bracket, Z(c + h) = 2 Re[e^(i(theta(c+h) - theta(c))) sum_{k<=K} M_k (-ih)^k]
+plus the same C_0..C_4 correction at c + h.  The Taylor tail is at most
+2 sum_n n^(-1/2) x^(K+1)/(K+1)! e^x with x = max|h| ln N, and K is the least
+order that holds it to 1e-13.
+
 The scalar Euler-Maclaurin path accumulates with math.fsum.  Riemann-Siegel
 has one implementation, the vectorized one (a scalar t is a 1-element array);
 its numpy pairwise reduction rounds at ~1e-13 at our sum lengths, far below
@@ -65,6 +74,8 @@ class ZetaHalfLine:
 # Riemann-Siegel correction polynomials
 
 _PSI_TERMS = 88
+# a trailing coefficient is dropped while the tail bound stays below this
+_RS_TAIL = 1e-18
 
 # C_k = sum of weight * Psi^(order) / pi^power over its (order, weight, power)
 # rows: the classical corrections C_0..C_4 (Gabcke 1979)
@@ -78,8 +89,8 @@ _RS_WEIGHTS = (
 )
 
 
-@lru_cache(maxsize=1)
-def _rs_polys() -> tuple[np.ndarray, ...]:
+@lru_cache(maxsize=2)
+def _rs_polys(tail_max: float = _RS_TAIL) -> tuple[np.ndarray, ...]:
     """Highest-first polyval arrays in v = u^2 for C_0..C_4 at p = 1/2 + u.
 
     Psi(1/2+u) = [sin(pi/8) cos(2pi u^2) - cos(pi/8) sin(2pi u^2)] / cos(2pi u)
@@ -88,6 +99,8 @@ def _rs_polys() -> tuple[np.ndarray, ...]:
     coefficients of each C_k, all at 120 significant digits, before any
     rounding to float.  C_k has the parity of k, so its other coefficients
     are exact zeros: even k gives a polynomial in v, odd k one times u.
+    Over v <= 1/4 the coefficients past the 20th to 23rd add less than
+    tail_max, bounded by sum |c_j| 4^-j, and are dropped.
     """
     import mpmath
 
@@ -125,7 +138,14 @@ def _rs_polys() -> tuple[np.ndarray, ...]:
                 scale = mpmath.mpf(w.numerator) / w.denominator / pi ** power
                 for i in range(n_terms - order):
                     c[i] += scale * math.perm(i + order, order) * a[i + order]
-            polys.append(np.asarray([float(x) for x in c[k % 2 :: 2]][::-1]))
+            coef = c[k % 2 :: 2]
+            # drop the tail whose bound sum |c_j| 4^-j over v <= 1/4 is below tail_max
+            tail = mpmath.mpf(0)
+            keep = len(coef)
+            while keep and tail + abs(coef[keep - 1]) / 4 ** (keep - 1) < tail_max:
+                keep -= 1
+                tail += abs(coef[keep]) / 4 ** keep
+            polys.append(np.asarray([float(x) for x in coef[:keep]][::-1]))
     return tuple(polys)
 
 
@@ -171,11 +191,15 @@ def _hardy_z_chunk(seg: np.ndarray) -> np.ndarray:
     terms *= rsqrt
     # mask out n > N(t) rows before reduction
     z = 2.0 * np.sum(terms, axis=1, where=n <= N[:, None])
+    return z + _rs_remainder(seg, N, p)
+
+
+def _rs_remainder(t: np.ndarray, N: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The C_0..C_4 correction at t, with N = floor(sqrt(t/2pi)) and p its fraction."""
     c0, c1, c2, c3, c4 = _rs_corrections(p)
-    q = np.sqrt(TWO_PI / seg)
-    rem = np.where(N % 2 == 1, 1.0, -1.0) * (TWO_PI / seg) ** 0.25 \
+    q = np.sqrt(TWO_PI / t)
+    return np.where(N % 2 == 1, 1.0, -1.0) * (TWO_PI / t) ** 0.25 \
         * (c0 + q * (c1 + q * (c2 + q * (c3 + q * c4))))
-    return z + rem
 
 
 def hardy_z_many(ts: np.ndarray, chunk: int = 4096) -> np.ndarray:
@@ -202,6 +226,118 @@ def hardy_z_many(ts: np.ndarray, chunk: int = 4096) -> np.ndarray:
         for i, j in spans:
             out[i:j] = _hardy_z_chunk(ts[i:j])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Riemann-Siegel expansion about bracket centres
+
+LOCAL_BRACKETS = 4096  # brackets per expansion
+_LOCAL_ROWS = 1024     # centres per cos+sin pass of the moments
+_LOCAL_TOL = 1e-13     # bound on the truncated Taylor tail of the main sum
+# multiply-adds per matrix product: OpenBLAS runs products this small on one
+# thread; its threaded ones stalled about 8 ms a call in one process of 6 on
+# a shared 2-core Xeon
+_SERIAL_MACS = 1 << 18
+
+
+def _taylor_order(x: float, weight: float) -> int:
+    """Least K with 2 weight x^(K+1)/(K+1)! e^x <= _LOCAL_TOL."""
+    k, term = 0, x                              # term = x^(k+1)/(k+1)!
+    while 2.0 * weight * term * math.exp(x) > _LOCAL_TOL:
+        k += 1
+        term *= x / (k + 1)
+    return k
+
+
+def _theta_delta(c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """theta(c + h) - theta(c) from theta's series, to relative accuracy in h."""
+    t = c + h
+    u, w = 1.0 / t, 1.0 / c
+    u2, uw, w2 = u * u, u * w, w * w
+    # 1/t^j - 1/c^j = (1/t - 1/c) (u^(j-1) + ... + w^(j-1)), 1/t - 1/c = -h u w
+    return (0.5 * c * np.log1p(h / c) + 0.5 * h * (np.log(t / TWO_PI) - 1.0)
+            - h * uw * (1.0 / 48.0 + (u2 + uw + w2) * (7.0 / 5760.0)
+                        + (u2 * u2 + u2 * uw + uw * uw + uw * w2 + w2 * w2)
+                        * (31.0 / 80640.0)))
+
+
+def _hardy_z_local(lo: np.ndarray, hi: np.ndarray):
+    """Z on the brackets [lo_j, hi_j] from a Taylor expansion about their centres.
+
+    The brackets are disjoint and ascending, at most LOCAL_BRACKETS of them,
+    with lo >= RS_SWITCH_T.  At each centre c the moments
+    M_k = sum_{n <= N(c)} n^(-1/2) e^(i(theta(c) - c ln n)) (ln n)^k / k!
+    take one cos+sin pass and one matrix product with a (ln n)^k / k! table
+    (Odlyzko & Schonhage 1988 reuse n^(-it) about a base point the same way).
+    The returned function maps heights t, each inside one bracket, to
+    Z(c + h) = 2 Re[e^(i dtheta) sum_{k <= K} M_k (-ih)^k] + R(t), where
+    dtheta = theta(c + h) - theta(c) and R is the C_0..C_4 correction at t;
+    where N(t) differs from N(c), the one term gained or lost is added
+    directly.  Since |e^(-ih ln n) - sum_{k <= K} (-ih ln n)^k / k!|
+    <= x^(K+1) / (K+1)! e^x for x = max|h| ln N >= |h| ln n, the truncated
+    main sum is off by at most 2 sum_{n <= N} n^(-1/2) x^(K+1) / (K+1)! e^x,
+    and K is the least order that holds this to _LOCAL_TOL; the function
+    carries it as its `order`.
+    """
+    lo = np.array(lo, dtype=float)              # a copy: refinement narrows its own
+    hi = np.asarray(hi, dtype=float)
+    if lo.size > LOCAL_BRACKETS or not float(lo[0]) >= RS_SWITCH_T:
+        raise PreconditionError(f"at most {LOCAL_BRACKETS} brackets above t = "
+                                f"{RS_SWITCH_T:g}")
+    c = 0.5 * (lo + hi)
+    th = theta_many(c)
+    n_c = np.sqrt(c / TWO_PI).astype(np.int64)
+    n_top = int(math.sqrt(float(hi[-1]) / TWO_PI))
+    n = np.arange(1, n_top + 1, dtype=float)
+    logn = np.log(n)
+    rsqrt = 1.0 / np.sqrt(n)
+    h_max = float(np.max(np.maximum(hi - c, c - lo)))
+    order = _taylor_order(h_max * float(logn[-1]), float(rsqrt.sum()))
+    powers = np.empty((n_top, order + 1))       # (ln n)^k / k!
+    powers[:, 0] = 1.0
+    for k in range(1, order + 1):
+        np.multiply(powers[:, k - 1], logn / k, out=powers[:, k])
+    re, im = np.empty((2, c.size, order + 1))
+    for i in range(0, c.size, _LOCAL_ROWS):
+        j = min(i + _LOCAL_ROWS, c.size)
+        m = int(n_c[j - 1])                     # n_c ascends with c
+        phase = np.multiply.outer(c[i:j], logn[:m])
+        np.subtract(th[i:j, None], phase, out=phase)
+        weight = np.where(n[:m] <= n_c[i:j, None], rsqrt[:m], 0.0)
+        cw = np.cos(phase)
+        cw *= weight
+        sw = np.sin(phase, out=phase)
+        sw *= weight
+        step = max(1, _SERIAL_MACS // (m * (order + 1)))
+        for r in range(i, j, step):
+            s = min(r + step, j)
+            np.matmul(cw[r - i : s - i], powers[:m], out=re[r:s])
+            np.matmul(sw[r - i : s - i], powers[:m], out=im[r:s])
+    moments = (re + 1j * im).T.copy()          # (K+1, brackets), a row per order
+
+    def z_local(ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        row = np.searchsorted(lo, ts, side="right") - 1
+        cr, nr = c[row], n_c[row]
+        h = ts - cr                             # exact: t and c are this close
+        mr = moments[:, row]
+        ih = -1j * h
+        acc = mr[order].copy()
+        for k in range(order - 1, -1, -1):
+            acc *= ih
+            acc += mr[k]
+        dth = _theta_delta(cr, h)
+        z = 2.0 * (np.cos(dth) * acc.real - np.sin(dth) * acc.imag)
+        a = np.sqrt(ts / TWO_PI)
+        N = a.astype(np.int64)
+        s = np.nonzero(N != nr)[0]              # across an integer of sqrt(t/2pi)
+        top = np.maximum(N[s], nr[s]).astype(float)
+        z[s] += (N[s] - nr[s]) * 2.0 / np.sqrt(top) \
+            * np.cos(th[row[s]] + dth[s] - ts[s] * np.log(top))
+        return z + _rs_remainder(ts, N, a - N)
+
+    z_local.order = order
+    return z_local
 
 
 # ---------------------------------------------------------------------------

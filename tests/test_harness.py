@@ -232,6 +232,20 @@ def test_cli_malformed_range_exits_2(args, monkeypatch, capsys):
     assert "n_lo <= n_hi" in capsys.readouterr().err
 
 
+def test_cli_index_past_the_table_ceiling_exits_2(tmp_path, monkeypatch, capsys):
+    def no_build(cls, n_max, z_eval=None):
+        raise AssertionError(f"built {n_max}")
+
+    monkeypatch.setattr(ZeroTable, "build", classmethod(no_build))
+    monkeypatch.setattr(sys, "argv", ["gramlab", "--cache-dir", str(tmp_path / "cache"),
+                                      "delta", "--n-lo", "5", "--n-hi", "99999999"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 2
+    assert "exceeds ceiling" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()
+
+
 def test_cli_zeros_uses_cache(tmp_path):
     cache = tmp_path / "cache"
     r = _run_cli(["--cache-dir", str(cache), "zeros", "--t-lo", "8", "--t-hi", "50"],

@@ -6,7 +6,8 @@ import pytest
 
 from gramlab import zeros as zr
 from gramlab import zeta as zt
-from gramlab.errors import PreconditionError, UncertifiedRange
+from gramlab import store
+from gramlab.errors import PreconditionError, ResourceError, UncertifiedRange
 from gramlab.zeros import ScanDiagnostics, ZeroTable, _refine, _scan
 from gramlab.theta_gram import gram_points, theta
 
@@ -230,7 +231,9 @@ def test_build_evaluates_each_height_once():
     # one Gram pass, the densification depths, and the refinement passes:
     # refinement may use what densification left of the Z_CALLS budget
     assert len(calls) <= 1 + zr.DEPTH_CAP + 32
-    assert np.array_equal(table.zeros, ZeroTable.build(2000).zeros)
+    # an injected z_eval refines through itself: the counter sees every height
+    assert np.array_equal(table.zeros,
+                          ZeroTable.build(2000, z_eval=zr._z_eval_default).zeros)
 
 
 def test_build_refinement_counts():
@@ -250,6 +253,46 @@ def test_build_refinement_counts():
     assert calls[1 + len(diag.densify_active):] == diag.refine_heights
     assert len(diag.refine_heights) <= 16
     assert sum(diag.refine_heights) / table.zeros.size <= 6.75
+
+
+@pytest.fixture(scope="module")
+def default_and_direct_20000():
+    """build(20000) refined by expansion, and by the direct kernel passed in."""
+    return ZeroTable.build(20000), ZeroTable.build(20000, z_eval=zr._z_eval_default)
+
+
+def test_build_local_refinement_counts(default_and_direct_20000):
+    """Diagnostics sum each pass across the expansion blocks; the budget holds."""
+    table, direct = default_and_direct_20000
+    diag = table.diagnostics
+    assert len(diag.refine_heights) <= 16
+    assert sum(diag.refine_heights) / table.zeros.size <= 6.75
+    assert diag.refine_active[0] == direct.diagnostics.refine_active[0]
+    assert np.all(np.diff(diag.refine_active) <= 0)
+
+
+def test_build_local_refinement_keeps_the_zeros(default_and_direct_20000):
+    table, direct = default_and_direct_20000
+    assert np.array_equal(table.gram, direct.gram)
+    assert np.array_equal(table.z_values(), direct.z_values())
+    assert np.max(np.abs(table.zeros - direct.zeros)) <= zr.BRACKET_HALF_WIDTH
+    # below RS_SWITCH_T both builds take the same path
+    low = table.zeros < zt.RS_SWITCH_T
+    assert np.array_equal(table.zeros[low], direct.zeros[low])
+
+
+def test_table_ceiling_refuses_before_building(monkeypatch, tmp_path):
+    def no_build(cls, n_max, z_eval=None):
+        raise AssertionError(f"built {n_max}")
+
+    monkeypatch.setattr(ZeroTable, "build", classmethod(no_build))
+    too_big = zr.GRAM_CEILING + 1
+    assert zr.GRAM_CEILING >= 10**6 + zr.HEADROOM      # the 1e6 stretch fits
+    with pytest.raises(ResourceError, match="ceiling"):
+        zr.certified_table(too_big)
+    with pytest.raises(ResourceError, match="ceiling"):
+        store.cached_table(too_big, tmp_path / "zrange")
+    assert not (tmp_path / "zrange").exists()
 
 
 def _hide_g128(default=zr._z_eval_default):

@@ -192,3 +192,100 @@ def test_rs_corrections_match_high_precision_differentiation():
             mine = zt._rs_corrections(np.array([p]))
             for k in range(5):
                 assert abs(float(mine[k][0]) - float(ref[k])) <= 1e-15
+
+
+def test_rs_polys_trimmed_within_their_tail_bound():
+    # the trimmed coefficients are the full ones less their highest orders,
+    # so the two polynomials differ by exactly the dropped terms
+    full, trimmed = zt._rs_polys(0.0), zt._rs_polys()
+    u = np.linspace(0.0, 1.0, 1001, endpoint=False) - 0.5
+    for k, (f, t) in enumerate(zip(full, trimmed)):
+        assert 20 <= t.size < f.size
+        assert np.array_equal(f[-t.size:], t)
+        dropped = np.concatenate([f[: -t.size], np.zeros(t.size)])
+        assert np.max(np.abs(u ** (k % 2) * np.polyval(dropped, u * u))) <= 1e-17
+
+
+def test_theta_delta_is_accurate_relative_to_h():
+    def theta_series(t):        # theta's series, as theta_gram evaluates it
+        return t / 2 * mpmath.log(t / (2 * mpmath.pi)) - t / 2 - mpmath.pi / 8 \
+            + 1 / (48 * t) + 7 / (5760 * t ** 3) + 31 / (80640 * t ** 5)
+
+    with mpmath.workdps(40):
+        for c in (31.7, 1000.3, 71732.5):
+            for h in (1e-10, -3e-7, 0.3, -1.9):
+                d = zt._theta_delta(np.array([c]), np.array([h]))[0]
+                ref = theta_series(mpmath.mpf(c) + h) - theta_series(mpmath.mpf(c))
+                assert abs(d - ref) <= 1e-15 * abs(ref)
+
+
+def _gram_brackets(n_lo: int, n_hi: int):
+    """Gram intervals G_n, n_lo <= n < n_hi, as brackets: max |h| is half of one."""
+    g = th.gram_points(n_hi, n_lo)
+    return g[:-1], g[1:]
+
+
+@pytest.mark.parametrize("n_lo", [4, 2000, 90000])
+def test_local_expansion_at_the_centres_is_the_direct_sum(n_lo):
+    lo, hi = _gram_brackets(n_lo, n_lo + 1000)
+    c = 0.5 * (lo + hi)
+    assert np.max(np.abs(zt._hardy_z_local(lo, hi)(c) - zt.hardy_z_many(c))) <= 1e-12
+
+
+@pytest.mark.parametrize("n_lo, count", [(4, 20), (4, 4096), (90000, 4096)])
+def test_local_expansion_order_meets_its_remainder_bound(n_lo, count):
+    """K is the least order whose proven tail bound is 1e-13, and it holds."""
+    lo, hi = _gram_brackets(n_lo, n_lo + count)
+    # G_4 is the lowest Gram interval above RS_SWITCH_T, and the widest
+    assert lo[0] >= zt.RS_SWITCH_T > th.gram_point(3).t
+    c = 0.5 * (lo + hi)
+    n_top = int(math.sqrt(hi[-1] / zt.TWO_PI))
+    x = float(np.max(np.maximum(hi - c, c - lo))) * math.log(n_top)
+    weight = float(np.sum(np.arange(1, n_top + 1) ** -0.5))
+    order = zt._taylor_order(x, weight)
+
+    def tail(k):
+        with mpmath.workdps(30):
+            return 2 * weight * mpmath.mpf(x) ** (k + 1) / mpmath.factorial(k + 1) \
+                * mpmath.exp(x)
+
+    assert tail(order) <= 1e-13 < tail(order - 1)
+    z = zt._hardy_z_local(lo, hi)
+    assert z.order == order
+    if count == 20:
+        # below t = 100 both kernels round near 1e-14, so the expansion at the
+        # bracket ends, where |h| is largest, shows its own truncation
+        for ends in (lo, hi):
+            assert np.max(np.abs(z(ends) - zt.hardy_z_many(ends))) <= 2e-13
+
+
+@pytest.mark.parametrize("k", [3, 10, 40, 100])
+def test_local_expansion_across_a_change_of_n(k):
+    """A bracket holding t = 2 pi k^2, where N(t) steps from k - 1 to k."""
+    t_step = zt.TWO_PI * k * k
+    n = int(th.theta(t_step).value / math.pi + 1.0)
+    lo, hi = _gram_brackets(n, n + 1)
+    assert lo[0] < t_step < hi[0]
+    ts = np.sort(np.r_[np.linspace(lo[0], hi[0], 11)[1:-1], t_step - 1e-6, t_step + 1e-6])
+    ref = np.array([siegelz_oracle(float(t)) for t in ts])
+    local = np.abs(zt._hardy_z_local(lo, hi)(ts) - ref)
+    direct = np.abs(zt.hardy_z_many(ts) - ref)
+    assert np.max(local) <= np.max(direct) + 1e-12
+
+
+def test_local_expansion_changes_sign_once_at_zero_95248():
+    """The direct kernel's rounding makes Z change sign 5 times within 1e-9 here.
+
+    One rounded phase per bracket leaves the expansion smooth in h: it falls
+    by about 1.4e-11 per grid step, and a dtheta taken as a difference of two
+    theta values near 3.5e5 (ulp 6e-11) would break that.
+    """
+    root = 71732.90120787236   # frozen from mpmath.findroot(mpmath.siegelz) at 30 digits
+    n = int(th.theta(root).value / math.pi + 1.0)
+    lo, hi = _gram_brackets(n, n + 1)
+    ts = root + 1e-10 * np.arange(-30, 31)
+    z = zt._hardy_z_local(lo, hi)(ts)
+    assert np.all(np.diff(z) < 0.0)
+    flips = np.nonzero(np.sign(z[1:]) != np.sign(z[:-1]))[0]
+    assert flips.size == 1
+    assert abs(0.5 * (ts[flips[0]] + ts[flips[0] + 1]) - root) < 1e-9
