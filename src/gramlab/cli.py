@@ -17,7 +17,7 @@ from .errors import (DomainError, GramLabError, ParseError, PreconditionError,
                      ResourceError, UncertifiedRange)
 from .reports import Report, render
 from .theta_gram import gram_points
-from .zeros import ZeroTable, gram_index_for_height
+from .zeros import GRAM_CEILING, ZeroTable, gram_index_for_height
 from .zeta import set_threads
 
 RANGE_SUBDIR = "zrange"
@@ -61,6 +61,9 @@ def main(ctx, cache_dir, threads, fmt, epsilon):
 @click.pass_obj
 def gram(obj, n_lo, n_hi):
     """Gram point heights t_n for n in [n-lo, n-hi]."""
+    if n_hi - n_lo >= GRAM_CEILING:
+        raise ResourceError(f"window of {n_hi - n_lo + 1} gram points exceeds ceiling "
+                            f"{GRAM_CEILING}")
     heights = gram_points(n_hi, n_lo)
     rep = Report(kind="classification")
     for n, t in zip(range(n_lo, n_hi + 1), heights):

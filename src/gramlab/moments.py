@@ -68,6 +68,17 @@ class MomentReport:
     bound_satisfied: bool | None = None
     notes: tuple[str, ...] = ()
 
+    @classmethod
+    def bounded(cls, cfg: MomentConfig, total: int | float, log10_bound: float,
+                notes: tuple[str, ...] = ()) -> "MomentReport":
+        """A report of `total` against the bound 10^log10_bound (inf past float range)."""
+        return cls(config=cfg, sum=total,
+                   bound=10.0 ** log10_bound if log10_bound < 308 else math.inf,
+                   log10_bound=log10_bound,
+                   bound_satisfied=(True if total == 0
+                                    else math.log10(abs(total)) <= log10_bound),
+                   notes=notes)
+
 
 def _int_power_sum(values: np.ndarray, power: int, weights: np.ndarray | None = None) -> int:
     """Exact sum of values**power (times weights) over integer arrays.
@@ -82,16 +93,6 @@ def _int_power_sum(values: np.ndarray, power: int, weights: np.ndarray | None = 
     if values.size * vmax ** power * wmax < 2 ** 63:
         return int(np.sum(np.asarray(values, dtype=np.int64) ** power * weights))
     return sum(int(v) ** power * int(w) for v, w in zip(values.tolist(), weights.tolist()))
-
-
-def _satisfied(total: int | float, log10_bound: float) -> bool:
-    if total == 0:
-        return True
-    return math.log10(abs(total)) <= log10_bound
-
-
-def _finite(log10_bound: float) -> float:
-    return 10.0 ** log10_bound if log10_bound < 308 else math.inf
 
 
 def block_difference_moment(table: ZeroTable, cfg: MomentConfig) -> MomentReport:
@@ -131,9 +132,7 @@ def adjacent_difference_moment(table: ZeroTable, cfg: MomentConfig) -> MomentRep
     k = cfg.k
     log10_bound = (math.log10(2.0 * cfg.M * k)
                    + 2 * k * math.log10(4.0 * k * math.sqrt(cfg.B)))
-    return MomentReport(config=cfg, sum=total, bound=_finite(log10_bound),
-                        log10_bound=log10_bound,
-                        bound_satisfied=_satisfied(total, log10_bound))
+    return MomentReport.bounded(cfg, total, log10_bound)
 
 
 def first_moment(table: ZeroTable, N: int, M: int,
@@ -182,9 +181,7 @@ def alternating_sum(table: ZeroTable, cfg: MomentConfig) -> MomentReport:
                        + math.log10(math.factorial(2 * k) / math.factorial(k))
                        + math.log10(cfg.M) + (k - 0.5) * math.log10(L)
                        - 2 * k * math.log10(2.0 * math.pi))
-    return MomentReport(config=cfg, sum=total, bound=_finite(log10_bound),
-                        log10_bound=log10_bound,
-                        bound_satisfied=_satisfied(total, log10_bound))
+    return MomentReport.bounded(cfg, total, log10_bound)
 
 
 def selberg_delta_moment(table: ZeroTable, N: int, M: int, k: int, parity: str,
@@ -206,9 +203,7 @@ def selberg_delta_moment(table: ZeroTable, N: int, M: int, k: int, parity: str,
     total = _int_power_sum(deltas, 2 * k - 1)
     log10_bound = (9.0 * math.log10(math.e) + k * math.log10(cfg.B * k)
                    + math.log10(M) + (k - 1) * math.log10(L))
-    return MomentReport(config=cfg, sum=total, bound=_finite(log10_bound),
-                        log10_bound=log10_bound,
-                        bound_satisfied=_satisfied(total, log10_bound))
+    return MomentReport.bounded(cfg, total, log10_bound)
 
 
 def titchmarsh_correlation(table: ZeroTable, N: int) -> MomentReport:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .accum import csum, csums
 from .errors import ChecksumMismatch, PreconditionError, ResourceError, VersionMismatch
-from .moments import EPSILON_DEFAULT, MomentConfig, MomentReport, _satisfied, _finite
+from .moments import EPSILON_DEFAULT, MomentConfig, MomentReport
 from .zeros import ZeroTable
 
 SIEVE_CEILING = 10**8
@@ -232,10 +232,7 @@ def residual_moments(table: ZeroTable, N: int, M: int, k: int,
     r_vals = s_vals + v_vals
     total = csum(r_vals ** (2 * k))
     log10_bound = 2 * k * math.log10(cfg.A * math.exp(-4.0) * k) + math.log10(M)
-    return MomentReport(config=cfg, sum=total, bound=_finite(log10_bound),
-                        log10_bound=log10_bound,
-                        bound_satisfied=_satisfied(total, log10_bound),
-                        notes=notes)
+    return MomentReport.bounded(cfg, total, log10_bound, notes)
 
 
 # ---------------------------------------------------------------------------

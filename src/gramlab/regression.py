@@ -37,7 +37,6 @@ class RegressionContext:
     table: ZeroTable
     n_limit: int
     epsilon: float = moments.EPSILON_DEFAULT
-    sieve_limit: int = 10**8
     cache_dir: str | None = None
 
 
@@ -141,8 +140,6 @@ def _vxh_grid(ctx: RegressionContext) -> tuple[bool, str]:
     ok, detail = True, []
     # the points of x in (1e4, 1e6, 1e8) by h in (0.05, 0.1, 0.2, 0.39) with h ln x > 2
     for x, h in ((1e4, 0.39), (1e6, 0.2), (1e6, 0.39), (1e8, 0.2), (1e8, 0.39)):
-        if x > ctx.sieve_limit:
-            continue
         res = primes.v_xh(x, h, cache_dir=ctx.cache_dir)
         detail.append(f"x={x:g},h={h}:dev={res.deviation:.3f}")
         if res.deviation > 1.05:
@@ -252,7 +249,7 @@ def _checks(ctx: RegressionContext, top: int) -> list[tuple]:
          lambda: (0.0 < (frac := float(np.mean(gram_law.delta_array(tab, 1, 100000) == 0))) < 1.0,
                   f"fraction {frac:.4f}")),
         *((f"mertens_sums_x{x}", "sum ln p/p < ln x and reciprocal sum window at x", "", 0,
-           lambda x=x: _mertens(ctx, x)) for x in (10, 1000, 10**6, ctx.sieve_limit)),
+           lambda x=x: _mertens(ctx, x)) for x in (10, 1000, 10**6, primes.SIEVE_CEILING)),
         ("vxh_grid", "V(x;h) within 1.05 of (1/2) ln(h ln x) on the grid", "", 0,
          lambda: _vxh_grid(ctx)),
         ("gram_spacing_bound",

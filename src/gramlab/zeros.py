@@ -12,12 +12,11 @@ cannot be met.  The brackets are then sharpened in lockstep by false position
 with Anderson-Bjorck scaling and a minimum step, from the Z values the scan
 left at their ends: one Z call per pass, on the brackets still wider than
 1e-9, each retiring as it gets there.  The Gram pass and the densification
-evaluate Z directly.  Refinement does too below RS_SWITCH_T, and everywhere
-when the caller passes its own z_eval; otherwise each run of up to
-LOCAL_BRACKETS brackets above RS_SWITCH_T is refined from a Taylor expansion
-of the Riemann-Siegel main sum about each bracket's centre
-(`zeta._hardy_z_local`), which costs one cos+sin pass per bracket in place of
-a full sum per height.
+evaluate Z directly (`zeta.hardy_z_auto`, or the caller's z_eval).  A caller's
+z_eval refines every bracket too; otherwise `zeta.bracket_evaluators` picks
+an evaluator per run of brackets, a Taylor expansion of the Riemann-Siegel
+main sum about each bracket's centre above t = 30, which costs one cos+sin
+pass per bracket in place of a full sum per height.
 
 The trailing edge of a scan stops at the last regular Gram point, so tables
 are built with headroom past the index range the caller needs; that policy
@@ -34,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, ResourceError, UncertifiedRange
 from .theta_gram import gram_points, theta
-from .zeta import LOCAL_BRACKETS, RS_SWITCH_T, _hardy_z_local, hardy_z, hardy_z_many
+from .zeta import bracket_evaluators, hardy_z_auto
 
 # zeros and Gram points closer than this are flagged ambiguous
 AMBIGUITY_TOL = 1e-9
@@ -83,19 +82,6 @@ class ScanDiagnostics:
     refine_heights: list = field(default_factory=list)  # heights per refinement pass
 
 
-def _z_eval_default(ts: np.ndarray) -> np.ndarray:
-    """Z on an array of heights; scalar euler_maclaurin route below t=30."""
-    ts = np.asarray(ts, dtype=float)
-    low = ts < RS_SWITCH_T
-    if not low.any():
-        return hardy_z_many(ts)
-    out = np.empty(ts.shape)
-    out[low] = [hardy_z(float(t)).z for t in ts[low]]
-    if (~low).any():
-        out[~low] = hardy_z_many(ts[~low])
-    return out
-
-
 def near(points: np.ndarray, ts) -> np.ndarray:
     """True where an entry of the ascending `points` lies within AMBIGUITY_TOL of ts."""
     ts = np.asarray(ts, dtype=float)
@@ -139,7 +125,7 @@ class ZeroTable:
               z_eval: Callable[[np.ndarray], np.ndarray] | None = None) -> "ZeroTable":
         if n_max < 1:
             raise DomainError("n_max must be >= 1")
-        direct = z_eval or _z_eval_default
+        direct = z_eval or hardy_z_auto
         gram = gram_points(n_max)
         zg = direct(gram)
         # (-1)^(n-1) Z(t_n) > 0
@@ -151,10 +137,9 @@ class ZeroTable:
         lo, hi, z_lo, z_hi, anchor = _scan(gram, zg, np.nonzero(regular)[0],
                                            direct, diag)
         passes = Z_CALLS - 1 - len(diag.densify_active)
-        if z_eval is not None:
-            _refine(lo, hi, z_lo, z_hi, z_eval, passes, diag)
-        else:
-            _refine_local(lo, hi, z_lo, z_hi, passes, diag)
+        runs = [(0, lo.size, z_eval)] if z_eval else bracket_evaluators(lo, hi)
+        for i, j, run_eval in runs:
+            _refine(lo[i:j], hi[i:j], z_lo[i:j], z_hi[i:j], run_eval, passes, diag)
         zeros = 0.5 * (lo + hi)
         # publish the uniform certified half-width: every final bracket fits
         # inside [t - 1e-9, t + 1e-9], which keeps built and loaded tables
@@ -174,7 +159,7 @@ class ZeroTable:
     def z_values(self) -> np.ndarray:
         """Z at every Gram point, computed on first use for loaded tables."""
         if self.z_gram is None:
-            self.z_gram = _z_eval_default(self.gram)
+            self.z_gram = hardy_z_auto(self.gram)
         return self.z_gram
 
     @property
@@ -349,17 +334,22 @@ def _refine(lo, hi, z_lo, z_hi, z_eval, passes, diag):
     its bracket that holds the sign change, so its width at least halves: a
     bracket ends at most max(REFINE_WIDTH, width / 2^passes) wide, and no row
     gives up the secant step.  Narrows lo and hi in place; the working state
-    is compacted in place to the unfinished rows after every pass.
+    is compacted in place to the unfinished rows after every pass.  Each
+    pass adds its rows and heights into diag by pass index, so runs of
+    brackets refined one after another keep one tally.
     """
     row = np.nonzero(hi - lo > REFINE_WIDTH)[0]
     a, b, fa, fb = lo[row], hi[row], z_lo[row], z_hi[row]
     s = -np.sign(fb).astype(np.int8)            # sign of Z at lo
     last = np.zeros(row.size, dtype=np.int8)    # end x replaced last pass: +1 a, -1 b
-    for passes_left in range(passes, 0, -1):
+    for k, passes_left in enumerate(range(passes, 0, -1)):
         if not row.size:
             break
         n = row.size
-        diag.refine_active.append(n)
+        if k == len(diag.refine_active):
+            diag.refine_active.append(0)
+            diag.refine_heights.append(0)
+        diag.refine_active[k] += n
         pair = np.nonzero(b - a > REFINE_WIDTH * 2.0 ** (passes_left - 1))[0]
         ts = np.empty(n + pair.size)            # the secant points, then the midpoints
         x = ts[:n]
@@ -370,7 +360,7 @@ def _refine(lo, hi, z_lo, z_hi, z_eval, passes, diag):
         ts = ts[:n + pair.size]
         ts[n:] = mid[fresh]
         mid = ts[n:]
-        diag.refine_heights.append(int(ts.size))
+        diag.refine_heights[k] += int(ts.size)
         fx = z_eval(ts)
         fx, fm = fx[:n], fx[n:]
         left = np.sign(fx) == s                 # x replaces the lo end
@@ -397,26 +387,6 @@ def _refine(lo, hi, z_lo, z_hi, z_eval, passes, diag):
         row, a, b, fa, fb, s, last = (v[:keep.size]
                                       for v in (row, a, b, fa, fb, s, last))
     lo[row], hi[row] = a, b
-
-
-def _refine_local(lo, hi, z_lo, z_hi, passes, diag):
-    """_refine of the brackets below RS_SWITCH_T through _z_eval_default, then of
-    each run of LOCAL_BRACKETS above it through that run's own expansion.
-
-    diag sums each pass's rows and heights across the runs.
-    """
-    low = int(np.searchsorted(lo, RS_SWITCH_T))
-    runs = [(0, low)] + [(i, min(i + LOCAL_BRACKETS, lo.size))
-                         for i in range(low, lo.size, LOCAL_BRACKETS)]
-    for i, j in runs:
-        z_eval = _z_eval_default if j <= low else _hardy_z_local(lo[i:j], hi[i:j])
-        part = ScanDiagnostics()
-        _refine(lo[i:j], hi[i:j], z_lo[i:j], z_hi[i:j], z_eval, passes, part)
-        for total, add in ((diag.refine_active, part.refine_active),
-                           (diag.refine_heights, part.refine_heights)):
-            total.extend([0] * (len(add) - len(total)))
-            for k, v in enumerate(add):
-                total[k] += v
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ M_k = sum_n n^(-1/2) e^(i(theta(c) - c ln n)) (ln n)^k / k!, taken once per
 bracket, Z(c + h) = 2 Re[e^(i(theta(c+h) - theta(c))) sum_{k<=K} M_k (-ih)^k]
 plus the same C_0..C_4 correction at c + h.  The Taylor tail is at most
 2 sum_n n^(-1/2) x^(K+1)/(K+1)! e^x with x = max|h| ln N, and K is the least
-order that holds it to 1e-13.
+order that holds it to 1e-13.  `bracket_evaluators` picks the evaluator of
+each run of brackets: `hardy_z_auto` below RS_SWITCH_T, an expansion per run
+of LOCAL_BRACKETS above it.
 
 The scalar Euler-Maclaurin path accumulates with math.fsum.  Riemann-Siegel
 has one implementation, the vectorized one (a scalar t is a 1-element array);
@@ -38,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PrecisionError, PreconditionError
-from .theta_gram import T_MIN, _theta_raw, theta_many
+from .theta_gram import T_MIN, theta, theta_many
 
 TWO_PI = 2.0 * math.pi
 
@@ -167,6 +169,7 @@ def rs_err_bound(t) -> np.ndarray:
 # Riemann-Siegel evaluation
 
 _THREADS = 1
+_Z_CHUNK = 4096  # heights per hardy_z_many work unit
 
 
 def set_threads(n: int) -> None:
@@ -202,10 +205,10 @@ def _rs_remainder(t: np.ndarray, N: np.ndarray, p: np.ndarray) -> np.ndarray:
         * (c0 + q * (c1 + q * (c2 + q * (c3 + q * c4))))
 
 
-def hardy_z_many(ts: np.ndarray, chunk: int = 4096) -> np.ndarray:
+def hardy_z_many(ts: np.ndarray) -> np.ndarray:
     """Vectorized Riemann-Siegel Z over an array with all t >= RS_MIN_T.
 
-    Chunk boundaries are fixed by `chunk` alone, and each worker writes its
+    Chunk boundaries are fixed by _Z_CHUNK alone, and each worker writes its
     own output slice, so results are byte-identical at any thread count.
     """
     ts = np.asarray(ts, dtype=float)
@@ -214,7 +217,7 @@ def hardy_z_many(ts: np.ndarray, chunk: int = 4096) -> np.ndarray:
     if float(ts.min()) < RS_MIN_T:
         raise DomainError("hardy_z_many requires all t >= 10")
     out = np.empty(ts.shape)
-    spans = [(i, min(i + chunk, ts.size)) for i in range(0, ts.size, chunk)]
+    spans = [(i, min(i + _Z_CHUNK, ts.size)) for i in range(0, ts.size, _Z_CHUNK)]
     if _THREADS > 1 and len(spans) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -436,7 +439,7 @@ def _theta_exact(t: float) -> float:
 
 
 def _theta_value(t: float) -> float:
-    return float(_theta_raw(t)) if t >= T_MIN else _theta_exact(t)
+    return theta(t).value if t >= T_MIN else _theta_exact(t)
 
 
 def _hardy_z_em_scalar(t: float):
@@ -467,6 +470,38 @@ def hardy_z(t: float, method: str = "auto") -> ZEval:
         z, bound = _hardy_z_em_scalar(t)
         return ZEval(t=float(t), z=z, err_bound=bound + 1e-12, method=method)
     raise DomainError(f"unknown method {method!r}")
+
+
+def hardy_z_auto(ts: np.ndarray) -> np.ndarray:
+    """Z on an array of heights by the route hardy_z's "auto" takes.
+
+    The scalar Euler-Maclaurin route below RS_SWITCH_T, hardy_z_many above.
+    """
+    ts = np.asarray(ts, dtype=float)
+    low = ts < RS_SWITCH_T
+    if not low.any():
+        return hardy_z_many(ts)
+    out = np.empty(ts.shape)
+    out[low] = [hardy_z(float(t)).z for t in ts[low]]
+    if (~low).any():
+        out[~low] = hardy_z_many(ts[~low])
+    return out
+
+
+def bracket_evaluators(lo: np.ndarray, hi: np.ndarray):
+    """(i, j, z_eval) for refining the disjoint ascending brackets [lo, hi].
+
+    Runs cover the brackets in order: those below RS_SWITCH_T take
+    hardy_z_auto, and each later run of up to LOCAL_BRACKETS takes its own
+    _hardy_z_local.  An expansion is made only when its run is reached, so
+    one run's moments are held at a time; the caller may narrow a run's
+    brackets in place once its evaluator is made.
+    """
+    low = int(np.searchsorted(lo, RS_SWITCH_T))
+    yield 0, low, hardy_z_auto
+    for i in range(low, lo.size, LOCAL_BRACKETS):
+        j = min(i + LOCAL_BRACKETS, lo.size)
+        yield i, j, _hardy_z_local(lo[i:j], hi[i:j])
 
 
 def zeta_half_line(t: float) -> ZetaHalfLine:

@@ -238,9 +238,9 @@ def test_c11_prime_sum_grid():
     assert ok
 
 
-def test_c12_determinism(table_small):
+def test_c12_determinism(table_small, cache_dir):
     ctx = regression.RegressionContext(table=table_small, n_limit=1200,
-                                       sieve_limit=10**6)
+                                       cache_dir=str(cache_dir))
     rep1 = regression.run_paper_regression(ctx)
     rep2 = regression.run_paper_regression(ctx)
     ok = (to_csv(rep1) == to_csv(rep2)) and (to_json(rep1) == to_json(rep2))
@@ -249,15 +249,16 @@ def test_c12_determinism(table_small):
     assert regression.exit_code(rep1) == 0
 
 
-# to_json of the n_limit = 1e5 run on table_full, checked in so that every row
-# above n = 1200 (Titchmarsh counts through the 1e5 offset statistics) is
-# pinned byte for byte, not only its status
+# stdout of `--format json verify-paper --n-limit 100000` on table_full's
+# range, checked in so that every row above n = 1200 (Titchmarsh counts
+# through the 1e5 offset statistics and the sums to 1e8) is pinned byte for
+# byte, not only its status; the in-process run renders the same bytes
 _VERIFY_PAPER_1E5 = Path(__file__).parent / "data" / "verify_paper_1e5.json"
 
 
-def test_c12_rows_through_1e5_pinned(table_full):
+def test_c12_rows_through_1e5_pinned(table_full, cache_dir):
     ctx = regression.RegressionContext(table=table_full, n_limit=100000,
-                                       sieve_limit=10**6)
+                                       cache_dir=str(cache_dir))
     out = to_json(regression.run_paper_regression(ctx))
     ok = out == _VERIFY_PAPER_1E5.read_text()
     _line("C12", ok, "verification rows through n = 1e5 match the pinned report")

@@ -114,9 +114,9 @@ def test_nu_identities_property(table_small, N):
     assert h.identity_total() and h.identity_weighted() and h.identity_empty()
 
 
-def test_broken_nu_identity_fails_its_row_only(table_small, monkeypatch):
+def test_broken_nu_identity_fails_its_row_only(table_small, cache_dir, monkeypatch):
     ctx = regression.RegressionContext(table=table_small, n_limit=1200,
-                                       sieve_limit=10**6)
+                                       cache_dir=str(cache_dir))
     good = regression.run_paper_regression(ctx).rows
     counts = gl.interval_counts
 
@@ -133,11 +133,11 @@ def test_broken_nu_identity_fails_its_row_only(table_small, monkeypatch):
         == [("nu_identities", "pass", "fail", "first failure at N = 1000")]
 
 
-def test_broken_occupancy_fails_empty_count_identity(table_full, monkeypatch):
+def test_broken_occupancy_fails_empty_count_identity(table_full, cache_dir, monkeypatch):
     # M1 comes from interval occupancy and r(n) from S at Gram points, so
     # occupancy that disagrees with S fails the row
     ctx = regression.RegressionContext(table=table_full, n_limit=11000,
-                                       sieve_limit=10**6)
+                                       cache_dir=str(cache_dir))
     counts = gl.interval_counts
 
     def broken(table, n_lo, n_hi):

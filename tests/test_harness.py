@@ -246,6 +246,25 @@ def test_cli_index_past_the_table_ceiling_exits_2(tmp_path, monkeypatch, capsys)
     assert not (tmp_path / "cache").exists()
 
 
+def test_cli_gram_window_past_the_ceiling_exits_2(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "gram_points", lambda *a: calls.append(a))
+    monkeypatch.setattr(sys, "argv", ["gramlab", "gram", "--n-hi", "1000000000"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 2
+    assert "exceeds ceiling" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_cli_gram_high_window():
+    r = CliRunner().invoke(cli.main, ["gram", "--n-lo", "250000000", "--n-hi", "250010000"])
+    assert r.exit_code == 0, r.output
+    lines = r.output.splitlines()
+    assert len(lines) == 1 + 10001
+    assert lines[1].startswith("250000000,") and lines[-1].startswith("250010000,")
+
+
 def test_cli_zeros_uses_cache(tmp_path):
     cache = tmp_path / "cache"
     r = _run_cli(["--cache-dir", str(cache), "zeros", "--t-lo", "8", "--t-hi", "50"],
@@ -281,6 +300,13 @@ def test_cli_verify_paper_deterministic(tmp_path):
     payload = json.loads(r1.stdout)
     statuses = {row["status"] for row in payload["rows"]}
     assert statuses <= {"pass", "skip"}
+
+
+def test_cli_verify_paper_1e5_pinned(cli_cache_dir, tmp_path):
+    r = _run_cli(["--format", "json", "--cache-dir", str(cli_cache_dir), "verify-paper",
+                  "--n-limit", "100000"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (Path(__file__).parent / "data" / "verify_paper_1e5.json").read_text()
 
 
 def test_cli_verify_paper_n_limit_floor(tmp_path):

@@ -223,7 +223,7 @@ def test_build_evaluates_each_height_once():
 
     def counter(ts):
         calls.append(np.array(ts, dtype=float))
-        return zr._z_eval_default(ts)
+        return zr.hardy_z_auto(ts)
 
     table = ZeroTable.build(2000, z_eval=counter)
     heights = np.concatenate(calls)
@@ -233,7 +233,7 @@ def test_build_evaluates_each_height_once():
     assert len(calls) <= 1 + zr.DEPTH_CAP + 32
     # an injected z_eval refines through itself: the counter sees every height
     assert np.array_equal(table.zeros,
-                          ZeroTable.build(2000, z_eval=zr._z_eval_default).zeros)
+                          ZeroTable.build(2000, z_eval=zr.hardy_z_auto).zeros)
 
 
 def test_build_refinement_counts():
@@ -246,7 +246,7 @@ def test_build_refinement_counts():
 
     def counter(ts):
         calls.append(np.asarray(ts).size)
-        return zr._z_eval_default(ts)
+        return zr.hardy_z_auto(ts)
 
     table = ZeroTable.build(20000, z_eval=counter)
     diag = table.diagnostics
@@ -258,7 +258,7 @@ def test_build_refinement_counts():
 @pytest.fixture(scope="module")
 def default_and_direct_20000():
     """build(20000) refined by expansion, and by the direct kernel passed in."""
-    return ZeroTable.build(20000), ZeroTable.build(20000, z_eval=zr._z_eval_default)
+    return ZeroTable.build(20000), ZeroTable.build(20000, z_eval=zr.hardy_z_auto)
 
 
 def test_build_local_refinement_counts(default_and_direct_20000):
@@ -295,7 +295,7 @@ def test_table_ceiling_refuses_before_building(monkeypatch, tmp_path):
     assert not (tmp_path / "zrange").exists()
 
 
-def _hide_g128(default=zr._z_eval_default):
+def _hide_g128(default=zr.hardy_z_auto):
     """Z with G_128's two zeros hidden: the block (126, 128) cannot meet its quota."""
     t127, t128 = gram_points(128, 127)
 
@@ -319,7 +319,7 @@ def test_certified_table_builds_once_and_names_the_failed_block(monkeypatch):
         assert len(builds) == 1, f"rebuilt at {builds}"
         return build(cls, n_max, z_eval)
 
-    monkeypatch.setattr(zr, "_z_eval_default", _hide_g128())
+    monkeypatch.setattr(zr, "hardy_z_auto", _hide_g128())
     monkeypatch.setattr(ZeroTable, "build", classmethod(capped_build))
     with pytest.raises(UncertifiedRange, match=r"\(126, 128\)"):
         zr.certified_table(200)

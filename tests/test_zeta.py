@@ -70,10 +70,10 @@ def test_vectorized_matches_scalar():
 
 def test_thread_count_does_not_change_results():
     ts = np.linspace(15.0, 20000.0, 9000)
-    one = zt.hardy_z_many(ts, chunk=1024)
+    one = zt.hardy_z_many(ts)
     try:
         zt.set_threads(3)
-        three = zt.hardy_z_many(ts, chunk=1024)
+        three = zt.hardy_z_many(ts)
     finally:
         zt.set_threads(1)
     assert np.array_equal(one, three)
