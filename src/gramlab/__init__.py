@@ -13,7 +13,7 @@ from .errors import (ChecksumMismatch, ConvergenceError, DomainError,
                      VersionMismatch)
 from .theta_gram import (GramPoint, ThetaEval, gram_point, gram_points,
                     gram_spacing_report, theta, theta_derivative)
-from .zeta import (ZEval, ZetaHalfLine, hardy_z, hardy_z_many, set_threads,
+from .zeta import (ZEval, ZetaHalfLine, hardy_z, hardy_z_many,
                    zeta_euler_maclaurin, zeta_half_line)
 from .zeros import (CountResult, CriticalZero, ZeroTable, certified_table,
                     completeness_certificate, count_zeros, find_zeros,

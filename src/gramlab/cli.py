@@ -18,7 +18,6 @@ from .errors import (DomainError, GramLabError, ParseError, PreconditionError,
 from .reports import Report, render
 from .theta_gram import gram_points
 from .zeros import GRAM_CEILING, ZeroTable, gram_index_for_height
-from .zeta import set_threads
 
 RANGE_SUBDIR = "zrange"
 
@@ -43,15 +42,15 @@ def _emit(ctx_obj, report: Report) -> None:
 @click.group()
 @click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
               help="directory for persisted ranges and sieve caches")
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=click.IntRange(1, 1), default=1, show_default=True,
+              expose_value=False, help="Z is evaluated on one thread; only 1 is accepted")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--epsilon", type=float, default=moments.EPSILON_DEFAULT,
               show_default=True, help="epsilon parameter in (0, 1e-3)")
 @click.pass_context
-def main(ctx, cache_dir, threads, fmt, epsilon):
+def main(ctx, cache_dir, fmt, epsilon):
     """Numerical laboratory for Gram points, Hardy Z zeros, and Gram's law."""
-    set_threads(threads)
     ctx.obj = {"cache_dir": cache_dir, "format": fmt, "epsilon": epsilon}
 
 

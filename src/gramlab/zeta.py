@@ -168,14 +168,7 @@ def rs_err_bound(t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Riemann-Siegel evaluation
 
-_THREADS = 1
-_Z_CHUNK = 4096  # heights per hardy_z_many work unit
-
-
-def set_threads(n: int) -> None:
-    """Worker count for range evaluation; results are identical at any n."""
-    global _THREADS
-    _THREADS = max(1, int(n))
+_Z_CHUNK = 4096  # heights per _hardy_z_chunk call in hardy_z_many
 
 
 def _hardy_z_chunk(seg: np.ndarray) -> np.ndarray:
@@ -208,8 +201,7 @@ def _rs_remainder(t: np.ndarray, N: np.ndarray, p: np.ndarray) -> np.ndarray:
 def hardy_z_many(ts: np.ndarray) -> np.ndarray:
     """Vectorized Riemann-Siegel Z over an array with all t >= RS_MIN_T.
 
-    Chunk boundaries are fixed by _Z_CHUNK alone, and each worker writes its
-    own output slice, so results are byte-identical at any thread count.
+    Evaluated in slices of _Z_CHUNK heights, which bounds the phase buffer.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
@@ -217,17 +209,8 @@ def hardy_z_many(ts: np.ndarray) -> np.ndarray:
     if float(ts.min()) < RS_MIN_T:
         raise DomainError("hardy_z_many requires all t >= 10")
     out = np.empty(ts.shape)
-    spans = [(i, min(i + _Z_CHUNK, ts.size)) for i in range(0, ts.size, _Z_CHUNK)]
-    if _THREADS > 1 and len(spans) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=_THREADS) as pool:
-            for (i, j), res in zip(spans, pool.map(
-                    lambda ij: _hardy_z_chunk(ts[ij[0] : ij[1]]), spans)):
-                out[i:j] = res
-    else:
-        for i, j in spans:
-            out[i:j] = _hardy_z_chunk(ts[i:j])
+    for i in range(0, ts.size, _Z_CHUNK):
+        out[i : i + _Z_CHUNK] = _hardy_z_chunk(ts[i : i + _Z_CHUNK])
     return out
 
 
@@ -425,29 +408,12 @@ def zeta_euler_maclaurin(sigma: float, t: float, target_err: float = 1e-12):
         f"euler_maclaurin cannot reach target_err={target_err:g} at s={s} in binary64")
 
 
-def _theta_exact(t: float) -> float:
-    """Phase of pi^(-s/2) Gamma(s/2) at s = 1/2 + i t, any t > 0.
-
-    Cold path for t below the asymptotic-series floor; one mpmath call.
-    """
-    import mpmath
-
-    with mpmath.workdps(30):
-        val = mpmath.im(mpmath.loggamma(mpmath.mpf(1) / 4 + 0.5j * mpmath.mpf(t))) \
-            - mpmath.mpf(t) / 2 * mpmath.log(mpmath.pi)
-        return float(val)
-
-
-def _theta_value(t: float) -> float:
-    return theta(t).value if t >= T_MIN else _theta_exact(t)
-
-
 def _hardy_z_em_scalar(t: float):
     # keep the target above the phase-rounding floor at this height
     ln_n = math.log(max(0.75 * t, 24.0))
     floor = 8.0 * 2.22e-16 * (1.0 + t * math.sqrt(ln_n ** 3 / 3.0))
     zeta_val, bound = zeta_euler_maclaurin(0.5, t, max(1e-11, 4.0 * floor))
-    th = _theta_value(t)
+    th = theta(t).value
     z = (complex(math.cos(th), math.sin(th)) * zeta_val).real
     return z, bound
 
@@ -456,9 +422,9 @@ def _hardy_z_em_scalar(t: float):
 # Public operations
 
 def hardy_z(t: float, method: str = "auto") -> ZEval:
-    """Hardy's Z(t) = e^{i theta(t)} zeta(1/2 + i t), real for real t."""
-    if not t > 0:
-        raise DomainError(f"hardy_z requires t > 0, got {t}")
+    """Hardy's Z(t) = e^{i theta(t)} zeta(1/2 + i t), real for real t >= T_MIN."""
+    if not t >= T_MIN:
+        raise DomainError(f"hardy_z requires t >= {T_MIN}, got {t}")
     if method == "auto":
         method = "riemann_siegel" if t >= RS_SWITCH_T else "euler_maclaurin"
     if method == "riemann_siegel":
@@ -506,8 +472,8 @@ def bracket_evaluators(lo: np.ndarray, hi: np.ndarray):
 
 def zeta_half_line(t: float) -> ZetaHalfLine:
     """A(t) = Re zeta(1/2+it) and B(t) = Im zeta(1/2+it) via Z and theta."""
-    if not t > 0:
-        raise DomainError(f"zeta_half_line requires t > 0, got {t}")
+    if not t >= T_MIN:
+        raise DomainError(f"zeta_half_line requires t >= {T_MIN}, got {t}")
     ze = hardy_z(t)
-    th = _theta_value(t)
+    th = theta(t).value
     return ZetaHalfLine(t=float(t), a=ze.z * math.cos(th), b=-ze.z * math.sin(th))

@@ -18,10 +18,10 @@ def _digest(*names: str) -> str:
 
 
 # persisted across pytest runs and keyed by the modules that decide a table's
-# Gram points and zeros, so a change to them rebuilds; delete the directory to
-# force a rebuild
-CACHE_ROOT = (Path(tempfile.gettempdir())
-              / f"gramlab-test-cache-{_digest('theta_gram.py', 'zeta.py', 'zeros.py')}")
+# Gram points and zeros and the format it is stored in, so a change to them
+# rebuilds; delete the directory to force a rebuild
+CACHE_ROOT = (Path(tempfile.gettempdir()) / "gramlab-test-cache-"
+              f"{_digest('theta_gram.py', 'zeta.py', 'zeros.py', 'store.py')}")
 
 
 def _cached_table(n_max: int) -> ZeroTable:

@@ -213,20 +213,21 @@ def test_c10_offset_second_moment_band(table_full):
     assert ok
 
 
-def test_c11_prime_sum_grid():
+def test_c11_prime_sum_grid(tmp_path):
+    # a fresh sieve cache: the first 1e8 call sieves and fills it, the rest load
     t0 = time.perf_counter()
     grid_ok = True
     for x in (1e4, 1e6, 1e8):
         for h in (0.05, 0.1, 0.2, 0.39):
             try:
-                res = pr.v_xh(x, h)
+                res = pr.v_xh(x, h, cache_dir=tmp_path)
             except Exception:
                 continue  # outside the h ln x > 2 precondition
             if res.deviation > 1.05:
                 grid_ok = False
     lemma1_ok = True
     for x in (2, 10, 1000, 10**6, 10**8):
-        lp, rp = pr.mertens_sums(x)
+        lp, rp = pr.mertens_sums(x, cache_dir=tmp_path)
         theta = (rp - math.log(math.log(x)) - regression.MERTENS_CONSTANT) \
             * math.log(x) ** 2
         if not (lp < math.log(x) and -0.5 < theta < 1.0):

@@ -104,6 +104,32 @@ def test_zero_above_last_gram_point_detected(table_small, tmp_path):
         store.load_range(tmp_path / "rng")
 
 
+@pytest.mark.parametrize("name, line", [("gram.csv", 1), ("zeros.csv", 3)])
+def test_malformed_csv_is_a_parse_error(table_small, tmp_path, monkeypatch, capsys,
+                                        name, line):
+    # a bad header or a bad row, with the manifest checksum taken over the bad bytes
+    rng = tmp_path / "cache" / "zrange"
+    store.save_range(table_small, rng)
+    path = rng / name
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line - 1] = "idx,t\n" if line == 1 else lines[line - 1].replace(",", ",x")
+    path.write_text("".join(lines))
+    mpath = rng / "manifest.json"
+    data = json.loads(mpath.read_text())
+    data["checksum"] = store._digest((rng / "gram.csv").read_bytes(),
+                                     (rng / "zeros.csv").read_bytes())
+    mpath.write_text(json.dumps(data))
+    with pytest.raises(ParseError, match=name) as exc:
+        store.load_range(rng)
+    assert exc.value.line == line
+    monkeypatch.setattr(sys, "argv", ["gramlab", "--cache-dir", str(rng.parent),
+                                      "classify", "--n-lo", "1", "--n-hi", "5"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 2
+    assert name in capsys.readouterr().err
+
+
 def test_heights_roundtrip_binary64(table_small, tmp_path):
     store.save_range(table_small, tmp_path / "rng")
     text = (tmp_path / "rng" / "zeros.csv").read_text()
@@ -139,10 +165,24 @@ def test_ingest_descending_rejected(table_small, tmp_path):
 
 def test_ingest_garbage_line_number(table_small, tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("14.13\nnot-a-number\n")
-    with pytest.raises(ParseError) as exc:
-        ing.ingest_external_table(path, table_small)
-    assert exc.value.line == 2
+    for bad in ("not-a-number", "nan", "inf"):
+        path.write_text(f"14.13\n{bad}\n")
+        with pytest.raises(ParseError) as exc:
+            ing.ingest_external_table(path, table_small)
+        assert exc.value.line == 2
+
+
+def test_ingest_unmatched_on_both_sides(table_small, tmp_path):
+    # the first ten zeros less the fifth, plus one ordinate midway between
+    # the seventh and eighth: one unmatched on each side, nine matched
+    zs = table_small.zeros
+    ext = np.sort(np.r_[np.delete(zs[:10], 4), 0.5 * (zs[6] + zs[7])])
+    path = tmp_path / "ext.txt"
+    path.write_text("\n".join(f"{t:.6f}" for t in ext) + "\n")
+    rep = ing.ingest_external_table(path, table_small)
+    assert (rep.matched, rep.unmatched_external, rep.unmatched_computed) \
+        == (9, 1, zs.size - 9)
+    assert (rep.external_count, rep.computed_count) == (10, zs.size)
 
 
 def test_ingest_comments_and_blanks(table_small, tmp_path):
@@ -255,6 +295,14 @@ def test_cli_gram_window_past_the_ceiling_exits_2(monkeypatch, capsys):
     assert exc.value.code == 2
     assert "exceeds ceiling" in capsys.readouterr().err
     assert calls == []
+
+
+def test_cli_threads_other_than_one_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["gramlab", "--threads", "2", "gram", "--n-hi", "1"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_cli_gram_high_window():
