@@ -11,12 +11,12 @@ certified anchor: the last regular Gram point below any block whose quota
 cannot be met.  The brackets are then sharpened in lockstep by false position
 with Anderson-Bjorck scaling and a minimum step, from the Z values the scan
 left at their ends: one Z call per pass, on the brackets still wider than
-1e-9, each retiring as it gets there.  The Gram pass and the densification
-evaluate Z directly (`zeta.hardy_z_auto`, or the caller's z_eval).  A caller's
-z_eval refines every bracket too; otherwise `zeta.bracket_evaluators` picks
-an evaluator per run of brackets, a Taylor expansion of the Riemann-Siegel
-main sum about each bracket's centre above t = 30, which costs one cos+sin
-pass per bracket in place of a full sum per height.
+1e-9, each retiring as it gets there.  A build streams these stages over
+runs of `zeta.LOCAL_BRACKETS` Gram points, each with one evaluator: the
+caller's z_eval, or `zeta.hardy_z_local`, a Taylor expansion of the
+Riemann-Siegel main sum about every Gram point of the run whose one cos+sin
+pass per Gram point also gives Z there.  The next run starts at the last
+anchor the previous one certified, so a block open at a run's end is carried.
 
 The trailing edge of a scan stops at the last regular Gram point, so tables
 are built with headroom past the index range the caller needs; that policy
@@ -33,18 +33,17 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, ResourceError, UncertifiedRange
 from .theta_gram import gram_points, theta
-from .zeta import bracket_evaluators, hardy_z_auto
+from . import zeta
 
 # zeros and Gram points closer than this are flagged ambiguous
 AMBIGUITY_TOL = 1e-9
 # final bracket half-width
 BRACKET_HALF_WIDTH = 1e-9
 DEPTH_CAP = 6  # up to 2^6 = 64 segments per Gram interval
-# a bound on the Z calls per build with one z_eval, not the typical count (22
-# for build(100030)): the Gram pass, one per densification depth, and at
-# least 32 refinement passes, as halving alone takes G_1, the widest bracket,
-# to 2e-9 in 32.  The default build refines each run of brackets through its
-# own evaluator, in as many passes as densification left of this budget.
+# a bound on the Z calls per run of a build, not the typical count (at most
+# 21 a run for build(100030)): the Gram call, one per densification depth, and
+# at least 32 refinement passes, as halving alone takes G_1, the widest
+# bracket, to 2e-9 in 32.  Refinement takes what densification left.
 Z_CALLS = 1 + DEPTH_CAP + 32
 # refinement retires a bracket this narrow; its midpoint is the zero
 REFINE_WIDTH = 1e-9
@@ -93,14 +92,6 @@ def near(points: np.ndarray, ts) -> np.ndarray:
     return (np.abs(below - ts) < AMBIGUITY_TOL) | (np.abs(above - ts) < AMBIGUITY_TOL)
 
 
-def _signs(z: np.ndarray) -> np.ndarray:
-    """Sign array treating exact zeros as carrying the left neighbor's sign."""
-    s = np.sign(z).astype(np.int8)
-    for i in np.nonzero(s == 0)[0]:
-        s[i] = s[i - 1] if i > 0 else 1
-    return s
-
-
 class ZeroTable:
     """Gram points 0..certified_n, their Z values, and the zeros below the last.
 
@@ -125,27 +116,32 @@ class ZeroTable:
               z_eval: Callable[[np.ndarray], np.ndarray] | None = None) -> "ZeroTable":
         if n_max < 1:
             raise DomainError("n_max must be >= 1")
-        direct = z_eval or hardy_z_auto
         gram = gram_points(n_max)
-        zg = direct(gram)
-        # (-1)^(n-1) Z(t_n) > 0
-        regular = np.where(np.arange(gram.size) % 2 == 1, zg, -zg) > 0.0
+        zg = np.empty(gram.size)
         diag = ScanDiagnostics()
-        if not regular[0]:
-            raise UncertifiedRange("no regular anchor at the base of the range")
-
-        lo, hi, z_lo, z_hi, anchor = _scan(gram, zg, np.nonzero(regular)[0],
-                                           direct, diag)
-        passes = Z_CALLS - 1 - len(diag.densify_active)
-        runs = [(0, lo.size, z_eval)] if z_eval else bracket_evaluators(lo, hi)
-        for i, j, run_eval in runs:
-            _refine(lo[i:j], hi[i:j], z_lo[i:j], z_hi[i:j], run_eval, passes, diag)
-        zeros = 0.5 * (lo + hi)
+        parts = []
+        a = known = 0           # the run's first Gram index; Gram points with Z so far
+        while known < gram.size:
+            b = min(known + zeta.LOCAL_BRACKETS, gram.size)
+            run_eval = z_eval or zeta.hardy_z_local(gram[a:b])
+            zg[known:b] = z_eval(gram[known:b]) if z_eval else run_eval.at_centres[known - a:]
+            known = b
+            # (-1)^(n-1) Z(t_n) > 0
+            regular = np.where(np.arange(a, b) % 2 == 1, zg[a:b], -zg[a:b]) > 0.0
+            if not regular[0]:
+                raise UncertifiedRange("no regular anchor at the base of the range")
+            anchors = a + np.nonzero(regular)[0]
+            lo, hi, z_lo, z_hi, a, depths = _scan(gram, zg, anchors, run_eval, diag)
+            _refine(lo, hi, z_lo, z_hi, run_eval, Z_CALLS - 1 - depths, diag)
+            parts.append(0.5 * (lo + hi))
+            if a < anchors[-1]:
+                break                   # a block that cannot meet its quota
+        zeros = np.concatenate(parts)
         # publish the uniform certified half-width: every final bracket fits
         # inside [t - 1e-9, t + 1e-9], which keeps built and loaded tables
         # byte-identical in reports
         half = np.full(zeros.size, BRACKET_HALF_WIDTH)
-        return cls(gram[: anchor + 1], zg[: anchor + 1], zeros, half, diag)
+        return cls(gram[: a + 1], zg[: a + 1], zeros, half, diag)
 
     @classmethod
     def from_arrays(cls, gram: np.ndarray, zeros: np.ndarray) -> "ZeroTable":
@@ -159,7 +155,7 @@ class ZeroTable:
     def z_values(self) -> np.ndarray:
         """Z at every Gram point, computed on first use for loaded tables."""
         if self.z_gram is None:
-            self.z_gram = hardy_z_auto(self.gram)
+            self.z_gram = zeta.hardy_z_auto(self.gram)
         return self.z_gram
 
     @property
@@ -239,27 +235,32 @@ def _scan(gram, zg, anchors, z_eval, diag):
     only: the even columns are the previous grid bit for bit, and the Gram
     points carry `zg`.  A block retires once its flips reach its quota; flips
     never drop under subdivision, so an overshoot can only fail.  Returns
-    (lo, hi, Z at lo, Z at hi, anchor), cut at the Gram index `anchor`: the
-    lower end of the first block unmet at DEPTH_CAP, or the last anchor.
-    Z at hi is never an exact zero: one would carry lo's sign.
+    (lo, hi, Z at lo, Z at hi, anchor, depths), cut at the Gram index
+    `anchor`: the lower end of the first block unmet at DEPTH_CAP, or the last
+    anchor; depths counts the z_eval calls.  Z at hi is never an exact zero:
+    one would carry lo's sign.  Runs scanned one after another add into diag.
     """
     quota = np.diff(anchors)
     rows = np.arange(anchors[0], anchors[-1])       # left Gram index per row
     block = np.repeat(np.arange(quota.size), quota)
-    signs = _signs(zg)
-    grid = np.stack([signs[rows], signs[rows + 1]], axis=1)
+    signs = np.sign(zg[anchors[0] : anchors[-1] + 1]).astype(np.int8)
+    for i in np.nonzero(signs == 0)[0]:             # never the first: it is regular
+        signs[i] = signs[i - 1]                     # an exact zero takes its left sign
+    grid = np.stack([signs[:-1], signs[1:]], axis=1)
     zgrid = np.stack([zg[rows], zg[rows + 1]], axis=1)
     met_at = np.full(quota.size, -1)
     found = []
     for depth in range(DEPTH_CAP + 1):
         ts = np.linspace(gram[rows], gram[rows + 1], (1 << depth) + 1, axis=1)
         if depth:
-            diag.densify_active.append(int(rows.size))
+            if depth > len(diag.densify_active):
+                diag.densify_active.append(0)
+            diag.densify_active[depth - 1] += int(rows.size)
             z = z_eval(ts[:, 1::2].ravel()).reshape(rows.size, -1)
             s = np.sign(z)
             finer = np.empty(ts.shape, dtype=np.int8)
             finer[:, ::2] = grid
-            # an exact zero carries its left neighbour's sign, as in _signs
+            # an exact zero carries its left neighbour's sign, as at Gram points
             finer[:, 1::2] = np.where(s == 0, grid[:, :-1], s)
             zfiner = np.empty(ts.shape)
             zfiner[:, ::2] = zgrid
@@ -281,13 +282,13 @@ def _scan(gram, zg, anchors, z_eval, diag):
     cut = int(unmet[0]) if unmet.size else quota.size
     if unmet.size:
         diag.failed_blocks.append((int(anchors[cut]), int(anchors[cut + 1])))
-    diag.blocks = min(cut + 1, quota.size)
-    diag.densified_blocks = int(np.count_nonzero(met_at[:cut] > 0))
-    diag.max_depth = int(met_at[:cut].max(initial=0))
+    diag.blocks += min(cut + 1, quota.size)
+    diag.densified_blocks += int(np.count_nonzero(met_at[:cut] > 0))
+    diag.max_depth = max(diag.max_depth, int(met_at[:cut].max(initial=0)))
     lo, hi, z_lo, z_hi = (np.concatenate(a) for a in zip(*found))
     order = np.argsort(lo)
     order = order[lo[order] < gram[anchors[cut]]]
-    return lo[order], hi[order], z_lo[order], z_hi[order], int(anchors[cut])
+    return lo[order], hi[order], z_lo[order], z_hi[order], int(anchors[cut]), depth
 
 
 def _ab_scale(f_kept, f_replaced, fx, where):

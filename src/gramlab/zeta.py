@@ -13,16 +13,16 @@ Two independent evaluation routes:
   rigorous tail estimate; serves as the cross-method oracle and the small-t
   route.
 
-Zero refinement evaluates Z many times inside short brackets, and there a
-third form of the Riemann-Siegel route, `_hardy_z_local`, expands the main
-sum about each bracket's centre c: with moments
+A table build evaluates Z only within half a Gram interval of some Gram
+point, and there a third form of the Riemann-Siegel route, `hardy_z_local`,
+expands the main sum about each Gram point c of a run: with moments
 M_k = sum_n n^(-1/2) e^(i(theta(c) - c ln n)) (ln n)^k / k!, taken once per
-bracket, Z(c + h) = 2 Re[e^(i(theta(c+h) - theta(c))) sum_{k<=K} M_k (-ih)^k]
+Gram point, Z(c + h) = 2 Re[e^(i(theta(c+h) - theta(c))) sum_{k<=K} M_k (-ih)^k]
 plus the same C_0..C_4 correction at c + h.  The Taylor tail is at most
 2 sum_n n^(-1/2) x^(K+1)/(K+1)! e^x with x = max|h| ln N, and K is the least
-order that holds it to 1e-13.  `bracket_evaluators` picks the evaluator of
-each run of brackets: `hardy_z_auto` below RS_SWITCH_T, an expansion per run
-of LOCAL_BRACKETS above it.
+order that holds it to 1e-13.  The cos rows of the moments also give Z at
+the Gram points, bit for bit the direct sum, and heights below RS_SWITCH_T
+take the Euler-Maclaurin route, as `hardy_z_auto` does.
 
 The scalar Euler-Maclaurin path accumulates with math.fsum.  Riemann-Siegel
 has one implementation, the vectorized one (a scalar t is a 1-element array);
@@ -155,8 +155,12 @@ def _rs_corrections(p: np.ndarray) -> tuple[np.ndarray, ...]:
     """Correction factors C0..C4 at fractional parts p (array in [0,1))."""
     u = np.asarray(p, dtype=float) - 0.5
     v = u * u
-    c0, c1, c2, c3, c4 = (np.polyval(c, v) for c in _rs_polys())
-    return c0, u * c1, c2, u * c3, c4
+    c = [np.zeros_like(v) for _ in range(5)]
+    for y, poly in zip(c, _rs_polys()):
+        for coef in poly:               # np.polyval's Horner steps, in place
+            y *= v
+            y += coef
+    return c[0], u * c[1], c[2], u * c[3], c[4]
 
 
 def rs_err_bound(t) -> np.ndarray:
@@ -168,7 +172,7 @@ def rs_err_bound(t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Riemann-Siegel evaluation
 
-_Z_CHUNK = 4096  # heights per _hardy_z_chunk call in hardy_z_many
+_Z_ELEMENTS = 1 << 19  # heights x terms per _hardy_z_chunk call in hardy_z_many
 
 
 def _hardy_z_chunk(seg: np.ndarray) -> np.ndarray:
@@ -201,24 +205,25 @@ def _rs_remainder(t: np.ndarray, N: np.ndarray, p: np.ndarray) -> np.ndarray:
 def hardy_z_many(ts: np.ndarray) -> np.ndarray:
     """Vectorized Riemann-Siegel Z over an array with all t >= RS_MIN_T.
 
-    Evaluated in slices of _Z_CHUNK heights, which bounds the phase buffer.
+    Evaluated in slices of at most _Z_ELEMENTS heights x terms; a masked row
+    sum does not depend on the row's length, so slicing does not move a bit.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
         return np.empty(0)
     if float(ts.min()) < RS_MIN_T:
         raise DomainError("hardy_z_many requires all t >= 10")
+    rows = max(1, _Z_ELEMENTS // int(math.sqrt(float(ts.max()) / TWO_PI)))
     out = np.empty(ts.shape)
-    for i in range(0, ts.size, _Z_CHUNK):
-        out[i : i + _Z_CHUNK] = _hardy_z_chunk(ts[i : i + _Z_CHUNK])
+    for i in range(0, ts.size, rows):
+        out[i : i + rows] = _hardy_z_chunk(ts[i : i + rows])
     return out
 
 
 # ---------------------------------------------------------------------------
-# Riemann-Siegel expansion about bracket centres
+# Riemann-Siegel expansion about Gram points
 
-LOCAL_BRACKETS = 4096  # brackets per expansion
-_LOCAL_ROWS = 1024     # centres per cos+sin pass of the moments
+LOCAL_BRACKETS = 8192  # Gram points per build run: 2.8 MB of moments, ~5 ms of fixed calls
 _LOCAL_TOL = 1e-13     # bound on the truncated Taylor tail of the main sum
 # multiply-adds per matrix product: OpenBLAS runs products this small on one
 # thread; its threaded ones stalled about 8 ms a call in one process of 6 on
@@ -247,71 +252,72 @@ def _theta_delta(c: np.ndarray, h: np.ndarray) -> np.ndarray:
                         * (31.0 / 80640.0)))
 
 
-def _hardy_z_local(lo: np.ndarray, hi: np.ndarray):
-    """Z on the brackets [lo_j, hi_j] from a Taylor expansion about their centres.
+def hardy_z_local(c: np.ndarray):
+    """Z near a run c of ascending Gram points, from a Taylor expansion about each.
 
-    The brackets are disjoint and ascending, at most LOCAL_BRACKETS of them,
-    with lo >= RS_SWITCH_T.  At each centre c the moments
+    At each centre c the moments
     M_k = sum_{n <= N(c)} n^(-1/2) e^(i(theta(c) - c ln n)) (ln n)^k / k!
     take one cos+sin pass and one matrix product with a (ln n)^k / k! table
     (Odlyzko & Schonhage 1988 reuse n^(-it) about a base point the same way).
-    The returned function maps heights t, each inside one bracket, to
+    The cos rows give Z at the centres as _hardy_z_chunk sums them, bit for
+    bit hardy_z_auto's values, carried as the function's `at_centres`.  The
+    function maps heights t in [c_0, c_last] to hardy_z_auto's value below
+    RS_SWITCH_T, and above it, from the nearer centre c, to
     Z(c + h) = 2 Re[e^(i dtheta) sum_{k <= K} M_k (-ih)^k] + R(t), where
     dtheta = theta(c + h) - theta(c) and R is the C_0..C_4 correction at t;
     where N(t) differs from N(c), the one term gained or lost is added
-    directly.  Since |e^(-ih ln n) - sum_{k <= K} (-ih ln n)^k / k!|
-    <= x^(K+1) / (K+1)! e^x for x = max|h| ln N >= |h| ln n, the truncated
-    main sum is off by at most 2 sum_{n <= N} n^(-1/2) x^(K+1) / (K+1)! e^x,
-    and K is the least order that holds this to _LOCAL_TOL; the function
-    carries it as its `order`.
+    directly.  As |e^(-ih ln n) - sum_{k <= K} (-ih ln n)^k / k!|
+    <= x^(K+1) / (K+1)! e^x for x = max over centres of |h| ln N(c), |h| up
+    to half the wider gap beside c, the main sum is off by at most
+    2 sum_{n <= N} n^(-1/2) x^(K+1)/(K+1)! e^x; the function's `order` K is
+    the least that holds this to _LOCAL_TOL.
     """
-    lo = np.array(lo, dtype=float)              # a copy: refinement narrows its own
-    hi = np.asarray(hi, dtype=float)
-    if lo.size > LOCAL_BRACKETS or not float(lo[0]) >= RS_SWITCH_T:
-        raise PreconditionError(f"at most {LOCAL_BRACKETS} brackets above t = "
-                                f"{RS_SWITCH_T:g}")
-    c = 0.5 * (lo + hi)
+    c = np.asarray(c, dtype=float)
+    a = np.sqrt(c / TWO_PI)
+    n_c = a.astype(np.int64)
     th = theta_many(c)
-    n_c = np.sqrt(c / TWO_PI).astype(np.int64)
-    n_top = int(math.sqrt(float(hi[-1]) / TWO_PI))
+    n_top = int(n_c[-1])
     n = np.arange(1, n_top + 1, dtype=float)
     logn = np.log(n)
     rsqrt = 1.0 / np.sqrt(n)
-    h_max = float(np.max(np.maximum(hi - c, c - lo)))
-    order = _taylor_order(h_max * float(logn[-1]), float(rsqrt.sum()))
+    mid = 0.5 * (c[:-1] + c[1:])
+    half = 0.5 * np.diff(c)
+    reach = np.maximum(np.r_[0.0, half], np.r_[half, 0.0])     # max |h| per centre
+    order = _taylor_order(float(np.max(reach * logn[n_c - 1])), float(rsqrt.sum()))
     powers = np.empty((n_top, order + 1))       # (ln n)^k / k!
     powers[:, 0] = 1.0
     for k in range(1, order + 1):
         np.multiply(powers[:, k - 1], logn / k, out=powers[:, k])
-    re, im = np.empty((2, c.size, order + 1))
-    for i in range(0, c.size, _LOCAL_ROWS):
-        j = min(i + _LOCAL_ROWS, c.size)
+    moments = np.empty((c.size, order + 1), dtype=complex)     # a row per centre
+    z_c = np.empty(c.size)
+    step = max(1, _SERIAL_MACS // (n_top * (order + 1)))   # centres per pass
+    for i in range(0, c.size, step):
+        j = min(i + step, c.size)
         m = int(n_c[j - 1])                     # n_c ascends with c
         phase = np.multiply.outer(c[i:j], logn[:m])
         np.subtract(th[i:j, None], phase, out=phase)
-        weight = np.where(n[:m] <= n_c[i:j, None], rsqrt[:m], 0.0)
+        inside = n[:m] <= n_c[i:j, None]
+        weight = np.where(inside, rsqrt[:m], 0.0)
         cw = np.cos(phase)
         cw *= weight
+        z_c[i:j] = 2.0 * np.sum(cw, axis=1, where=inside)
         sw = np.sin(phase, out=phase)
         sw *= weight
-        step = max(1, _SERIAL_MACS // (m * (order + 1)))
-        for r in range(i, j, step):
-            s = min(r + step, j)
-            np.matmul(cw[r - i : s - i], powers[:m], out=re[r:s])
-            np.matmul(sw[r - i : s - i], powers[:m], out=im[r:s])
-    moments = (re + 1j * im).T.copy()          # (K+1, brackets), a row per order
+        np.matmul(cw, powers[:m], out=moments.real[i:j])
+        np.matmul(sw, powers[:m], out=moments.imag[i:j])
+    z_c += _rs_remainder(c, n_c, a - n_c)
+    z_c[c < RS_SWITCH_T] = [hardy_z(float(t)).z for t in c[c < RS_SWITCH_T]]
 
-    def z_local(ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        row = np.searchsorted(lo, ts, side="right") - 1
+    def expand(ts: np.ndarray) -> np.ndarray:
+        row = np.searchsorted(mid, ts)          # the nearer centre
         cr, nr = c[row], n_c[row]
         h = ts - cr                             # exact: t and c are this close
-        mr = moments[:, row]
+        mr = moments[row]
         ih = -1j * h
-        acc = mr[order].copy()
+        acc = mr[:, order].copy()
         for k in range(order - 1, -1, -1):
             acc *= ih
-            acc += mr[k]
+            acc += mr[:, k]
         dth = _theta_delta(cr, h)
         z = 2.0 * (np.cos(dth) * acc.real - np.sin(dth) * acc.imag)
         a = np.sqrt(ts / TWO_PI)
@@ -322,7 +328,11 @@ def _hardy_z_local(lo: np.ndarray, hi: np.ndarray):
             * np.cos(th[row[s]] + dth[s] - ts[s] * np.log(top))
         return z + _rs_remainder(ts, N, a - N)
 
+    def z_local(ts: np.ndarray) -> np.ndarray:
+        return _route(ts, expand)
+
     z_local.order = order
+    z_local.at_centres = z_c
     return z_local
 
 
@@ -438,36 +448,24 @@ def hardy_z(t: float, method: str = "auto") -> ZEval:
     raise DomainError(f"unknown method {method!r}")
 
 
+def _route(ts: np.ndarray, above) -> np.ndarray:
+    """Z by the scalar Euler-Maclaurin route below RS_SWITCH_T, by `above` from there."""
+    ts = np.asarray(ts, dtype=float)
+    low = ts < RS_SWITCH_T
+    if not low.any():
+        return above(ts)
+    out = np.empty(ts.shape)
+    out[low] = [hardy_z(float(t)).z for t in ts[low]]
+    out[~low] = above(ts[~low])
+    return out
+
+
 def hardy_z_auto(ts: np.ndarray) -> np.ndarray:
     """Z on an array of heights by the route hardy_z's "auto" takes.
 
     The scalar Euler-Maclaurin route below RS_SWITCH_T, hardy_z_many above.
     """
-    ts = np.asarray(ts, dtype=float)
-    low = ts < RS_SWITCH_T
-    if not low.any():
-        return hardy_z_many(ts)
-    out = np.empty(ts.shape)
-    out[low] = [hardy_z(float(t)).z for t in ts[low]]
-    if (~low).any():
-        out[~low] = hardy_z_many(ts[~low])
-    return out
-
-
-def bracket_evaluators(lo: np.ndarray, hi: np.ndarray):
-    """(i, j, z_eval) for refining the disjoint ascending brackets [lo, hi].
-
-    Runs cover the brackets in order: those below RS_SWITCH_T take
-    hardy_z_auto, and each later run of up to LOCAL_BRACKETS takes its own
-    _hardy_z_local.  An expansion is made only when its run is reached, so
-    one run's moments are held at a time; the caller may narrow a run's
-    brackets in place once its evaluator is made.
-    """
-    low = int(np.searchsorted(lo, RS_SWITCH_T))
-    yield 0, low, hardy_z_auto
-    for i in range(low, lo.size, LOCAL_BRACKETS):
-        j = min(i + LOCAL_BRACKETS, lo.size)
-        yield i, j, _hardy_z_local(lo[i:j], hi[i:j])
+    return _route(ts, hardy_z_many)
 
 
 def zeta_half_line(t: float) -> ZetaHalfLine:

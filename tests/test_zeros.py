@@ -122,9 +122,10 @@ def test_densification_contract():
         return (ts - 0.40) * (ts - 0.47) + 0.0 * ts
 
     diag = ScanDiagnostics()
-    lo, hi, z_lo, z_hi, certified_n = _scan(gram, f(gram), np.array([0, 2]), f, diag)
+    lo, hi, z_lo, z_hi, certified_n, depths = _scan(gram, f(gram), np.array([0, 2]), f,
+                                                    diag)
     assert certified_n == 2 and lo.size == 2
-    assert diag.max_depth >= 4
+    assert depths == diag.max_depth == len(diag.densify_active) >= 4
     # the end values are Z at the bracket ends, which refinement reuses
     assert np.array_equal(z_lo, f(lo)) and np.array_equal(z_hi, f(hi))
     # a pair closer than the 64x grid stays hidden: quota unmet, no certificate
@@ -132,9 +133,9 @@ def test_densification_contract():
         ts = np.asarray(ts, dtype=float)
         return (ts - 0.400) * (ts - 0.401)
 
-    lo, hi, z_lo, z_hi, certified_n = _scan(gram, g(gram), np.array([0, 2]), g,
-                                            ScanDiagnostics())
-    assert certified_n == 0 and lo.size == 0
+    lo, hi, z_lo, z_hi, certified_n, depths = _scan(gram, g(gram), np.array([0, 2]), g,
+                                                    ScanDiagnostics())
+    assert certified_n == 0 and lo.size == 0 and depths == zr.DEPTH_CAP
 
 
 def _refine_one(f, lo, hi, passes=zr.Z_CALLS - 1 - zr.DEPTH_CAP):
@@ -223,7 +224,7 @@ def test_build_evaluates_each_height_once():
 
     def counter(ts):
         calls.append(np.array(ts, dtype=float))
-        return zr.hardy_z_auto(ts)
+        return zt.hardy_z_auto(ts)
 
     table = ZeroTable.build(2000, z_eval=counter)
     heights = np.concatenate(calls)
@@ -233,24 +234,51 @@ def test_build_evaluates_each_height_once():
     assert len(calls) <= 1 + zr.DEPTH_CAP + 32
     # an injected z_eval refines through itself: the counter sees every height
     assert np.array_equal(table.zeros,
-                          ZeroTable.build(2000, z_eval=zr.hardy_z_auto).zeros)
+                          ZeroTable.build(2000, z_eval=zt.hardy_z_auto).zeros)
 
 
-def test_build_refinement_counts():
-    """Refinement of build(20000) takes 14 passes and 6.42 heights per zero.
+def test_build_refinement_counts(monkeypatch):
+    """Refinement of build(20000) takes 13 passes and 6.41 heights per zero.
 
-    Counts, not times, so they repeat exactly.  A budget rule that traps slow
-    rows into bisection to the last pass (33 passes, 9.31 heights) fails it.
+    Each run of Gram points makes one Gram call, its densification depths
+    and its refinement passes, in that order, and the passes add up across
+    runs.  Counts, not times, so they repeat exactly.  A budget rule that
+    traps slow rows into bisection to the last pass (33 passes, 9.31 heights)
+    fails it.
     """
-    calls = []
+    calls, marks = [], []
+    refine = zr._refine
 
     def counter(ts):
-        calls.append(np.asarray(ts).size)
-        return zr.hardy_z_auto(ts)
+        calls.append(np.array(ts, dtype=float))
+        return zt.hardy_z_auto(ts)
 
+    def marked(*args):
+        marks.append(len(calls))
+        refine(*args)
+        marks.append(len(calls))
+
+    monkeypatch.setattr(zr, "_refine", marked)
     table = ZeroTable.build(20000, z_eval=counter)
     diag = table.diagnostics
-    assert calls[1 + len(diag.densify_active):] == diag.refine_heights
+    starts = [0] + marks[1::2]                   # each run's Gram call, then the end
+    assert starts[-1] == len(calls) and len(starts) > 2
+    gram_calls = []
+    depth_sums = [0] * len(diag.densify_active)
+    pass_sums = [0] * len(diag.refine_heights)
+    for start, first, last in zip(starts, marks[::2], marks[1::2]):
+        gram_calls.append(calls[start])
+        densify, passes = calls[start + 1 : first], calls[first:last]
+        assert len(densify) <= zr.DEPTH_CAP
+        assert 1 + len(densify) + len(passes) <= zr.Z_CALLS
+        for d, c in enumerate(densify):
+            depth_sums[d] += c.size
+        for k, c in enumerate(passes):
+            pass_sums[k] += c.size
+    # the Gram calls take every Gram point once, in order
+    assert np.array_equal(np.concatenate(gram_calls), gram_points(20000))
+    assert depth_sums == [rows << d for d, rows in enumerate(diag.densify_active)]
+    assert pass_sums == diag.refine_heights
     assert len(diag.refine_heights) <= 16
     assert sum(diag.refine_heights) / table.zeros.size <= 6.75
 
@@ -258,11 +286,11 @@ def test_build_refinement_counts():
 @pytest.fixture(scope="module")
 def default_and_direct_20000():
     """build(20000) refined by expansion, and by the direct kernel passed in."""
-    return ZeroTable.build(20000), ZeroTable.build(20000, z_eval=zr.hardy_z_auto)
+    return ZeroTable.build(20000), ZeroTable.build(20000, z_eval=zt.hardy_z_auto)
 
 
 def test_build_local_refinement_counts(default_and_direct_20000):
-    """Diagnostics sum each pass across the expansion blocks; the budget holds."""
+    """Diagnostics sum each pass across the runs; the budget holds."""
     table, direct = default_and_direct_20000
     diag = table.diagnostics
     assert len(diag.refine_heights) <= 16
@@ -281,6 +309,44 @@ def test_build_local_refinement_keeps_the_zeros(default_and_direct_20000):
     assert np.array_equal(table.zeros[low], direct.zeros[low])
 
 
+def test_build_in_short_runs_matches_one_long_run(monkeypatch):
+    """Runs of 50 Gram points end inside Rosser blocks, which are carried, not cut."""
+    whole = ZeroTable.build(5000)
+    monkeypatch.setattr(zt, "LOCAL_BRACKETS", 50)
+    runs = ZeroTable.build(5000)
+    n = np.arange(49, whole.certified_n, 50)             # each run's last Gram point
+    assert np.any((-1) ** (n - 1) * whole.z_gram[n] < 0.0)   # inside a block
+    for name in ("gram", "z_gram", "s_gram"):
+        assert np.array_equal(getattr(runs, name), getattr(whole, name))
+    assert runs.certified_n == whole.certified_n
+    d, w = runs.diagnostics, whole.diagnostics
+    assert (d.blocks, d.densified_blocks, d.max_depth, d.densify_active, d.failed_blocks) \
+        == (w.blocks, w.densified_blocks, w.max_depth, w.densify_active, [])
+    assert np.max(np.abs(runs.zeros - whole.zeros)) <= zr.BRACKET_HALF_WIDTH
+    hidden = ZeroTable.build(5000, z_eval=_hide_g128())
+    assert hidden.certified_n == 126
+    assert hidden.diagnostics.failed_blocks == [(126, 128)]
+
+
+def test_build_makes_no_direct_riemann_siegel_call(monkeypatch):
+    """Above RS_SWITCH_T a build takes every Z value from its runs' expansions."""
+    heights = []
+    many = zt.hardy_z_many
+
+    def recording(ts):
+        heights.append(np.array(ts, dtype=float))
+        return many(ts)
+
+    monkeypatch.setattr(zt, "hardy_z_many", recording)
+    table = ZeroTable.build(5000)
+    assert table.certified_n == 5000
+    assert not np.any(np.concatenate(heights + [np.empty(0)]) >= zt.RS_SWITCH_T)
+    # and a loaded table recomputes Z at its Gram points through the direct kernel
+    assert np.array_equal(ZeroTable.from_arrays(table.gram, table.zeros).z_values(),
+                          table.z_gram)
+    assert np.concatenate(heights).size == np.count_nonzero(table.gram >= zt.RS_SWITCH_T)
+
+
 def test_table_ceiling_refuses_before_building(monkeypatch, tmp_path):
     def no_build(cls, n_max, z_eval=None):
         raise AssertionError(f"built {n_max}")
@@ -295,7 +361,7 @@ def test_table_ceiling_refuses_before_building(monkeypatch, tmp_path):
     assert not (tmp_path / "zrange").exists()
 
 
-def _hide_g128(default=zr.hardy_z_auto):
+def _hide_g128(default=zt.hardy_z_auto):
     """Z with G_128's two zeros hidden: the block (126, 128) cannot meet its quota."""
     t127, t128 = gram_points(128, 127)
 
@@ -317,9 +383,8 @@ def test_certified_table_builds_once_and_names_the_failed_block(monkeypatch):
     def capped_build(cls, n_max, z_eval=None):
         builds.append(n_max)
         assert len(builds) == 1, f"rebuilt at {builds}"
-        return build(cls, n_max, z_eval)
+        return build(cls, n_max, z_eval or _hide_g128())
 
-    monkeypatch.setattr(zr, "hardy_z_auto", _hide_g128())
     monkeypatch.setattr(ZeroTable, "build", classmethod(capped_build))
     with pytest.raises(UncertifiedRange, match=r"\(126, 128\)"):
         zr.certified_table(200)

@@ -202,6 +202,22 @@ def test_rs_polys_trimmed_within_their_tail_bound():
         assert np.max(np.abs(u ** (k % 2) * np.polyval(dropped, u * u))) <= 1e-17
 
 
+def test_rs_corrections_are_polyval_bit_for_bit():
+    p = np.random.default_rng(16).random(10_000)
+    u = p - 0.5
+    ref = [u ** (k % 2) * np.polyval(c, u * u) for k, c in enumerate(zt._rs_polys())]
+    for mine, want in zip(zt._rs_corrections(p), ref):
+        assert np.array_equal(mine, want)
+
+
+def test_hardy_z_many_slices_do_not_move_a_bit():
+    """Heights from 1e3 to 1e7 in seeded order, in several slices, as one at a time."""
+    ts = np.exp(np.random.default_rng(17).uniform(math.log(1e3), math.log(1e7), 1000))
+    assert ts.size > zt._Z_ELEMENTS // int(math.sqrt(ts.max() / zt.TWO_PI))
+    one = np.array([zt.hardy_z_many(np.array([t]))[0] for t in ts])
+    assert np.array_equal(zt.hardy_z_many(ts), one)
+
+
 def test_theta_delta_is_accurate_relative_to_h():
     def theta_series(t):        # theta's series, as theta_gram evaluates it
         return t / 2 * mpmath.log(t / (2 * mpmath.pi)) - t / 2 - mpmath.pi / 8 \
@@ -215,28 +231,30 @@ def test_theta_delta_is_accurate_relative_to_h():
                 assert abs(d - ref) <= 1e-15 * abs(ref)
 
 
-def _gram_brackets(n_lo: int, n_hi: int):
-    """Gram intervals G_n, n_lo <= n < n_hi, as brackets: max |h| is half of one."""
-    g = th.gram_points(n_hi, n_lo)
-    return g[:-1], g[1:]
-
-
 @pytest.mark.parametrize("n_lo", [4, 2000, 90000])
 def test_local_expansion_at_the_centres_is_the_direct_sum(n_lo):
-    lo, hi = _gram_brackets(n_lo, n_lo + 1000)
-    c = 0.5 * (lo + hi)
-    assert np.max(np.abs(zt._hardy_z_local(lo, hi)(c) - zt.hardy_z_many(c))) <= 1e-12
+    g = th.gram_points(n_lo + 1000, n_lo)
+    z = zt.hardy_z_local(g)
+    # Z at the Gram points comes from the moments' cos rows, summed as
+    # hardy_z_many sums them, so a build's z_gram is the direct kernel's
+    assert np.array_equal(z.at_centres, zt.hardy_z_many(g))
+    assert np.max(np.abs(z(g) - zt.hardy_z_many(g))) <= 1e-12
 
 
 @pytest.mark.parametrize("n_lo, count", [(4, 20), (4, 4096), (90000, 4096)])
 def test_local_expansion_order_meets_its_remainder_bound(n_lo, count):
     """K is the least order whose proven tail bound is 1e-13, and it holds."""
-    lo, hi = _gram_brackets(n_lo, n_lo + count)
+    g = th.gram_points(n_lo + count, n_lo)
     # G_4 is the lowest Gram interval above RS_SWITCH_T, and the widest
-    assert lo[0] >= zt.RS_SWITCH_T > th.gram_point(3).t
-    c = 0.5 * (lo + hi)
-    n_top = int(math.sqrt(hi[-1] / zt.TWO_PI))
-    x = float(np.max(np.maximum(hi - c, c - lo))) * math.log(n_top)
+    assert g[0] >= zt.RS_SWITCH_T > th.gram_point(3).t
+    n_top = int(math.sqrt(g[-1] / zt.TWO_PI))
+    # a height takes the nearer Gram point c: |h| is at most half the wider
+    # gap beside c, and the expanded sum runs to N(c)
+    gaps = np.diff(g)
+    x = 0.0
+    for j, c in enumerate(g):
+        wider = max(gaps[max(j - 1, 0)], gaps[min(j, gaps.size - 1)])
+        x = max(x, 0.5 * wider * math.log(math.floor(math.sqrt(c / zt.TWO_PI))))
     weight = float(np.sum(np.arange(1, n_top + 1) ** -0.5))
     order = zt._taylor_order(x, weight)
 
@@ -246,13 +264,14 @@ def test_local_expansion_order_meets_its_remainder_bound(n_lo, count):
                 * mpmath.exp(x)
 
     assert tail(order) <= 1e-13 < tail(order - 1)
-    z = zt._hardy_z_local(lo, hi)
+    z = zt.hardy_z_local(g)
     assert z.order == order
     if count == 20:
         # below t = 100 both kernels round near 1e-14, so the expansion at the
-        # bracket ends, where |h| is largest, shows its own truncation
-        for ends in (lo, hi):
-            assert np.max(np.abs(z(ends) - zt.hardy_z_many(ends))) <= 2e-13
+        # midpoints of the Gram intervals, where |h| is largest, shows its own
+        # truncation
+        mid = 0.5 * (g[:-1] + g[1:])
+        assert np.max(np.abs(z(mid) - zt.hardy_z_many(mid))) <= 2e-13
 
 
 @pytest.mark.parametrize("k", [3, 10, 40, 100])
@@ -260,11 +279,11 @@ def test_local_expansion_across_a_change_of_n(k):
     """A bracket holding t = 2 pi k^2, where N(t) steps from k - 1 to k."""
     t_step = zt.TWO_PI * k * k
     n = int(th.theta(t_step).value / math.pi + 1.0)
-    lo, hi = _gram_brackets(n, n + 1)
-    assert lo[0] < t_step < hi[0]
-    ts = np.sort(np.r_[np.linspace(lo[0], hi[0], 11)[1:-1], t_step - 1e-6, t_step + 1e-6])
+    g = th.gram_points(n + 1, n)
+    assert g[0] < t_step < g[1]
+    ts = np.sort(np.r_[np.linspace(g[0], g[1], 11)[1:-1], t_step - 1e-6, t_step + 1e-6])
     ref = np.array([siegelz_oracle(float(t)) for t in ts])
-    local = np.abs(zt._hardy_z_local(lo, hi)(ts) - ref)
+    local = np.abs(zt.hardy_z_local(g)(ts) - ref)
     direct = np.abs(zt.hardy_z_many(ts) - ref)
     assert np.max(local) <= np.max(direct) + 1e-12
 
@@ -272,15 +291,14 @@ def test_local_expansion_across_a_change_of_n(k):
 def test_local_expansion_changes_sign_once_at_zero_95248():
     """The direct kernel's rounding makes Z change sign 5 times within 1e-9 here.
 
-    One rounded phase per bracket leaves the expansion smooth in h: it falls
+    One rounded phase per Gram point leaves the expansion smooth in h: it falls
     by about 1.4e-11 per grid step, and a dtheta taken as a difference of two
     theta values near 3.5e5 (ulp 6e-11) would break that.
     """
     root = 71732.90120787236   # frozen from mpmath.findroot(mpmath.siegelz) at 30 digits
     n = int(th.theta(root).value / math.pi + 1.0)
-    lo, hi = _gram_brackets(n, n + 1)
     ts = root + 1e-10 * np.arange(-30, 31)
-    z = zt._hardy_z_local(lo, hi)(ts)
+    z = zt.hardy_z_local(th.gram_points(n + 1, n))(ts)
     assert np.all(np.diff(z) < 0.0)
     flips = np.nonzero(np.sign(z[1:]) != np.sign(z[:-1]))[0]
     assert flips.size == 1
