@@ -144,9 +144,11 @@ class ZeroTable:
         return cls(gram[: a + 1], zg[: a + 1], zeros, half, diag)
 
     @classmethod
-    def from_arrays(cls, gram: np.ndarray, zeros: np.ndarray) -> "ZeroTable":
-        """Reconstruct a (certified) table from persisted height arrays."""
-        return cls(np.asarray(gram, dtype=float), None,
+    def from_arrays(cls, gram: np.ndarray, zeros: np.ndarray,
+                    z_gram: np.ndarray | None = None) -> "ZeroTable":
+        """Reconstruct a (certified) table from persisted height arrays, and
+        Z at the Gram points if known."""
+        return cls(np.asarray(gram, dtype=float), z_gram,
                    np.asarray(zeros, dtype=float),
                    np.full(len(zeros), BRACKET_HALF_WIDTH), ScanDiagnostics())
 

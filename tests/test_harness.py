@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import gramlab
-from gramlab import cli, store
+from gramlab import cli, store, zeta
 from gramlab import ingest as ing
 from gramlab.errors import ChecksumMismatch, ParseError, VersionMismatch
 from gramlab.reports import Report, render, to_csv, to_json
@@ -26,7 +26,7 @@ def test_save_load_roundtrip(table_small, tmp_path):
     assert np.array_equal(loaded.zeros, table_small.zeros)
     assert np.array_equal(loaded.s_gram, table_small.s_gram)
     assert man2.checksum == man.checksum
-    assert man2.version == 1
+    assert man2.version == 2
     assert man2.zero_count == table_small.zeros.size
 
 
@@ -81,7 +81,7 @@ def test_version_mismatch(table_small, tmp_path):
     store.save_range(table_small, tmp_path / "rng")
     mpath = tmp_path / "rng" / "manifest.json"
     data = json.loads(mpath.read_text())
-    data["version"] = 2
+    data["version"] = 3
     mpath.write_text(json.dumps(data))
     with pytest.raises(VersionMismatch):
         store.load_range(tmp_path / "rng")
@@ -134,8 +134,145 @@ def test_heights_roundtrip_binary64(table_small, tmp_path):
     store.save_range(table_small, tmp_path / "rng")
     text = (tmp_path / "rng" / "zeros.csv").read_text()
     assert text.startswith("index,t\n")
+    assert (tmp_path / "rng" / "gram.csv").read_text().startswith("index,t,z\n")
     loaded, _ = store.load_range(tmp_path / "rng")
     assert loaded.zeros.tobytes() == table_small.zeros.tobytes()
+    assert loaded.gram.tobytes() == table_small.gram.tobytes()
+    assert loaded.z_gram is not None
+    assert loaded.z_values().tobytes() == table_small.z_values().tobytes()
+
+
+def _rewrite(rng: Path, name: str, edit) -> None:
+    """Apply edit to the rows of one data file, then make the manifest agree."""
+    path = rng / name
+    lines = path.read_text().splitlines(keepends=True)
+    edit(lines)
+    path.write_text("".join(lines))
+    mpath = rng / "manifest.json"
+    data = json.loads(mpath.read_text())
+    data["checksum"] = store._digest((rng / "gram.csv").read_bytes(),
+                                     (rng / "zeros.csv").read_bytes())
+    mpath.write_text(json.dumps(data))
+
+
+def _swap(lines, i, j):
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def _field(lines, row, col):
+    return lines[row].rstrip("\n").split(",")[col]
+
+
+def _set(lines, row, col, value):
+    fields = lines[row].rstrip("\n").split(",")
+    fields[col] = value
+    lines[row] = ",".join(fields) + "\n"
+
+
+def _swap_heights(lines, i, j):
+    ti, tj = _field(lines, i, 1), _field(lines, j, 1)
+    _set(lines, i, 1, tj)
+    _set(lines, j, 1, ti)
+
+
+@pytest.mark.parametrize("name, edit, why", [
+    ("zeros.csv", lambda ls: _swap(ls, 5, 6), "index column"),
+    ("zeros.csv", lambda ls: _swap_heights(ls, 5, 6), "not strictly ascending"),
+    ("gram.csv", lambda ls: _set(ls, 3, 0, "7"), "index column"),
+    ("gram.csv", lambda ls: _set(ls, 3, 1, _field(ls, 2, 1)), "not strictly ascending"),
+    ("gram.csv", lambda ls: _set(ls, 9, 1, "nan"), "not finite"),
+    ("gram.csv", lambda ls: _set(ls, 9, 2, "inf"), "not finite"),
+    ("zeros.csv", lambda ls: _set(ls, 9, 1, "nan"), "not finite"),
+])
+def test_loaded_columns_are_checked(table_small, tmp_path, name, edit, why):
+    # each edit keeps the checksum right; the parsed columns must still be sound
+    rng = tmp_path / "rng"
+    store.save_range(table_small, rng)
+    _rewrite(rng, name, edit)
+    with pytest.raises(ChecksumMismatch, match=f"{name}: .*{why}"):
+        store.load_range(rng)
+
+
+def test_warm_load_evaluates_z_only_at_the_sample(cli_cache_dir, monkeypatch):
+    # the 1e5 range keeps its stored Z after checking it at 610 heights
+    seen = []
+    many = zeta.hardy_z_many
+
+    def counting(ts):
+        seen.append(np.size(ts))
+        return many(ts)
+
+    monkeypatch.setattr(zeta, "hardy_z_many", counting)
+    loaded, _ = store.load_range(cli_cache_dir / "zrange")
+    z = loaded.z_values()
+    assert loaded.z_gram is not None
+    assert loaded.certified_n >= 100030 and store.z_sample(loaded.gram.size).size == 610
+    assert 0 < sum(seen) <= 610
+    monkeypatch.undo()
+    idx = np.arange(0, z.size, 97)
+    assert z[idx].tobytes() == zeta.hardy_z_auto(loaded.gram[idx]).tobytes()
+
+
+def test_stored_z_that_the_kernel_does_not_reproduce_is_recomputed(table_small,
+                                                                    tmp_path):
+    rng = tmp_path / "rng"
+    store.save_range(table_small, rng)
+    row = 1 + store.z_sample(table_small.gram.size)[-2]
+    z_row = np.nextafter(table_small.z_values()[row - 1], np.inf)
+    _rewrite(rng, "gram.csv", lambda ls: _set(ls, row, 2, store.fmt_height(z_row)))
+    loaded, _ = store.load_range(rng)
+    assert loaded.z_gram is None
+    assert loaded.z_values().tobytes() == zeta.hardy_z_auto(loaded.gram).tobytes()
+
+
+def test_version_1_range_loads_and_recomputes_z(table_small, tmp_path):
+    # a range in the first format: gram.csv without the Z column
+    rng = tmp_path / "rng"
+    store.save_range(table_small, rng)
+    gram = rng / "gram.csv"
+    gram.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                            for line in gram.read_text().splitlines()))
+    mpath = rng / "manifest.json"
+    data = json.loads(mpath.read_text())
+    data["version"] = 1
+    data["checksum"] = store._digest(gram.read_bytes(), (rng / "zeros.csv").read_bytes())
+    mpath.write_text(json.dumps(data))
+    assert gram.read_text().startswith("index,t\n0,")
+    loaded, man = store.load_range(rng)
+    assert man.version == 1 and loaded.z_gram is None
+    assert loaded.gram.tobytes() == table_small.gram.tobytes()
+    assert loaded.zeros.tobytes() == table_small.zeros.tobytes()
+    assert loaded.z_values().tobytes() == zeta.hardy_z_auto(loaded.gram).tobytes()
+
+
+def test_interrupted_save_leaves_no_manifest(table_small, tmp_path, monkeypatch):
+    # a save cut short after its first data file must not leave the old manifest
+    # over new data: the next cached_table rebuilds and serves
+    rng = tmp_path / "rng"
+    store.save_range(table_small, rng)
+    write = store._write_replacing
+    written = []
+
+    class Killed(Exception):
+        pass
+
+    def dying(path, data):
+        if written:
+            raise Killed
+        written.append(path.name)
+        write(path, data)
+
+    monkeypatch.setattr(store, "_write_replacing", dying)
+    shorter = ZeroTable.from_arrays(table_small.gram[:601], table_small.zeros[:600])
+    with pytest.raises(Killed):
+        store.save_range(shorter, rng)
+    monkeypatch.undo()
+    assert written == ["gram.csv"] and not (rng / "manifest.json").exists()
+    served = store.cached_table(1000, rng)
+    assert served.certified_n >= 1000
+    loaded, _ = store.load_range(rng)
+    assert loaded.gram.tobytes() == served.gram.tobytes()
+    assert loaded.zeros.tobytes() == served.zeros.tobytes()
 
 
 def test_ingest_known_ordinates(table_small, tmp_path):
