@@ -50,11 +50,13 @@ def _chunk_sum(c: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
     return math.fsum(parts)
 
 
-def csums(arr: np.ndarray, *terms) -> tuple[float, ...]:
+def csums(arr: np.ndarray, *terms, prep=None) -> tuple[float, ...]:
     """csum(term(a)) for each elementwise term, a = arr as float64.
 
     The terms are evaluated one CHUNK of arr at a time, so no full-length
     temporary is made; each term maps a float64 chunk to an array of its size.
+    With prep, each term takes prep(chunk) instead, made once per chunk, so
+    the terms can share work such as a logarithm.
     """
     a = np.asarray(arr).ravel()
     partials = [[] for _ in terms]
@@ -62,8 +64,9 @@ def csums(arr: np.ndarray, *terms) -> tuple[float, ...]:
     for i in range(0, a.size, CHUNK):
         c = a[i : i + CHUNK].astype(float, copy=False)
         q, r = work[:, : c.size]
+        arg = c if prep is None else prep(c)
         for acc, term in zip(partials, terms):
-            acc.append(_chunk_sum(term(c), q, r))
+            acc.append(_chunk_sum(term(arg), q, r))
     # fsum of one partial is that partial, and of none is 0.0
     return tuple(math.fsum(acc) for acc in partials)
 

@@ -4,7 +4,8 @@ Provides Mertens-type sums, the oscillatory prime approximant
 V_y(t) = (1/pi) sum_{p<y} sin(t ln p)/sqrt(p), the logarithmic mean
 V(x;h) = sum_{p<=x} sin^2(h ln p / 2)/p, residual moments of
 R(t) = S(t) + V(t) at Gram points, and a brute-force check of the
-diagonal prime-pair identity.
+diagonal prime-pair identity.  `prime_sums` takes the Mertens sums and V(x;h)
+at several h from one sieve of x, as `verify-paper` needs them at x = 1e8.
 
 Sieve cache file layout: 8-byte magic "GRAMLAB\\0", one version byte,
 then the primes as little-endian uint64.
@@ -126,7 +127,8 @@ def save_prime_cache(path: str | Path, table: PrimeTable) -> None:
     with open(tmp, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(bytes([_VERSION]))
-        fh.write(table.primes.astype("<u8").tobytes())
+        # from the array's own buffer: no full-size copies (2 x 46 MB at 1e8)
+        table.primes.astype("<u8", copy=False).tofile(fh)
     os.replace(tmp, path)
 
 
@@ -162,12 +164,47 @@ def verify_spot_range(table: PrimeTable, lo: int, hi: int) -> bool:
 # ---------------------------------------------------------------------------
 # prime sums
 
+def _prime_csums(x: float, cache_dir: str | Path | None, *terms) -> tuple[float, ...]:
+    """csums over the primes p <= x of each term of (p, ln p), ln p taken once
+    per chunk."""
+    primes = sieve_primes(int(x), cache_dir=cache_dir).primes
+    return csums(primes, *terms, prep=lambda p: (p, np.log(p)))
+
+
+def _vxh_term(h: float):
+    """The term sin^2(h ln p / 2) / p of V(x;h), for _prime_csums."""
+    return lambda c: np.sin(0.5 * h * c[1]) ** 2 / c[0]
+
+
+def _require_vxh(x: float, h: float) -> None:
+    if not (0.0 < h < H_CEILING):
+        raise PreconditionError(f"require 0 < h < {H_CEILING}")
+    if not h * math.log(x) > 2.0:
+        raise PreconditionError("require h ln x > 2")
+
+
+def _vxh_result(x: float, h: float, value: float) -> VxhResult:
+    main = 0.5 * math.log(h * math.log(x))
+    return VxhResult(x=float(x), h=float(h), value=value, main=main,
+                     deviation=abs(value - main))
+
+
 def mertens_sums(x: int, cache_dir: str | Path | None = None) -> tuple[float, float]:
     """(sum_{p<=x} ln p / p, sum_{p<=x} 1/p), each sum correctly rounded by chunk."""
+    return prime_sums(x, (), cache_dir)[0]
+
+
+def prime_sums(x: int, hs: tuple[float, ...] = (), cache_dir: str | Path | None = None
+               ) -> tuple[tuple[float, float], tuple[VxhResult, ...]]:
+    """(mertens_sums(x), v_xh(x, h) for each h of hs), bit for bit, from one
+    sieve of x and one ln p per chunk."""
     if x < 2:
         raise PreconditionError("mertens_sums requires x >= 2")
-    primes = sieve_primes(int(x), cache_dir=cache_dir).primes
-    return csums(primes, lambda p: np.log(p) / p, lambda p: 1.0 / p)
+    for h in hs:
+        _require_vxh(x, h)
+    lp, rp, *values = _prime_csums(x, cache_dir, lambda c: c[1] / c[0],
+                                   lambda c: 1.0 / c[0], *map(_vxh_term, hs))
+    return (lp, rp), tuple(_vxh_result(x, h, v) for h, v in zip(hs, values))
 
 
 def _v_sum(ts, y: float) -> np.ndarray:
@@ -198,15 +235,8 @@ def v_y(t: float, y: float) -> float:
 def v_xh(x: float, h: float, cache_dir: str | Path | None = None) -> VxhResult:
     """V(x;h) = sum_{p<=x} sin^2(h ln p / 2) / p and its deviation from
     (1/2) ln(h ln x)."""
-    if not (0.0 < h < H_CEILING):
-        raise PreconditionError(f"require 0 < h < {H_CEILING}")
-    if not h * math.log(x) > 2.0:
-        raise PreconditionError("require h ln x > 2")
-    primes = sieve_primes(int(x), cache_dir=cache_dir).primes
-    value = csums(primes, lambda p: np.sin(0.5 * h * np.log(p)) ** 2 / p)[0]
-    main = 0.5 * math.log(h * math.log(x))
-    return VxhResult(x=float(x), h=float(h), value=value, main=main,
-                     deviation=abs(value - main))
+    _require_vxh(x, h)
+    return _vxh_result(x, h, _prime_csums(x, cache_dir, _vxh_term(h))[0])
 
 
 def residual_moments(table: ZeroTable, N: int, M: int, k: int,

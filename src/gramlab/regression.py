@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,8 @@ GRAM_LOW_POINTS = {0: 9.6669, 1: 17.8456, 2: 23.1703, 3: 27.6702}
 FIRST_ORDINATES = {1: 14.135, 2: 20.82, 3: 25.1}
 Z_MIN_1E5 = (97281, 1.238e-5)
 Z_MIN_1E6 = (368383, 8.908e-8)
+# the points of x in (1e4, 1e6, 1e8) by h in (0.05, 0.1, 0.2, 0.39) with h ln x > 2
+VXH_GRID = {10**4: (0.39,), 10**6: (0.2, 0.39), 10**8: (0.2, 0.39)}
 
 
 @dataclass
@@ -130,20 +133,19 @@ def _offset_second_moment(tab: ZeroTable) -> tuple[bool, str]:
     return 0.3 <= ratio <= 2.0, f"ratio {ratio:.4f}"
 
 
-def _mertens(ctx: RegressionContext, x: int) -> tuple[bool, str]:
-    lp, rp = primes.mertens_sums(x, cache_dir=ctx.cache_dir)
+def _mertens(x: int, lp: float, rp: float) -> tuple[bool, str]:
     theta_val = (rp - math.log(math.log(x)) - MERTENS_CONSTANT) * math.log(x) ** 2
     return lp < math.log(x) and -0.5 < theta_val < 1.0, f"theta {theta_val:.4f}"
 
 
-def _vxh_grid(ctx: RegressionContext) -> tuple[bool, str]:
+def _vxh_grid(sums) -> tuple[bool, str]:
+    """The V(x;h) of VXH_GRID, from sums(x) = primes.prime_sums at x."""
     ok, detail = True, []
-    # the points of x in (1e4, 1e6, 1e8) by h in (0.05, 0.1, 0.2, 0.39) with h ln x > 2
-    for x, h in ((1e4, 0.39), (1e6, 0.2), (1e6, 0.39), (1e8, 0.2), (1e8, 0.39)):
-        res = primes.v_xh(x, h, cache_dir=ctx.cache_dir)
-        detail.append(f"x={x:g},h={h}:dev={res.deviation:.3f}")
-        if res.deviation > 1.05:
-            ok = False
+    for x in VXH_GRID:
+        for res in sums(x)[1]:
+            detail.append(f"x={x:g},h={res.h}:dev={res.deviation:.3f}")
+            if res.deviation > 1.05:
+                ok = False
     return ok, "; ".join(detail)
 
 
@@ -170,6 +172,12 @@ def _checks(ctx: RegressionContext, top: int) -> list[tuple]:
     """
     tab = ctx.table
     z = tab.z_values()
+
+    @lru_cache(maxsize=None)
+    def sums(x: int):
+        """Mertens sums and the V(x;h) of the grid at x, one sieve of x per run."""
+        return primes.prime_sums(x, VXH_GRID.get(x, ()), ctx.cache_dir)
+
     eps = ctx.epsilon
     n_1e5 = 100000 if tab.zeros.size >= 100000 else math.inf  # Delta_n needs zeros too
     titch, moment_facts = "Titchmarsh range counts", "moment facts at N=1e4"
@@ -249,9 +257,9 @@ def _checks(ctx: RegressionContext, top: int) -> list[tuple]:
          lambda: (0.0 < (frac := float(np.mean(gram_law.delta_array(tab, 1, 100000) == 0))) < 1.0,
                   f"fraction {frac:.4f}")),
         *((f"mertens_sums_x{x}", "sum ln p/p < ln x and reciprocal sum window at x", "", 0,
-           lambda x=x: _mertens(ctx, x)) for x in (10, 1000, 10**6, primes.SIEVE_CEILING)),
+           lambda x=x: _mertens(x, *sums(x)[0])) for x in (10, 1000, 10**6, primes.SIEVE_CEILING)),
         ("vxh_grid", "V(x;h) within 1.05 of (1/2) ln(h ln x) on the grid", "", 0,
-         lambda: _vxh_grid(ctx)),
+         lambda: _vxh_grid(sums)),
         ("gram_spacing_bound",
          "spacing deviation within pi^2 m (M+m) theta''(t_N)/theta'(t_N)^3", "", 0,
          _gram_spacing),

@@ -20,6 +20,8 @@ use.  This catches a range written by another kernel, which moves every
 value; a change at an unsampled index alone is not detected.
 
 Version 1 ranges (gram.csv as index,t) still load; their Z is recomputed.
+`cached_table` saves a range whose stored Z was not kept once more, with the
+recomputed column.
 A save writes each file beside its place and renames it in, data before the
 manifest, and removes the old manifest first: a save cut short leaves no
 manifest, so the range is rebuilt rather than read.
@@ -214,13 +216,18 @@ def cached_table(n_needed: int, path: str | Path | None,
     """Table certified through Gram index n_needed, through the range at path.
 
     Loads path when its manifest reaches n_needed; otherwise builds with
-    `certified_table` and saves the result there.  path None caches nothing.
-    ResourceError, before the cache is read, past the table ceiling.
+    `certified_table` and saves the result there.  A loaded range that keeps
+    no stored Z (version 1, or Z another kernel wrote) is saved once more with
+    the recomputed column, so the next load keeps it.  path None caches
+    nothing.  ResourceError, before the cache is read, past the table ceiling.
     """
     require_under_ceiling(n_needed)
     if path is not None and (Path(path) / "manifest.json").exists() \
             and load_manifest(path).n_max_gram >= n_needed:
-        return load_range(path)[0]
+        table, manifest = load_range(path)
+        if table.z_gram is None:
+            save_range(table, path, epsilon=manifest.epsilon)
+        return table
     table = certified_table(n_needed)
     if path is not None:
         save_range(table, path, epsilon=epsilon)

@@ -2,8 +2,8 @@
 
 Two independent evaluation routes:
 
-* riemann_siegel: main sum of length floor(sqrt(t/2pi)) plus the correction
-  terms C_0..C_4, fixed combinations of derivatives of
+* riemann_siegel: main sum of length N = floor(sqrt(t/2pi)) plus the
+  correction terms C_0..C_4, fixed combinations of derivatives of
   Psi(p) = cos(2pi(p^2-p-1/16))/cos(2pi p).  Each C_k is one polynomial in
   (p - 1/2)^2 (times p - 1/2 for odd k), generated once per process by
   folding the Psi Taylor series about p = 1/2 with the C_k weights at
@@ -13,21 +13,31 @@ Two independent evaluation routes:
   rigorous tail estimate; serves as the cross-method oracle and the small-t
   route.
 
+The main sum is taken from prime phases.  With C + iS = e^(i t ln n),
+2 sum_{n<=N} n^(-1/2) cos(theta - t ln n) = 2 (cos theta sum_n n^(-1/2) C
++ sin theta sum_n n^(-1/2) S).  Cosine and sine are taken only at the primes
+p <= N; a composite n is the product of the rows of its smallest prime
+factor and its cofactor, one vectorized complex product per level of
+Omega(n), so about pi(N) of the N terms cost trig (29 of 108 at t = 7.5e4).
+
 A table build evaluates Z only within half a Gram interval of some Gram
 point, and there a third form of the Riemann-Siegel route, `hardy_z_local`,
 expands the main sum about each Gram point c of a run: with moments
 M_k = sum_n n^(-1/2) e^(i(theta(c) - c ln n)) (ln n)^k / k!, taken once per
-Gram point, Z(c + h) = 2 Re[e^(i(theta(c+h) - theta(c))) sum_{k<=K} M_k (-ih)^k]
+Gram point from the same prime-phase terms,
+Z(c + h) = 2 Re[e^(i(theta(c+h) - theta(c))) sum_{k<=K} M_k (-ih)^k]
 plus the same C_0..C_4 correction at c + h.  The Taylor tail is at most
 2 sum_n n^(-1/2) x^(K+1)/(K+1)! e^x with x = max|h| ln N, and K is the least
-order that holds it to 1e-13.  The cos rows of the moments also give Z at
-the Gram points, bit for bit the direct sum, and heights below RS_SWITCH_T
-take the Euler-Maclaurin route, as `hardy_z_auto` does.
+order that holds it to 1e-13.  The terms also give Z at the Gram points,
+bit for bit the direct sum, and heights below RS_SWITCH_T take the
+Euler-Maclaurin route, as `hardy_z_auto` does.
 
 The scalar Euler-Maclaurin path accumulates with math.fsum.  Riemann-Siegel
 has one implementation, the vectorized one (a scalar t is a 1-element array);
-its numpy pairwise reduction rounds at ~1e-13 at our sum lengths, far below
-the reported error bounds, which are dominated by phase rounding at large t.
+its main sum adds the terms one after another in a fixed order of n, so a
+height's value does not depend on the slice it is evaluated in.  That sum
+rounds at ~1e-13 at our sum lengths, far below the reported error bounds,
+which are dominated by phase rounding at large t.
 """
 
 from __future__ import annotations
@@ -170,28 +180,92 @@ def rs_err_bound(t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Riemann-Siegel evaluation
+# Riemann-Siegel main sum from prime phases
 
-_Z_ELEMENTS = 1 << 19  # heights x terms per _hardy_z_chunk call in hardy_z_many
+_Z_ELEMENTS = 1 << 15  # heights x terms per slice of the main sum
+
+
+@lru_cache(maxsize=64)
+def _factor_plan(n_top: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """n = 1..n_top in the order the term builder fills them: by Omega(n), the
+    number of n's prime factors counted with multiplicity, then ascending.
+
+    Returns (ns, lnp, levels).  ns is 1, the primes, then the n with
+    Omega(n) = 2, 3, ...; lnp is ln p for the primes ns[1 : 1 + lnp.size].
+    Each level is (start, stop, i_p, i_q): ns[start:stop] are the n of one
+    Omega, ns[i_p] their smallest prime factors p and ns[i_q] the cofactors
+    n / p, all at positions before start.
+    """
+    n = np.arange(n_top + 1)
+    spf = n.copy()                              # smallest prime factor of n >= 2
+    for p in range(2, math.isqrt(n_top) + 1):
+        if spf[p] == p:
+            np.minimum(spf[p * p :: p], p, out=spf[p * p :: p])
+    omega = np.zeros(n_top + 1, dtype=np.int64)
+    rest = n.copy()
+    while (left := rest > 1).any():
+        omega += left
+        rest[left] //= spf[rest[left]]
+    ns = 1 + np.argsort(omega[1:], kind="stable")
+    pos = np.empty(n_top + 1, dtype=np.int64)
+    pos[ns] = np.arange(n_top)
+    cut = np.searchsorted(omega[ns], np.arange(max(omega.max(), 1) + 2))
+    levels = tuple((cut[k], cut[k + 1], pos[spf[m]], pos[m // spf[m]])
+                   for k in range(2, cut.size - 1) for m in [ns[cut[k] : cut[k + 1]]])
+    return ns, np.log(ns[cut[1] : cut[2]].astype(float)), levels
+
+
+def _unit_terms(t: np.ndarray, n_top: int) -> np.ndarray:
+    """e^(i t ln n) = C + i S for n = 1..n_top: one row per n, in _factor_plan's
+    order, each contiguous over the heights.
+
+    Trig is taken only at the primes.  A composite n = p q, p its smallest
+    prime factor, is the product of its factors' rows, C_n = C_p C_q - S_p S_q
+    and S_n = C_p S_q + S_p C_q, one vectorized step per level of Omega(n)
+    (Odlyzko & Schonhage 1988 build n^(-it) from its factors the same way).
+    A value depends on its height and n alone, not on the other heights or on
+    n_top.
+    """
+    _, lnp, levels = _factor_plan(n_top)
+    e = np.empty((n_top, t.size), dtype=complex)
+    e[0] = 1.0
+    phase = np.multiply.outer(lnp, t)
+    e.real[1 : 1 + lnp.size] = np.cos(phase)
+    e.imag[1 : 1 + lnp.size] = np.sin(phase, out=phase)
+    for start, stop, i_p, i_q in levels:
+        np.multiply(e[i_p], e[i_q], out=e[start:stop])
+    return e
+
+
+def _main_terms(t: np.ndarray, n_t: np.ndarray, n_top: int) -> np.ndarray:
+    """n^(-1/2) (C, S) for n = 1..n_top in _factor_plan's order, zero where
+    n > n_t: an (n_top, t.size, 2) float array."""
+    ns = _factor_plan(n_top)[0]
+    e = _unit_terms(t, n_top)
+    terms = e.view(float).reshape(n_top, t.size, 2)
+    terms *= (1.0 / np.sqrt(ns))[:, None, None]
+    e[ns[:, None] > n_t] = 0.0
+    return terms
+
+
+def _main_sum(terms: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """2 sum_n n^(-1/2) cos(theta - t ln n) = 2 (cos theta sum Cw + sin theta sum Sw)
+    from _main_terms' rows.
+
+    The rows are added one after another: an axis-0 reduction over blocks of
+    at least two values is never pairwise.  So a height's sum is the same in
+    any slice, and zero rows, past N(t) or past another slice's n_top, leave
+    it as it is.
+    """
+    wc, ws = np.add.reduce(terms, axis=0).T
+    return 2.0 * (np.cos(th) * wc + np.sin(th) * ws)
 
 
 def _hardy_z_chunk(seg: np.ndarray) -> np.ndarray:
     a = np.sqrt(seg / TWO_PI)
     N = a.astype(np.int64)
-    p = a - N
-    th = theta_many(seg)
-    n_max = int(N.max())
-    n = np.arange(1, n_max + 1, dtype=float)
-    logn = np.log(n)
-    rsqrt = 1.0 / np.sqrt(n)
-    # one len(seg) x n_max buffer: phases, then cosines, then terms, in place
-    terms = np.multiply.outer(seg, logn)
-    np.subtract(th[:, None], terms, out=terms)
-    np.cos(terms, out=terms)
-    terms *= rsqrt
-    # mask out n > N(t) rows before reduction
-    z = 2.0 * np.sum(terms, axis=1, where=n <= N[:, None])
-    return z + _rs_remainder(seg, N, p)
+    terms = _main_terms(seg, N, int(N.max()))
+    return _main_sum(terms, theta_many(seg)) + _rs_remainder(seg, N, a - N)
 
 
 def _rs_remainder(t: np.ndarray, N: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -205,8 +279,8 @@ def _rs_remainder(t: np.ndarray, N: np.ndarray, p: np.ndarray) -> np.ndarray:
 def hardy_z_many(ts: np.ndarray) -> np.ndarray:
     """Vectorized Riemann-Siegel Z over an array with all t >= RS_MIN_T.
 
-    Evaluated in slices of at most _Z_ELEMENTS heights x terms; a masked row
-    sum does not depend on the row's length, so slicing does not move a bit.
+    Evaluated in slices of at most _Z_ELEMENTS heights x terms; a height's
+    terms and its sum do not depend on the slice, so slicing does not move a bit.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
@@ -257,9 +331,11 @@ def hardy_z_local(c: np.ndarray):
 
     At each centre c the moments
     M_k = sum_{n <= N(c)} n^(-1/2) e^(i(theta(c) - c ln n)) (ln n)^k / k!
-    take one cos+sin pass and one matrix product with a (ln n)^k / k! table
+        = e^(i theta(c)) (P_k . Cw - i P_k . Sw)
+    take the prime-phase terms Cw, Sw = n^(-1/2) (cos, sin)(c ln n) of
+    _main_terms and one matrix product with the table P_k = (ln n)^k / k!
     (Odlyzko & Schonhage 1988 reuse n^(-it) about a base point the same way).
-    The cos rows give Z at the centres as _hardy_z_chunk sums them, bit for
+    The same terms give Z at the centres as _hardy_z_chunk sums them, bit for
     bit hardy_z_auto's values, carried as the function's `at_centres`.  The
     function maps heights t in [c_0, c_last] to hardy_z_auto's value below
     RS_SWITCH_T, and above it, from the nearer centre c, to
@@ -279,32 +355,31 @@ def hardy_z_local(c: np.ndarray):
     n_top = int(n_c[-1])
     n = np.arange(1, n_top + 1, dtype=float)
     logn = np.log(n)
-    rsqrt = 1.0 / np.sqrt(n)
     mid = 0.5 * (c[:-1] + c[1:])
     half = 0.5 * np.diff(c)
     reach = np.maximum(np.r_[0.0, half], np.r_[half, 0.0])     # max |h| per centre
-    order = _taylor_order(float(np.max(reach * logn[n_c - 1])), float(rsqrt.sum()))
-    powers = np.empty((n_top, order + 1))       # (ln n)^k / k!
+    order = _taylor_order(float(np.max(reach * logn[n_c - 1])), float(np.sum(1.0 / np.sqrt(n))))
+    ln_rows = logn[_factor_plan(n_top)[0] - 1]
+    powers = np.empty((n_top, order + 1))       # (ln n)^k / k!, rows as _main_terms'
     powers[:, 0] = 1.0
     for k in range(1, order + 1):
-        np.multiply(powers[:, k - 1], logn / k, out=powers[:, k])
+        np.multiply(powers[:, k - 1], ln_rows / k, out=powers[:, k])
     moments = np.empty((c.size, order + 1), dtype=complex)     # a row per centre
     z_c = np.empty(c.size)
-    step = max(1, _SERIAL_MACS // (n_top * (order + 1)))   # centres per pass
-    for i in range(0, c.size, step):
-        j = min(i + step, c.size)
-        m = int(n_c[j - 1])                     # n_c ascends with c
-        phase = np.multiply.outer(c[i:j], logn[:m])
-        np.subtract(th[i:j, None], phase, out=phase)
-        inside = n[:m] <= n_c[i:j, None]
-        weight = np.where(inside, rsqrt[:m], 0.0)
-        cw = np.cos(phase)
-        cw *= weight
-        z_c[i:j] = 2.0 * np.sum(cw, axis=1, where=inside)
-        sw = np.sin(phase, out=phase)
-        sw *= weight
-        np.matmul(cw, powers[:m], out=moments.real[i:j])
-        np.matmul(sw, powers[:m], out=moments.imag[i:j])
+    width = max(1, _Z_ELEMENTS // n_top)                        # centres per slice
+    step = max(1, _SERIAL_MACS // (2 * n_top * (order + 1)))   # centres per product
+    for i in range(0, c.size, width):
+        j = min(i + width, c.size)
+        terms = _main_terms(c[i:j], n_c[i:j], n_top)
+        z_c[i:j] = _main_sum(terms, th[i:j])
+        for b0 in range(i, j, step):
+            b1 = min(b0 + step, j)
+            # the (Cw, Sw) column pair of each centre against P, in one product
+            prod = terms[:, b0 - i : b1 - i].reshape(n_top, -1).T @ powers
+            pc, ps = prod[0::2], prod[1::2]
+            ct, st = np.cos(th[b0:b1])[:, None], np.sin(th[b0:b1])[:, None]
+            moments.real[b0:b1] = ct * pc + st * ps
+            moments.imag[b0:b1] = st * pc - ct * ps
     z_c += _rs_remainder(c, n_c, a - n_c)
     z_c[c < RS_SWITCH_T] = [hardy_z(float(t)).z for t in c[c < RS_SWITCH_T]]
 

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import gramlab
-from gramlab import cli, store, zeta
+from gramlab import cli, primes, store, zeta
 from gramlab import ingest as ing
 from gramlab.errors import ChecksumMismatch, ParseError, VersionMismatch
 from gramlab.reports import Report, render, to_csv, to_json
@@ -217,18 +217,14 @@ def test_stored_z_that_the_kernel_does_not_reproduce_is_recomputed(table_small,
                                                                     tmp_path):
     rng = tmp_path / "rng"
     store.save_range(table_small, rng)
-    row = 1 + store.z_sample(table_small.gram.size)[-2]
-    z_row = np.nextafter(table_small.z_values()[row - 1], np.inf)
-    _rewrite(rng, "gram.csv", lambda ls: _set(ls, row, 2, store.fmt_height(z_row)))
+    _spoil_stored_z(rng, table_small)
     loaded, _ = store.load_range(rng)
     assert loaded.z_gram is None
     assert loaded.z_values().tobytes() == zeta.hardy_z_auto(loaded.gram).tobytes()
 
 
-def test_version_1_range_loads_and_recomputes_z(table_small, tmp_path):
-    # a range in the first format: gram.csv without the Z column
-    rng = tmp_path / "rng"
-    store.save_range(table_small, rng)
+def _as_version_1(rng: Path) -> None:
+    """Rewrite a saved range in the first format: gram.csv without the Z column."""
     gram = rng / "gram.csv"
     gram.write_text("".join(line.rsplit(",", 1)[0] + "\n"
                             for line in gram.read_text().splitlines()))
@@ -237,12 +233,56 @@ def test_version_1_range_loads_and_recomputes_z(table_small, tmp_path):
     data["version"] = 1
     data["checksum"] = store._digest(gram.read_bytes(), (rng / "zeros.csv").read_bytes())
     mpath.write_text(json.dumps(data))
+
+
+def _spoil_stored_z(rng: Path, table: ZeroTable) -> None:
+    """Move one sampled stored Z value by an ulp, as another kernel would."""
+    row = 1 + store.z_sample(table.gram.size)[-2]
+    z_row = np.nextafter(table.z_values()[row - 1], np.inf)
+    _rewrite(rng, "gram.csv", lambda ls: _set(ls, row, 2, store.fmt_height(z_row)))
+
+
+def test_version_1_range_loads_and_recomputes_z(table_small, tmp_path):
+    rng = tmp_path / "rng"
+    store.save_range(table_small, rng)
+    _as_version_1(rng)
+    gram = rng / "gram.csv"
     assert gram.read_text().startswith("index,t\n0,")
     loaded, man = store.load_range(rng)
     assert man.version == 1 and loaded.z_gram is None
     assert loaded.gram.tobytes() == table_small.gram.tobytes()
     assert loaded.zeros.tobytes() == table_small.zeros.tobytes()
     assert loaded.z_values().tobytes() == zeta.hardy_z_auto(loaded.gram).tobytes()
+
+
+@pytest.mark.parametrize("spoil", [
+    pytest.param(lambda rng, table: _as_version_1(rng), id="version_1"),
+    pytest.param(_spoil_stored_z, id="foreign_z")])
+def test_range_without_a_kept_z_is_rewritten_once(table_small, tmp_path, monkeypatch,
+                                                  spoil):
+    # a warm run over a version-1 range, or over Z another kernel wrote, saves
+    # the recomputed column; the next load checks it at the sample and keeps it
+    rng = tmp_path / "rng"
+    store.save_range(table_small, rng)
+    spoil(rng, table_small)
+    assert store.load_range(rng)[0].z_gram is None
+    store.cached_table(1000, rng)
+    assert store.load_manifest(rng).version == store.STORE_VERSION
+    seen = []
+    auto = zeta.hardy_z_auto
+
+    def counting(ts):
+        seen.append(np.size(ts))
+        return auto(ts)
+
+    monkeypatch.setattr(zeta, "hardy_z_auto", counting)
+    loaded = store.cached_table(1000, rng)
+    assert loaded.z_gram is not None
+    assert seen == [store.z_sample(loaded.gram.size).size]
+    monkeypatch.undo()
+    assert loaded.gram.tobytes() == table_small.gram.tobytes()
+    assert loaded.zeros.tobytes() == table_small.zeros.tobytes()
+    assert loaded.z_gram.tobytes() == zeta.hardy_z_auto(loaded.gram).tobytes()
 
 
 def test_interrupted_save_leaves_no_manifest(table_small, tmp_path, monkeypatch):
@@ -491,6 +531,24 @@ def test_cli_verify_paper_1e5_pinned(cli_cache_dir, tmp_path):
     r = _run_cli(["--format", "json", "--cache-dir", str(cli_cache_dir), "verify-paper",
                   "--n-limit", "100000"], tmp_path)
     assert r.returncode == 0, r.stderr
+    assert r.stdout == (Path(__file__).parent / "data" / "verify_paper_1e5.json").read_text()
+
+
+def test_warm_verify_paper_reads_the_sieve_cache_once(cli_cache_dir, monkeypatch):
+    # mertens_sums(1e8), v_xh(1e8, 0.2) and v_xh(1e8, 0.39) share one sieve
+    primes.sieve_primes(primes.SIEVE_CEILING, cache_dir=cli_cache_dir)  # filled if absent
+    loads = []
+    load = primes.load_prime_cache
+
+    def counting(path):
+        loads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(primes, "load_prime_cache", counting)
+    r = CliRunner().invoke(cli.main, ["--format", "json", "--cache-dir", str(cli_cache_dir),
+                                      "verify-paper", "--n-limit", "100000"])
+    assert r.exit_code == 0, r.output
+    assert len(loads) == 1
     assert r.stdout == (Path(__file__).parent / "data" / "verify_paper_1e5.json").read_text()
 
 

@@ -303,3 +303,71 @@ def test_local_expansion_changes_sign_once_at_zero_95248():
     flips = np.nonzero(np.sign(z[1:]) != np.sign(z[:-1]))[0]
     assert flips.size == 1
     assert abs(0.5 * (ts[flips[0]] + ts[flips[0] + 1]) - root) < 1e-9
+
+
+def _omega(n: int) -> int:
+    """Prime factors of n counted with multiplicity, by trial division."""
+    count, p = 0, 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            count += 1
+        p += 1
+    return count + (n > 1)
+
+
+@pytest.mark.parametrize("n_top", [1, 2, 12, 109, 310, 1000])
+def test_factor_plan_covers_each_n_once_after_its_factors(n_top):
+    ns, lnp, levels = zt._factor_plan(n_top)
+    assert np.array_equal(np.sort(ns), np.arange(1, n_top + 1))
+    omega = np.array([_omega(int(n)) for n in ns])
+    primes = ns[1 : 1 + lnp.size]
+    assert ns[0] == 1 and np.all(omega[1 : 1 + lnp.size] == 1)
+    assert np.array_equal(lnp, np.log(primes.astype(float)))
+    done = 1 + lnp.size
+    for k, (start, stop, i_p, i_q) in enumerate(levels, start=2):
+        assert start == done and np.all(omega[start:stop] == k)
+        # both factors sit at earlier positions, p is n's smallest prime factor
+        assert np.all(i_p < start) and np.all(i_q < start)
+        assert np.array_equal(ns[i_p] * ns[i_q], ns[start:stop])
+        assert np.all(omega[i_p] == 1)
+        assert all(n % q for n, p in zip(ns[start:stop], ns[i_p])
+                   for q in range(2, int(p)))
+        done = stop
+    assert done == n_top
+
+
+@pytest.mark.parametrize("t0", [1e3, 7.5e4, 6e5])
+def test_unit_terms_within_omega_plus_one_ulps(t0):
+    """Each prime factor adds at most about one ulp of t ln n to the phase."""
+    t = np.random.default_rng(18).uniform(t0, 1.01 * t0, 4)
+    n_top = int(math.sqrt(t.max() / zt.TWO_PI))
+    ns = zt._factor_plan(n_top)[0]
+    e = zt._unit_terms(t, n_top)
+    with mpmath.workdps(40):
+        for row, n in enumerate(ns.tolist()):
+            for j, tj in enumerate(t.tolist()):
+                x = mpmath.mpf(tj) * mpmath.log(n)
+                tol = (_omega(n) + 1) * np.spacing(float(x))
+                assert abs(e[row, j].real - float(mpmath.cos(x))) <= tol
+                assert abs(e[row, j].imag - float(mpmath.sin(x))) <= tol
+
+
+def test_unit_terms_do_not_depend_on_the_slice_or_n_top():
+    t = np.exp(np.random.default_rng(19).uniform(math.log(1e3), math.log(1e7), 300))
+    whole = zt._unit_terms(t, 400)
+    for j in (0, 1, 150, 299):
+        assert np.array_equal(zt._unit_terms(t[j : j + 1], 400)[:, 0], whole[:, j])
+    # rows in order of n: a shorter plan gives the same rows for its n
+    by_n = whole[np.argsort(zt._factor_plan(400)[0])]
+    short = zt._unit_terms(t, 100)[np.argsort(zt._factor_plan(100)[0])]
+    assert np.array_equal(short, by_n[:100])
+
+
+def test_error_within_bound_against_oracle_above_1e5():
+    """Eight seeded heights in [1e5, 1e6], where the prime-phase main sum runs
+    to N = 126..398 terms."""
+    with mpmath.workdps(20):
+        for t in np.random.default_rng(20261018).uniform(1e5, 1e6, size=8):
+            ze = zt.hardy_z(float(t))
+            assert abs(ze.z - siegelz_oracle(float(t))) <= ze.err_bound
