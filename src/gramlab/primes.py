@@ -106,13 +106,17 @@ def sieve_primes(limit: int, cache_dir: str | Path | None = None) -> PrimeTable:
             return table
     root = int(math.isqrt(limit))
     base = _base_primes(root)
-    chunks = [base]
+    # one buffer, by pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld
+    # 1962): no segment list is copied whole, and the unfilled tail stays untouched
+    primes = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.uint64)
+    primes[: base.size] = base
+    count = base.size
     seg = 1 << 22
     for lo in range(root + 1, limit + 1, seg):
-        hi = min(lo + seg, limit + 1)
-        chunks.append(_sieve_block(lo, hi, base))
-    primes = np.concatenate(chunks)
-    table = PrimeTable(limit=limit, primes=primes)
+        block = _sieve_block(lo, min(lo + seg, limit + 1), base)
+        primes[count : count + block.size] = block
+        count += block.size
+    table = PrimeTable(limit=limit, primes=primes[:count])
     if cache_path is not None:
         save_prime_cache(cache_path, table)
     return table

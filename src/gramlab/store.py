@@ -206,7 +206,7 @@ def load_range(path: str | Path) -> tuple[ZeroTable, CacheManifest]:
     z_gram = None
     if gram_cols.shape[1] == 3:
         idx = z_sample(gram.size)
-        if zeta.hardy_z_auto(gram[idx]).tobytes() == gram_cols[idx, 2].tobytes():
+        if zeta.hardy_z_many(gram[idx]).tobytes() == gram_cols[idx, 2].tobytes():
             z_gram = gram_cols[:, 2].copy()
     return ZeroTable.from_arrays(gram, zeros, z_gram), manifest
 

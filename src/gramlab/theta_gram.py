@@ -70,8 +70,8 @@ def theta(t: float) -> ThetaEval:
     Requires t >= 7; below that the asymptotic series is not trusted and
     the Gram equation loses uniqueness.
     """
-    if not t >= T_MIN:
-        raise DomainError(f"theta requires t >= {T_MIN}, got {t}")
+    if not T_MIN <= t < math.inf:
+        raise DomainError(f"theta requires finite t >= {T_MIN}, got {t}")
     tail = 2.0 * _TAIL_COEF / t**7
     return ThetaEval(
         t=float(t),
@@ -80,18 +80,23 @@ def theta(t: float) -> ThetaEval:
     )
 
 
+def _require_heights(ts: np.ndarray, name: str) -> None:
+    """DomainError unless every t is finite and >= T_MIN; NaN passes a min() check."""
+    if not np.all(np.isfinite(ts) & (ts >= T_MIN)):
+        raise DomainError(f"{name} requires all t finite and >= {T_MIN}")
+
+
 def theta_many(ts: np.ndarray) -> np.ndarray:
-    """Vectorized theta values for an array with all entries >= 7."""
+    """Vectorized theta values for an array of finite t >= 7."""
     ts = np.asarray(ts, dtype=float)
-    if ts.size and float(ts.min()) < T_MIN:
-        raise DomainError("theta_many requires all t >= 7")
+    _require_heights(ts, "theta_many")
     return _theta_raw(ts)
 
 
 def theta_derivative(t: float, order: int = 1) -> float:
     """First or second derivative of theta; other orders are unsupported."""
-    if not t >= T_MIN:
-        raise DomainError(f"theta_derivative requires t >= {T_MIN}, got {t}")
+    if not T_MIN <= t < math.inf:
+        raise DomainError(f"theta_derivative requires finite t >= {T_MIN}, got {t}")
     if order == 1:
         return float(_theta_d1_raw(t))
     if order == 2:

@@ -157,7 +157,7 @@ class ZeroTable:
     def z_values(self) -> np.ndarray:
         """Z at every Gram point, computed on first use for loaded tables."""
         if self.z_gram is None:
-            self.z_gram = zeta.hardy_z_auto(self.gram)
+            self.z_gram = zeta.hardy_z_many(self.gram)
         return self.z_gram
 
     @property

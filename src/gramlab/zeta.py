@@ -29,8 +29,8 @@ Z(c + h) = 2 Re[e^(i(theta(c+h) - theta(c))) sum_{k<=K} M_k (-ih)^k]
 plus the same C_0..C_4 correction at c + h.  The Taylor tail is at most
 2 sum_n n^(-1/2) x^(K+1)/(K+1)! e^x with x = max|h| ln N, and K is the least
 order that holds it to 1e-13.  The terms also give Z at the Gram points,
-bit for bit the direct sum, and heights below RS_SWITCH_T take the
-Euler-Maclaurin route, as `hardy_z_auto` does.
+bit for bit the direct sum.  One rule, `_em_heights`, picks the route at every
+height for `hardy_z`, `hardy_z_many` and `hardy_z_local` alike.
 
 The scalar Euler-Maclaurin path accumulates with math.fsum.  Riemann-Siegel
 has one implementation, the vectorized one (a scalar t is a 1-element array);
@@ -50,11 +50,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PrecisionError, PreconditionError
-from .theta_gram import T_MIN, theta, theta_many
+from .theta_gram import T_MIN, _require_heights, theta, theta_many
 
 TWO_PI = 2.0 * math.pi
 
-RS_MIN_T = 10.0
 RS_SWITCH_T = 30.0  # euler_maclaurin below, riemann_siegel above
 EM_MAX_T = 5.0e4
 EM_MIN_TARGET = 1e-13
@@ -261,13 +260,6 @@ def _main_sum(terms: np.ndarray, th: np.ndarray) -> np.ndarray:
     return 2.0 * (np.cos(th) * wc + np.sin(th) * ws)
 
 
-def _hardy_z_chunk(seg: np.ndarray) -> np.ndarray:
-    a = np.sqrt(seg / TWO_PI)
-    N = a.astype(np.int64)
-    terms = _main_terms(seg, N, int(N.max()))
-    return _main_sum(terms, theta_many(seg)) + _rs_remainder(seg, N, a - N)
-
-
 def _rs_remainder(t: np.ndarray, N: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The C_0..C_4 correction at t, with N = floor(sqrt(t/2pi)) and p its fraction."""
     c0, c1, c2, c3, c4 = _rs_corrections(p)
@@ -276,21 +268,20 @@ def _rs_remainder(t: np.ndarray, N: np.ndarray, p: np.ndarray) -> np.ndarray:
         * (c0 + q * (c1 + q * (c2 + q * (c3 + q * c4))))
 
 
-def hardy_z_many(ts: np.ndarray) -> np.ndarray:
-    """Vectorized Riemann-Siegel Z over an array with all t >= RS_MIN_T.
-
-    Evaluated in slices of at most _Z_ELEMENTS heights x terms; a height's
-    terms and its sum do not depend on the slice, so slicing does not move a bit.
-    """
-    ts = np.asarray(ts, dtype=float)
-    if ts.size == 0:
-        return np.empty(0)
-    if float(ts.min()) < RS_MIN_T:
-        raise DomainError("hardy_z_many requires all t >= 10")
-    rows = max(1, _Z_ELEMENTS // int(math.sqrt(float(ts.max()) / TWO_PI)))
+def _hardy_z_rs(ts: np.ndarray) -> np.ndarray:
+    """Riemann-Siegel Z over an array, in slices of at most _Z_ELEMENTS heights
+    x terms; a height's terms and its sum do not depend on the slice, so
+    slicing does not move a bit."""
     out = np.empty(ts.shape)
+    if ts.size == 0:
+        return out
+    rows = max(1, _Z_ELEMENTS // int(math.sqrt(float(ts.max()) / TWO_PI)))
     for i in range(0, ts.size, rows):
-        out[i : i + rows] = _hardy_z_chunk(ts[i : i + rows])
+        seg = ts[i : i + rows]
+        a = np.sqrt(seg / TWO_PI)
+        N = a.astype(np.int64)
+        terms = _main_terms(seg, N, int(N.max()))
+        out[i : i + rows] = _main_sum(terms, theta_many(seg)) + _rs_remainder(seg, N, a - N)
     return out
 
 
@@ -335,10 +326,10 @@ def hardy_z_local(c: np.ndarray):
     take the prime-phase terms Cw, Sw = n^(-1/2) (cos, sin)(c ln n) of
     _main_terms and one matrix product with the table P_k = (ln n)^k / k!
     (Odlyzko & Schonhage 1988 reuse n^(-it) about a base point the same way).
-    The same terms give Z at the centres as _hardy_z_chunk sums them, bit for
-    bit hardy_z_auto's values, carried as the function's `at_centres`.  The
-    function maps heights t in [c_0, c_last] to hardy_z_auto's value below
-    RS_SWITCH_T, and above it, from the nearer centre c, to
+    The same terms give Z at the centres as _hardy_z_rs sums them, bit for
+    bit hardy_z_many's values, carried as the function's `at_centres`.  The
+    function maps heights t in [c_0, c_last] to hardy_z_many's value where
+    _em_heights holds, and elsewhere, from the nearer centre c, to
     Z(c + h) = 2 Re[e^(i dtheta) sum_{k <= K} M_k (-ih)^k] + R(t), where
     dtheta = theta(c + h) - theta(c) and R is the C_0..C_4 correction at t;
     where N(t) differs from N(c), the one term gained or lost is added
@@ -381,7 +372,8 @@ def hardy_z_local(c: np.ndarray):
             moments.real[b0:b1] = ct * pc + st * ps
             moments.imag[b0:b1] = st * pc - ct * ps
     z_c += _rs_remainder(c, n_c, a - n_c)
-    z_c[c < RS_SWITCH_T] = [hardy_z(float(t)).z for t in c[c < RS_SWITCH_T]]
+    low = _em_heights(c)
+    z_c[low] = [hardy_z(float(t)).z for t in c[low]]
 
     def expand(ts: np.ndarray) -> np.ndarray:
         row = np.searchsorted(mid, ts)          # the nearer centre
@@ -506,27 +498,28 @@ def _hardy_z_em_scalar(t: float):
 # ---------------------------------------------------------------------------
 # Public operations
 
-def hardy_z(t: float, method: str = "auto") -> ZEval:
-    """Hardy's Z(t) = e^{i theta(t)} zeta(1/2 + i t), real for real t >= T_MIN."""
-    if not t >= T_MIN:
-        raise DomainError(f"hardy_z requires t >= {T_MIN}, got {t}")
-    if method == "auto":
-        method = "riemann_siegel" if t >= RS_SWITCH_T else "euler_maclaurin"
-    if method == "riemann_siegel":
-        if t < RS_MIN_T:
-            raise DomainError("riemann_siegel route requires t >= 10")
-        z = float(_hardy_z_chunk(np.array([float(t)]))[0])
-        return ZEval(t=float(t), z=z, err_bound=float(rs_err_bound(t)), method=method)
-    if method == "euler_maclaurin":
+def _em_heights(ts):
+    """The route rule: Euler-Maclaurin below RS_SWITCH_T, Riemann-Siegel above."""
+    return ts < RS_SWITCH_T
+
+
+def hardy_z(t: float) -> ZEval:
+    """Hardy's Z(t) = e^{i theta(t)} zeta(1/2 + i t), real for real t >= T_MIN,
+    with its error bound and the route that gave it."""
+    if not T_MIN <= t < math.inf:
+        raise DomainError(f"hardy_z requires finite t >= {T_MIN}, got {t}")
+    t = float(t)
+    if _em_heights(t):
         z, bound = _hardy_z_em_scalar(t)
-        return ZEval(t=float(t), z=z, err_bound=bound + 1e-12, method=method)
-    raise DomainError(f"unknown method {method!r}")
+        return ZEval(t=t, z=z, err_bound=bound + 1e-12, method="euler_maclaurin")
+    z = float(_hardy_z_rs(np.array([t]))[0])
+    return ZEval(t=t, z=z, err_bound=float(rs_err_bound(t)), method="riemann_siegel")
 
 
 def _route(ts: np.ndarray, above) -> np.ndarray:
-    """Z by the scalar Euler-Maclaurin route below RS_SWITCH_T, by `above` from there."""
-    ts = np.asarray(ts, dtype=float)
-    low = ts < RS_SWITCH_T
+    """Z at heights ts, by hardy_z's scalar route where _em_heights holds and
+    by `above`, a vectorized Riemann-Siegel form, on the rest."""
+    low = _em_heights(ts)
     if not low.any():
         return above(ts)
     out = np.empty(ts.shape)
@@ -535,18 +528,15 @@ def _route(ts: np.ndarray, above) -> np.ndarray:
     return out
 
 
-def hardy_z_auto(ts: np.ndarray) -> np.ndarray:
-    """Z on an array of heights by the route hardy_z's "auto" takes.
-
-    The scalar Euler-Maclaurin route below RS_SWITCH_T, hardy_z_many above.
-    """
-    return _route(ts, hardy_z_many)
+def hardy_z_many(ts: np.ndarray) -> np.ndarray:
+    """Z on an array of finite heights t >= T_MIN, each bit for bit hardy_z's value."""
+    ts = np.asarray(ts, dtype=float)
+    _require_heights(ts, "hardy_z_many")
+    return _route(ts, _hardy_z_rs)
 
 
 def zeta_half_line(t: float) -> ZetaHalfLine:
     """A(t) = Re zeta(1/2+it) and B(t) = Im zeta(1/2+it) via Z and theta."""
-    if not t >= T_MIN:
-        raise DomainError(f"zeta_half_line requires t >= {T_MIN}, got {t}")
     ze = hardy_z(t)
     th = theta(t).value
     return ZetaHalfLine(t=float(t), a=ze.z * math.cos(th), b=-ze.z * math.sin(th))

@@ -210,7 +210,7 @@ def test_warm_load_evaluates_z_only_at_the_sample(cli_cache_dir, monkeypatch):
     assert 0 < sum(seen) <= 610
     monkeypatch.undo()
     idx = np.arange(0, z.size, 97)
-    assert z[idx].tobytes() == zeta.hardy_z_auto(loaded.gram[idx]).tobytes()
+    assert z[idx].tobytes() == zeta.hardy_z_many(loaded.gram[idx]).tobytes()
 
 
 def test_stored_z_that_the_kernel_does_not_reproduce_is_recomputed(table_small,
@@ -220,7 +220,7 @@ def test_stored_z_that_the_kernel_does_not_reproduce_is_recomputed(table_small,
     _spoil_stored_z(rng, table_small)
     loaded, _ = store.load_range(rng)
     assert loaded.z_gram is None
-    assert loaded.z_values().tobytes() == zeta.hardy_z_auto(loaded.gram).tobytes()
+    assert loaded.z_values().tobytes() == zeta.hardy_z_many(loaded.gram).tobytes()
 
 
 def _as_version_1(rng: Path) -> None:
@@ -252,7 +252,7 @@ def test_version_1_range_loads_and_recomputes_z(table_small, tmp_path):
     assert man.version == 1 and loaded.z_gram is None
     assert loaded.gram.tobytes() == table_small.gram.tobytes()
     assert loaded.zeros.tobytes() == table_small.zeros.tobytes()
-    assert loaded.z_values().tobytes() == zeta.hardy_z_auto(loaded.gram).tobytes()
+    assert loaded.z_values().tobytes() == zeta.hardy_z_many(loaded.gram).tobytes()
 
 
 @pytest.mark.parametrize("spoil", [
@@ -269,20 +269,20 @@ def test_range_without_a_kept_z_is_rewritten_once(table_small, tmp_path, monkeyp
     store.cached_table(1000, rng)
     assert store.load_manifest(rng).version == store.STORE_VERSION
     seen = []
-    auto = zeta.hardy_z_auto
+    many = zeta.hardy_z_many
 
     def counting(ts):
         seen.append(np.size(ts))
-        return auto(ts)
+        return many(ts)
 
-    monkeypatch.setattr(zeta, "hardy_z_auto", counting)
+    monkeypatch.setattr(zeta, "hardy_z_many", counting)
     loaded = store.cached_table(1000, rng)
     assert loaded.z_gram is not None
     assert seen == [store.z_sample(loaded.gram.size).size]
     monkeypatch.undo()
     assert loaded.gram.tobytes() == table_small.gram.tobytes()
     assert loaded.zeros.tobytes() == table_small.zeros.tobytes()
-    assert loaded.z_gram.tobytes() == zeta.hardy_z_auto(loaded.gram).tobytes()
+    assert loaded.z_gram.tobytes() == zeta.hardy_z_many(loaded.gram).tobytes()
 
 
 def test_interrupted_save_leaves_no_manifest(table_small, tmp_path, monkeypatch):

@@ -21,6 +21,21 @@ def test_sieve_against_independent_generator():
     assert pr.verify_spot_range(table, 50000, 60000)
 
 
+def test_sieve_peak_memory_stays_near_its_primes():
+    """A cold segmented sieve fills one buffer: no segment list is held while
+    a full copy is made, which peaked at 2.0x the primes' bytes."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        table = pr.sieve_primes(5 * 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8 * table.primes.nbytes
+    assert np.array_equal(table.primes, pr._base_primes(5 * 10**7))
+
+
 def test_sieve_ceiling():
     with pytest.raises(ResourceError):
         pr.sieve_primes(10**9)

@@ -224,7 +224,7 @@ def test_build_evaluates_each_height_once():
 
     def counter(ts):
         calls.append(np.array(ts, dtype=float))
-        return zt.hardy_z_auto(ts)
+        return zt.hardy_z_many(ts)
 
     table = ZeroTable.build(2000, z_eval=counter)
     heights = np.concatenate(calls)
@@ -234,7 +234,7 @@ def test_build_evaluates_each_height_once():
     assert len(calls) <= 1 + zr.DEPTH_CAP + 32
     # an injected z_eval refines through itself: the counter sees every height
     assert np.array_equal(table.zeros,
-                          ZeroTable.build(2000, z_eval=zt.hardy_z_auto).zeros)
+                          ZeroTable.build(2000, z_eval=zt.hardy_z_many).zeros)
 
 
 def test_build_refinement_counts(monkeypatch):
@@ -251,7 +251,7 @@ def test_build_refinement_counts(monkeypatch):
 
     def counter(ts):
         calls.append(np.array(ts, dtype=float))
-        return zt.hardy_z_auto(ts)
+        return zt.hardy_z_many(ts)
 
     def marked(*args):
         marks.append(len(calls))
@@ -286,7 +286,7 @@ def test_build_refinement_counts(monkeypatch):
 @pytest.fixture(scope="module")
 def default_and_direct_20000():
     """build(20000) refined by expansion, and by the direct kernel passed in."""
-    return ZeroTable.build(20000), ZeroTable.build(20000, z_eval=zt.hardy_z_auto)
+    return ZeroTable.build(20000), ZeroTable.build(20000, z_eval=zt.hardy_z_many)
 
 
 def test_build_local_refinement_counts(default_and_direct_20000):
@@ -340,11 +340,11 @@ def test_build_makes_no_direct_riemann_siegel_call(monkeypatch):
     monkeypatch.setattr(zt, "hardy_z_many", recording)
     table = ZeroTable.build(5000)
     assert table.certified_n == 5000
-    assert not np.any(np.concatenate(heights + [np.empty(0)]) >= zt.RS_SWITCH_T)
+    assert heights == []
     # and a loaded table recomputes Z at its Gram points through the direct kernel
     assert np.array_equal(ZeroTable.from_arrays(table.gram, table.zeros).z_values(),
                           table.z_gram)
-    assert np.concatenate(heights).size == np.count_nonzero(table.gram >= zt.RS_SWITCH_T)
+    assert len(heights) == 1 and np.array_equal(heights[0], table.gram)
 
 
 def test_table_ceiling_refuses_before_building(monkeypatch, tmp_path):
@@ -361,7 +361,7 @@ def test_table_ceiling_refuses_before_building(monkeypatch, tmp_path):
     assert not (tmp_path / "zrange").exists()
 
 
-def _hide_g128(default=zt.hardy_z_auto):
+def _hide_g128(default=zt.hardy_z_many):
     """Z with G_128's two zeros hidden: the block (126, 128) cannot meet its quota."""
     t127, t128 = gram_points(128, 127)
 

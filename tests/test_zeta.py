@@ -42,32 +42,43 @@ def test_bound_claim_at_200_and_monotonicity():
     assert float(zt.rs_err_bound(200.0)) <= 1e-8
 
 
+def _z_euler_maclaurin(t: float) -> tuple[float, float]:
+    """Z(t) and its bound from zeta_euler_maclaurin, rotated by theta."""
+    v, bound = zt.zeta_euler_maclaurin(0.5, t, max(1e-11, 1e-13 * t))
+    theta_val = th.theta(t).value
+    return (complex(math.cos(theta_val), math.sin(theta_val)) * v).real, bound
+
+
 def test_cross_method_agreement():
-    """Riemann-Siegel vs Euler-Maclaurin over the shared range.
+    """Riemann-Siegel vs Euler-Maclaurin over the shared range from RS_SWITCH_T.
 
     Above t = 200 (where the 4-correction truncation bound is below 1e-8)
     the routes agree to 1e-8; below that they agree within the two reported
-    bounds (truncation reaches ~1e-5 near t = 10; see decisions ledger).
+    bounds.  Below RS_SWITCH_T hardy_z is the Euler-Maclaurin route itself.
     """
     rng = np.random.default_rng(7)
     worst = 0.0
     for t in rng.uniform(200.0, 5e4, size=460):
-        zrs = zt.hardy_z(float(t), method="riemann_siegel")
-        zem = zt.hardy_z(float(t), method="euler_maclaurin")
-        worst = max(worst, abs(zrs.z - zem.z))
+        zrs = zt.hardy_z(float(t))
+        assert zrs.method == "riemann_siegel"
+        worst = max(worst, abs(zrs.z - _z_euler_maclaurin(float(t))[0]))
     assert worst < 1e-8
-    for t in rng.uniform(10.0, 200.0, size=40):
-        zrs = zt.hardy_z(float(t), method="riemann_siegel")
-        zem = zt.hardy_z(float(t), method="euler_maclaurin")
-        assert abs(zrs.z - zem.z) <= zrs.err_bound + zem.err_bound
+    ts = rng.uniform(10.0, 200.0, size=40)
+    for t in ts[ts >= zt.RS_SWITCH_T]:
+        zrs = zt.hardy_z(float(t))
+        zem, bound = _z_euler_maclaurin(float(t))
+        assert abs(zrs.z - zem) <= zrs.err_bound + bound
 
 
 def test_vectorized_matches_scalar():
-    ts = np.linspace(11.0, 3000.0, 500)
+    """hardy_z_many takes hardy_z's route at every height, bit for bit, across
+    both sides of RS_SWITCH_T, in one call over mixed heights."""
+    rng = np.random.default_rng(20261019)
+    ts = rng.permutation(np.r_[rng.uniform(zt.T_MIN, 10.0, 6), rng.uniform(10.0, 30.0, 10),
+                               np.exp(rng.uniform(math.log(30.0), math.log(1e5), 48))])
     zv = zt.hardy_z_many(ts)
-    for i in range(0, ts.size, 83):
-        assert zv[i] == pytest.approx(zt.hardy_z(float(ts[i]), method="riemann_siegel").z,
-                                      abs=1e-12)
+    assert np.array_equal(zv, [zt.hardy_z(float(t)).z for t in ts])
+    assert {zt.hardy_z(float(t)).method for t in ts} == {"euler_maclaurin", "riemann_siegel"}
 
 
 def test_domain_errors():
@@ -75,8 +86,6 @@ def test_domain_errors():
         zt.hardy_z(0.0)
     with pytest.raises(DomainError):
         zt.hardy_z(-3.0)
-    with pytest.raises(DomainError):
-        zt.hardy_z(5.0, method="riemann_siegel")
     # theta's series is not trusted below T_MIN, so neither route is offered
     with pytest.raises(DomainError):
         zt.hardy_z(5.0)
@@ -84,6 +93,18 @@ def test_domain_errors():
         zt.zeta_half_line(5.0)
     with pytest.raises(DomainError):
         zt.hardy_z_many(np.array([5.0, 20.0]))
+    # NaN passes a check of the minimum, and inf has no sum length
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            zt.hardy_z(bad)
+        with pytest.raises(DomainError):
+            zt.zeta_half_line(bad)
+        with pytest.raises(DomainError):
+            zt.hardy_z_many(np.array([100.0, bad]))
+        with pytest.raises(DomainError):
+            th.theta_many(np.array([100.0, bad]))
+        with pytest.raises(DomainError):
+            th.theta(bad)
 
 
 def test_em_classical_values():
@@ -102,7 +123,8 @@ def test_em_at_100_against_independent_oracle_and_z():
         ref = complex(mpmath.zeta(mpmath.mpf("0.5") + 100j))
     assert abs(v - ref) < 1e-9
     # rotating back through theta reproduces Z within the RS route's bound
-    ze = zt.hardy_z(100.0, method="riemann_siegel")
+    ze = zt.hardy_z(100.0)
+    assert ze.method == "riemann_siegel"
     theta_val = th.theta(100.0).value
     lhs = complex(math.cos(theta_val), -math.sin(theta_val)) * ze.z
     assert abs(v - lhs) <= ze.err_bound
