@@ -182,7 +182,7 @@ def moments_cmd(obj, kind, n_start, m_len, m_shift, k_ord):
 @click.pass_obj
 def titchmarsh(obj, upper_n):
     """Correlation sum of Z at adjacent Gram points against -2(gamma+1)N."""
-    table = _obtain_table(obj, upper_n + 1)
+    table = _obtain_table(obj, upper_n)
     r = moments.titchmarsh_correlation(table, upper_n)
     rep = Report(kind="moment")
     rep.add("titchmarsh_correlation", {"N": upper_n}, sum=r.sum,
@@ -249,11 +249,11 @@ def ingest_cmd(obj, path, match_tol):
 
 @main.command("verify-paper")
 @click.option("--n-limit", type=click.IntRange(min=1), default=100000,
-              show_default=True, help="gram index budget for the heavy assertions")
+              show_default=True, help="largest Gram index any assertion reads")
 @click.pass_obj
 def verify_paper(obj, n_limit):
     """Run every published-value regression; exit 1 on any failure."""
-    table = _obtain_table(obj, max(n_limit, 1200))
+    table = _obtain_table(obj, n_limit)
     ctx = regression.RegressionContext(
         table=table, n_limit=n_limit, epsilon=obj["epsilon"],
         cache_dir=obj["cache_dir"])

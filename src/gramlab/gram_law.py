@@ -41,19 +41,14 @@ class NuHistogram:
     counts: dict[int, int]
     s_at_end: int
 
-    def identity_total(self) -> bool:
-        """sum_k nu_k == N exactly."""
-        return sum(self.counts.values()) == self.upper_index
-
     def identity_weighted(self) -> bool:
-        """sum_k k nu_k == N + S(t_N + 0) exactly."""
+        """sum_k k nu_k == N + S(t_N + 0) exactly.
+
+        sum_k nu_k == N holds by construction, and nu_0 == sum_{k>=2} (k-1) nu_k
+        - S(t_N+0) is this identity less that one, so this is the one to check.
+        """
         weighted = sum(k * v for k, v in self.counts.items())
         return weighted == self.upper_index + self.s_at_end
-
-    def identity_empty(self) -> bool:
-        """nu_0 == sum_{k>=2} (k-1) nu_k - S(t_N+0), the subtracted form."""
-        rhs = sum((k - 1) * v for k, v in self.counts.items() if k >= 2)
-        return self.counts.get(0, 0) == rhs - self.s_at_end
 
 
 def _edges(table: ZeroTable, n_lo: int, n_hi: int) -> np.ndarray:
@@ -112,7 +107,7 @@ def gsp_flags(table: ZeroTable, n_lo: int, n_hi: int) -> list[bool]:
 
 
 def nu_histogram(table: ZeroTable, N: int) -> NuHistogram:
-    """Occupancy histogram of G_1..G_N with its exact identities asserted."""
+    """Occupancy histogram of G_1..G_N with its weighted identity asserted."""
     counts = interval_counts(table, 1, N)
     ks, freq = np.unique(counts, return_counts=True)
     hist = NuHistogram(
@@ -120,7 +115,7 @@ def nu_histogram(table: ZeroTable, N: int) -> NuHistogram:
         counts={int(k): int(v) for k, v in zip(ks, freq)},
         s_at_end=table.s_at_gram(N),
     )
-    if not (hist.identity_total() and hist.identity_weighted() and hist.identity_empty()):
+    if not hist.identity_weighted():
         raise UncertifiedRange(f"nu identities failed at N={N}; table inconsistent")
     return hist
 

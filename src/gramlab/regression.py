@@ -6,9 +6,9 @@ classification regressions, exact occupancy identities, moment bounds and
 bands, prime-sum facts) and emits one pass/fail/skip row per assertion.
 
 Each assertion is one entry of `_checks`.  One rule gates them all: a row runs
-when both the certified table and n_limit reach its Gram index, and is
-otherwise skipped with reason "insufficient range".  n_limit must be at least
-1.  Output is deterministic: same inputs, same bytes.
+when both the certified table and n_limit reach the largest Gram index its
+check reads, and is otherwise skipped with reason "insufficient range".
+n_limit must be at least 1.  Output is deterministic: same inputs, same bytes.
 """
 
 from __future__ import annotations
@@ -79,18 +79,13 @@ def _z_min(z: np.ndarray, n_max: int, expected: tuple[int, float]) -> tuple[bool
 
 
 def _nu_identities(tab: ZeroTable, top: int) -> tuple[bool, str]:
-    sampled = list(range(1000, top + 1, 1000)) or [min(200, top)]
-    counts = gram_law.interval_counts(tab, 1, top)
-    nu = np.zeros(int(counts.max()) + 1, dtype=np.int64)
-    prev = 0
-    for N in sampled:
-        nu += np.bincount(counts[prev:N], minlength=nu.size)  # histogram of G_1..G_N
-        prev = N
-        hist = gram_law.NuHistogram(upper_index=N, counts=dict(enumerate(nu.tolist())),
-                                    s_at_end=tab.s_at_gram(N))
-        if not (hist.identity_total() and hist.identity_weighted()
-                and hist.identity_empty()):
-            return False, f"first failure at N = {N}"
+    """sum_k k nu_k = sum_{n<=N} c_n = N + S(t_N+0) at every sampled N, with c_n
+    the occupancy of G_n; sum_k nu_k = N holds by construction."""
+    sampled = np.array(list(range(1000, top + 1, 1000)) or [min(200, top)])
+    weighted = np.cumsum(gram_law.interval_counts(tab, 1, top))[sampled - 1]
+    bad = np.nonzero(weighted != sampled + tab.s_gram[sampled])[0]
+    if bad.size:
+        return False, f"first failure at N = {sampled[bad[0]]}"
     return True, f"sampled every 1000 up to {sampled[-1]}"
 
 
@@ -167,8 +162,9 @@ def _gram_spacing() -> tuple[bool, str]:
 def _checks(ctx: RegressionContext, top: int) -> list[tuple]:
     """(name, claim, skip claim, Gram index needed, check) per row, in report order.
 
-    top is the Gram index both the table and n_limit reach.  A check returns
-    (ok, detail); ok None marks a row that is always skipped.
+    A row needs the largest Gram index its check reads; top is the Gram index
+    both the table and n_limit reach.  A check returns (ok, detail); ok None
+    marks a row that is always skipped.
     """
     tab = ctx.table
     z = tab.z_values()
@@ -182,7 +178,7 @@ def _checks(ctx: RegressionContext, top: int) -> list[tuple]:
     n_1e5 = 100000 if tab.zeros.size >= 100000 else math.inf  # Delta_n needs zeros too
     titch, moment_facts = "Titchmarsh range counts", "moment facts at N=1e4"
     return [
-        *((f"gram_point_t{n}", f"t_{n} = {val} to 4 decimals", "", 0,
+        *((f"gram_point_t{n}", f"t_{n} = {val} to 4 decimals", f"Gram point t_{n}", n,
            lambda n=n, val=val: (abs((t := float(tab.gram[n])) - val) <= 1e-4,
                                  f"computed {t:.6f}"))
           for n, val in GRAM_LOW_POINTS.items()),
@@ -194,30 +190,32 @@ def _checks(ctx: RegressionContext, top: int) -> list[tuple]:
          lambda: (abs((d1 := theta_derivative(2 * math.pi * math.e, 1)) - 0.5) < 1e-3,
                   f"theta' = {d1:.6f}")),
         *((f"gram1895_ordinate_{idx}", f"gamma_{idx} = {val} "
-           + ("(1895 computation)" if idx == 2 else "+- 0.1"), "", 0,
+           + ("(1895 computation)" if idx == 2 else "+- 0.1"), f"gamma_{idx}",
+           idx,
            lambda idx=idx, val=val: _ordinate_1895(tab, idx, val))
           for idx, val in FIRST_ORDINATES.items()),
-        ("a_positive_n1_15", "(-1)^(n-1) Z(t_n) > 0 for n = 1..15", "", 0,
+        ("a_positive_n1_15", "(-1)^(n-1) Z(t_n) > 0 for n = 1..15", "Z(t_1..t_15)", 15,
          lambda: (all((-1) ** (n - 1) * z[n] > 0 for n in range(1, 16)), "")),
-        ("one_zero_per_interval_n1_15", "each of G_1..G_15 holds exactly its own zero", "", 0,
+        ("one_zero_per_interval_n1_15", "each of G_1..G_15 holds exactly its own zero",
+         "G_1..G_15", 15,
          lambda: (all(r.zero_count == 1 and r.sgl
                       for r in gram_law.classify_intervals(tab, 1, 15)), "")),
-        ("zeros_below_1468", "1042 zeros of Z in (0, 1468]", titch, 1100,
+        ("zeros_below_1468", "1042 zeros of Z in (0, 1468]", titch, 1042,
          lambda: _count(tab.count_zeros(1468.0).n_of_t, 1042)),
-        ("gram_points_below_1468", "1041 Gram points above t_0 in (0, 1468]", titch, 1100,
+        ("gram_points_below_1468", "1041 Gram points above t_0 in (0, 1468]", titch, 1042,
          lambda: _count(int(np.sum((tab.gram > tab.gram[0]) & (tab.gram <= 1468.0))), 1041)),
-        ("negative_a_below_1468", "45 indices with (-1)^(n-1) Z(t_n) < 0", titch, 1100,
+        ("negative_a_below_1468", "45 indices with (-1)^(n-1) Z(t_n) < 0", titch, 1041,
          lambda: _count(int(np.sum(z[1:1042:2] < 0.0) + np.sum(z[2:1042:2] > 0.0)), 45)),
         ("hutchinson_127_128", "t_127 < gamma_127 < gamma_128 < t_128 with its flag pattern",
-         "first exceptions", 140, lambda: _hutchinson_127_128(tab)),
-        ("hutchinson_136", "t_134 < gamma_135 < gamma_136 < t_135", "second exception", 140,
+         "first exceptions", 128, lambda: _hutchinson_127_128(tab)),
+        ("hutchinson_136", "t_134 < gamma_135 < gamma_136 < t_135", "second exception", 135,
          lambda: _hutchinson_136(tab)),
-        ("sgl_gl_through_126", "G_1..G_126 satisfy both SGL and GL", "G_1..G_126", 130,
+        ("sgl_gl_through_126", "G_1..G_126 satisfy both SGL and GL", "G_1..G_126", 126,
          lambda: (all(r.sgl and r.gl for r in gram_law.classify_intervals(tab, 1, 126)), "")),
         ("three_zeros_in_g2147", "G_2147 contains exactly three zeros", "G_2147 occupancy",
-         2200, lambda: _count(int(gram_law.interval_counts(tab, 2147, 2147)[0]), 3)),
+         2147, lambda: _count(int(gram_law.interval_counts(tab, 2147, 2147)[0]), 3)),
         ("gl_without_sgl_trio", "G_3359, G_3778, G_4542 satisfy GL but not SGL",
-         "GL-not-SGL trio", 4600,
+         "GL-not-SGL trio", 4542,
          lambda: (all(r.gl and not r.sgl for n in (3359, 3778, 4542)
                       for r in gram_law.classify_intervals(tab, n, n)), "")),
         ("z_min_through_1e5",
@@ -226,9 +224,9 @@ def _checks(ctx: RegressionContext, top: int) -> list[tuple]:
         ("z_min_through_1e6",
          f"stretch: min |Z(t_n)| for n <= 1e6 is {Z_MIN_1E6[1]:g} at n = {Z_MIN_1E6[0]}",
          "", 0, lambda: (None, "stretch range not built (non-gating)")),
-        ("nu_identities", "sum nu_k = N and sum k nu_k = N + S(t_N+0)", "", 0,
+        ("nu_identities", "sum nu_k = N and sum k nu_k = N + S(t_N+0)", "nu identities", 1,
          lambda: _nu_identities(tab, top)),
-        ("offset_ladder", "offset ladder exact on every certified interval", "", 0,
+        ("offset_ladder", "offset ladder exact on every certified interval", "offset ladder", 1,
          lambda: (gram_law.offset_ladder_check_range(tab, 1, top), f"n <= {top}")),
         ("interval_additivity", "zero count over m adjacent intervals "
          "equals m + S difference (10^4 random pairs)", "interval additivity", 3,

@@ -208,7 +208,7 @@ def load_range(path: str | Path) -> tuple[ZeroTable, CacheManifest]:
         idx = z_sample(gram.size)
         if zeta.hardy_z_many(gram[idx]).tobytes() == gram_cols[idx, 2].tobytes():
             z_gram = gram_cols[:, 2].copy()
-    return ZeroTable.from_arrays(gram, zeros, z_gram), manifest
+    return ZeroTable(gram, zeros, z_gram), manifest
 
 
 def cached_table(n_needed: int, path: str | Path | None,

@@ -72,12 +72,12 @@ def theta(t: float) -> ThetaEval:
     """
     if not T_MIN <= t < math.inf:
         raise DomainError(f"theta requires finite t >= {T_MIN}, got {t}")
-    tail = 2.0 * _TAIL_COEF / t**7
-    return ThetaEval(
-        t=float(t),
-        value=float(_theta_raw(t)),
-        err_bound=tail,
-    )
+    # t**7 is inf past t ~ 1.1e44, which leaves the tail 0; theta itself is
+    # inf near the largest float
+    with np.errstate(over="ignore"):
+        tail = 2.0 * _TAIL_COEF / np.float64(t) ** 7
+        value = _theta_raw(t)
+    return ThetaEval(t=float(t), value=float(value), err_bound=float(tail))
 
 
 def _require_heights(ts: np.ndarray, name: str) -> None:
@@ -162,7 +162,8 @@ def gram_point(n: int) -> GramPoint:
 def gram_spacing_report(N: int, M: int, m: int) -> float:
     """Max deviation |t_{n+m} - t_n - pi m / theta'(t_N)| over N < n <= N+M.
 
-    The caller compares the result against 3 M / (N ln^2 N); m = 0 returns 0.
+    The mean-value chain bounds it by pi^2 m (M+m) theta''(t_N) / theta'(t_N)^3,
+    which `regression` checks; m = 0 returns 0.
     """
     if m == 0:
         return 0.0

@@ -99,12 +99,17 @@ class ZeroTable:
     certified; no zero lies above it.
     """
 
-    def __init__(self, gram, z_gram, zeros, brackets, diagnostics):
+    def __init__(self, gram, zeros, z_gram=None, diagnostics=None):
+        """Gram points and zeros, built or loaded, and Z at the Gram points if
+        known.  Every zero takes the uniform certified half-width: each final
+        bracket fits inside [t - 1e-9, t + 1e-9], so built and loaded tables
+        report the same bytes."""
+        gram, zeros = np.asarray(gram, dtype=float), np.asarray(zeros, dtype=float)
         self.gram = gram                  # t_n, index = n
         self.z_gram = z_gram              # Z(t_n), or None until first needed
         self.zeros = zeros                # ascending ordinates, 1-based count
-        self.bracket_half = brackets      # same length as zeros
-        self.diagnostics = diagnostics
+        self.bracket_half = np.full(zeros.size, BRACKET_HALF_WIDTH)
+        self.diagnostics = diagnostics or ScanDiagnostics()
         counts = np.searchsorted(zeros, gram, side="right")
         self.s_gram = counts.astype(np.int64) - np.arange(gram.size, dtype=np.int64)
         self.zero_ambiguous = near(gram, zeros)
@@ -136,21 +141,7 @@ class ZeroTable:
             parts.append(0.5 * (lo + hi))
             if a < anchors[-1]:
                 break                   # a block that cannot meet its quota
-        zeros = np.concatenate(parts)
-        # publish the uniform certified half-width: every final bracket fits
-        # inside [t - 1e-9, t + 1e-9], which keeps built and loaded tables
-        # byte-identical in reports
-        half = np.full(zeros.size, BRACKET_HALF_WIDTH)
-        return cls(gram[: a + 1], zg[: a + 1], zeros, half, diag)
-
-    @classmethod
-    def from_arrays(cls, gram: np.ndarray, zeros: np.ndarray,
-                    z_gram: np.ndarray | None = None) -> "ZeroTable":
-        """Reconstruct a (certified) table from persisted height arrays, and
-        Z at the Gram points if known."""
-        return cls(np.asarray(gram, dtype=float), z_gram,
-                   np.asarray(zeros, dtype=float),
-                   np.full(len(zeros), BRACKET_HALF_WIDTH), ScanDiagnostics())
+        return cls(gram[: a + 1], np.concatenate(parts), zg[: a + 1], diag)
 
     # -- queries -----------------------------------------------------------
 
@@ -401,7 +392,7 @@ HEADROOM = 40  # Gram points built past the caller's need
 GRAM_CEILING = 2 * 10**6
 
 
-def require_under_ceiling(n_needed: int) -> None:
+def require_under_ceiling(n_needed: float) -> None:
     """ResourceError if a table through Gram index n_needed is past GRAM_CEILING."""
     if n_needed > GRAM_CEILING:
         raise ResourceError(f"gram index {n_needed} exceeds ceiling {GRAM_CEILING}")
@@ -426,8 +417,14 @@ def certified_table(n_needed: int) -> ZeroTable:
 
 
 def gram_index_for_height(t: float) -> int:
-    """A Gram index whose point lies past height t."""
-    return int(math.ceil(theta(max(t, 10.0)).value / math.pi + 1.0)) + 3
+    """A Gram index whose point lies past height t.
+
+    ResourceError past GRAM_CEILING, checked before rounding: theta is inf
+    near the largest float.
+    """
+    n = theta(max(t, 10.0)).value / math.pi + 1.0
+    require_under_ceiling(n)
+    return int(math.ceil(n)) + 3
 
 
 def find_zeros(t_lo: float, t_hi: float) -> list[CriticalZero]:

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import gramlab
-from gramlab import cli, primes, store, zeta
+from gramlab import cli, primes, regression, store, zeta
 from gramlab import ingest as ing
 from gramlab.errors import ChecksumMismatch, ParseError, VersionMismatch
 from gramlab.reports import Report, render, to_csv, to_json
@@ -303,7 +303,7 @@ def test_interrupted_save_leaves_no_manifest(table_small, tmp_path, monkeypatch)
         write(path, data)
 
     monkeypatch.setattr(store, "_write_replacing", dying)
-    shorter = ZeroTable.from_arrays(table_small.gram[:601], table_small.zeros[:600])
+    shorter = ZeroTable(table_small.gram[:601], table_small.zeros[:600])
     with pytest.raises(Killed):
         store.save_range(shorter, rng)
     monkeypatch.undo()
@@ -449,18 +449,35 @@ def test_cli_malformed_range_exits_2(args, monkeypatch, capsys):
     assert "n_lo <= n_hi" in capsys.readouterr().err
 
 
-def test_cli_index_past_the_table_ceiling_exits_2(tmp_path, monkeypatch, capsys):
+def _exits_2_past_the_ceiling(args, tmp_path, monkeypatch, capsys):
+    """The CLI exits 2 naming the ceiling, and builds and caches nothing."""
     def no_build(cls, n_max, z_eval=None):
         raise AssertionError(f"built {n_max}")
 
     monkeypatch.setattr(ZeroTable, "build", classmethod(no_build))
     monkeypatch.setattr(sys, "argv", ["gramlab", "--cache-dir", str(tmp_path / "cache"),
-                                      "delta", "--n-lo", "5", "--n-hi", "99999999"])
+                                      *args])
     with pytest.raises(SystemExit) as exc:
         cli.entry()
     assert exc.value.code == 2
     assert "exceeds ceiling" in capsys.readouterr().err
     assert not (tmp_path / "cache").exists()
+
+
+def test_cli_index_past_the_table_ceiling_exits_2(tmp_path, monkeypatch, capsys):
+    _exits_2_past_the_ceiling(["delta", "--n-lo", "5", "--n-hi", "99999999"],
+                              tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("command", ["zeros 1e50", "zeros 1.7e308", "ingest 1e300"])
+def test_cli_height_past_the_table_ceiling_exits_2(command, tmp_path, monkeypatch, capsys):
+    # theta(t) reaches inf near the largest float; the index is refused before rounding
+    name, height = command.split()
+    args = ["zeros", "--t-lo", "20", "--t-hi", height]
+    if name == "ingest":
+        (tmp_path / "ordinates.txt").write_text(f"14.134725\n{height}\n")
+        args = ["ingest", str(tmp_path / "ordinates.txt")]
+    _exits_2_past_the_ceiling(args, tmp_path, monkeypatch, capsys)
 
 
 def test_cli_gram_window_past_the_ceiling_exits_2(monkeypatch, capsys):
@@ -562,9 +579,28 @@ def test_cli_verify_paper_n_limit_floor(tmp_path):
         rows = {row["assertion"]: row for row in json.loads(r.stdout)["rows"]}
         assert rows["interval_additivity"]["status"] == "skip"
         assert rows["interval_additivity"]["detail"] == "insufficient range"
+    # the limit bounds every row: Z(t_1..t_15) is read only from 15 on
+    for n_limit, status in (("14", "skip"), ("15", "pass")):
+        r = _run_cli(["--cache-dir", str(cache), "--format", "json", "verify-paper",
+                      "--n-limit", n_limit], tmp_path)
+        assert r.returncode == 0, r.stderr
+        rows = {row["assertion"]: row for row in json.loads(r.stdout)["rows"]}
+        assert rows["a_positive_n1_15"]["status"] == status
     r = _run_cli(["verify-paper", "--n-limit", "0"], tmp_path)
     assert r.returncode == 2
     assert "n-limit" in r.stderr
+
+
+def test_short_table_skips_the_rows_past_it(cache_dir):
+    table = ZeroTable.build(10)
+    assert table.certified_n == 10
+    ctx = regression.RegressionContext(table=table, n_limit=10, cache_dir=str(cache_dir))
+    rows = {r["assertion"]: r for r in regression.run_paper_regression(ctx).rows}
+    for name in ("a_positive_n1_15", "one_zero_per_interval_n1_15"):   # G_1..G_15
+        assert (rows[name]["status"], rows[name]["detail"]) == ("skip", "insufficient range")
+    assert rows["gram1895_ordinate_3"]["status"] == "pass"
+    assert rows["nu_identities"]["status"] == "pass"
+    assert "fail" not in {r["status"] for r in rows.values()}
 
 
 def test_cli_classify_json(tmp_path):

@@ -53,6 +53,13 @@ def test_theta_within_reported_bound_of_oracle(t):
         assert err <= 1e-10 + 4.0 * np.spacing(abs(ev.value))
 
 
+def test_theta_finite_where_its_tail_underflows():
+    # t**7 overflows past t ~ 1.8e44; the truncation bound is 0 there
+    ev = th.theta(1e50)
+    assert math.isfinite(ev.value) and ev.err_bound == 0.0
+    assert ev.value == float(th._theta_raw(1e50))
+
+
 def test_theta_domain_floor():
     with pytest.raises(DomainError):
         th.theta(6.9)

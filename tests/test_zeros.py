@@ -342,7 +342,7 @@ def test_build_makes_no_direct_riemann_siegel_call(monkeypatch):
     assert table.certified_n == 5000
     assert heights == []
     # and a loaded table recomputes Z at its Gram points through the direct kernel
-    assert np.array_equal(ZeroTable.from_arrays(table.gram, table.zeros).z_values(),
+    assert np.array_equal(ZeroTable(table.gram, table.zeros).z_values(),
                           table.z_gram)
     assert len(heights) == 1 and np.array_equal(heights[0], table.gram)
 
@@ -404,7 +404,7 @@ def test_build_ends_at_a_regular_anchor(n_max, hide, anchor):
 
 
 def test_from_arrays_roundtrip_semantics(table_built):
-    clone = ZeroTable.from_arrays(table_built.gram, table_built.zeros)
+    clone = ZeroTable(table_built.gram, table_built.zeros)
     assert clone.certified_n == table_built.certified_n
     assert np.array_equal(clone.s_gram, table_built.s_gram)
     assert clone.count_zeros(100.0).n_of_t == table_built.count_zeros(100.0).n_of_t
