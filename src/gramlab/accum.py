@@ -6,6 +6,10 @@ math.fsum directly.  An array is cut into chunks of CHUNK elements; each
 chunk's sum is rounded correctly (to nearest, ties to even), and the chunk
 partials are then added with math.fsum.  The result depends on the array
 alone, and equals math.fsum(math.fsum(chunk) for chunk in chunks) bit for bit.
+An iterable of arrays is cut where their concatenation would be cut, a chunk
+that spans blocks gathered in one buffer, so a stream of blocks (the primes
+<= 1e8 as the sieve yields them) sums to the concatenation's bits without
+being held whole.
 
 A chunk is summed exactly in numpy by error-free extraction (Rump, Ogita and
 Oishi, "Accurate floating-point summation part I: faithful rounding", SIAM J.
@@ -22,6 +26,7 @@ NaN, infinities and overflow behave as fsum does.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -50,19 +55,44 @@ def _chunk_sum(c: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
     return math.fsum(parts)
 
 
-def csums(arr: np.ndarray, *terms, prep=None) -> tuple[float, ...]:
+def _chunks(arr) -> Iterator[np.ndarray]:
+    """arr, an array or an iterable of arrays, as float64 chunks of CHUNK
+    values cut where they cut the concatenation; a chunk that spans blocks is
+    gathered in one buffer, which the next such chunk overwrites."""
+    buf, fill = np.empty(CHUNK), 0     # buf[:fill] is the chunk in progress
+    for block in [arr] if isinstance(arr, np.ndarray) else arr:
+        b = np.asarray(block).ravel()
+        i = 0
+        if fill:
+            i = min(CHUNK - fill, b.size)
+            buf[fill : fill + i] = b[:i]
+            fill += i
+            if fill < CHUNK:
+                continue
+            yield buf
+        whole = i + (b.size - i) // CHUNK * CHUNK
+        for j in range(i, whole, CHUNK):
+            yield b[j : j + CHUNK].astype(float, copy=False)
+        fill = b.size - whole
+        buf[:fill] = b[whole:]
+    if fill:
+        yield buf[:fill]
+
+
+def csums(arr, *terms, prep=None) -> tuple[float, ...]:
     """csum(term(a)) for each elementwise term, a = arr as float64.
 
-    The terms are evaluated one CHUNK of arr at a time, so no full-length
-    temporary is made; each term maps a float64 chunk to an array of its size.
-    With prep, each term takes prep(chunk) instead, made once per chunk, so
-    the terms can share work such as a logarithm.
+    arr is an array or an iterable of arrays, summed as their concatenation.
+    The terms are evaluated one CHUNK at a time, so no full-length temporary
+    is made; each term maps a float64 chunk to an array of its size.  With
+    prep, each term takes prep(chunk) instead, made once per chunk, so the
+    terms can share work such as a logarithm.
     """
-    a = np.asarray(arr).ravel()
     partials = [[] for _ in terms]
-    work = np.empty((2, min(a.size, CHUNK)))
-    for i in range(0, a.size, CHUNK):
-        c = a[i : i + CHUNK].astype(float, copy=False)
+    work = None
+    for c in _chunks(arr):
+        if work is None:        # every chunk but the last holds CHUNK values
+            work = np.empty((2, c.size))
         q, r = work[:, : c.size]
         arg = c if prep is None else prep(c)
         for acc, term in zip(partials, terms):
@@ -71,6 +101,7 @@ def csums(arr: np.ndarray, *terms, prep=None) -> tuple[float, ...]:
     return tuple(math.fsum(acc) for acc in partials)
 
 
-def csum(arr: np.ndarray) -> float:
-    """Sum of a float array: correctly rounded chunks, then fsum of the partials."""
+def csum(arr) -> float:
+    """Sum of a float array (or of an iterable of arrays, concatenated):
+    correctly rounded chunks, then fsum of the partials."""
     return csums(arr, lambda c: c)[0]

@@ -106,7 +106,9 @@ def classify(obj, n_lo, n_hi):
 @click.pass_obj
 def delta(obj, n_lo, n_hi):
     """Zero-to-Gram offsets Delta_n for zero indices in [n-lo, n-hi]."""
-    table = _obtain_table(obj, n_hi + 60)
+    table = _obtain_table(obj, n_hi)
+    if table.zeros.size < n_hi:         # zero #n_hi lies past the table: once more, further
+        table = _obtain_table(obj, n_hi + (n_hi - table.zeros.size))
     rep = Report(kind="classification")
     deltas = gram_law.delta_array(table, n_lo, n_hi).tolist()
     for idx, d in zip(range(n_lo, n_hi + 1), deltas):
@@ -143,7 +145,7 @@ _MOMENT_KINDS = ("block", "adjacent", "first", "counts", "alternating",
 def moments_cmd(obj, kind, n_start, m_len, m_shift, k_ord):
     """Moment sums of S at Gram points over (N, N+M]."""
     eps = obj["epsilon"]
-    table = _obtain_table(obj, n_start + m_len + m_shift + 60)
+    table = _obtain_table(obj, n_start + m_len + m_shift)
     if kind == "counts":
         m1, m2 = moments.empty_and_crowded_counts(table, n_start, m_len)
         rep = Report(kind="moment")

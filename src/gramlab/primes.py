@@ -7,20 +7,28 @@ R(t) = S(t) + V(t) at Gram points, and a brute-force check of the
 diagonal prime-pair identity.  `prime_sums` takes the Mertens sums and V(x;h)
 at several h from one sieve of x, as `verify-paper` needs them at x = 1e8.
 
+The primes <= x come as one stream of ascending blocks (`_prime_blocks`):
+from a segmented sieve, or from the sieve cache a CHUNK at a time.  The sums
+take the blocks as they come, summed chunk by chunk as their concatenation
+would be (`accum.csums`), so they never hold all 5,761,455 primes <= 1e8;
+`sieve_primes` gathers the stream into one array for callers that want it.
+
 Sieve cache file layout: 8-byte magic "GRAMLAB\\0", one version byte,
-then the primes as little-endian uint64.
+then the primes as little-endian uint64.  A cold stream writes it as it
+sieves, to a temporary file renamed into place after the last block.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .accum import csum, csums
+from .accum import CHUNK, csum, csums
 from .errors import ChecksumMismatch, PreconditionError, ResourceError, VersionMismatch
 from .moments import EPSILON_DEFAULT, MomentConfig, MomentReport
 from .zeros import ZeroTable
@@ -28,6 +36,7 @@ from .zeros import ZeroTable
 SIEVE_CEILING = 10**8
 SIEVE_CACHE_THRESHOLD = 10**7
 H_CEILING = 0.4  # admissible shift ceiling for V(x;h)
+_SEGMENT = 1 << 22  # numbers per sieve segment
 
 _MAGIC = b"GRAMLAB\0"
 _VERSION = 1
@@ -84,60 +93,94 @@ def _sieve_block(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
             break
         start = max(p * p, ((lo + p - 1) // p) * p)
         mask[start - lo :: p] = False
-    return (np.nonzero(mask)[0] + lo).astype(np.uint64)
+    found = np.flatnonzero(mask)
+    found += lo
+    return found.view(np.uint64)        # non-negative int64: the same bits
 
 
-def sieve_primes(limit: int, cache_dir: str | Path | None = None) -> PrimeTable:
-    """All primes <= limit via a segmented sieve; cached on disk when large."""
+def _sieve_stream(limit: int) -> Iterator[np.ndarray]:
+    """The primes <= limit by a segmented sieve: the base primes <= sqrt(limit),
+    then one block per segment of _SEGMENT numbers (Bays and Hudson 1977)."""
+    root = math.isqrt(limit)
+    base = _base_primes(root)
+    yield base
+    for lo in range(root + 1, limit + 1, _SEGMENT):
+        yield _sieve_block(lo, min(lo + _SEGMENT, limit + 1), base)
+
+
+def _prime_blocks(limit: int, cache_dir: str | Path | None = None) -> Iterator[np.ndarray]:
+    """The primes <= limit as a stream of ascending uint64 blocks, the one
+    source of primes.  Limits from SIEVE_CACHE_THRESHOLD up, with a cache
+    directory, read the sieve cache when it exists (checked before the first
+    block: its header here, its tail by re-sieving past its last prime, its
+    order as it is read) and otherwise write it as the sieve goes."""
     if limit > SIEVE_CEILING:
         raise ResourceError(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
     limit = int(limit)
-    if limit < 2:
-        return PrimeTable(limit=limit, primes=np.empty(0, dtype=np.uint64))
-    cache_path = None
-    if cache_dir is not None and limit >= SIEVE_CACHE_THRESHOLD:
-        cache_path = Path(cache_dir) / f"primes_{limit:012d}.bin"
-        if cache_path.exists():
-            table = PrimeTable(limit=limit, primes=load_prime_cache(cache_path))
-            # a payload cut at a whole prime still loads: re-sieve past its end
-            last = int(table.primes[-1]) if table.primes.size else 1
-            if not verify_spot_range(table, last + 1, limit):
-                raise ChecksumMismatch(f"{cache_path}: primes missing after {last}")
-            return table
-    root = int(math.isqrt(limit))
-    base = _base_primes(root)
+    if cache_dir is None or limit < SIEVE_CACHE_THRESHOLD:
+        return _sieve_stream(max(limit, 0))
+    path = Path(cache_dir) / f"primes_{limit:012d}.bin"
+    if not path.exists():
+        return _written(_sieve_stream(limit), path)
+    blocks = load_prime_cache(path)
+    # a payload cut at a whole prime still loads: re-sieve past its end
+    size = path.stat().st_size
+    last = int(np.fromfile(path, dtype="<u8", count=1, offset=size - 8)[0]) if size > 9 else 1
+    tail = PrimeTable(limit=limit, primes=np.array([last], dtype=np.uint64))
+    if last > limit or not verify_spot_range(tail, last + 1, limit):
+        raise ChecksumMismatch(f"{path}: primes missing after {last}")
+    return blocks
+
+
+def sieve_primes(limit: int, cache_dir: str | Path | None = None) -> PrimeTable:
+    """All primes <= limit in one array, filled from _prime_blocks."""
+    blocks = _prime_blocks(limit, cache_dir)
+    limit = int(limit)
     # one buffer, by pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld
-    # 1962): no segment list is copied whole, and the unfilled tail stays untouched
-    primes = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.uint64)
-    primes[: base.size] = base
-    count = base.size
-    seg = 1 << 22
-    for lo in range(root + 1, limit + 1, seg):
-        block = _sieve_block(lo, min(lo + seg, limit + 1), base)
+    # 1962): each block is copied once, and the unfilled tail stays untouched
+    n = max(limit, 2)
+    primes = np.empty(int(1.25506 * n / math.log(n)) + 1, dtype=np.uint64)
+    count = 0
+    for block in blocks:
         primes[count : count + block.size] = block
         count += block.size
-    table = PrimeTable(limit=limit, primes=primes[:count])
-    if cache_path is not None:
-        save_prime_cache(cache_path, table)
-    return table
+    return PrimeTable(limit=limit, primes=primes[:count])
+
+
+def _written(blocks: Iterable[np.ndarray], path: Path) -> Iterator[np.ndarray]:
+    """blocks, each appended to the sieve cache at `path` as it passes.
+
+    They go to a temporary file beside `path`, renamed into place after the
+    last block, so a crash never leaves a truncated cache at `path`; an error
+    or a stream closed early also removes the temporary file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(bytes([_VERSION]))
+            for block in blocks:
+                block.astype("<u8", copy=False).tofile(fh)
+                yield block
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_prime_cache(path: str | Path, table: PrimeTable) -> None:
-    """Write the cache to a temporary file beside `path`, then rename it into
-    place, so a crash mid-write never leaves a truncated cache at `path`."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(bytes([_VERSION]))
-        # from the array's own buffer: no full-size copies (2 x 46 MB at 1e8)
-        table.primes.astype("<u8", copy=False).tofile(fh)
-    os.replace(tmp, path)
+    """Write table's primes as the sieve cache at `path`, through a temporary
+    file renamed into place."""
+    for _ in _written([table.primes], Path(path)):
+        pass
 
 
-def load_prime_cache(path: str | Path) -> np.ndarray:
-    """The primes of a sieve cache file, read once into their array."""
+def load_prime_cache(path: str | Path) -> Iterator[np.ndarray]:
+    """The primes of a sieve cache file as blocks of CHUNK primes.
+
+    The header and the payload's size are checked on the call, before any
+    block is read; each block must then ascend strictly from the last prime
+    of the block before it, else ChecksumMismatch names the byte offset.
+    """
     with open(path, "rb") as fh:
         head = fh.read(9)
         if len(head) < 9:
@@ -147,12 +190,26 @@ def load_prime_cache(path: str | Path) -> np.ndarray:
         if head[8] != _VERSION:
             raise VersionMismatch(f"{path}: unsupported sieve cache version {head[8]}")
         size = os.fstat(fh.fileno()).st_size - 9
-        if size % 8:
-            raise ChecksumMismatch(f"{path}: truncated payload of {size} bytes")
-        primes = np.fromfile(fh, dtype="<u8", count=size // 8)
-    if primes.size != size // 8:
-        raise ChecksumMismatch(f"{path}: payload ends after {primes.size} primes")
-    return primes
+    if size % 8:
+        raise ChecksumMismatch(f"{path}: truncated payload of {size} bytes")
+    return _read_blocks(path, size // 8)
+
+
+def _read_blocks(path, count: int) -> Iterator[np.ndarray]:
+    """The count primes after a checked cache header, CHUNK at a time."""
+    with open(path, "rb") as fh:
+        fh.seek(9)
+        prev = 0
+        for start in range(0, count, CHUNK):
+            block = np.fromfile(fh, dtype="<u8", count=min(CHUNK, count - start))
+            if block.size < min(CHUNK, count - start):
+                raise ChecksumMismatch(f"{path}: payload ends after {start + block.size} primes")
+            steps = block[1:] <= block[:-1]
+            if block[0] <= prev or steps.any():
+                i = 0 if block[0] <= prev else 1 + int(np.argmax(steps))
+                raise ChecksumMismatch(f"{path}: primes out of order at byte {9 + 8 * (start + i)}")
+            prev = block[-1]
+            yield block
 
 
 def verify_spot_range(table: PrimeTable, lo: int, hi: int) -> bool:
@@ -170,9 +227,8 @@ def verify_spot_range(table: PrimeTable, lo: int, hi: int) -> bool:
 
 def _prime_csums(x: float, cache_dir: str | Path | None, *terms) -> tuple[float, ...]:
     """csums over the primes p <= x of each term of (p, ln p), ln p taken once
-    per chunk."""
-    primes = sieve_primes(int(x), cache_dir=cache_dir).primes
-    return csums(primes, *terms, prep=lambda p: (p, np.log(p)))
+    per chunk, straight from the stream of prime blocks."""
+    return csums(_prime_blocks(int(x), cache_dir), *terms, prep=lambda p: (p, np.log(p)))
 
 
 def _vxh_term(h: float):

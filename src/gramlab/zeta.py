@@ -160,15 +160,27 @@ def _rs_polys(tail_max: float = _RS_TAIL) -> tuple[np.ndarray, ...]:
     return tuple(polys)
 
 
+@lru_cache(maxsize=1)
+def _rs_table() -> np.ndarray:
+    """_rs_polys() as one (width, 5, 1) table of Horner steps, the shorter
+    polynomials led by zeros: 0 v + 0 is exactly 0, so no bit moves."""
+    polys = _rs_polys()
+    width = max(poly.size for poly in polys)
+    table = np.zeros((width, 5, 1))
+    for k, poly in enumerate(polys):
+        table[width - poly.size :, k, 0] = poly
+    return table
+
+
 def _rs_corrections(p: np.ndarray) -> tuple[np.ndarray, ...]:
     """Correction factors C0..C4 at fractional parts p (array in [0,1))."""
     u = np.asarray(p, dtype=float) - 0.5
-    v = u * u
-    c = [np.zeros_like(v) for _ in range(5)]
-    for y, poly in zip(c, _rs_polys()):
-        for coef in poly:               # np.polyval's Horner steps, in place
-            y *= v
-            y += coef
+    v = (u * u).ravel()
+    c = np.zeros((5, v.size))
+    for coef in _rs_table():            # np.polyval's Horner steps, C0..C4 in one pass
+        c *= v
+        c += coef
+    c = c.reshape((5,) + u.shape)
     return c[0], u * c[1], c[2], u * c[3], c[4]
 
 

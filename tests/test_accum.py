@@ -74,6 +74,32 @@ def test_csums_evaluates_terms_by_chunk():
     assert csums(np.empty(0), lambda c: c, lambda c: c) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_csums_of_blocks_equal_csums_of_their_concatenation(seed):
+    rng = np.random.default_rng(seed)
+    a = _data(["prime_like", "cancelling", "wide"][seed % 3], 4 * CHUNK + 11, rng)
+    cuts = np.sort(np.concatenate([
+        rng.integers(0, a.size, 8),                          # random, with repeats: empty blocks
+        [0, 0, CHUNK - 1, CHUNK + 1, 2 * CHUNK, 3 * CHUNK - 1, 3 * CHUNK + 1, a.size]]))
+    blocks = np.split(a, cuts)
+    assert any(b.size == 0 for b in blocks)
+    terms = (lambda c: c, np.sin)
+    want = [float.hex(v) for v in csums(a, *terms)]
+    assert [float.hex(v) for v in csums(iter(blocks), *terms)] == want
+    assert [float.hex(v) for v in csums(blocks, *terms)] == want    # a list is a stream too
+    assert float.hex(csum(iter(blocks))) == float.hex(chunked_fsum(a))
+
+
+def test_csums_of_integer_blocks_carry_across_blocks():
+    # uint64 blocks, as the prime stream yields them, converted chunk by chunk
+    p = np.arange(3, 3 + 2 * (2 * CHUNK + 5), 2, dtype=np.uint64)
+    blocks = [p[:7], p[7:7], p[7 : CHUNK + 1], p[CHUNK + 1 :]]
+    prep = lambda c: (c, np.log(c))        # noqa: E731
+    terms = (lambda c: c[1] / c[0], lambda c: 1.0 / c[0])
+    assert csums(iter(blocks), *terms, prep=prep) == csums(p, *terms, prep=prep)
+    assert csums(iter([]), *terms) == (0.0, 0.0)
+
+
 def test_csum_matches_fsum_exactly():
     rng = np.random.default_rng(3)
     arr = rng.uniform(-1, 1, size=200_000) * 10.0 ** rng.integers(-8, 8, size=200_000)

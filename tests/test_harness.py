@@ -16,7 +16,7 @@ from gramlab import cli, primes, regression, store, zeta
 from gramlab import ingest as ing
 from gramlab.errors import ChecksumMismatch, ParseError, VersionMismatch
 from gramlab.reports import Report, render, to_csv, to_json
-from gramlab.zeros import ScanDiagnostics, ZeroTable
+from gramlab.zeros import HEADROOM, ScanDiagnostics, ZeroTable
 
 
 def test_save_load_roundtrip(table_small, tmp_path):
@@ -629,6 +629,17 @@ def test_cli_cache_irregular_top(tmp_path):
     warm = _run_cli(["--cache-dir", str(cache), *args], tmp_path)
     assert warm.returncode == 0
     assert warm.stdout == cold.stdout
+
+
+@pytest.mark.parametrize("args, n_read", [
+    (["moments", "--kind", "adjacent", "--start-n", "1000", "--length-m", "1000"], 2001),
+    (["delta", "--n-lo", "1", "--n-hi", "1000"], 1000)])
+def test_cli_saves_no_range_past_its_headroom(tmp_path, args, n_read):
+    # the commands ask for the Gram index they read; certified_table adds HEADROOM
+    r = CliRunner().invoke(cli.main, ["--cache-dir", str(tmp_path), *args])
+    assert r.exit_code == 0, r.output
+    manifest = json.loads((tmp_path / "zrange" / "manifest.json").read_text())
+    assert n_read <= manifest["n_max_gram"] <= n_read + HEADROOM
 
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"

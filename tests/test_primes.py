@@ -50,7 +50,7 @@ def test_sieve_cache_roundtrip(tmp_path):
     raw = path.read_bytes()
     assert raw[:8] == b"GRAMLAB\0"
     assert raw[8] == 1
-    loaded = pr.load_prime_cache(path)
+    loaded = np.concatenate(list(pr.load_prime_cache(path)))
     assert np.array_equal(loaded, table.primes)
     # bad magic
     bad = tmp_path / "bad.bin"
@@ -85,6 +85,59 @@ def test_sieve_disk_cache_used(tmp_path):
     files[0].write_bytes(files[0].read_bytes()[:-16])
     with pytest.raises(ChecksumMismatch):
         pr.sieve_primes(10**7, cache_dir=tmp_path)
+
+
+def test_sieve_cache_damaged_mid_file_raises(tmp_path):
+    table = pr.sieve_primes(10**7, cache_dir=tmp_path)
+    path = tmp_path / "primes_000010000000.bin"
+    raw = bytearray(path.read_bytes())
+    i = table.primes.size // 2
+    raw[9 + 8 * i + 7] ^= 0xFF          # the top byte of one middle prime
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ChecksumMismatch, match=f"out of order at byte {9 + 8 * (i + 1)}"):
+        pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
+    with pytest.raises(ChecksumMismatch):
+        pr.sieve_primes(10**7, cache_dir=tmp_path)
+
+
+def test_prime_sums_peak_memory_is_flat_in_x(tmp_path):
+    """The sums hold one block of primes at a time, cold (sieving and writing
+    the cache) and warm (reading it): no table of all the primes is built."""
+    import tracemalloc
+
+    def peak(x):
+        tracemalloc.start()
+        try:
+            pr.prime_sums(x, (0.2,), cache_dir=tmp_path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (cold1, warm1), (cold2, warm2) = [(peak(x), peak(x)) for x in (10**7, 2 * 10**7)]
+    assert (tmp_path / "primes_000020000000.bin").stat().st_size == 9 + 8 * 1270607
+    assert abs(cold2 - cold1) < 2**20 and abs(warm2 - warm1) < 2**20
+    assert warm1 < 8 * 664579           # the 1e7 table's bytes
+
+
+def test_cold_stream_stopped_early_leaves_no_cache(tmp_path, monkeypatch):
+    blocks = pr._prime_blocks(10**7, tmp_path)
+    next(blocks), next(blocks)
+    assert [f.name for f in tmp_path.iterdir()] == ["primes_000010000000.bin.tmp"]
+    blocks.close()
+    assert list(tmp_path.iterdir()) == []
+    # a sieve that fails mid-way
+    sieve_block, calls = pr._sieve_block, []
+
+    def failing(lo, hi, base):
+        calls.append(lo)
+        if len(calls) == 2:
+            raise MemoryError("segment")
+        return sieve_block(lo, hi, base)
+
+    monkeypatch.setattr(pr, "_sieve_block", failing)
+    with pytest.raises(MemoryError):
+        pr.prime_sums(10**7, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_prime_sums_at_1e7_pinned(tmp_path):
