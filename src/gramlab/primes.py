@@ -8,7 +8,9 @@ diagonal prime-pair identity.  `prime_sums` takes the Mertens sums and V(x;h)
 at several h from one sieve of x, as `verify-paper` needs them at x = 1e8.
 
 The primes <= x come as one stream of ascending blocks (`_prime_blocks`):
-from a segmented sieve, or from the sieve cache a CHUNK at a time.  The sums
+from a segmented sieve, or from the sieve cache a CHUNK at a time.  A sieve
+segment is _SEGMENT numbers, marked in a mask of its odd numbers only: 1 MB,
+which stays in L2 while every base prime strikes it.  The sums
 take the blocks as they come, summed chunk by chunk as their concatenation
 would be (`accum.csums`), so they never hold all 5,761,455 primes <= 1e8;
 `sieve_primes` gathers the stream into one array for callers that want it.
@@ -36,7 +38,7 @@ from .zeros import ZeroTable
 SIEVE_CEILING = 10**8
 SIEVE_CACHE_THRESHOLD = 10**7
 H_CEILING = 0.4  # admissible shift ceiling for V(x;h)
-_SEGMENT = 1 << 22  # numbers per sieve segment
+_SEGMENT = 1 << 21  # numbers per sieve segment
 
 _MAGIC = b"GRAMLAB\0"
 _VERSION = 1
@@ -82,19 +84,26 @@ def _base_primes(root: int) -> np.ndarray:
 
 
 def _sieve_block(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi) given base primes covering sqrt(hi)."""
-    size = hi - lo
-    mask = np.ones(size, dtype=bool)
-    if lo <= 1:
-        mask[: max(0, min(2 - lo, size))] = False
-    for p in base:
-        p = int(p)
+    """Primes in [lo, hi) given base primes covering sqrt(hi).  The mask holds
+    the odd numbers only, first + 2k at index k: each odd base prime p strikes
+    every p-th entry, from its first odd multiple at or past both p^2 and lo."""
+    first = lo | 1
+    mask = np.ones(max(0, (hi - first + 1) // 2), dtype=bool)
+    if first == 1:
+        mask[:1] = False
+    for p in base.tolist():
         if p * p >= hi:
             break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        mask[start - lo :: p] = False
+        if p == 2:
+            continue
+        start = max(p * p, (lo + p - 1) // p * p)
+        start += p * (start % 2 == 0)
+        mask[(start - first) // 2 :: p] = False
     found = np.flatnonzero(mask)
-    found += lo
+    found *= 2
+    found += first
+    if lo <= 2 < hi:
+        found = np.concatenate(([2], found))
     return found.view(np.uint64)        # non-negative int64: the same bits
 
 

@@ -86,10 +86,18 @@ def near(points: np.ndarray, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if not points.size:
         return np.zeros(ts.shape, dtype=bool)
-    i = np.searchsorted(points, ts)
-    below = points[np.maximum(i - 1, 0)]            # the two neighbours of each t
-    above = points[np.minimum(i, points.size - 1)]
-    return (np.abs(below - ts) < AMBIGUITY_TOL) | (np.abs(above - ts) < AMBIGUITY_TOL)
+    # the neighbours of each t: points[i] above (the last point past the end)
+    # and points[i - 1] below; one index and one difference buffer serve both
+    flat = ts.ravel()
+    i = np.searchsorted(points, flat)
+    np.minimum(i, points.size - 1, out=i)
+    d = points.take(i)
+    hit = np.abs(np.subtract(d, flat, out=d), out=d) < AMBIGUITY_TOL
+    i -= 1
+    np.maximum(i, 0, out=i)
+    points.take(i, out=d)
+    hit |= np.abs(np.subtract(d, flat, out=d), out=d) < AMBIGUITY_TOL
+    return hit.reshape(ts.shape)
 
 
 class ZeroTable:
@@ -108,11 +116,12 @@ class ZeroTable:
         self.gram = gram                  # t_n, index = n
         self.z_gram = z_gram              # Z(t_n), or None until first needed
         self.zeros = zeros                # ascending ordinates, 1-based count
-        self.bracket_half = np.full(zeros.size, BRACKET_HALF_WIDTH)
+        self.bracket_half = np.broadcast_to(BRACKET_HALF_WIDTH, zeros.size)
         self.diagnostics = diagnostics or ScanDiagnostics()
-        counts = np.searchsorted(zeros, gram, side="right")
-        self.s_gram = counts.astype(np.int64) - np.arange(gram.size, dtype=np.int64)
         self.zero_ambiguous = near(gram, zeros)
+        # S(t_n + 0) = N(t_n + 0) - n, made in place on the counts
+        self.s_gram = np.searchsorted(zeros, gram, side="right").astype(np.int64, copy=False)
+        self.s_gram -= np.arange(gram.size, dtype=np.int64)
 
     # -- construction ------------------------------------------------------
 

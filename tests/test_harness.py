@@ -66,7 +66,8 @@ def test_missing_data_file_detected(table_small, tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [("n_max_gram", 200000), ("zero_count", 1),
-                                          ("t_max", 1e6)])
+                                          ("t_max", 1e6), ("n_max_gram", 10**15),
+                                          ("n_max_gram", "1240"), ("zero_count", 1240.0)])
 def test_manifest_extent_checked_against_data(table_small, tmp_path, field, value):
     store.save_range(table_small, tmp_path / "rng")
     mpath = tmp_path / "rng" / "manifest.json"
@@ -191,6 +192,106 @@ def test_loaded_columns_are_checked(table_small, tmp_path, name, edit, why):
     _rewrite(rng, name, edit)
     with pytest.raises(ChecksumMismatch, match=f"{name}: .*{why}"):
         store.load_range(rng)
+
+
+def test_streamed_store_is_blind_to_block_size(table_small, tmp_path, monkeypatch):
+    # rows straddle both the written and the read blocks, which move no byte or bit
+    store.save_range(table_small, tmp_path / "whole")
+    monkeypatch.setattr(store, "_CSV_ROWS", 7)
+    monkeypatch.setattr(store, "_READ_BYTES", 101)
+    rng = tmp_path / "rng"
+    man = store.save_range(table_small, rng)
+    for name in ("gram.csv", "zeros.csv"):
+        assert (rng / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+    assert man.checksum == store.load_manifest(tmp_path / "whole").checksum
+    loaded, _ = store.load_range(rng)
+    assert loaded.gram.tobytes() == table_small.gram.tobytes()
+    assert loaded.zeros.tobytes() == table_small.zeros.tobytes()
+    assert loaded.z_gram.tobytes() == table_small.z_values().tobytes()
+
+
+@pytest.mark.parametrize("name, row", [("gram.csv", 900), ("zeros.csv", 1201)])
+def test_bad_row_in_a_later_block_names_its_line(table_small, tmp_path, monkeypatch,
+                                                 name, row):
+    monkeypatch.setattr(store, "_READ_BYTES", 101)
+    rng = tmp_path / "rng"
+    store.save_range(table_small, rng)
+    _rewrite(rng, name, lambda ls: _set(ls, row, 1, "1.5x"))
+    with pytest.raises(ParseError, match=name) as exc:
+        store.load_range(rng)
+    assert exc.value.line == row + 1
+
+
+@pytest.mark.parametrize("row", range(5, 9))
+def test_order_is_checked_across_read_blocks(table_small, tmp_path, monkeypatch, row):
+    # a read holds two or three gram rows, so one of these swaps straddles blocks
+    monkeypatch.setattr(store, "_READ_BYTES", 101)
+    rng = tmp_path / "rng"
+    store.save_range(table_small, rng)
+    _rewrite(rng, "gram.csv", lambda ls: _swap_heights(ls, row, row + 1))
+    with pytest.raises(ChecksumMismatch, match="gram.csv: heights are not strictly"):
+        store.load_range(rng)
+
+
+@pytest.mark.parametrize("name", ["gram.csv", "zeros.csv"])
+def test_flipped_byte_in_the_last_block_is_a_checksum_mismatch(table_small, tmp_path,
+                                                               monkeypatch, name):
+    # the row no longer parses, but the checksum is compared first
+    monkeypatch.setattr(store, "_READ_BYTES", 101)
+    rng = tmp_path / "rng"
+    store.save_range(table_small, rng)
+    raw = bytearray((rng / name).read_bytes())
+    raw[-3] = ord("x")
+    (rng / name).write_bytes(bytes(raw))
+    with pytest.raises(ChecksumMismatch, match="checksum"):
+        store.load_range(rng)
+
+
+def test_unterminated_last_row_and_header_only_zeros_load(table_small, tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(store, "_READ_BYTES", 101)
+    rng = tmp_path / "rng"
+    store.save_range(table_small, rng)
+    for name in ("gram.csv", "zeros.csv"):
+        _rewrite(rng, name, lambda ls: ls.append(ls.pop().rstrip("\n")))
+    loaded, _ = store.load_range(rng)
+    assert loaded.gram.tobytes() == table_small.gram.tobytes()
+    assert loaded.zeros.tobytes() == table_small.zeros.tobytes()
+    assert loaded.z_gram is not None
+    bare = ZeroTable(table_small.gram[:1], table_small.zeros[:0], table_small.z_values()[:1])
+    store.save_range(bare, rng)
+    assert (rng / "zeros.csv").read_text() == "index,t\n"
+    for tail in ("\n", ""):
+        _rewrite(rng, "zeros.csv", lambda ls: ls.__setitem__(0, "index,t" + tail))
+        loaded, man = store.load_range(rng)
+        assert man.zero_count == loaded.zeros.size == 0
+        assert loaded.gram.tobytes() == bare.gram.tobytes()
+
+
+def test_store_peak_memory_is_flat(table_full, tmp_path):
+    """save_range formats and writes, and load_range reads and parses, a block
+    at a time: neither holds a whole file, and a load makes only the arrays of
+    the table it returns."""
+    import tracemalloc
+
+    rng = tmp_path / "rng"
+    table_full.z_values()
+    tracemalloc.start()
+    try:
+        store.save_range(table_full, rng)
+        save_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        loaded, _ = store.load_range(rng)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (loaded.gram, loaded.zeros, loaded.z_gram,
+                                  loaded.s_gram, loaded.zero_ambiguous))
+    assert save_peak < 2 * 2**20
+    assert load_peak - held < 3 * 2**20
 
 
 def test_warm_load_evaluates_z_only_at_the_sample(cli_cache_dir, monkeypatch):

@@ -36,6 +36,44 @@ def test_sieve_peak_memory_stays_near_its_primes():
     assert np.array_equal(table.primes, pr._base_primes(5 * 10**7))
 
 
+@settings(max_examples=300, deadline=None)
+@given(lo=st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 20000)),
+       width=st.one_of(st.integers(0, 3), st.integers(0, 5000)),
+       base_prime=st.sampled_from([3, 5, 7, 11, 13, 97, 101, 127]),
+       straddle=st.booleans())
+def test_sieve_block_matches_a_plain_sieve(lo, width, base_prime, straddle):
+    """The odd-only segment mask: windows from 0..3 up, narrower than 3, with
+    either parity at each end, and across the square of a base prime, where
+    that prime starts to strike."""
+    if straddle:
+        lo = max(0, base_prime ** 2 - width // 2)
+    hi = lo + width
+    plain = pr._base_primes(max(hi - 1, 1))
+    want = plain[(plain >= lo) & (plain < hi)]
+    got = pr._sieve_block(lo, hi, pr._base_primes(math.isqrt(max(hi - 1, 1))))
+    assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+
+def test_spot_check_flags_a_missing_prime():
+    table = pr.sieve_primes(10**5)
+    assert pr.verify_spot_range(table, 2, 10**5)
+    i = int(np.searchsorted(table.primes, 50021))
+    holed = pr.PrimeTable(limit=table.limit, primes=np.delete(table.primes, i))
+    assert not pr.verify_spot_range(holed, 50000, 60000)
+    assert pr.verify_spot_range(holed, 2, 50000)
+
+
+def test_sieve_cache_bytes_pinned(tmp_path):
+    # BLAKE2b-128 of the 1e7 sieve cache, taken before the mask held odd
+    # numbers only
+    import hashlib
+
+    pr.sieve_primes(10**7, cache_dir=tmp_path)
+    raw = (tmp_path / "primes_000010000000.bin").read_bytes()
+    assert hashlib.blake2b(raw, digest_size=16).hexdigest() == \
+        "dfe4e4858db7e0b1557f5e531cff270e"
+
+
 def test_sieve_ceiling():
     with pytest.raises(ResourceError):
         pr.sieve_primes(10**9)

@@ -413,3 +413,35 @@ def test_from_arrays_roundtrip_semantics(table_built):
 def test_ambiguity_flags_absent_at_this_height(table_built):
     # no zero within 1e-9 of a Gram point in the built range
     assert not table_built.zero_ambiguous.any()
+
+
+def _near_reference(points, ts):
+    """zeros.near as one expression over both neighbours."""
+    i = np.searchsorted(points, ts)
+    below = points[np.maximum(i - 1, 0)]
+    above = points[np.minimum(i, points.size - 1)]
+    return (np.abs(below - ts) < zr.AMBIGUITY_TOL) | (np.abs(above - ts) < zr.AMBIGUITY_TOL)
+
+
+def test_table_construction_is_lean(table_full):
+    """S at the Gram points and the ambiguity flags, made with one index and
+    one difference buffer: the 1e5 table's construction peaked at 6.2 MB."""
+    import tracemalloc
+
+    gram, zeros = table_full.gram.copy(), table_full.zeros.copy()
+    tracemalloc.start()
+    try:
+        table = ZeroTable(gram, zeros, table_full.z_values())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20
+    s_ref = np.searchsorted(zeros, gram, side="right") - np.arange(gram.size)
+    assert table.s_gram.dtype == np.int64 and np.array_equal(table.s_gram, s_ref)
+    assert np.array_equal(table.zero_ambiguous, _near_reference(gram, zeros))
+    rng = np.random.default_rng(5)
+    planted = gram[rng.integers(0, gram.size, 200)] + rng.uniform(-2e-9, 2e-9, 200)
+    for ts in (planted, gram[:1] - 1.0, gram[-1:] + 5e-10, gram):
+        assert np.array_equal(zr.near(zeros, ts), _near_reference(zeros, ts))
+        assert np.array_equal(zr.near(gram, ts), _near_reference(gram, ts))
+    assert bool(zr.near(gram, float(gram[7]))) and not zr.near(gram, float(gram[7]) + 2e-9)
