@@ -10,6 +10,16 @@ with twice the first omitted term 127/(430080 t^7) reported as the truncation
 bound.  Three correction terms are needed to hold 1e-10 absolute accuracy
 from t = 20 up (two terms leave 1.2e-10 there).  Gram point t_n is the unique
 solution of theta(t) = (n-1) pi with t > 7.
+
+Gram points are solved by Newton's method in blocks of GRAM_BLOCK indices,
+each point by the same rule, so its bits depend on n alone: a window of
+indices is bit for bit the matching slice of the solve from n = 0.  Every
+point takes exactly NEWTON_STEPS = 3 steps from its asymptotic seed; only a
+point still outside `residual_tolerance` after them steps again, masked.
+Three is what n = 0 needs (142 points n <= 2e6 need 2, all others 1).  The
+solve this replaced stepped every point of a call until all were within
+tolerance, which took exactly 3 steps for any call that included n = 0, so
+gram_points(N) from 0 keeps its bits.
 """
 
 from __future__ import annotations
@@ -129,27 +139,52 @@ def residual_tolerance(target) -> np.ndarray:
     return np.maximum(_RESIDUAL_TOL, 8.0 * np.spacing(np.abs(target)))
 
 
+def _newton_step(t: np.ndarray, target: np.ndarray) -> np.ndarray:
+    step = (_theta_raw(t) - target) / _theta_d1_raw(t)
+    # keep iterates on the t > 7 branch (theta' > 0 there)
+    return np.maximum(t - step, 7.0 + 1e-9)
+
+
+GRAM_BLOCK = 8192   # Gram indices solved at once
+NEWTON_STEPS = 3    # steps every Gram point takes; why 3: the module docstring
+_MAX_STEPS = 60
+
+
+def _gram_block(lo: int, hi: int) -> np.ndarray:
+    """t_n for n = lo .. hi - 1: NEWTON_STEPS steps for every point, then
+    masked steps for the points still outside tolerance."""
+    n = np.arange(lo, hi, dtype=np.int64)
+    target = (n - 1.0) * math.pi
+    t = _initial_guess(n)
+    for _ in range(NEWTON_STEPS):
+        t = _newton_step(t, target)
+    tol = residual_tolerance(target)
+    for _ in range(_MAX_STEPS - NEWTON_STEPS):
+        late = np.nonzero(~(np.abs(_theta_raw(t) - target) < tol))[0]
+        if not late.size:
+            return t
+        t[late] = _newton_step(t[late], target[late])
+    bad = int((np.abs(_theta_raw(t) - target) / tol).argmax())
+    raise ConvergenceError(f"gram point Newton stalled near n = {lo + bad}")
+
+
 def gram_points(n_hi: int, n_lo: int = 0) -> np.ndarray:
-    """Heights t_n for n = n_lo .. n_hi inclusive (vectorized Newton)."""
+    """Heights t_n for n = n_lo .. n_hi inclusive, solved GRAM_BLOCK at a time.
+
+    Each point takes NEWTON_STEPS Newton steps, and more, masked, only while
+    outside `residual_tolerance`, so t_n is the same bits in every window
+    that holds n.  ConvergenceError, naming the index n of the worst point,
+    if a block still has a point outside after 60 steps.
+    """
     if n_lo < 0:
         raise DomainError("gram point index must be >= 0")
     if n_hi < n_lo:
         raise DomainError("empty gram index range")
-    n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    target = (n - 1.0) * math.pi
-    tol = residual_tolerance(target)
-    t = _initial_guess(n)
-    for _ in range(60):
-        resid = _theta_raw(t) - target
-        if np.all(np.abs(resid) < tol):
-            break
-        step = resid / _theta_d1_raw(t)
-        # keep iterates on the t > 7 branch (theta' > 0 there)
-        t = np.maximum(t - step, 7.0 + 1e-9)
-    else:
-        bad = int((np.abs(_theta_raw(t) - target) / tol).argmax())
-        raise ConvergenceError(f"gram point Newton stalled near n = {n_lo + bad}")
-    return t
+    out = np.empty(n_hi - n_lo + 1)
+    for lo in range(n_lo, n_hi + 1, GRAM_BLOCK):
+        hi = min(lo + GRAM_BLOCK, n_hi + 1)
+        out[lo - n_lo : hi - n_lo] = _gram_block(lo, hi)
+    return out
 
 
 def gram_point(n: int) -> GramPoint:

@@ -17,6 +17,11 @@ caller's z_eval, or `zeta.hardy_z_local`, a Taylor expansion of the
 Riemann-Siegel main sum about every Gram point of the run whose one cos+sin
 pass per Gram point also gives Z there.  The next run starts at the last
 anchor the previous one certified, so a block open at a run's end is carried.
+A build holds its output arrays (the Gram points, Z there, and the zeros,
+which each run writes into one array) and one run: a run's evaluator, with its
+moments, is dropped before the next run's is made, and the Gram solve and
+the table constructor work in fixed blocks, so the working set does not grow
+with the range.
 
 The trailing edge of a scan stops at the last regular Gram point, so tables
 are built with headroom past the index range the caller needs; that policy
@@ -81,22 +86,30 @@ class ScanDiagnostics:
     refine_heights: list = field(default_factory=list)  # heights per refinement pass
 
 
+# entries per block of the table constructor's passes
+_BLOCK = 8192
+
+
 def near(points: np.ndarray, ts) -> np.ndarray:
     """True where an entry of the ascending `points` lies within AMBIGUITY_TOL of ts."""
     ts = np.asarray(ts, dtype=float)
-    if not points.size:
-        return np.zeros(ts.shape, dtype=bool)
-    # the neighbours of each t: points[i] above (the last point past the end)
-    # and points[i - 1] below; one index and one difference buffer serve both
     flat = ts.ravel()
-    i = np.searchsorted(points, flat)
-    np.minimum(i, points.size - 1, out=i)
-    d = points.take(i)
-    hit = np.abs(np.subtract(d, flat, out=d), out=d) < AMBIGUITY_TOL
-    i -= 1
-    np.maximum(i, 0, out=i)
-    points.take(i, out=d)
-    hit |= np.abs(np.subtract(d, flat, out=d), out=d) < AMBIGUITY_TOL
+    hit = np.zeros(flat.size, dtype=bool)
+    if not points.size:
+        return hit.reshape(ts.shape)
+    # the neighbours of each t: points[i] above (the last point past the end)
+    # and points[i - 1] below; per block, one index and one difference buffer
+    # serve both
+    for s in range(0, flat.size, _BLOCK):
+        t, out = flat[s : s + _BLOCK], hit[s : s + _BLOCK]
+        i = np.searchsorted(points, t)
+        np.minimum(i, points.size - 1, out=i)
+        d = points.take(i)
+        np.less(np.abs(np.subtract(d, t, out=d), out=d), AMBIGUITY_TOL, out=out)
+        i -= 1
+        np.maximum(i, 0, out=i)
+        points.take(i, out=d)
+        out |= np.abs(np.subtract(d, t, out=d), out=d) < AMBIGUITY_TOL
     return hit.reshape(ts.shape)
 
 
@@ -111,7 +124,8 @@ class ZeroTable:
         """Gram points and zeros, built or loaded, and Z at the Gram points if
         known.  Every zero takes the uniform certified half-width: each final
         bracket fits inside [t - 1e-9, t + 1e-9], so built and loaded tables
-        report the same bytes."""
+        report the same bytes.  The flags and S at the Gram points are made
+        a block of entries at a time, with no whole-range temporary."""
         gram, zeros = np.asarray(gram, dtype=float), np.asarray(zeros, dtype=float)
         self.gram = gram                  # t_n, index = n
         self.z_gram = z_gram              # Z(t_n), or None until first needed
@@ -119,9 +133,12 @@ class ZeroTable:
         self.bracket_half = np.broadcast_to(BRACKET_HALF_WIDTH, zeros.size)
         self.diagnostics = diagnostics or ScanDiagnostics()
         self.zero_ambiguous = near(gram, zeros)
-        # S(t_n + 0) = N(t_n + 0) - n, made in place on the counts
-        self.s_gram = np.searchsorted(zeros, gram, side="right").astype(np.int64, copy=False)
-        self.s_gram -= np.arange(gram.size, dtype=np.int64)
+        # S(t_n + 0) = N(t_n + 0) - n, a block of counts at a time
+        self.s_gram = np.empty(gram.size, dtype=np.int64)
+        for s in range(0, gram.size, _BLOCK):
+            e = min(s + _BLOCK, gram.size)
+            np.subtract(np.searchsorted(zeros, gram[s:e], side="right"),
+                        np.arange(s, e), out=self.s_gram[s:e])
 
     # -- construction ------------------------------------------------------
 
@@ -132,8 +149,10 @@ class ZeroTable:
             raise DomainError("n_max must be >= 1")
         gram = gram_points(n_max)
         zg = np.empty(gram.size)
+        # a met block holds as many zeros as Gram intervals: the zeros a build
+        # locates between t_0 and its anchor a are a of them
+        zeros = np.empty(gram.size - 1)
         diag = ScanDiagnostics()
-        parts = []
         a = known = 0           # the run's first Gram index; Gram points with Z so far
         while known < gram.size:
             b = min(known + zeta.LOCAL_BRACKETS, gram.size)
@@ -145,12 +164,15 @@ class ZeroTable:
             if not regular[0]:
                 raise UncertifiedRange("no regular anchor at the base of the range")
             anchors = a + np.nonzero(regular)[0]
-            lo, hi, z_lo, z_hi, a, depths = _scan(gram, zg, anchors, run_eval, diag)
+            lo, hi, z_lo, z_hi, top, depths = _scan(gram, zg, anchors, run_eval, diag)
             _refine(lo, hi, z_lo, z_hi, run_eval, Z_CALLS - 1 - depths, diag)
-            parts.append(0.5 * (lo + hi))
+            zeros[a:top] = 0.5 * (lo + hi)
+            a = top
+            # the next run's evaluator is built after this one is dropped
+            del run_eval, lo, hi, z_lo, z_hi
             if a < anchors[-1]:
                 break                   # a block that cannot meet its quota
-        return cls(gram[: a + 1], np.concatenate(parts), zg[: a + 1], diag)
+        return cls(gram[: a + 1], zeros[:a], zg[: a + 1], diag)
 
     # -- queries -----------------------------------------------------------
 

@@ -367,7 +367,9 @@ def hardy_z_local(c: np.ndarray):
     powers[:, 0] = 1.0
     for k in range(1, order + 1):
         np.multiply(powers[:, k - 1], ln_rows / k, out=powers[:, k])
-    moments = np.empty((c.size, order + 1), dtype=complex)     # a row per centre
+    # a row per order k, a column per centre: a Horner step of the expansion
+    # gathers one row at the heights' centres, and no height copies all K + 1
+    moments = np.empty((order + 1, c.size), dtype=complex)
     z_c = np.empty(c.size)
     width = max(1, _Z_ELEMENTS // n_top)                        # centres per slice
     step = max(1, _SERIAL_MACS // (2 * n_top * (order + 1)))   # centres per product
@@ -381,8 +383,8 @@ def hardy_z_local(c: np.ndarray):
             prod = terms[:, b0 - i : b1 - i].reshape(n_top, -1).T @ powers
             pc, ps = prod[0::2], prod[1::2]
             ct, st = np.cos(th[b0:b1])[:, None], np.sin(th[b0:b1])[:, None]
-            moments.real[b0:b1] = ct * pc + st * ps
-            moments.imag[b0:b1] = st * pc - ct * ps
+            moments.real[:, b0:b1] = (ct * pc + st * ps).T
+            moments.imag[:, b0:b1] = (st * pc - ct * ps).T
     z_c += _rs_remainder(c, n_c, a - n_c)
     low = _em_heights(c)
     z_c[low] = [hardy_z(float(t)).z for t in c[low]]
@@ -391,12 +393,12 @@ def hardy_z_local(c: np.ndarray):
         row = np.searchsorted(mid, ts)          # the nearer centre
         cr, nr = c[row], n_c[row]
         h = ts - cr                             # exact: t and c are this close
-        mr = moments[row]
         ih = -1j * h
-        acc = mr[:, order].copy()
+        acc = moments[order].take(row)
+        term = np.empty_like(acc)
         for k in range(order - 1, -1, -1):
             acc *= ih
-            acc += mr[:, k]
+            acc += moments[k].take(row, out=term)
         dth = _theta_delta(cr, h)
         z = 2.0 * (np.cos(dth) * acc.real - np.sin(dth) * acc.imag)
         a = np.sqrt(ts / TWO_PI)

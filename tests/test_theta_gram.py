@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gramlab.theta_gram as th
-from gramlab.errors import DomainError
+from gramlab.errors import ConvergenceError, DomainError
 
 mpmath.mp.dps = 30
 
@@ -159,3 +161,76 @@ def test_gram_spacing_within_mean_value_chain_bound(N, M, m):
 def test_gram_spacing_asymptotic_form_at_large_n():
     dev = th.gram_spacing_report(10**6, 100, 1)
     assert dev <= math.pi * 3 * 100 / (10**6 * math.log(10**6) ** 2)
+
+
+@pytest.fixture(scope="module")
+def solve_from_0():
+    return th.gram_points(100050)
+
+
+B = th.GRAM_BLOCK
+WINDOWS = ([(100030, 50000), (5140, 1201)] + [(n, n) for n in range(21)]
+           + [(a + size - 1, a) for a in (0, 1, B - 1, B, B + 1, 50000)
+              for size in (B - 1, B, B + 1, 2 * B + 1)])
+
+
+@pytest.mark.parametrize("n_hi, n_lo", WINDOWS)
+def test_gram_window_is_the_slice_of_the_solve_from_0(solve_from_0, n_hi, n_lo):
+    """A window's bits depend on n alone: (100030, 50000) and (5140, 1201)
+    differed from the slice at 18,245 and 1,020 points when the solve stopped
+    once every point of the call was within tolerance."""
+    window = th.gram_points(n_hi, n_lo)
+    assert window.tobytes() == solve_from_0[n_lo : n_hi + 1].tobytes()
+
+
+def test_gram_points_bits_pinned(solve_from_0):
+    """BLAKE2b-128 of gram_points(100050), taken when every point of a solve
+    from n = 0 stopped after the 3 steps n = 0 needs."""
+    digest = hashlib.blake2b(solve_from_0.tobytes(), digest_size=16).hexdigest()
+    assert digest == "254e6fe4b597cff5ad6491c7ddb0b2c0"
+
+
+def test_three_newton_steps_reach_every_gram_point_to_the_ceiling():
+    """NEWTON_STEPS is the least count after which every n <= GRAM_CEILING is
+    within tolerance: n = 0 is still outside after one step fewer."""
+    from gramlab.zeros import GRAM_CEILING
+
+    def resid_after(steps, n):
+        target = (n - 1.0) * math.pi
+        t = th._initial_guess(n)
+        for _ in range(steps):
+            t = th._newton_step(t, target)
+        return np.abs(th._theta_raw(t) - target) / th.residual_tolerance(target)
+
+    assert th.NEWTON_STEPS == 3
+    assert resid_after(th.NEWTON_STEPS - 1, np.array([0]))[0] >= 1.0
+    for lo in range(0, GRAM_CEILING + 1, 1 << 16):
+        n = np.arange(lo, min(lo + (1 << 16), GRAM_CEILING + 1))
+        assert resid_after(th.NEWTON_STEPS, n).max() < 1.0, lo
+
+
+def test_gram_newton_stall_names_the_absolute_index(monkeypatch):
+    """A point that never reaches tolerance is named by its n, not by its
+    place in the window or the block."""
+    t_stuck = th.gram_point(15000).t
+    d1 = th._theta_d1_raw
+
+    def sluggish(t):
+        # theta' a million times too large near t_15000: steps a millionth long
+        return np.where(np.abs(t - t_stuck) < 0.05, 1e6, 1.0) * d1(t)
+
+    monkeypatch.setattr(th, "_theta_d1_raw", sluggish)
+    with pytest.raises(ConvergenceError, match=r"near n = 15000$"):
+        th.gram_points(20000, 10000)
+
+
+def test_gram_solve_peak_is_one_block():
+    """gram_points(10**6) holds its result and one block's temporaries; the
+    solve of the whole range at once peaked at 84 MB."""
+    tracemalloc.start()
+    try:
+        pts = th.gram_points(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - pts.nbytes <= 2**20

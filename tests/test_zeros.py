@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -445,3 +446,50 @@ def test_table_construction_is_lean(table_full):
         assert np.array_equal(zr.near(zeros, ts), _near_reference(zeros, ts))
         assert np.array_equal(zr.near(gram, ts), _near_reference(gram, ts))
     assert bool(zr.near(gram, float(gram[7]))) and not zr.near(gram, float(gram[7]) + 2e-9)
+
+
+# BLAKE2b-128 of the fixture tables' arrays, taken before the Gram solve was
+# blocked and the expansion's moments were stored a row per order
+TABLE_DIGESTS = {
+    "table_small": {"gram": "cc8dcacaef150ba97edc03c9e29e781a",
+                    "zeros": "1da829265a99e53a85ebbe8ed3197aa2",
+                    "z_gram": "29cb8c6a160c013e9b4f3af2d92d0ade",
+                    "s_gram": "993d0e7548e07458b4095230059e933f",
+                    "zero_ambiguous": "37e699432a6aeb33d37a14773c27923b"},
+    "table_mid": {"gram": "5d5d50c046c1816a6eb665a5275719eb",
+                  "zeros": "a502701c06a97211cf652ea20915e229",
+                  "z_gram": "ce3611a5be1327a8de662057dba7120d",
+                  "s_gram": "d6b051562e5fef695e1a8c909874eb57",
+                  "zero_ambiguous": "0dfcddd703bae85d08b2f749857e5cd8"},
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(TABLE_DIGESTS))
+def test_table_bits_pinned(request, fixture):
+    """No layout change to the Gram solve, the expansion or the build may move a bit."""
+    table = request.getfixturevalue(fixture)
+    for name, digest in TABLE_DIGESTS[fixture].items():
+        array = np.ascontiguousarray(getattr(table, name))
+        assert hashlib.blake2b(array.tobytes(), digest_size=16).hexdigest() == digest, name
+
+
+def test_table_construction_at_1e6_is_flat():
+    """ZeroTable(gram, zeros) at 1e6 Gram points holds S at the Gram points,
+    the flags and one block of temporaries: whole-range index and difference
+    buffers took about 16 MB more."""
+    import tracemalloc
+
+    gram = gram_points(10**6)
+    zeros = 0.5 * (gram[:-1] + gram[1:])
+    zeros[::1000] = gram[1::1000] + 5e-10             # some flagged
+    tracemalloc.start()
+    try:
+        table = ZeroTable(gram, zeros)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - table.s_gram.nbytes - table.zero_ambiguous.nbytes <= 1.5 * 2**20
+    assert np.array_equal(table.zero_ambiguous, _near_reference(gram, zeros))
+    assert np.count_nonzero(table.zero_ambiguous) == 1000
+    s_ref = np.searchsorted(zeros, gram, side="right") - np.arange(gram.size)
+    assert table.s_gram.dtype == np.int64 and np.array_equal(table.s_gram, s_ref)

@@ -263,6 +263,26 @@ def test_local_expansion_at_the_centres_is_the_direct_sum(n_lo):
     assert np.max(np.abs(z(g) - zt.hardy_z_many(g))) <= 1e-12
 
 
+def test_local_expansion_evaluation_is_flat():
+    """A run's evaluator, asked for a run's worth of heights, holds no copy of
+    the moments per height: gathering each height's K + 1 moments peaked at
+    4 MB above the result."""
+    import tracemalloc
+
+    g = th.gram_points(100000 + zt.LOCAL_BRACKETS - 1, 100000)
+    z = zt.hardy_z_local(g)
+    ts = np.r_[g[:-1] + 0.37 * np.diff(g), g[-1]]
+    first = z(ts)
+    tracemalloc.start()
+    try:
+        out = z(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.tobytes() == first.tobytes()
+    assert peak - out.nbytes <= 2 * 2**20
+
+
 @pytest.mark.parametrize("n_lo, count", [(4, 20), (4, 4096), (90000, 4096)])
 def test_local_expansion_order_meets_its_remainder_bound(n_lo, count):
     """K is the least order whose proven tail bound is 1e-13, and it holds."""
