@@ -11,6 +11,17 @@ that spans blocks gathered in one buffer, so a stream of blocks (the primes
 <= 1e8 as the sieve yields them) sums to the concatenation's bits without
 being held whole.
 
+`partials` returns each term's chunk partials themselves, and `csums` is
+math.fsum of them: one summation path.  Since a partial is the correctly
+rounded sum of its chunk, it is a deterministic value of the data alone and
+can be stored and re-checked bit for bit.  With a predicate `keep`, the
+chunks it leaves out are passed over unevaluated, so a caller can re-sum a
+sample of chunks and take the rest from storage.  The prime sums do so:
+they keep their partials in a JSON sidecar beside the sieve cache and, on a
+warm call, re-sum chunk 0, every 8th chunk and the last, and use the stored
+partials only if those match bit for bit (layout in `primes`).  A change to
+an unsampled partial alone, written under a fresh checksum, goes unseen.
+
 A chunk is summed exactly in numpy by error-free extraction (Rump, Ogita and
 Oishi, "Accurate floating-point summation part I: faithful rounding", SIAM J.
 Sci. Comput. 31, 2008).  With sigma a power of two above 2n max|r| for n
@@ -56,9 +67,10 @@ def _chunk_sum(c: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
 
 
 def _chunks(arr) -> Iterator[np.ndarray]:
-    """arr, an array or an iterable of arrays, as float64 chunks of CHUNK
-    values cut where they cut the concatenation; a chunk that spans blocks is
-    gathered in one buffer, which the next such chunk overwrites."""
+    """arr, an array or an iterable of arrays, as chunks of CHUNK values cut
+    where they cut the concatenation; a chunk that spans blocks is gathered in
+    one float64 buffer, which the next such chunk overwrites, and a chunk
+    inside one block is a view of it in the block's dtype."""
     buf, fill = np.empty(CHUNK), 0     # buf[:fill] is the chunk in progress
     for block in [arr] if isinstance(arr, np.ndarray) else arr:
         b = np.asarray(block).ravel()
@@ -72,33 +84,47 @@ def _chunks(arr) -> Iterator[np.ndarray]:
             yield buf
         whole = i + (b.size - i) // CHUNK * CHUNK
         for j in range(i, whole, CHUNK):
-            yield b[j : j + CHUNK].astype(float, copy=False)
+            yield b[j : j + CHUNK]
         fill = b.size - whole
         buf[:fill] = b[whole:]
     if fill:
         yield buf[:fill]
 
 
-def csums(arr, *terms, prep=None) -> tuple[float, ...]:
-    """csum(term(a)) for each elementwise term, a = arr as float64.
+def partials(arr, *terms, prep=None, keep=None) -> list[list[float | None]]:
+    """For each elementwise term, the correctly rounded sum of term(a) over
+    each chunk a of arr as float64, in chunk order.
 
-    arr is an array or an iterable of arrays, summed as their concatenation.
+    arr is an array or an iterable of arrays, cut as their concatenation.
     The terms are evaluated one CHUNK at a time, so no full-length temporary
     is made; each term maps a float64 chunk to an array of its size.  With
     prep, each term takes prep(chunk) instead, made once per chunk, so the
-    terms can share work such as a logarithm.
+    terms can share work such as a logarithm.  With keep, a chunk i for which
+    keep(i) is false is passed over: it is not converted, no term sees it, and
+    its partial reads None.
     """
-    partials = [[] for _ in terms]
+    out = [[] for _ in terms]
     work = None
-    for c in _chunks(arr):
+    for i, c in enumerate(_chunks(arr)):
+        if keep is not None and not keep(i):
+            for acc in out:
+                acc.append(None)
+            continue
+        c = c.astype(float, copy=False)
         if work is None:        # every chunk but the last holds CHUNK values
             work = np.empty((2, c.size))
         q, r = work[:, : c.size]
         arg = c if prep is None else prep(c)
-        for acc, term in zip(partials, terms):
+        for acc, term in zip(out, terms):
             acc.append(_chunk_sum(term(arg), q, r))
+    return out
+
+
+def csums(arr, *terms, prep=None) -> tuple[float, ...]:
+    """csum(term(a)) for each elementwise term, a = arr as float64: math.fsum
+    of the term's `partials` (arr, terms and prep as there)."""
     # fsum of one partial is that partial, and of none is 0.0
-    return tuple(math.fsum(acc) for acc in partials)
+    return tuple(math.fsum(acc) for acc in partials(arr, *terms, prep=prep))
 
 
 def csum(arr) -> float:

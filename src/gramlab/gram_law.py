@@ -96,9 +96,11 @@ def delta_array(table: ZeroTable, n_lo: int, n_hi: int) -> np.ndarray:
     if n_hi > table.zeros.size:
         raise UncertifiedRange(
             f"zero index {n_hi} beyond the {table.zeros.size} zeros of the table")
-    ts = table.zeros[n_lo - 1 : n_hi]
-    m = np.searchsorted(table.gram, ts, side="left").astype(np.int64)
-    return m - np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    # the enclosing Gram index m of each zero becomes Delta_n = m - n in place,
+    # beside one temporary: the arange of the n
+    delta = np.searchsorted(table.gram, table.zeros[n_lo - 1 : n_hi], side="left")
+    delta -= np.arange(n_lo, n_hi + 1, dtype=delta.dtype)
+    return delta.astype(np.int64, copy=False)
 
 
 def gsp_flags(table: ZeroTable, n_lo: int, n_hi: int) -> list[bool]:

@@ -12,25 +12,48 @@ from a segmented sieve, or from the sieve cache a CHUNK at a time.  A sieve
 segment is _SEGMENT numbers, marked in a mask of its odd numbers only: 1 MB,
 which stays in L2 while every base prime strikes it.  The sums
 take the blocks as they come, summed chunk by chunk as their concatenation
-would be (`accum.csums`), so they never hold all 5,761,455 primes <= 1e8;
+would be (`accum.partials`), so they never hold all 5,761,455 primes <= 1e8;
 `sieve_primes` gathers the stream into one array for callers that want it.
 
 Sieve cache file layout: 8-byte magic "GRAMLAB\\0", one version byte,
 then the primes as little-endian uint64.  A cold stream writes it as it
 sieves, to a temporary file renamed into place after the last block.
+
+A sum over a cached sieve keeps its chunk partials (`accum.partials`) in a
+sidecar beside the cache, primes_<x:012d>.sums.json: a JSON object with the
+limit, CHUNK, the prime count and the last prime of the cache it was summed
+from, the partials as float.hex keyed by term ("ln p / p", "1 / p", and
+"sin^2(h ln p / 2) / p, h = " + h.hex() for each h), and a 64-bit BLAKE2b
+checksum over the rest (as JSON with sorted keys).  It is written through a
+temporary file renamed into place, after the stream has ended and the sieve
+cache is in place.  A warm call whose terms are all in the sidecar still
+streams the cache once with every check above, re-sums its terms at chunk 0,
+every _SUMS_SAMPLE_STRIDE-th chunk and the last (12 of the 88 chunks at
+1e8), and requires those to equal the stored partials bit for bit; the
+result is then math.fsum of the stored partials, the bits of a full
+computation.  A damaged sidecar (bad JSON, a checksum that does not match, a
+wrong number of partials) raises ChecksumMismatch.  A sidecar whose sample
+the current code does not reproduce, or whose count or last prime is not the
+cache's, is recomputed in full and rewritten once; a call with a term it
+lacks sums all of its terms in one full stream and adds the new ones.  A
+change to an unsampled partial alone, written under a fresh checksum, is not
+detected.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .accum import CHUNK, csum, csums
+from .accum import CHUNK, csum, partials
 from .errors import ChecksumMismatch, PreconditionError, ResourceError, VersionMismatch
 from .moments import EPSILON_DEFAULT, MomentConfig, MomentReport
 from .zeros import ZeroTable
@@ -39,6 +62,7 @@ SIEVE_CEILING = 10**8
 SIEVE_CACHE_THRESHOLD = 10**7
 H_CEILING = 0.4  # admissible shift ceiling for V(x;h)
 _SEGMENT = 1 << 21  # numbers per sieve segment
+_SUMS_SAMPLE_STRIDE = 8  # a warm sum re-sums chunk 0, every 8th chunk and the last
 
 _MAGIC = b"GRAMLAB\0"
 _VERSION = 1
@@ -126,19 +150,33 @@ def _prime_blocks(limit: int, cache_dir: str | Path | None = None) -> Iterator[n
     if limit > SIEVE_CEILING:
         raise ResourceError(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
     limit = int(limit)
-    if cache_dir is None or limit < SIEVE_CACHE_THRESHOLD:
+    path = _cache_path(limit, cache_dir)
+    if path is None:
         return _sieve_stream(max(limit, 0))
-    path = Path(cache_dir) / f"primes_{limit:012d}.bin"
     if not path.exists():
         return _written(_sieve_stream(limit), path)
     blocks = load_prime_cache(path)
     # a payload cut at a whole prime still loads: re-sieve past its end
-    size = path.stat().st_size
-    last = int(np.fromfile(path, dtype="<u8", count=1, offset=size - 8)[0]) if size > 9 else 1
+    last = _cache_extent(path)[1]
     tail = PrimeTable(limit=limit, primes=np.array([last], dtype=np.uint64))
     if last > limit or not verify_spot_range(tail, last + 1, limit):
         raise ChecksumMismatch(f"{path}: primes missing after {last}")
     return blocks
+
+
+def _cache_path(limit: int, cache_dir: str | Path | None) -> Path | None:
+    """The sieve cache file of limit, or None where the primes are not cached."""
+    if cache_dir is None or limit < SIEVE_CACHE_THRESHOLD:
+        return None
+    return Path(cache_dir) / f"primes_{limit:012d}.bin"
+
+
+def _cache_extent(path: Path) -> tuple[int, int]:
+    """(prime count, last prime) of a sieve cache with a checked header and
+    payload size, read from its size and final 8 bytes; last is 1 if empty."""
+    size = path.stat().st_size
+    last = int(np.fromfile(path, dtype="<u8", count=1, offset=size - 8)[0]) if size > 9 else 1
+    return (size - 9) // 8, last
 
 
 def sieve_primes(limit: int, cache_dir: str | Path | None = None) -> PrimeTable:
@@ -234,15 +272,96 @@ def verify_spot_range(table: PrimeTable, lo: int, hi: int) -> bool:
 # ---------------------------------------------------------------------------
 # prime sums
 
-def _prime_csums(x: float, cache_dir: str | Path | None, *terms) -> tuple[float, ...]:
-    """csums over the primes p <= x of each term of (p, ln p), ln p taken once
-    per chunk, straight from the stream of prime blocks."""
-    return csums(_prime_blocks(int(x), cache_dir), *terms, prep=lambda p: (p, np.log(p)))
+_MERTENS_TERMS = {"ln p / p": lambda c: c[1] / c[0], "1 / p": lambda c: 1.0 / c[0]}
 
 
-def _vxh_term(h: float):
-    """The term sin^2(h ln p / 2) / p of V(x;h), for _prime_csums."""
-    return lambda c: np.sin(0.5 * h * c[1]) ** 2 / c[0]
+def _vxh_term(h: float) -> tuple[str, Callable]:
+    """The named term sin^2(h ln p / 2) / p of V(x;h), for _prime_csums."""
+    return (f"sin^2(h ln p / 2) / p, h = {float(h).hex()}",
+            lambda c: np.sin(0.5 * h * c[1]) ** 2 / c[0])
+
+
+def _prime_partials(blocks: Iterator[np.ndarray], terms, keep=None) -> list[list[float | None]]:
+    """accum.partials over a stream of prime blocks of each term of (p, ln p),
+    ln p taken once per chunk; the stream is closed however the sums end."""
+    with closing(blocks):
+        return partials(blocks, *terms, prep=lambda p: (p, np.log(p)), keep=keep)
+
+
+def _same_bits(got: list[float | None], stored: list[float]) -> bool:
+    """Whether every partial of got that was summed has stored's bits."""
+    return len(got) == len(stored) and all(
+        g is None or g.hex() == s.hex() for g, s in zip(got, stored))
+
+
+def _sums_digest(body: dict) -> str:
+    return hashlib.blake2b(json.dumps(body, sort_keys=True).encode(), digest_size=8).hexdigest()
+
+
+def _load_sums(spath: Path, head: dict) -> dict[str, list[float]]:
+    """The partials of the sidecar at spath by term: {} if there is none or
+    its head (limit, chunk, count, last) is not head; ChecksumMismatch,
+    naming the file, if it is damaged."""
+    if not spath.exists():
+        return {}
+    try:
+        body = json.loads(spath.read_text(encoding="utf-8"))
+        if body.pop("checksum") != _sums_digest(body):
+            raise ValueError("checksum does not match")
+        n = -(-body["count"] // CHUNK)
+        sums = {name: [float.fromhex(v) for v in values]
+                for name, values in body["partials"].items()}
+        if any(len(values) != n for values in sums.values()):
+            raise ValueError(f"partials not {n} per term")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ChecksumMismatch(f"{spath}: damaged prime-sum partials ({exc})") from None
+    return sums if {k: body.get(k) for k in head} == head else {}
+
+
+def _save_sums(spath: Path, head: dict, sums: dict[str, list[float]]) -> None:
+    """Write the sidecar at spath through a temporary file renamed into place."""
+    body = {**head, "partials": {name: [v.hex() for v in values]
+                                 for name, values in sums.items()}}
+    body["checksum"] = _sums_digest(body)
+    tmp = spath.with_name(spath.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(body, indent=1) + "\n", encoding="utf-8")
+        os.replace(tmp, spath)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _sums_head(path: Path, limit: int) -> dict:
+    """What a sidecar must hold to belong to the sieve cache at path."""
+    count, last = _cache_extent(path)
+    return {"limit": limit, "chunk": CHUNK, "count": count, "last": last}
+
+
+def _prime_csums(x: float, cache_dir: str | Path | None, terms: dict[str, Callable]
+                 ) -> dict[str, float]:
+    """csums over the primes p <= x of each named term of (p, ln p); over a
+    cached sieve, through the partials of its sidecar (module docstring)."""
+    limit = int(x)
+    path = _cache_path(limit, cache_dir)
+    warm = path is not None and path.exists()
+    blocks = _prime_blocks(limit, cache_dir)    # checks a cache's header and tail
+    if path is None:
+        return dict(zip(terms, map(math.fsum, _prime_partials(blocks, terms.values()))))
+    spath = path.with_name(path.stem + ".sums.json")
+    stored = _load_sums(spath, _sums_head(path, limit)) if warm else {}
+    if stored.keys() >= terms.keys():
+        n = len(stored[next(iter(terms))])      # chunks: checked against the count
+        sample = _prime_partials(blocks, terms.values(),
+                                 keep=lambda i: i % _SUMS_SAMPLE_STRIDE == 0 or i == n - 1)
+        if all(_same_bits(got, stored[name]) for name, got in zip(terms, sample)):
+            return {name: math.fsum(stored[name]) for name in terms}
+        stored = {}             # summed by other code: recompute and rewrite
+        blocks = _prime_blocks(limit, cache_dir)
+    full = dict(zip(terms, _prime_partials(blocks, terms.values())))
+    if not all(_same_bits(full[name], stored[name]) for name in terms.keys() & stored.keys()):
+        stored = {}
+    _save_sums(spath, _sums_head(path, limit), {**stored, **full})
+    return {name: math.fsum(values) for name, values in full.items()}
 
 
 def _require_vxh(x: float, h: float) -> None:
@@ -271,9 +390,10 @@ def prime_sums(x: int, hs: tuple[float, ...] = (), cache_dir: str | Path | None 
         raise PreconditionError("mertens_sums requires x >= 2")
     for h in hs:
         _require_vxh(x, h)
-    lp, rp, *values = _prime_csums(x, cache_dir, lambda c: c[1] / c[0],
-                                   lambda c: 1.0 / c[0], *map(_vxh_term, hs))
-    return (lp, rp), tuple(_vxh_result(x, h, v) for h, v in zip(hs, values))
+    vxh = [_vxh_term(h) for h in hs]
+    sums = _prime_csums(x, cache_dir, {**_MERTENS_TERMS, **dict(vxh)})
+    lp, rp = (sums[name] for name in _MERTENS_TERMS)
+    return (lp, rp), tuple(_vxh_result(x, h, sums[name]) for h, (name, _) in zip(hs, vxh))
 
 
 def _v_sum(ts, y: float) -> np.ndarray:
@@ -305,7 +425,8 @@ def v_xh(x: float, h: float, cache_dir: str | Path | None = None) -> VxhResult:
     """V(x;h) = sum_{p<=x} sin^2(h ln p / 2) / p and its deviation from
     (1/2) ln(h ln x)."""
     _require_vxh(x, h)
-    return _vxh_result(x, h, _prime_csums(x, cache_dir, _vxh_term(h))[0])
+    name, term = _vxh_term(h)
+    return _vxh_result(x, h, _prime_csums(x, cache_dir, {name: term})[name])
 
 
 def residual_moments(table: ZeroTable, N: int, M: int, k: int,

@@ -123,7 +123,8 @@ def _loose_bounds(tab: ZeroTable, eps: float) -> tuple[bool, str]:
 
 def _offset_second_moment(tab: ZeroTable) -> tuple[bool, str]:
     N = 100000
-    total = int(np.sum(gram_law.delta_array(tab, 1, N).astype(np.int64) ** 2))
+    delta = gram_law.delta_array(tab, 1, N)
+    total = int(np.dot(delta, delta))
     ratio = total / (N * math.log(math.log(N)) / (2 * math.pi ** 2))
     return 0.3 <= ratio <= 2.0, f"ratio {ratio:.4f}"
 

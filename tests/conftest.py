@@ -30,9 +30,10 @@ def _cached_table(n_max: int) -> ZeroTable:
 
 @pytest.fixture(scope="session")
 def cache_dir() -> Path:
-    """A persistent cache directory, keyed by the sieve's module too: the 1e8
-    sieve is filled once, then loaded."""
-    return CACHE_ROOT / f"cache-{_digest('primes.py')}"
+    """A persistent cache directory, keyed by the modules of the sieve and of
+    its sums too: the 1e8 sieve and its sums' partials are filled once, then
+    loaded."""
+    return CACHE_ROOT / f"cache-{_digest('primes.py', 'accum.py')}"
 
 
 @pytest.fixture(scope="session")

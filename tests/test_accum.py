@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gramlab.accum import CHUNK, csum, csums
+from gramlab.accum import CHUNK, csum, csums, partials
 
 LENGTHS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
 
@@ -88,6 +88,30 @@ def test_csums_of_blocks_equal_csums_of_their_concatenation(seed):
     assert [float.hex(v) for v in csums(iter(blocks), *terms)] == want
     assert [float.hex(v) for v in csums(blocks, *terms)] == want    # a list is a stream too
     assert float.hex(csum(iter(blocks))) == float.hex(chunked_fsum(a))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_csums_is_fsum_of_the_chunk_partials(seed):
+    rng = np.random.default_rng(seed)
+    a = _data(["prime_like", "cancelling", "wide"][seed % 3], 3 * CHUNK + 7, rng)
+    cuts = np.sort(np.concatenate([
+        rng.integers(0, a.size, 6),                          # random, with repeats: empty blocks
+        [0, 0, CHUNK - 1, CHUNK + 1, 2 * CHUNK, 2 * CHUNK, a.size]]))
+    blocks = np.split(a, cuts)
+    assert any(b.size == 0 for b in blocks)
+    terms = (lambda c: c, np.sin)
+    got = partials(iter(blocks), *terms)
+    assert [len(p) for p in got] == [4, 4]
+    want = [[float.hex(chunked_fsum(t(a[i : i + CHUNK]))) for i in range(0, a.size, CHUNK)]
+            for t in terms]
+    assert [[float.hex(v) for v in p] for p in got] == want
+    assert [float.hex(v) for v in csums(iter(blocks), *terms)] == \
+        [float.hex(math.fsum(p)) for p in got]
+    # a chunk that keep leaves out is passed over; the rest keep their bits
+    seen = []
+    kept = partials(iter(blocks), lambda c: seen.append(c.size) or c, keep=lambda i: i % 2)
+    assert seen == [CHUNK, 7]
+    assert kept == [[None, got[0][1], None, got[0][3]]]
 
 
 def test_csums_of_integer_blocks_carry_across_blocks():

@@ -94,6 +94,29 @@ def test_gsp_fraction_below_one(table_full):
     assert 0.0 < frac < 1.0
 
 
+def test_delta_array_makes_one_temporary(table_full):
+    """Beside its 0.8 MB result at 1e5 zeros, delta_array holds one more
+    full-length array (the arange of the n) and no copy."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        deltas = gl.delta_array(table_full, 1, 100000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert deltas.dtype == np.int64 and deltas.nbytes == 800_000
+    assert peak - deltas.nbytes <= 900_000
+
+
+def test_offset_second_moment_total_is_the_exact_integer(table_full):
+    N = 100000
+    total = sum(d * d for d in gl.delta_array(table_full, 1, N).tolist())
+    ratio = total / (N * math.log(math.log(N)) / (2 * math.pi ** 2))
+    assert regression._offset_second_moment(table_full) == (0.3 <= ratio <= 2.0,
+                                                            f"ratio {ratio:.4f}")
+
+
 def test_nu_histogram_small(table_small):
     h = gl.nu_histogram(table_small, 15)
     assert h.counts == {1: 15}

@@ -664,8 +664,11 @@ def test_cli_verify_paper_1e5_pinned(cli_cache_dir, tmp_path):
 
 
 def test_warm_verify_paper_reads_the_sieve_cache_once(cli_cache_dir, monkeypatch):
-    # mertens_sums(1e8), v_xh(1e8, 0.2) and v_xh(1e8, 0.39) share one sieve
-    primes.sieve_primes(primes.SIEVE_CEILING, cache_dir=cli_cache_dir)  # filled if absent
+    # mertens_sums(1e8), v_xh(1e8, 0.2) and v_xh(1e8, 0.39) share one sieve,
+    # read once to re-sum a sample of the partials stored beside it
+    x = primes.SIEVE_CEILING
+    primes.prime_sums(x, regression.VXH_GRID[x], cache_dir=cli_cache_dir)  # filled if absent
+    assert (cli_cache_dir / f"primes_{x:012d}.sums.json").exists()
     loads = []
     load = primes.load_prime_cache
 
@@ -679,6 +682,18 @@ def test_warm_verify_paper_reads_the_sieve_cache_once(cli_cache_dir, monkeypatch
     assert r.exit_code == 0, r.output
     assert len(loads) == 1
     assert r.stdout == (Path(__file__).parent / "data" / "verify_paper_1e5.json").read_text()
+
+
+@pytest.mark.parametrize("args", [["--kind", "mertens", "--x", "1e7"],
+                                  ["--kind", "vxh", "--x", "1e7", "--h", "0.2"]])
+def test_cli_prime_sums_same_cold_warm_and_uncached(tmp_path, args):
+    cached = ["--cache-dir", str(tmp_path / "cache"), "primes", *args]
+    runs = [_run_cli(cached, tmp_path), _run_cli(cached, tmp_path),
+            _run_cli(["primes", *args], tmp_path)]
+    assert [r.returncode for r in runs] == [0, 0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+    assert sorted(f.name for f in (tmp_path / "cache").iterdir()) == \
+        ["primes_000010000000.bin", "primes_000010000000.sums.json"]
 
 
 def test_cli_verify_paper_n_limit_floor(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gramlab import accum
 from gramlab import primes as pr
 from gramlab.errors import (ChecksumMismatch, PreconditionError, ResourceError,
                             VersionMismatch)
@@ -178,13 +181,151 @@ def test_cold_stream_stopped_early_leaves_no_cache(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_prime_sums_at_1e7_pinned(tmp_path):
+def _assert_1e7_pinned(cache_dir):
     # 664,579 primes, so 11 chunks of the summation; values from before the
     # sums were evaluated chunk by chunk, as float.hex
-    lp, rp = pr.mertens_sums(10**7, cache_dir=tmp_path)
+    lp, rp = pr.mertens_sums(10**7, cache_dir=cache_dir)
     assert (lp.hex(), rp.hex()) == ("0x1.d924752d6bd33p+3", "0x1.854e369c8494cp+1")
-    assert pr.v_xh(1e7, 0.2, cache_dir=tmp_path).value.hex() == "0x1.a6fe730127f56p-1"
-    assert pr.v_xh(1e7, 0.39, cache_dir=tmp_path).value.hex() == "0x1.248becb9c7a6cp+0"
+    assert pr.v_xh(1e7, 0.2, cache_dir=cache_dir).value.hex() == "0x1.a6fe730127f56p-1"
+    assert pr.v_xh(1e7, 0.39, cache_dir=cache_dir).value.hex() == "0x1.248becb9c7a6cp+0"
+
+
+def test_prime_sums_at_1e7_pinned(tmp_path):
+    _assert_1e7_pinned(tmp_path)
+
+
+def _count_chunk_sums(monkeypatch) -> list[int]:
+    """The sizes of the chunks summed from here on, one entry per term and chunk."""
+    sizes, chunk_sum = [], accum._chunk_sum
+
+    def counting(c, q, r):
+        sizes.append(c.size)
+        return chunk_sum(c, q, r)
+
+    monkeypatch.setattr(accum, "_chunk_sum", counting)
+    return sizes
+
+
+def test_prime_sums_at_1e7_pinned_from_the_sidecar(tmp_path, monkeypatch):
+    _assert_1e7_pinned(tmp_path)
+    spath = tmp_path / "primes_000010000000.sums.json"
+    assert len(json.loads(spath.read_text())["partials"]) == 4   # each call added its term
+    summed = _count_chunk_sums(monkeypatch)
+    _assert_1e7_pinned(tmp_path)
+    assert len(summed) == (2 + 1 + 1) * 3        # each term at 3 of its 11 chunks
+
+
+_SIDECAR = "primes_000010000000.sums.json"
+_LAST_CHUNK = 664579 - 10 * accum.CHUNK       # the 11th of the 1e7 chunks
+
+
+def _rewrite_sidecar(path, edit):
+    """Apply edit to the sidecar's contents and write them under a fresh checksum."""
+    body = json.loads(path.read_text())
+    del body["checksum"]
+    edit(body)
+    body["checksum"] = hashlib.blake2b(json.dumps(body, sort_keys=True).encode(),
+                                       digest_size=8).hexdigest()
+    path.write_text(json.dumps(body))
+
+
+def test_warm_prime_sums_resum_a_sample_of_chunks(tmp_path, monkeypatch):
+    summed = _count_chunk_sums(monkeypatch)
+    cold = pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
+    assert len(summed) == 3 * 11
+    summed.clear()
+    assert pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path) == cold
+    # chunks 0, 8 and 10 of 11, each for its three terms
+    assert summed == [accum.CHUNK] * 6 + [_LAST_CHUNK] * 3
+
+
+def test_damaged_sidecar_raises(tmp_path):
+    pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
+    spath = tmp_path / _SIDECAR
+    raw = spath.read_bytes()
+    i = raw.index(b'"0x1.') + 8
+    damaged = {
+        "a flipped byte": raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1 :],
+        "bad JSON": raw[: len(raw) // 2],
+    }
+    for what, data in damaged.items():
+        spath.write_bytes(data)
+        with pytest.raises(ChecksumMismatch, match=f"{_SIDECAR}: damaged"):
+            pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
+    spath.write_bytes(raw)
+    _rewrite_sidecar(spath, lambda body: body["partials"]["1 / p"].pop())
+    with pytest.raises(ChecksumMismatch, match="partials not 11 per term"):
+        pr.mertens_sums(10**7, cache_dir=tmp_path)
+
+
+@pytest.mark.parametrize("edit", ["nudged sampled partial", "another sieve cache"])
+def test_sidecar_of_other_code_is_recomputed_once(tmp_path, monkeypatch, edit):
+    cold = pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
+    spath = tmp_path / _SIDECAR
+    raw = spath.read_bytes()
+
+    def nudge(body):
+        if edit == "another sieve cache":
+            body["last"] -= 2
+            return
+        values = body["partials"]["1 / p"]
+        values[8] = math.nextafter(float.fromhex(values[8]), math.inf).hex()
+
+    _rewrite_sidecar(spath, nudge)
+    summed = _count_chunk_sums(monkeypatch)
+    assert pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path) == cold
+    assert len(summed) == 3 * 11 + (3 * 3 if edit == "nudged sampled partial" else 0)
+    assert spath.read_bytes() == raw                  # rewritten with the same bits
+    summed.clear()
+    assert pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path) == cold
+    assert len(summed) == 3 * 3
+
+
+def test_sieve_cache_damaged_mid_file_raises_with_a_sidecar(tmp_path):
+    pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
+    path = tmp_path / "primes_000010000000.bin"
+    raw = bytearray(path.read_bytes())
+    i = (len(raw) - 9) // 16
+    raw[9 + 8 * i + 7] ^= 0xFF          # the top byte of one middle prime
+    path.write_bytes(bytes(raw))
+    assert (tmp_path / _SIDECAR).exists()
+    with pytest.raises(ChecksumMismatch, match=f"out of order at byte {9 + 8 * (i + 1)}"):
+        pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
+
+
+def test_sums_that_fail_leave_no_sidecar(tmp_path, monkeypatch):
+    chunk_sum, calls = accum._chunk_sum, []
+
+    def failing(c, q, r):
+        calls.append(c.size)
+        if len(calls) == 5:
+            raise MemoryError("term")
+        return chunk_sum(c, q, r)
+
+    monkeypatch.setattr(accum, "_chunk_sum", failing)
+    with pytest.raises(MemoryError):                # cold: the stream is closed early
+        pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(accum, "_chunk_sum", chunk_sum)
+    pr.sieve_primes(10**7, cache_dir=tmp_path)
+    calls.clear()
+    monkeypatch.setattr(accum, "_chunk_sum", failing)
+    with pytest.raises(MemoryError):                # warm, with no sidecar yet
+        pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
+    assert [f.name for f in tmp_path.iterdir()] == ["primes_000010000000.bin"]
+    # a sidecar write that fails leaves the old sidecar and no temporary file
+    monkeypatch.setattr(accum, "_chunk_sum", chunk_sum)
+    pr.mertens_sums(10**7, cache_dir=tmp_path)
+    raw = (tmp_path / _SIDECAR).read_bytes()
+
+    def refused(src, dst):
+        raise OSError("rename")
+
+    monkeypatch.setattr(pr.os, "replace", refused)
+    with pytest.raises(OSError, match="rename"):
+        pr.v_xh(1e7, 0.2, cache_dir=tmp_path)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["primes_000010000000.bin", _SIDECAR]
+    assert (tmp_path / _SIDECAR).read_bytes() == raw
 
 
 def test_mertens_hand_value_at_10():
