@@ -106,9 +106,7 @@ def classify(obj, n_lo, n_hi):
 @click.pass_obj
 def delta(obj, n_lo, n_hi):
     """Zero-to-Gram offsets Delta_n for zero indices in [n-lo, n-hi]."""
-    table = _obtain_table(obj, n_hi)
-    if table.zeros.size < n_hi:         # zero #n_hi lies past the table: once more, further
-        table = _obtain_table(obj, n_hi + (n_hi - table.zeros.size))
+    table = _obtain_table(obj, n_hi)    # holds certified_n >= n_hi zeros
     rep = Report(kind="classification")
     deltas = gram_law.delta_array(table, n_lo, n_hi).tolist()
     for idx, d in zip(range(n_lo, n_hi + 1), deltas):

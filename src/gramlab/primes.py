@@ -56,6 +56,7 @@ import numpy as np
 from .accum import CHUNK, csum, partials
 from .errors import ChecksumMismatch, PreconditionError, ResourceError, VersionMismatch
 from .moments import EPSILON_DEFAULT, MomentConfig, MomentReport
+from .store import _write_replacing
 from .zeros import ZeroTable
 
 SIEVE_CEILING = 10**8
@@ -323,12 +324,7 @@ def _save_sums(spath: Path, head: dict, sums: dict[str, list[float]]) -> None:
     body = {**head, "partials": {name: [v.hex() for v in values]
                                  for name, values in sums.items()}}
     body["checksum"] = _sums_digest(body)
-    tmp = spath.with_name(spath.name + ".tmp")
-    try:
-        tmp.write_text(json.dumps(body, indent=1) + "\n", encoding="utf-8")
-        os.replace(tmp, spath)
-    finally:
-        tmp.unlink(missing_ok=True)
+    _write_replacing(spath, (json.dumps(body, indent=1) + "\n").encode())
 
 
 def _sums_head(path: Path, limit: int) -> dict:

@@ -27,25 +27,25 @@ manifest, and removes the old manifest first: a save cut short leaves no
 manifest, so the range is rebuilt rather than read.
 
 Neither direction holds a whole file.  A save formats, hashes and writes
-_CSV_ROWS rows at a time.  A load reads each file once, _READ_BYTES at a
-time: each read is hashed, and its whole lines are parsed straight into the
-value columns and checked there, order across block ends included.  A fault
-found in the rows waits until both files are hashed, so a damaged byte is a
-checksum mismatch, and a bad row under a matching checksum is a ParseError
-that names its line in the file.
+_CSV_ROWS rows at a time.  A load opens each file once and reads it twice:
+it hashes both files _READ_BYTES at a time, counting their lines, and
+compares the checksum before it parses a row, so a damaged byte is a
+checksum mismatch; then it parses each file from the start, _CSV_ROWS rows
+at a time, into value columns sized from the counted lines, and checks them
+whole.  A bad row under a matching checksum is a ParseError that names its
+line in the file.  The parsed bytes are the hashed bytes because a save
+renames a new file into place and never writes a data file in place.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
-import math
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -154,98 +154,57 @@ def save_range(table: ZeroTable, path: str | Path,
     return manifest
 
 
-class _Columns:
-    """The rows of one data file, parsed block by block into its value
-    columns (height, then any Z) and checked as they come.  Faults are kept,
-    not raised, so that the caller compares the checksum first: the first
-    parse fault, which ends the parse, and the first row that breaks each
-    column check."""
+def _hash_lines(fh, hasher) -> int:
+    """Add the file at fh to hasher, _READ_BYTES at a time; the number of
+    lines it holds, an unterminated last line included."""
+    lines, end = 0, b"\n"
+    while chunk := fh.read(_READ_BYTES):
+        hasher.update(chunk)
+        lines, end = lines + chunk.count(b"\n"), chunk[-1:]
+    return lines + (end != b"\n")
 
-    def __init__(self, what: str, header: str, first: int, last: int, size: int):
-        """Columns for the indices first..last the manifest claims, but for no
-        more rows than a file of size bytes holds (each at least 2 bytes a field)."""
-        self.what, self.header, self.first = what, header, first
-        self.width = header.count(",") + 1
-        rows = min(max(last - first + 1, 0), size // (2 * self.width) + 1)
-        self.values = [np.empty(rows) for _ in range(self.width - 1)]
-        self.rows = 0               # rows parsed
-        self.last = -math.inf       # the last height parsed
-        self.parse_fault: ParseError | None = None
-        self.broken = {"index": False, "finite": False, "order": False}
-        self.line = 1               # the file's line at which the next block starts
 
-    def feed(self, block: bytes) -> None:
-        """Parse block, whole lines of the file from self.line on."""
-        line, ends = self.line, block.count(b"\n")
-        self.line += ends
-        if self.parse_fault:
-            return
-        if line == 1:
-            head, _, block = block.partition(b"\n")
-            if head != self.header.encode():
-                self.parse_fault = ParseError(f"{self.what}: missing {self.header} header",
-                                              line=1)
-                return
-            line, ends = 2, ends - 1
-        if not block:
-            return
-        rows = ends + (not block.endswith(b"\n"))
+def _bad_line(fh, what: str, width: int, line: int, count: int) -> ParseError:
+    """The fault of the first of the count lines of fh from line on that
+    does not hold width numbers."""
+    fh.seek(0)
+    for i, text in enumerate(islice(fh, line - 1, line - 1 + count), start=line):
+        text = text.decode("utf-8", "replace").rstrip("\n")
         try:
-            cols = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2)
+            if len([float(f) for f in text.split(",")]) != width:
+                raise ValueError(f"{width} fields expected")
+        except ValueError as exc:
+            return ParseError(f"{what}: {exc}", line=i)
+    return ParseError(f"{what}: rows do not parse")
+
+
+def _parse(fh, what: str, header: str, first: int, lines: int) -> list[np.ndarray]:
+    """The value columns (height, then any Z) of the data file at fh, lines
+    long, parsed _CSV_ROWS rows at a time from its start.  ParseError at the
+    first bad line; ChecksumMismatch unless the index column counts up from
+    first, the heights are finite and strictly ascending, and any Z is finite."""
+    fh.seek(0)
+    if fh.readline().rstrip(b"\n") != header.encode():
+        raise ParseError(f"{what}: missing {header} header", line=1)
+    width, rows = header.count(",") + 1, lines - 1
+    values = [np.empty(rows) for _ in range(width - 1)]
+    for a in range(0, rows, _CSV_ROWS):
+        n = min(_CSV_ROWS, rows - a)
+        try:
+            block = np.loadtxt(islice(fh, n), delimiter=",", comments=None, ndmin=2)
         except ValueError:
-            cols = None
-        if cols is None or cols.shape != (rows, self.width):
-            self.parse_fault = self._bad_line(block, line)
-            return
-        n, t = self.rows, cols[:, 1]
-        self.broken["index"] |= not np.array_equal(
-            cols[:, 0], np.arange(self.first + n, self.first + n + rows))
-        self.broken["finite"] |= not np.isfinite(cols[:, 1:]).all()
-        self.broken["order"] |= not (t[0] > self.last and (t[1:] > t[:-1]).all())
-        keep = max(0, min(rows, len(self.values[0]) - n))
-        for j, column in enumerate(self.values, start=1):
-            column[n : n + keep] = cols[:keep, j]
-        self.rows, self.last = n + rows, float(t[-1])
-
-    def _bad_line(self, block: bytes, line: int) -> ParseError:
-        """The fault of the first line of block that does not parse."""
-        for i, text in enumerate(block.decode("utf-8", "replace").splitlines(), start=line):
-            try:
-                if len([float(f) for f in text.split(",")]) != self.width:
-                    raise ValueError(f"{self.width} fields expected")
-            except ValueError as exc:
-                return ParseError(f"{self.what}: {exc}", line=i)
-        return ParseError(f"{self.what}: rows do not parse")
-
-    def column_fault(self) -> ChecksumMismatch | None:
-        """ChecksumMismatch unless the index column counts up from first, the
-        heights are finite and strictly ascending, and any Z column is finite."""
-        what, first = self.what, self.first
-        if self.broken["index"]:
-            return ChecksumMismatch(f"{what}: index column is not "
-                                    f"{first}..{first + self.rows - 1}")
-        if self.broken["finite"]:
-            return ChecksumMismatch(f"{what}: a height or Z value is not finite")
-        if self.broken["order"]:
-            return ChecksumMismatch(f"{what}: heights are not strictly ascending")
-        return None
-
-
-def _read_columns(path: Path, header: str, first: int, last: int, hasher) -> _Columns:
-    """The rows of the data file at path, read once, _READ_BYTES at a time:
-    each read is added to hasher, then its whole lines are parsed."""
-    with open(path, "rb") as fh:
-        cols = _Columns(path.name, header, first, last, os.fstat(fh.fileno()).st_size)
-        carry = b""                 # a line not yet whole
-        while chunk := fh.read(_READ_BYTES):
-            hasher.update(chunk)
-            carry += chunk
-            cut = carry.rfind(b"\n") + 1
-            if cut:
-                cols.feed(carry[:cut])
-                carry = carry[cut:]
-        cols.feed(carry)
-    return cols
+            block = None
+        if block is None or block.shape != (n, width):
+            raise _bad_line(fh, what, width, a + 2, n)
+        if not np.array_equal(block[:, 0], np.arange(first + a, first + a + n)):
+            raise ChecksumMismatch(f"{what}: index column is not {first}..{first + rows - 1}")
+        for j, column in enumerate(values, start=1):
+            column[a : a + n] = block[:, j]
+    if not all(np.isfinite(column).all() for column in values):
+        raise ChecksumMismatch(f"{what}: a height or Z value is not finite")
+    if not (values[0][1:] > values[0][:-1]).all():
+        raise ChecksumMismatch(f"{what}: heights are not strictly ascending")
+    return values
 
 
 def load_manifest(path: str | Path) -> CacheManifest:
@@ -272,22 +231,20 @@ def load_range(path: str | Path) -> tuple[ZeroTable, CacheManifest]:
                               f"supported {', '.join(map(str, _GRAM_HEADERS))}")
     h = _hasher()
     try:
-        g = _read_columns(path / "gram.csv", _GRAM_HEADERS[manifest.version], 0,
-                          manifest.n_max_gram, h)
-        zs = _read_columns(path / "zeros.csv", _ZEROS_HEADER, 1, manifest.zero_count, h)
+        with open(path / "gram.csv", "rb") as g, open(path / "zeros.csv", "rb") as zs:
+            lines = [_hash_lines(fh, h) for fh in (g, zs)]
+            if h.hexdigest() != manifest.checksum:
+                raise ChecksumMismatch(f"{path}: data does not match manifest checksum")
+            gram, *z_col = _parse(g, "gram.csv", _GRAM_HEADERS[manifest.version], 0,
+                                  lines[0])
+            (zeros,) = _parse(zs, "zeros.csv", _ZEROS_HEADER, 1, lines[1])
     except FileNotFoundError as exc:
         raise ChecksumMismatch(f"{exc.filename}: missing from the range") from None
-    if h.hexdigest() != manifest.checksum:
-        raise ChecksumMismatch(f"{path}: data does not match manifest checksum")
-    for fault in (g.parse_fault, zs.parse_fault, g.column_fault(), zs.column_fault()):
-        if fault:
-            raise fault
     claimed = (manifest.n_max_gram, manifest.zero_count, [manifest.t_max])
-    held = (g.rows - 1, zs.rows, [g.last] if g.rows else [])
+    held = (gram.size - 1, zeros.size, [float(gram[-1])] if gram.size else [])
     if claimed != held:
         raise ChecksumMismatch(f"{path}: manifest (n_max_gram, zero_count, [t_max]) "
                                f"= {claimed}, data {held}")
-    (gram, *z_col), (zeros,) = g.values, zs.values
     if zeros.size and not zeros[-1] < gram[-1]:
         raise ChecksumMismatch(f"{path}: zero {fmt_height(zeros[-1])} is not below "
                                "the last Gram point")

@@ -67,7 +67,8 @@ def test_missing_data_file_detected(table_small, tmp_path):
 
 @pytest.mark.parametrize("field, value", [("n_max_gram", 200000), ("zero_count", 1),
                                           ("t_max", 1e6), ("n_max_gram", 10**15),
-                                          ("n_max_gram", "1240"), ("zero_count", 1240.0)])
+                                          ("n_max_gram", "1240"), ("zero_count", 1240.0),
+                                          ("zero_count", 10**12)])
 def test_manifest_extent_checked_against_data(table_small, tmp_path, field, value):
     store.save_range(table_small, tmp_path / "rng")
     mpath = tmp_path / "rng" / "manifest.json"
@@ -210,13 +211,26 @@ def test_streamed_store_is_blind_to_block_size(table_small, tmp_path, monkeypatc
     assert loaded.z_gram.tobytes() == table_small.z_values().tobytes()
 
 
-@pytest.mark.parametrize("name, row", [("gram.csv", 900), ("zeros.csv", 1201)])
+def _bad_height(lines, row):
+    _set(lines, row, 1, "1.5x")
+
+
+def _blank_line(lines, row):
+    lines.insert(row, "\n")
+
+
+@pytest.mark.parametrize("name, row, edit", [
+    pytest.param("gram.csv", 900, _bad_height, id="gram.csv-900"),
+    pytest.param("zeros.csv", 1201, _bad_height, id="zeros.csv-1201"),
+    pytest.param("gram.csv", 120, _blank_line, id="gram.csv-120-blank"),
+    pytest.param("zeros.csv", 50, _blank_line, id="zeros.csv-50-blank"),
+])
 def test_bad_row_in_a_later_block_names_its_line(table_small, tmp_path, monkeypatch,
-                                                 name, row):
+                                                 name, row, edit):
     monkeypatch.setattr(store, "_READ_BYTES", 101)
     rng = tmp_path / "rng"
     store.save_range(table_small, rng)
-    _rewrite(rng, name, lambda ls: _set(ls, row, 1, "1.5x"))
+    _rewrite(rng, name, lambda ls: edit(ls, row))
     with pytest.raises(ParseError, match=name) as exc:
         store.load_range(rng)
     assert exc.value.line == row + 1

@@ -320,6 +320,7 @@ def test_build_in_short_runs_matches_one_long_run(monkeypatch):
     for name in ("gram", "z_gram", "s_gram"):
         assert np.array_equal(getattr(runs, name), getattr(whole, name))
     assert runs.certified_n == whole.certified_n
+    assert whole.zeros.size == whole.certified_n   # a built table ends at zero #anchor
     d, w = runs.diagnostics, whole.diagnostics
     assert (d.blocks, d.densified_blocks, d.max_depth, d.densify_active, d.failed_blocks) \
         == (w.blocks, w.densified_blocks, w.max_depth, w.densify_active, [])
