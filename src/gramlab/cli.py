@@ -32,7 +32,7 @@ def _fail(code: int, message: str):
 def _obtain_table(ctx_obj, n_needed: int) -> ZeroTable:
     cache_dir = ctx_obj.get("cache_dir")
     path = Path(cache_dir) / RANGE_SUBDIR if cache_dir else None
-    return store.cached_table(n_needed, path, epsilon=ctx_obj["epsilon"])
+    return store.cached_table(n_needed, path)
 
 
 def _emit(ctx_obj, report: Report) -> None:
@@ -46,8 +46,8 @@ def _emit(ctx_obj, report: Report) -> None:
               expose_value=False, help="Z is evaluated on one thread; only 1 is accepted")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-@click.option("--epsilon", type=float, default=moments.EPSILON_DEFAULT,
-              show_default=True, help="epsilon parameter in (0, 1e-3)")
+@click.option("--epsilon", type=float, default=moments.EPSILON_DEFAULT, show_default=True,
+              help="epsilon parameter in (0, 1e-3); only the moment sums use it")
 @click.pass_context
 def main(ctx, cache_dir, fmt, epsilon):
     """Numerical laboratory for Gram points, Hardy Z zeros, and Gram's law."""

@@ -121,12 +121,16 @@ def _loose_bounds(tab: ZeroTable, eps: float) -> tuple[bool, str]:
     return all(ok), f"{sum(ok)}/{len(ok)}"
 
 
-def _offset_second_moment(tab: ZeroTable) -> tuple[bool, str]:
+def _offset_rows(tab: ZeroTable) -> tuple[tuple[bool, str], tuple[bool, str]]:
+    """The offset_second_moment_band and gsp_fraction_1e5 checks, from one
+    Delta_n array for n <= 1e5."""
     N = 100000
     delta = gram_law.delta_array(tab, 1, N)
     total = int(np.dot(delta, delta))
     ratio = total / (N * math.log(math.log(N)) / (2 * math.pi ** 2))
-    return 0.3 <= ratio <= 2.0, f"ratio {ratio:.4f}"
+    frac = float(np.mean(delta == 0))
+    return ((0.3 <= ratio <= 2.0, f"ratio {ratio:.4f}"),
+            (0.0 < frac < 1.0, f"fraction {frac:.4f}"))
 
 
 def _mertens(x: int, lp: float, rp: float) -> tuple[bool, str]:
@@ -174,6 +178,8 @@ def _checks(ctx: RegressionContext, top: int) -> list[tuple]:
     def sums(x: int):
         """Mertens sums and the V(x;h) of the grid at x, one sieve of x per run."""
         return primes.prime_sums(x, VXH_GRID.get(x, ()), ctx.cache_dir)
+
+    offsets = lru_cache(maxsize=None)(lambda: _offset_rows(tab))  # one Delta_n array per run
 
     eps = ctx.epsilon
     n_1e5 = 100000 if tab.zeros.size >= 100000 else math.inf  # Delta_n needs zeros too
@@ -250,11 +256,9 @@ def _checks(ctx: RegressionContext, top: int) -> list[tuple]:
                   and tc.sum < 0, f"ratio {tc.ratio:.4f}")),
         ("offset_second_moment_band",
          "sum Delta_n^2 over n <= 1e5 within [0.3, 2.0] of N lnln N/(2 pi^2)",
-         "offset second moment", n_1e5, lambda: _offset_second_moment(tab)),
+         "offset second moment", n_1e5, lambda: offsets()[0]),
         ("gsp_fraction_1e5", "fraction with Delta_n = 0 reported (< 1)", "GSP fraction",
-         n_1e5,
-         lambda: (0.0 < (frac := float(np.mean(gram_law.delta_array(tab, 1, 100000) == 0))) < 1.0,
-                  f"fraction {frac:.4f}")),
+         n_1e5, lambda: offsets()[1]),
         *((f"mertens_sums_x{x}", "sum ln p/p < ln x and reciprocal sum window at x", "", 0,
            lambda x=x: _mertens(x, *sums(x)[0])) for x in (10, 1000, 10**6, primes.SIEVE_CEILING)),
         ("vxh_grid", "V(x;h) within 1.05 of (1/2) ln(h ln x) on the grid", "", 0,

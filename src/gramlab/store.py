@@ -1,10 +1,10 @@
 """Persistence of computed Gram points, Z at them, and zeros.
 
-Layout under a range directory (store format version 2):
+Layout under a range directory (store format version 3):
 
     gram.csv      index,t,z rows: Gram point t_n and Z(t_n) for n = 0..n_max_gram
     zeros.csv     index,t rows: zero ordinates, indexed from 1
-    manifest.json version, extent, method, epsilon, creation time, checksum
+    manifest.json version, extent, creation time, checksum
 
 The checksum is a 64-bit BLAKE2b over the two CSV payloads in fixed order, so
 a single flipped byte in either file is caught at load time.  Heights and Z
@@ -13,15 +13,15 @@ exactly.  Past the checksum, a load requires the index columns to count
 0..n_max_gram and 1..zero_count, finite strictly ascending heights, finite Z,
 and the extent the manifest states.
 
-A loaded table takes the stored Z only if the current kernel reproduces it
-bit for bit at `z_sample` (every Gram index below 512, which covers both Z
-routes, then every 1024th, and the last); otherwise Z is recomputed on first
-use.  This catches a range written by another kernel, which moves every
-value; a change at an unsampled index alone is not detected.
+A stored range is this code's output or it is rebuilt.  A load raises
+VersionMismatch for a manifest of another format version, and for a stored Z
+that the current kernel does not reproduce bit for bit at `z_sample` (every
+Gram index below 512, which covers both Z routes, then every 1024th, and the
+last): another kernel moves every value, and its zeros with them; a change at
+an unsampled index alone is not detected.  `cached_table` rebuilds such a
+range and overwrites it, as it does a miss.  Damaged data is no such case:
+checksum, parse, column and extent faults raise.
 
-Version 1 ranges (gram.csv as index,t) still load; their Z is recomputed.
-`cached_table` saves a range whose stored Z was not kept once more, with the
-recomputed column.
 A save writes each file beside its place and renames it in, data before the
 manifest, and removes the old manifest first: a save cut short leaves no
 manifest, so the range is rebuilt rather than read.
@@ -52,11 +52,10 @@ import numpy as np
 
 from . import zeta
 from .errors import ChecksumMismatch, ParseError, VersionMismatch
-from .moments import EPSILON_DEFAULT
 from .zeros import ZeroTable, certified_table, require_under_ceiling
 
-STORE_VERSION = 2
-_GRAM_HEADERS = {1: "index,t", 2: "index,t,z"}  # by store version
+STORE_VERSION = 3
+_GRAM_HEADER = "index,t,z"
 _ZEROS_HEADER = "index,t"
 _Z_SAMPLE_HEAD = 512     # Gram indices re-evaluated in full: t < 827, both Z routes
 _Z_SAMPLE_STRIDE = 1024  # then every this many, and the last
@@ -70,8 +69,6 @@ class CacheManifest:
     n_max_gram: int
     t_max: float
     zero_count: int
-    method: str
-    epsilon: float
     created: str
     checksum: str
 
@@ -127,16 +124,15 @@ def _write_replacing(path: Path, data: bytes | Iterable[bytes]) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def save_range(table: ZeroTable, path: str | Path,
-               epsilon: float = EPSILON_DEFAULT) -> CacheManifest:
+def save_range(table: ZeroTable, path: str | Path) -> CacheManifest:
     """Persist a table; its manifest's n_max_gram is the certified index."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     z = table.z_values()
     h = _hasher()
     (path / "manifest.json").unlink(missing_ok=True)
-    _write_replacing(path / "gram.csv", _csv(h, _GRAM_HEADERS[STORE_VERSION],
-                                             "%d,%.17g,%.17g\n", 0, table.gram, z))
+    _write_replacing(path / "gram.csv", _csv(h, _GRAM_HEADER, "%d,%.17g,%.17g\n", 0,
+                                             table.gram, z))
     _write_replacing(path / "zeros.csv", _csv(h, _ZEROS_HEADER, "%d,%.17g\n", 1,
                                               table.zeros))
     manifest = CacheManifest(
@@ -144,8 +140,6 @@ def save_range(table: ZeroTable, path: str | Path,
         n_max_gram=int(table.gram.size - 1),
         t_max=float(table.gram[-1]),
         zero_count=int(table.zeros.size),
-        method="riemann_siegel+euler_maclaurin",
-        epsilon=float(epsilon),
         created=datetime.now(timezone.utc).isoformat(),
         checksum=h.hexdigest(),
     )
@@ -190,10 +184,12 @@ def _parse(fh, what: str, header: str, first: int, lines: int) -> list[np.ndarra
     values = [np.empty(rows) for _ in range(width - 1)]
     for a in range(0, rows, _CSV_ROWS):
         n = min(_CSV_ROWS, rows - a)
-        try:
-            block = np.loadtxt(islice(fh, n), delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            block = None
+        text, block = list(islice(fh, n)), None
+        if any(map(bytes.strip, text)):     # np.loadtxt warns on a block of blank lines
+            try:
+                block = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
         if block is None or block.shape != (n, width):
             raise _bad_line(fh, what, width, a + 2, n)
         if not np.array_equal(block[:, 0], np.arange(first + a, first + a + n)):
@@ -208,11 +204,16 @@ def _parse(fh, what: str, header: str, first: int, lines: int) -> list[np.ndarra
 
 
 def load_manifest(path: str | Path) -> CacheManifest:
-    """The manifest at path; a truncated or incomplete one is a ChecksumMismatch."""
+    """The manifest at path.  VersionMismatch if it states another version; a
+    truncated or incomplete one is a ChecksumMismatch."""
     mpath = Path(path) / "manifest.json"
     try:
-        manifest = CacheManifest(**json.loads(mpath.read_text(encoding="utf-8")))
-    except (ValueError, TypeError) as exc:  # truncated JSON, missing or extra field
+        data = json.loads(mpath.read_text(encoding="utf-8"))
+        if data["version"] != STORE_VERSION:
+            raise VersionMismatch(f"{mpath}: store version {data['version']}, "
+                                  f"supported {STORE_VERSION}")
+        manifest = CacheManifest(**data)
+    except (ValueError, TypeError, KeyError) as exc:  # truncated, or a field missing
         raise ChecksumMismatch(f"{mpath}: damaged manifest ({exc})") from None
     if not all(type(n) is int for n in (manifest.n_max_gram, manifest.zero_count)):
         raise ChecksumMismatch(f"{mpath}: damaged manifest (n_max_gram and zero_count "
@@ -223,20 +224,17 @@ def load_manifest(path: str | Path) -> CacheManifest:
 def load_range(path: str | Path) -> tuple[ZeroTable, CacheManifest]:
     """Load a persisted range; verifies version, checksum, the columns, extent,
     and that no zero lies above the last Gram point, the certified anchor of a
-    built table.  The stored Z is kept if it passes the `z_sample` check."""
+    built table.  VersionMismatch unless the current kernel reproduces the
+    stored Z at `z_sample`."""
     path = Path(path)
     manifest = load_manifest(path)
-    if manifest.version not in _GRAM_HEADERS:
-        raise VersionMismatch(f"store version {manifest.version}, "
-                              f"supported {', '.join(map(str, _GRAM_HEADERS))}")
     h = _hasher()
     try:
         with open(path / "gram.csv", "rb") as g, open(path / "zeros.csv", "rb") as zs:
             lines = [_hash_lines(fh, h) for fh in (g, zs)]
             if h.hexdigest() != manifest.checksum:
                 raise ChecksumMismatch(f"{path}: data does not match manifest checksum")
-            gram, *z_col = _parse(g, "gram.csv", _GRAM_HEADERS[manifest.version], 0,
-                                  lines[0])
+            gram, z_gram = _parse(g, "gram.csv", _GRAM_HEADER, 0, lines[0])
             (zeros,) = _parse(zs, "zeros.csv", _ZEROS_HEADER, 1, lines[1])
     except FileNotFoundError as exc:
         raise ChecksumMismatch(f"{exc.filename}: missing from the range") from None
@@ -248,32 +246,28 @@ def load_range(path: str | Path) -> tuple[ZeroTable, CacheManifest]:
     if zeros.size and not zeros[-1] < gram[-1]:
         raise ChecksumMismatch(f"{path}: zero {fmt_height(zeros[-1])} is not below "
                                "the last Gram point")
-    z_gram = None
-    if z_col:
-        idx = z_sample(gram.size)
-        if zeta.hardy_z_many(gram[idx]).tobytes() == z_col[0][idx].tobytes():
-            z_gram = z_col[0]
+    idx = z_sample(gram.size)
+    if zeta.hardy_z_many(gram[idx]).tobytes() != z_gram[idx].tobytes():
+        raise VersionMismatch(f"{path}: stored Z is not the current kernel's")
     return ZeroTable(gram, zeros, z_gram), manifest
 
 
-def cached_table(n_needed: int, path: str | Path | None,
-                 epsilon: float = EPSILON_DEFAULT) -> ZeroTable:
+def cached_table(n_needed: int, path: str | Path | None) -> ZeroTable:
     """Table certified through Gram index n_needed, through the range at path.
 
-    Loads path when its manifest reaches n_needed; otherwise builds with
-    `certified_table` and saves the result there.  A loaded range that keeps
-    no stored Z (version 1, or Z another kernel wrote) is saved once more with
-    the recomputed column, so the next load keeps it.  path None caches
-    nothing.  ResourceError, before the cache is read, past the table ceiling.
+    Loads path when its manifest reaches n_needed; otherwise, or when the range
+    is of another format version or kernel (VersionMismatch), builds with
+    `certified_table` and saves the result there.  path None caches nothing.
+    ResourceError, before the cache is read, past the table ceiling.
     """
     require_under_ceiling(n_needed)
-    if path is not None and (Path(path) / "manifest.json").exists() \
-            and load_manifest(path).n_max_gram >= n_needed:
-        table, manifest = load_range(path)
-        if table.z_gram is None:
-            save_range(table, path, epsilon=manifest.epsilon)
-        return table
+    if path is not None and (Path(path) / "manifest.json").exists():
+        try:
+            if load_manifest(path).n_max_gram >= n_needed:
+                return load_range(path)[0]
+        except VersionMismatch:
+            pass
     table = certified_table(n_needed)
     if path is not None:
-        save_range(table, path, epsilon=epsilon)
+        save_range(table, path)
     return table

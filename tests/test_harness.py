@@ -26,7 +26,9 @@ def test_save_load_roundtrip(table_small, tmp_path):
     assert np.array_equal(loaded.zeros, table_small.zeros)
     assert np.array_equal(loaded.s_gram, table_small.s_gram)
     assert man2.checksum == man.checksum
-    assert man2.version == 2
+    assert man2.version == store.STORE_VERSION == 3
+    assert json.loads((tmp_path / "rng" / "manifest.json").read_text()).keys() \
+        == {"version", "n_max_gram", "t_max", "zero_count", "created", "checksum"}
     assert man2.zero_count == table_small.zeros.size
 
 
@@ -44,10 +46,10 @@ def test_manifest_missing_field_detected(table_small, tmp_path):
     store.save_range(table_small, tmp_path / "rng")
     mpath = tmp_path / "rng" / "manifest.json"
     data = json.loads(mpath.read_text())
-    del data["checksum"]
-    mpath.write_text(json.dumps(data))
-    with pytest.raises(ChecksumMismatch, match="manifest.json"):
-        store.load_range(tmp_path / "rng")
+    for field in ("checksum", "version"):     # no version is damage, not another format
+        mpath.write_text(json.dumps({k: v for k, v in data.items() if k != field}))
+        with pytest.raises(ChecksumMismatch, match="manifest.json"):
+            store.load_range(tmp_path / "rng")
 
 
 def test_manifest_truncated_detected(table_small, tmp_path):
@@ -80,13 +82,17 @@ def test_manifest_extent_checked_against_data(table_small, tmp_path, field, valu
 
 
 def test_version_mismatch(table_small, tmp_path):
+    # any other version is another format, read before the fields are checked
     store.save_range(table_small, tmp_path / "rng")
     mpath = tmp_path / "rng" / "manifest.json"
     data = json.loads(mpath.read_text())
-    data["version"] = 3
-    mpath.write_text(json.dumps(data))
-    with pytest.raises(VersionMismatch):
-        store.load_range(tmp_path / "rng")
+    for version in (1, 2, 4, "3"):
+        data["version"] = version
+        mpath.write_text(json.dumps(data))
+        with pytest.raises(VersionMismatch):
+            store.load_range(tmp_path / "rng")
+        with pytest.raises(VersionMismatch):
+            store.load_manifest(tmp_path / "rng")
 
 
 def test_zero_above_last_gram_point_detected(table_small, tmp_path):
@@ -211,6 +217,11 @@ def test_streamed_store_is_blind_to_block_size(table_small, tmp_path, monkeypatc
     assert loaded.z_gram.tobytes() == table_small.z_values().tobytes()
 
 
+def _move_heights(lines, by):
+    for row in range(1, len(lines)):
+        _set(lines, row, 1, store.fmt_height(float(_field(lines, row, 1)) + by))
+
+
 def _bad_height(lines, row):
     _set(lines, row, 1, "1.5x")
 
@@ -219,11 +230,16 @@ def _blank_line(lines, row):
     lines.insert(row, "\n")
 
 
+def _blank_rows(lines, row):
+    lines[row:] = ["\n"]
+
+
 @pytest.mark.parametrize("name, row, edit", [
     pytest.param("gram.csv", 900, _bad_height, id="gram.csv-900"),
     pytest.param("zeros.csv", 1201, _bad_height, id="zeros.csv-1201"),
     pytest.param("gram.csv", 120, _blank_line, id="gram.csv-120-blank"),
     pytest.param("zeros.csv", 50, _blank_line, id="zeros.csv-50-blank"),
+    pytest.param("zeros.csv", 1, _blank_rows, id="zeros.csv-blank-only"),
 ])
 def test_bad_row_in_a_later_block_names_its_line(table_small, tmp_path, monkeypatch,
                                                  name, row, edit):
@@ -328,17 +344,7 @@ def test_warm_load_evaluates_z_only_at_the_sample(cli_cache_dir, monkeypatch):
     assert z[idx].tobytes() == zeta.hardy_z_many(loaded.gram[idx]).tobytes()
 
 
-def test_stored_z_that_the_kernel_does_not_reproduce_is_recomputed(table_small,
-                                                                    tmp_path):
-    rng = tmp_path / "rng"
-    store.save_range(table_small, rng)
-    _spoil_stored_z(rng, table_small)
-    loaded, _ = store.load_range(rng)
-    assert loaded.z_gram is None
-    assert loaded.z_values().tobytes() == zeta.hardy_z_many(loaded.gram).tobytes()
-
-
-def _as_version_1(rng: Path) -> None:
+def _as_version_1(rng: Path, table: ZeroTable) -> None:
     """Rewrite a saved range in the first format: gram.csv without the Z column."""
     gram = rng / "gram.csv"
     gram.write_text("".join(line.rsplit(",", 1)[0] + "\n"
@@ -350,54 +356,101 @@ def _as_version_1(rng: Path) -> None:
     mpath.write_text(json.dumps(data))
 
 
-def _spoil_stored_z(rng: Path, table: ZeroTable) -> None:
-    """Move one sampled stored Z value by an ulp, as another kernel would."""
+def _as_format_2(rng: Path, table: ZeroTable) -> None:
+    """Rewrite a saved range's manifest as format 2 wrote it: the data files
+    are the same bytes, and the manifest also holds method and epsilon."""
+    mpath = rng / "manifest.json"
+    data = json.loads(mpath.read_text())
+    mpath.write_text(json.dumps({
+        "version": 2, **{k: data[k] for k in ("n_max_gram", "t_max", "zero_count")},
+        "method": "riemann_siegel+euler_maclaurin", "epsilon": 0.0001,
+        **{k: data[k] for k in ("created", "checksum")}}, indent=2) + "\n")
+
+
+def _of_another_kernel(rng: Path, table: ZeroTable) -> None:
+    """Move every stored zero by 3e-7, 300 published half-widths, and one
+    sampled stored Z value by an ulp, as another kernel would; the checksum
+    is made to agree."""
+    _rewrite(rng, "zeros.csv", lambda ls: _move_heights(ls, 3e-7))
     row = 1 + store.z_sample(table.gram.size)[-2]
     z_row = np.nextafter(table.z_values()[row - 1], np.inf)
     _rewrite(rng, "gram.csv", lambda ls: _set(ls, row, 2, store.fmt_height(z_row)))
 
 
-def test_version_1_range_loads_and_recomputes_z(table_small, tmp_path):
+def test_stored_z_that_the_kernel_does_not_reproduce_is_a_version_mismatch(table_small,
+                                                                           tmp_path):
     rng = tmp_path / "rng"
     store.save_range(table_small, rng)
-    _as_version_1(rng)
+    _of_another_kernel(rng, table_small)
+    loaded = np.loadtxt(rng / "zeros.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.abs(loaded - table_small.zeros - 3e-7).max() < 1e-12
+    with pytest.raises(VersionMismatch, match="stored Z"):
+        store.load_range(rng)
+
+
+def test_version_1_range_loads_and_recomputes_z(table_small, tmp_path):
+    # format 1 kept no Z column and has no reader now: load_range refuses it as
+    # another version, and cached_table serves it rebuilt, with Z recomputed and
+    # kept in the current format
+    rng = tmp_path / "rng"
+    store.save_range(table_small, rng)
+    _as_version_1(rng, table_small)
     gram = rng / "gram.csv"
     assert gram.read_text().startswith("index,t\n0,")
+    with pytest.raises(VersionMismatch):
+        store.load_range(rng)
+    served = store.cached_table(1200, rng)
+    assert gram.read_text().startswith("index,t,z\n0,")
     loaded, man = store.load_range(rng)
-    assert man.version == 1 and loaded.z_gram is None
-    assert loaded.gram.tobytes() == table_small.gram.tobytes()
-    assert loaded.zeros.tobytes() == table_small.zeros.tobytes()
-    assert loaded.z_values().tobytes() == zeta.hardy_z_many(loaded.gram).tobytes()
+    assert man.version == store.STORE_VERSION and loaded.z_gram is not None
+    for table in (served, loaded):
+        assert table.gram.tobytes() == table_small.gram.tobytes()
+        assert table.zeros.tobytes() == table_small.zeros.tobytes()
+        assert table.z_values().tobytes() == zeta.hardy_z_many(table.gram).tobytes()
+
+
+def _rebuilt_once(table_small, rng: Path, monkeypatch, spoil) -> None:
+    """Spoil a saved range; cached_table must rebuild it once for the need at
+    hand, overwrite it in the current format and serve a fresh build's table."""
+    store.save_range(table_small, rng)
+    spoil(rng, table_small)
+    built = []
+    certified = store.certified_table
+
+    def counting(n):
+        built.append(n)
+        return certified(n)
+
+    monkeypatch.setattr(store, "certified_table", counting)
+    served = store.cached_table(1000, rng)
+    assert built == [1000]
+    assert store.load_manifest(rng).version == store.STORE_VERSION
+    again = store.cached_table(1000, rng)
+    assert built == [1000]
+    monkeypatch.undo()
+    fresh = certified(1000)
+    for table in (served, again):
+        assert table.gram.tobytes() == fresh.gram.tobytes()
+        assert table.zeros.tobytes() == fresh.zeros.tobytes()
+        assert table.z_values().tobytes() == fresh.z_values().tobytes()
+
+
+@pytest.mark.parametrize("spoil", [pytest.param(_as_version_1, id="version_1")])
+def test_range_without_a_kept_z_is_rewritten_once(table_small, tmp_path, monkeypatch,
+                                                  spoil):
+    # a version-1 range kept no Z: it is rebuilt once and rewritten with one, so
+    # the next call builds nothing
+    _rebuilt_once(table_small, tmp_path / "rng", monkeypatch, spoil)
 
 
 @pytest.mark.parametrize("spoil", [
-    pytest.param(lambda rng, table: _as_version_1(rng), id="version_1"),
-    pytest.param(_spoil_stored_z, id="foreign_z")])
-def test_range_without_a_kept_z_is_rewritten_once(table_small, tmp_path, monkeypatch,
-                                                  spoil):
-    # a warm run over a version-1 range, or over Z another kernel wrote, saves
-    # the recomputed column; the next load checks it at the sample and keeps it
-    rng = tmp_path / "rng"
-    store.save_range(table_small, rng)
-    spoil(rng, table_small)
-    assert store.load_range(rng)[0].z_gram is None
-    store.cached_table(1000, rng)
-    assert store.load_manifest(rng).version == store.STORE_VERSION
-    seen = []
-    many = zeta.hardy_z_many
-
-    def counting(ts):
-        seen.append(np.size(ts))
-        return many(ts)
-
-    monkeypatch.setattr(zeta, "hardy_z_many", counting)
-    loaded = store.cached_table(1000, rng)
-    assert loaded.z_gram is not None
-    assert seen == [store.z_sample(loaded.gram.size).size]
-    monkeypatch.undo()
-    assert loaded.gram.tobytes() == table_small.gram.tobytes()
-    assert loaded.zeros.tobytes() == table_small.zeros.tobytes()
-    assert loaded.z_gram.tobytes() == zeta.hardy_z_many(loaded.gram).tobytes()
+    pytest.param(_as_format_2, id="format_2"),
+    pytest.param(_of_another_kernel, id="foreign_z")])
+def test_range_of_another_format_or_kernel_is_rebuilt_once(table_small, tmp_path,
+                                                           monkeypatch, spoil):
+    # a range that is not this code's output is a miss: rebuilt for the need at
+    # hand and overwritten in the current format, so the next call builds nothing
+    _rebuilt_once(table_small, tmp_path / "rng", monkeypatch, spoil)
 
 
 def test_interrupted_save_leaves_no_manifest(table_small, tmp_path, monkeypatch):
