@@ -14,13 +14,7 @@ being held whole.
 `partials` returns each term's chunk partials themselves, and `csums` is
 math.fsum of them: one summation path.  Since a partial is the correctly
 rounded sum of its chunk, it is a deterministic value of the data alone and
-can be stored and re-checked bit for bit.  With a predicate `keep`, the
-chunks it leaves out are passed over unevaluated, so a caller can re-sum a
-sample of chunks and take the rest from storage.  The prime sums do so:
-they keep their partials in a JSON sidecar beside the sieve cache and, on a
-warm call, re-sum chunk 0, every 8th chunk and the last, and use the stored
-partials only if those match bit for bit (layout in `primes`).  A change to
-an unsampled partial alone, written under a fresh checksum, goes unseen.
+can be stored and re-checked bit for bit, as the prime sums do (`primes`).
 
 A chunk is summed exactly in numpy by error-free extraction (Rump, Ogita and
 Oishi, "Accurate floating-point summation part I: faithful rounding", SIAM J.
@@ -91,7 +85,7 @@ def _chunks(arr) -> Iterator[np.ndarray]:
         yield buf[:fill]
 
 
-def partials(arr, *terms, prep=None, keep=None) -> list[list[float | None]]:
+def partials(arr, *terms, prep=None) -> list[list[float]]:
     """For each elementwise term, the correctly rounded sum of term(a) over
     each chunk a of arr as float64, in chunk order.
 
@@ -99,17 +93,11 @@ def partials(arr, *terms, prep=None, keep=None) -> list[list[float | None]]:
     The terms are evaluated one CHUNK at a time, so no full-length temporary
     is made; each term maps a float64 chunk to an array of its size.  With
     prep, each term takes prep(chunk) instead, made once per chunk, so the
-    terms can share work such as a logarithm.  With keep, a chunk i for which
-    keep(i) is false is passed over: it is not converted, no term sees it, and
-    its partial reads None.
+    terms can share work such as a logarithm.
     """
     out = [[] for _ in terms]
     work = None
-    for i, c in enumerate(_chunks(arr)):
-        if keep is not None and not keep(i):
-            for acc in out:
-                acc.append(None)
-            continue
+    for c in _chunks(arr):
         c = c.astype(float, copy=False)
         if work is None:        # every chunk but the last holds CHUNK values
             work = np.empty((2, c.size))

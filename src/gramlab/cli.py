@@ -41,7 +41,7 @@ def _emit(ctx_obj, report: Report) -> None:
 
 @click.group()
 @click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
-              help="directory for persisted ranges and sieve caches")
+              help="directory for persisted ranges and prime-sum partials")
 @click.option("--threads", type=click.IntRange(1, 1), default=1, show_default=True,
               expose_value=False, help="Z is evaluated on one thread; only 1 is accepted")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",

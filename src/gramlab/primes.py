@@ -7,37 +7,39 @@ R(t) = S(t) + V(t) at Gram points, and a brute-force check of the
 diagonal prime-pair identity.  `prime_sums` takes the Mertens sums and V(x;h)
 at several h from one sieve of x, as `verify-paper` needs them at x = 1e8.
 
-The primes <= x come as one stream of ascending blocks (`_prime_blocks`):
-from a segmented sieve, or from the sieve cache a CHUNK at a time.  A sieve
-segment is _SEGMENT numbers, marked in a mask of its odd numbers only: 1 MB,
-which stays in L2 while every base prime strikes it.  The sums
-take the blocks as they come, summed chunk by chunk as their concatenation
-would be (`accum.partials`), so they never hold all 5,761,455 primes <= 1e8;
-`sieve_primes` gathers the stream into one array for callers that want it.
+The primes <= x come as one stream of ascending blocks from a segmented
+sieve (`_prime_blocks`).  A sieve segment is _SEGMENT numbers, marked in a
+mask of its odd numbers only: 1 MB, which stays in L2 while every base prime
+strikes it.  The sums take the blocks as they come, summed chunk by chunk as
+their concatenation would be (`accum.partials`), so they never hold all
+5,761,455 primes <= 1e8; `sieve_primes` gathers the stream into one array
+for callers that want it.  No primes are stored.
 
-Sieve cache file layout: 8-byte magic "GRAMLAB\\0", one version byte,
-then the primes as little-endian uint64.  A cold stream writes it as it
-sieves, to a temporary file renamed into place after the last block.
-
-A sum over a cached sieve keeps its chunk partials (`accum.partials`) in a
-sidecar beside the cache, primes_<x:012d>.sums.json: a JSON object with the
-limit, CHUNK, the prime count and the last prime of the cache it was summed
-from, the partials as float.hex keyed by term ("ln p / p", "1 / p", and
+A sum over x >= SUMS_CACHE_THRESHOLD with a cache directory keeps its chunk
+partials in a sidecar, primes_<x:012d>.sums.json: a JSON object with the
+limit, CHUNK, the prime count, the last prime, the first prime of each chunk,
+the partials as float.hex keyed by term ("ln p / p", "1 / p", and
 "sin^2(h ln p / 2) / p, h = " + h.hex() for each h), and a 64-bit BLAKE2b
-checksum over the rest (as JSON with sorted keys).  It is written through a
-temporary file renamed into place, after the stream has ended and the sieve
-cache is in place.  A warm call whose terms are all in the sidecar still
-streams the cache once with every check above, re-sums its terms at chunk 0,
-every _SUMS_SAMPLE_STRIDE-th chunk and the last (12 of the 88 chunks at
-1e8), and requires those to equal the stored partials bit for bit; the
-result is then math.fsum of the stored partials, the bits of a full
-computation.  A damaged sidecar (bad JSON, a checksum that does not match, a
-wrong number of partials) raises ChecksumMismatch.  A sidecar whose sample
-the current code does not reproduce, or whose count or last prime is not the
-cache's, is recomputed in full and rewritten once; a call with a term it
-lacks sums all of its terms in one full stream and adds the new ones.  A
-change to an unsampled partial alone, written under a fresh checksum, is not
-detected.
+checksum over the rest (as JSON with sorted keys), written through a
+temporary file renamed into place.  A warm call whose terms are all in the
+sidecar re-sieves chunk 0, every _SUMS_SAMPLE_STRIDE-th chunk and the last
+(12 of the 88 chunks at 1e8) from their first primes.  Each must hold exactly
+its chunk: CHUNK primes from its first prime up to the next chunk's, and for
+the last chunk the rest of the count, ending at the last prime.  Their
+re-sums must equal the stored partials bit for bit; the result is then
+math.fsum of the stored partials, the bits of a full computation.  A damaged
+sidecar (bad JSON, a checksum that does not match, a wrong number of
+partials or first primes) raises ChecksumMismatch.  A sidecar whose sample
+is not reproduced, or that records no first primes (an older version's), is
+recomputed in full and rewritten; a call with a term it lacks sums all of its
+terms in one full stream and keeps the stored terms only if that stream
+reproduces their chunks.  A change to an unsampled chunk alone, written under
+a fresh checksum, is not detected.
+
+`save_prime_cache` and `load_prime_cache` write and read a binary file of
+primes (8-byte magic "GRAMLAB\\0", one version byte, then the primes as
+little-endian uint64), and `verify_spot_range` re-sieves a range of a
+`PrimeTable`.  No sum uses them; `bench/tracer.py` names them.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ import json
 import math
 import os
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import closing
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -56,14 +58,14 @@ import numpy as np
 from .accum import CHUNK, csum, partials
 from .errors import ChecksumMismatch, PreconditionError, ResourceError, VersionMismatch
 from .moments import EPSILON_DEFAULT, MomentConfig, MomentReport
-from .store import _write_replacing
+from .store import write_replacing
 from .zeros import ZeroTable
 
 SIEVE_CEILING = 10**8
-SIEVE_CACHE_THRESHOLD = 10**7
+SUMS_CACHE_THRESHOLD = 10**7
 H_CEILING = 0.4  # admissible shift ceiling for V(x;h)
 _SEGMENT = 1 << 21  # numbers per sieve segment
-_SUMS_SAMPLE_STRIDE = 8  # a warm sum re-sums chunk 0, every 8th chunk and the last
+_SUMS_SAMPLE_STRIDE = 8  # a warm sum re-sieves chunk 0, every 8th chunk and the last
 
 _MAGIC = b"GRAMLAB\0"
 _VERSION = 1
@@ -116,14 +118,12 @@ def _sieve_block(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     mask = np.ones(max(0, (hi - first + 1) // 2), dtype=bool)
     if first == 1:
         mask[:1] = False
-    for p in base.tolist():
-        if p * p >= hi:
-            break
-        if p == 2:
-            continue
-        start = max(p * p, (lo + p - 1) // p * p)
-        start += p * (start % 2 == 0)
-        mask[(start - first) // 2 :: p] = False
+    # the odd base primes that strike, and their first odd multiples, at once
+    p = base[(base > 2) & (base * base < hi)].astype(np.int64)
+    start = np.maximum(p * p, -(-lo // p) * p)
+    start += p * (1 - start % 2)
+    for step, k in zip(p.tolist(), ((start - first) // 2).tolist()):
+        mask[k::step] = False
     found = np.flatnonzero(mask)
     found *= 2
     found += first
@@ -132,57 +132,22 @@ def _sieve_block(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return found.view(np.uint64)        # non-negative int64: the same bits
 
 
-def _sieve_stream(limit: int) -> Iterator[np.ndarray]:
-    """The primes <= limit by a segmented sieve: the base primes <= sqrt(limit),
-    then one block per segment of _SEGMENT numbers (Bays and Hudson 1977)."""
-    root = math.isqrt(limit)
-    base = _base_primes(root)
-    yield base
-    for lo in range(root + 1, limit + 1, _SEGMENT):
-        yield _sieve_block(lo, min(lo + _SEGMENT, limit + 1), base)
-
-
-def _prime_blocks(limit: int, cache_dir: str | Path | None = None) -> Iterator[np.ndarray]:
+def _prime_blocks(limit: int) -> Iterator[np.ndarray]:
     """The primes <= limit as a stream of ascending uint64 blocks, the one
-    source of primes.  Limits from SIEVE_CACHE_THRESHOLD up, with a cache
-    directory, read the sieve cache when it exists (checked before the first
-    block: its header here, its tail by re-sieving past its last prime, its
-    order as it is read) and otherwise write it as the sieve goes."""
+    source of primes: the base primes <= sqrt(limit), then one block per
+    segment of _SEGMENT numbers (Bays and Hudson 1977)."""
     if limit > SIEVE_CEILING:
         raise ResourceError(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
-    limit = int(limit)
-    path = _cache_path(limit, cache_dir)
-    if path is None:
-        return _sieve_stream(max(limit, 0))
-    if not path.exists():
-        return _written(_sieve_stream(limit), path)
-    blocks = load_prime_cache(path)
-    # a payload cut at a whole prime still loads: re-sieve past its end
-    last = _cache_extent(path)[1]
-    tail = PrimeTable(limit=limit, primes=np.array([last], dtype=np.uint64))
-    if last > limit or not verify_spot_range(tail, last + 1, limit):
-        raise ChecksumMismatch(f"{path}: primes missing after {last}")
-    return blocks
+    limit = max(int(limit), 0)
+    root = math.isqrt(limit)
+    base = _base_primes(root)
+    return chain([base], (_sieve_block(lo, min(lo + _SEGMENT, limit + 1), base)
+                          for lo in range(root + 1, limit + 1, _SEGMENT)))
 
 
-def _cache_path(limit: int, cache_dir: str | Path | None) -> Path | None:
-    """The sieve cache file of limit, or None where the primes are not cached."""
-    if cache_dir is None or limit < SIEVE_CACHE_THRESHOLD:
-        return None
-    return Path(cache_dir) / f"primes_{limit:012d}.bin"
-
-
-def _cache_extent(path: Path) -> tuple[int, int]:
-    """(prime count, last prime) of a sieve cache with a checked header and
-    payload size, read from its size and final 8 bytes; last is 1 if empty."""
-    size = path.stat().st_size
-    last = int(np.fromfile(path, dtype="<u8", count=1, offset=size - 8)[0]) if size > 9 else 1
-    return (size - 9) // 8, last
-
-
-def sieve_primes(limit: int, cache_dir: str | Path | None = None) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """All primes <= limit in one array, filled from _prime_blocks."""
-    blocks = _prime_blocks(limit, cache_dir)
+    blocks = _prime_blocks(limit)
     limit = int(limit)
     # one buffer, by pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld
     # 1962): each block is copied once, and the unfilled tail stays untouched
@@ -195,35 +160,15 @@ def sieve_primes(limit: int, cache_dir: str | Path | None = None) -> PrimeTable:
     return PrimeTable(limit=limit, primes=primes[:count])
 
 
-def _written(blocks: Iterable[np.ndarray], path: Path) -> Iterator[np.ndarray]:
-    """blocks, each appended to the sieve cache at `path` as it passes.
-
-    They go to a temporary file beside `path`, renamed into place after the
-    last block, so a crash never leaves a truncated cache at `path`; an error
-    or a stream closed early also removes the temporary file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(bytes([_VERSION]))
-            for block in blocks:
-                block.astype("<u8", copy=False).tofile(fh)
-                yield block
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def save_prime_cache(path: str | Path, table: PrimeTable) -> None:
-    """Write table's primes as the sieve cache at `path`, through a temporary
+    """Write table's primes as a prime file at `path`, through a temporary
     file renamed into place."""
-    for _ in _written([table.primes], Path(path)):
-        pass
+    write_replacing(Path(path), [_MAGIC, bytes([_VERSION]),
+                                 table.primes.astype("<u8", copy=False).tobytes()])
 
 
 def load_prime_cache(path: str | Path) -> Iterator[np.ndarray]:
-    """The primes of a sieve cache file as blocks of CHUNK primes.
+    """The primes of a prime file as blocks of CHUNK primes.
 
     The header and the payload's size are checked on the call, before any
     block is read; each block must then ascend strictly from the last prime
@@ -282,81 +227,108 @@ def _vxh_term(h: float) -> tuple[str, Callable]:
             lambda c: np.sin(0.5 * h * c[1]) ** 2 / c[0])
 
 
-def _prime_partials(blocks: Iterator[np.ndarray], terms, keep=None) -> list[list[float | None]]:
+def _prime_partials(blocks: Iterable[np.ndarray], terms) -> list[list[float]]:
     """accum.partials over a stream of prime blocks of each term of (p, ln p),
-    ln p taken once per chunk; the stream is closed however the sums end."""
-    with closing(blocks):
-        return partials(blocks, *terms, prep=lambda p: (p, np.log(p)), keep=keep)
+    ln p taken once per chunk."""
+    return partials(blocks, *terms, prep=lambda p: (p, np.log(p)))
 
 
-def _same_bits(got: list[float | None], stored: list[float]) -> bool:
-    """Whether every partial of got that was summed has stored's bits."""
-    return len(got) == len(stored) and all(
-        g is None or g.hex() == s.hex() for g, s in zip(got, stored))
+def _headed(blocks: Iterable[np.ndarray], head: dict) -> Iterator[np.ndarray]:
+    """blocks, passed through; head["firsts"] gets the first prime of each
+    CHUNK as they pass, and head["count"] and head["last"] at the end."""
+    count = last = 0
+    for block in blocks:
+        head["firsts"] += block[-count % CHUNK :: CHUNK].tolist()
+        count += block.size
+        last = int(block[-1]) if block.size else last
+        yield block
+    head.update(count=count, last=last)
+
+
+def _hex(values: Iterable[float]) -> list[str]:
+    """values as float.hex: their bits, as the sidecar stores them."""
+    return [v.hex() for v in values]
 
 
 def _sums_digest(body: dict) -> str:
     return hashlib.blake2b(json.dumps(body, sort_keys=True).encode(), digest_size=8).hexdigest()
 
 
-def _load_sums(spath: Path, head: dict) -> dict[str, list[float]]:
-    """The partials of the sidecar at spath by term: {} if there is none or
-    its head (limit, chunk, count, last) is not head; ChecksumMismatch,
-    naming the file, if it is damaged."""
+def _load_sums(spath: Path, limit: int) -> dict | None:
+    """The sidecar at spath, its partials as floats: None if there is none,
+    or it is of another limit or CHUNK, or records no first primes (an older
+    version's); ChecksumMismatch, naming the file, if it is damaged."""
     if not spath.exists():
-        return {}
+        return None
     try:
         body = json.loads(spath.read_text(encoding="utf-8"))
         if body.pop("checksum") != _sums_digest(body):
             raise ValueError("checksum does not match")
+        if (body.get("limit"), body.get("chunk")) != (limit, CHUNK) or "firsts" not in body:
+            return None
+        if body["count"] < 1:
+            raise ValueError("no primes")
         n = -(-body["count"] // CHUNK)
-        sums = {name: [float.fromhex(v) for v in values]
-                for name, values in body["partials"].items()}
-        if any(len(values) != n for values in sums.values()):
-            raise ValueError(f"partials not {n} per term")
+        body["firsts"] = [int(p) for p in body["firsts"]]
+        body["partials"] = {name: [float.fromhex(v) for v in values]
+                            for name, values in body["partials"].items()}
+        if any(len(v) != n for v in (body["firsts"], *body["partials"].values())):
+            raise ValueError(f"first primes or partials not {n}")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ChecksumMismatch(f"{spath}: damaged prime-sum partials ({exc})") from None
-    return sums if {k: body.get(k) for k in head} == head else {}
+    return body
 
 
 def _save_sums(spath: Path, head: dict, sums: dict[str, list[float]]) -> None:
     """Write the sidecar at spath through a temporary file renamed into place."""
-    body = {**head, "partials": {name: [v.hex() for v in values]
-                                 for name, values in sums.items()}}
+    body = {**head, "partials": {name: _hex(values) for name, values in sums.items()}}
     body["checksum"] = _sums_digest(body)
-    _write_replacing(spath, (json.dumps(body, indent=1) + "\n").encode())
+    spath.parent.mkdir(parents=True, exist_ok=True)
+    write_replacing(spath, (json.dumps(body, indent=1) + "\n").encode())
 
 
-def _sums_head(path: Path, limit: int) -> dict:
-    """What a sidecar must hold to belong to the sieve cache at path."""
-    count, last = _cache_extent(path)
-    return {"limit": limit, "chunk": CHUNK, "count": count, "last": last}
+def _resieved(body: dict, sample: list[int]) -> Iterator[np.ndarray]:
+    """The sampled chunks of the sidecar body, re-sieved from their first
+    primes, for as long as each holds exactly its chunk: CHUNK primes from its
+    first prime up to the next chunk's, or the rest of the count ending at the
+    last prime for the last chunk."""
+    limit, firsts, count = body["limit"], body["firsts"], body["count"]
+    n = len(firsts)
+    ends = firsts[1:] + [limit + 1]
+    base = _base_primes(math.isqrt(limit))
+    for i in sample:
+        if not 2 <= firsts[i] < ends[i] <= limit + 1:
+            return
+        block = _sieve_block(firsts[i], ends[i], base)
+        if (block.size != (CHUNK if i < n - 1 else count - i * CHUNK)
+                or block[0] != firsts[i] or (i == n - 1 and block[-1] != body["last"])):
+            return
+        yield block
 
 
 def _prime_csums(x: float, cache_dir: str | Path | None, terms: dict[str, Callable]
                  ) -> dict[str, float]:
-    """csums over the primes p <= x of each named term of (p, ln p); over a
-    cached sieve, through the partials of its sidecar (module docstring)."""
+    """csums over the primes p <= x of each named term of (p, ln p); with a
+    cache directory, through the partials of a sidecar (module docstring)."""
     limit = int(x)
-    path = _cache_path(limit, cache_dir)
-    warm = path is not None and path.exists()
-    blocks = _prime_blocks(limit, cache_dir)    # checks a cache's header and tail
-    if path is None:
+    blocks = _prime_blocks(limit)       # checks the ceiling before any file is read
+    if cache_dir is None or limit < SUMS_CACHE_THRESHOLD:
         return dict(zip(terms, map(math.fsum, _prime_partials(blocks, terms.values()))))
-    spath = path.with_name(path.stem + ".sums.json")
-    stored = _load_sums(spath, _sums_head(path, limit)) if warm else {}
+    spath = Path(cache_dir) / f"primes_{limit:012d}.sums.json"
+    body = _load_sums(spath, limit)
+    stored = body["partials"] if body else {}
     if stored.keys() >= terms.keys():
-        n = len(stored[next(iter(terms))])      # chunks: checked against the count
-        sample = _prime_partials(blocks, terms.values(),
-                                 keep=lambda i: i % _SUMS_SAMPLE_STRIDE == 0 or i == n - 1)
-        if all(_same_bits(got, stored[name]) for name, got in zip(terms, sample)):
+        n = len(body["firsts"])
+        sample = sorted({*range(0, n, _SUMS_SAMPLE_STRIDE), n - 1})
+        got = _prime_partials(_resieved(body, sample), terms.values())
+        if all(_hex(g) == _hex(stored[name][i] for i in sample) for name, g in zip(terms, got)):
             return {name: math.fsum(stored[name]) for name in terms}
-        stored = {}             # summed by other code: recompute and rewrite
-        blocks = _prime_blocks(limit, cache_dir)
-    full = dict(zip(terms, _prime_partials(blocks, terms.values())))
-    if not all(_same_bits(full[name], stored[name]) for name in terms.keys() & stored.keys()):
-        stored = {}
-    _save_sums(spath, _sums_head(path, limit), {**stored, **full})
+    head = {"limit": limit, "chunk": CHUNK, "firsts": []}
+    full = dict(zip(terms, _prime_partials(_headed(blocks, head), terms.values())))
+    if not (body and all(body[k] == head[k] for k in head) and all(
+            _hex(full[name]) == _hex(stored[name]) for name in terms.keys() & stored.keys())):
+        stored = {}             # not these primes' sums: rewrite
+    _save_sums(spath, head, {**stored, **full})
     return {name: math.fsum(values) for name, values in full.items()}
 
 

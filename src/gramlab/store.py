@@ -112,9 +112,11 @@ def z_sample(size: int) -> np.ndarray:
     return n[(n < _Z_SAMPLE_HEAD) | (n % _Z_SAMPLE_STRIDE == 0) | (n == size - 1)]
 
 
-def _write_replacing(path: Path, data: bytes | Iterable[bytes]) -> None:
+def write_replacing(path: Path, data: bytes | Iterable[bytes]) -> None:
     """Write data, bytes or an iterable of byte blocks, beside path, then
-    rename it into place; a write cut short removes what it wrote."""
+    rename it into place; a write cut short removes what it wrote.  The one
+    atomic file write: the range files here, and the prime files and sums
+    sidecars of `primes`."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -131,10 +133,10 @@ def save_range(table: ZeroTable, path: str | Path) -> CacheManifest:
     z = table.z_values()
     h = _hasher()
     (path / "manifest.json").unlink(missing_ok=True)
-    _write_replacing(path / "gram.csv", _csv(h, _GRAM_HEADER, "%d,%.17g,%.17g\n", 0,
-                                             table.gram, z))
-    _write_replacing(path / "zeros.csv", _csv(h, _ZEROS_HEADER, "%d,%.17g\n", 1,
-                                              table.zeros))
+    write_replacing(path / "gram.csv", _csv(h, _GRAM_HEADER, "%d,%.17g,%.17g\n", 0,
+                                            table.gram, z))
+    write_replacing(path / "zeros.csv", _csv(h, _ZEROS_HEADER, "%d,%.17g\n", 1,
+                                             table.zeros))
     manifest = CacheManifest(
         version=STORE_VERSION,
         n_max_gram=int(table.gram.size - 1),
@@ -143,8 +145,8 @@ def save_range(table: ZeroTable, path: str | Path) -> CacheManifest:
         created=datetime.now(timezone.utc).isoformat(),
         checksum=h.hexdigest(),
     )
-    _write_replacing(path / "manifest.json",
-                     (json.dumps(manifest.__dict__, indent=2) + "\n").encode())
+    write_replacing(path / "manifest.json",
+                    (json.dumps(manifest.__dict__, indent=2) + "\n").encode())
     return manifest
 
 

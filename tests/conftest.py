@@ -31,8 +31,8 @@ def _cached_table(n_max: int) -> ZeroTable:
 @pytest.fixture(scope="session")
 def cache_dir() -> Path:
     """A persistent cache directory, keyed by the modules of the sieve and of
-    its sums too: the 1e8 sieve and its sums' partials are filled once, then
-    loaded."""
+    its sums too: the partials of the 1e8 sums are stored once, then re-checked
+    on a sample."""
     return CACHE_ROOT / f"cache-{_digest('primes.py', 'accum.py')}"
 
 

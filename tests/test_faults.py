@@ -1,21 +1,33 @@
-"""Every check can fail: a fault matrix for `verify-paper`.
+"""Every check can fail: a fault matrix for `verify-paper` and the prime sums.
 
-Each fault damages a copy of the certified table through Gram index 100030
-in one way, keeping its zeros ascending, and names the `verify-paper` rows at
---n-limit 100000 whose status must change against the clean run.  A fault
-that no row catches yet is a strict xfail naming the ROADMAP item that will
-catch it, so the file lists the blind spots, and a closed one fails as XPASS
-until its entry is updated.
+Each table fault damages a copy of the certified table through Gram index
+100030 in one way, keeping its zeros ascending, and names the `verify-paper`
+rows at --n-limit 100000 whose status must change against the clean run.  A
+fault that no row catches yet is a strict xfail naming the ROADMAP item that
+will catch it, so the file lists the blind spots, and a closed one fails as
+XPASS until its entry is updated.
+
+Each sidecar fault damages the stored partials of the 1e7 prime sums, or the
+sieve that re-checks them, and names what the next warm call must do: raise
+ChecksumMismatch, or recompute the sums in full rather than return the
+stored ones.
 """
 
+import hashlib
+import json
+import math
+import re
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 import pytest
 
-from gramlab import regression
+from gramlab import accum, regression
+from gramlab import primes as pr
+from gramlab.errors import ChecksumMismatch
 from gramlab.zeros import ZeroTable
 
 N_LIMIT = 100000
@@ -122,3 +134,94 @@ def test_fault_is_caught(fault, table_full, cache_dir, clean):
     got = _statuses(fault.damage(table_full), cache_dir)
     changed = {name for name in clean if got.get(name) != clean[name]}
     assert changed and changed >= fault.rows
+
+
+# ---------------------------------------------------------------------------
+# the prime-sum sidecar
+
+X = 10**7                       # 664,579 primes: 11 chunks, of which 0, 8 and 10 are sampled
+SIDECAR = f"primes_{X:012d}.sums.json"
+
+
+@dataclass(frozen=True)
+class SidecarFault:
+    name: str
+    damage: Callable[[Path, pytest.MonkeyPatch], None]
+    raises: str | None = None   # the ChecksumMismatch message; None: recomputed in full
+
+
+def _rewritten(edit) -> Callable[[Path, pytest.MonkeyPatch], None]:
+    """A fault that applies edit to the sidecar's contents and writes them
+    under a fresh checksum, as other code would."""
+    def damage(path, _):
+        body = json.loads(path.read_text())
+        del body["checksum"]
+        edit(body)
+        body["checksum"] = hashlib.blake2b(json.dumps(body, sort_keys=True).encode(),
+                                           digest_size=8).hexdigest()
+        path.write_text(json.dumps(body))
+    return damage
+
+
+def _flipped_byte(path, _):
+    raw = path.read_bytes()
+    i = raw.index(b'"0x1.') + 8
+    path.write_bytes(raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1 :])
+
+
+def _cut_json(path, _):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _nudged(body):
+    values = body["partials"]["1 / p"]
+    values[8] = math.nextafter(float.fromhex(values[8]), math.inf).hex()
+
+
+def _shifted(body):
+    body["firsts"][8] += 2
+
+
+def _prime_dropped(_, monkeypatch):
+    """A sieve that loses one prime inside chunk 8."""
+    lost, sieve_block = pr.sieve_primes(X).primes[8 * accum.CHUNK + 100], pr._sieve_block
+
+    def dropping(lo, hi, base):
+        block = sieve_block(lo, hi, base)
+        return block[block != lost]
+
+    monkeypatch.setattr(pr, "_sieve_block", dropping)
+
+
+SIDECAR_FAULTS = [
+    SidecarFault("S1_flipped_byte", _flipped_byte, "damaged prime-sum partials"),
+    SidecarFault("S2_bad_json", _cut_json, "damaged prime-sum partials"),
+    SidecarFault("S3_partial_dropped", _rewritten(lambda b: b["partials"]["1 / p"].pop()),
+                 "damaged prime-sum partials (first primes or partials not 11)"),
+    SidecarFault("S4_first_prime_dropped", _rewritten(lambda b: b["firsts"].pop()),
+                 "damaged prime-sum partials (first primes or partials not 11)"),
+    SidecarFault("S5_sampled_partial_nudged_1_ulp", _rewritten(_nudged)),
+    SidecarFault("S6_sampled_first_prime_shifted", _rewritten(_shifted)),
+    SidecarFault("S7_no_first_primes", _rewritten(lambda b: b.pop("firsts"))),
+    SidecarFault("S8_sieve_drops_a_sampled_prime", _prime_dropped),
+]
+
+
+@pytest.mark.parametrize("fault", SIDECAR_FAULTS, ids=lambda f: f.name)
+def test_sidecar_fault_is_caught(fault, tmp_path, monkeypatch):
+    cold = pr.prime_sums(X, (0.2,), cache_dir=tmp_path)
+    spath = tmp_path / SIDECAR
+    raw = spath.read_bytes()
+    fault.damage(spath, monkeypatch)
+    if fault.raises:
+        with pytest.raises(ChecksumMismatch, match=re.escape(f"{SIDECAR}: {fault.raises}")):
+            pr.prime_sums(X, (0.2,), cache_dir=tmp_path)
+        return
+    summed, chunk_sum = [], accum._chunk_sum
+    monkeypatch.setattr(accum, "_chunk_sum", lambda c, q, r: summed.append(c.size) or chunk_sum(c, q, r))
+    pr.prime_sums(X, (0.2,), cache_dir=tmp_path)
+    assert len(summed) >= 3 * 11                    # a full stream, not the sample alone
+    # with the sieve mended, the sums and the sidecar are the clean run's
+    monkeypatch.undo()
+    assert pr.prime_sums(X, (0.2,), cache_dir=tmp_path) == cold
+    assert spath.read_bytes() == raw

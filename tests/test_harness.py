@@ -1,5 +1,7 @@
+import builtins
 import dataclasses
 import importlib.util
+import io
 import json
 import os
 import re
@@ -458,7 +460,7 @@ def test_interrupted_save_leaves_no_manifest(table_small, tmp_path, monkeypatch)
     # over new data: the next cached_table rebuilds and serves
     rng = tmp_path / "rng"
     store.save_range(table_small, rng)
-    write = store._write_replacing
+    write = store.write_replacing
     written = []
 
     class Killed(Exception):
@@ -470,7 +472,7 @@ def test_interrupted_save_leaves_no_manifest(table_small, tmp_path, monkeypatch)
         written.append(path.name)
         write(path, data)
 
-    monkeypatch.setattr(store, "_write_replacing", dying)
+    monkeypatch.setattr(store, "write_replacing", dying)
     shorter = ZeroTable(table_small.gram[:601], table_small.zeros[:600])
     with pytest.raises(Killed):
         store.save_range(shorter, rng)
@@ -584,15 +586,15 @@ def test_cli_gram_and_exit_codes(tmp_path):
 
 
 def test_cli_damaged_caches_exit_1(table_small, tmp_path, monkeypatch, capsys):
-    # a manifest claiming more than its data, and a sieve cache holding only
-    # its magic: each is one error line and exit 1, not a traceback
+    # a manifest claiming more than its data, and a prime-sum sidecar cut
+    # short: each is one error line and exit 1, not a traceback
     cache = tmp_path / "cache"
     store.save_range(table_small, cache / "zrange")
     mpath = cache / "zrange" / "manifest.json"
     data = json.loads(mpath.read_text())
     data["n_max_gram"] = 200000
     mpath.write_text(json.dumps(data))
-    (cache / "primes_000010000000.bin").write_bytes(b"GRAMLAB\0")
+    (cache / "primes_000010000000.sums.json").write_bytes(b'{"limit": ')
     for args in (["classify", "--n-lo", "150000", "--n-hi", "150001"],
                  ["primes", "--kind", "mertens", "--x", "1e7"]):
         monkeypatch.setattr(sys, "argv", ["gramlab", "--cache-dir", str(cache), *args])
@@ -730,24 +732,38 @@ def test_cli_verify_paper_1e5_pinned(cli_cache_dir, tmp_path):
     assert r.stdout == (Path(__file__).parent / "data" / "verify_paper_1e5.json").read_text()
 
 
-def test_warm_verify_paper_reads_the_sieve_cache_once(cli_cache_dir, monkeypatch):
-    # mertens_sums(1e8), v_xh(1e8, 0.2) and v_xh(1e8, 0.39) share one sieve,
-    # read once to re-sum a sample of the partials stored beside it
+def test_warm_verify_paper_resieves_the_sampled_chunks_only(cli_cache_dir, monkeypatch):
+    # mertens_sums(1e8), v_xh(1e8, 0.2) and v_xh(1e8, 0.39) come from one
+    # sidecar, re-checked by re-sieving its 12 sampled chunk ranges; no other
+    # file of the cache dir is opened but the zero range's
     x = primes.SIEVE_CEILING
     primes.prime_sums(x, regression.VXH_GRID[x], cache_dir=cli_cache_dir)  # filled if absent
-    assert (cli_cache_dir / f"primes_{x:012d}.sums.json").exists()
-    loads = []
-    load = primes.load_prime_cache
+    spath = cli_cache_dir / f"primes_{x:012d}.sums.json"
+    firsts = json.loads(spath.read_text())["firsts"]
+    ends = firsts[1:] + [x + 1]
+    sieved, opened = [], []
+    sieve_block, real_open = primes._sieve_block, io.open
 
-    def counting(path):
-        loads.append(path)
-        return load(path)
+    def sieving(lo, hi, base):
+        sieved.append((lo, hi))
+        return sieve_block(lo, hi, base)
 
-    monkeypatch.setattr(primes, "load_prime_cache", counting)
+    def opening(file, *args, **kwargs):
+        opened.append(Path(file) if isinstance(file, (str, os.PathLike)) else file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(primes, "_sieve_block", sieving)
+    monkeypatch.setattr(io, "open", opening)
+    monkeypatch.setattr(builtins, "open", opening)
     r = CliRunner().invoke(cli.main, ["--format", "json", "--cache-dir", str(cli_cache_dir),
                                       "verify-paper", "--n-limit", "100000"])
+    monkeypatch.undo()
     assert r.exit_code == 0, r.output
-    assert len(loads) == 1
+    chunks = list(zip(firsts, ends))
+    assert [s for s in sieved if s in chunks] == [chunks[i] for i in [*range(0, 88, 8), 87]]
+    assert all(s in chunks or s[1] <= 10**6 + 1 for s in sieved)    # the smaller x's sieves
+    assert {p for p in opened if isinstance(p, Path) and cli_cache_dir in p.parents
+            and cli_cache_dir / "zrange" not in p.parents} == {spath}
     assert r.stdout == (Path(__file__).parent / "data" / "verify_paper_1e5.json").read_text()
 
 
@@ -760,7 +776,7 @@ def test_cli_prime_sums_same_cold_warm_and_uncached(tmp_path, args):
     assert [r.returncode for r in runs] == [0, 0, 0], runs[0].stderr
     assert runs[0].stdout == runs[1].stdout == runs[2].stdout
     assert sorted(f.name for f in (tmp_path / "cache").iterdir()) == \
-        ["primes_000010000000.bin", "primes_000010000000.sums.json"]
+        ["primes_000010000000.sums.json"]
 
 
 def test_cli_verify_paper_n_limit_floor(tmp_path):

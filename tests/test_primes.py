@@ -1,7 +1,5 @@
-import hashlib
 import json
 import math
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -66,17 +64,6 @@ def test_spot_check_flags_a_missing_prime():
     assert pr.verify_spot_range(holed, 2, 50000)
 
 
-def test_sieve_cache_bytes_pinned(tmp_path):
-    # BLAKE2b-128 of the 1e7 sieve cache, taken before the mask held odd
-    # numbers only
-    import hashlib
-
-    pr.sieve_primes(10**7, cache_dir=tmp_path)
-    raw = (tmp_path / "primes_000010000000.bin").read_bytes()
-    assert hashlib.blake2b(raw, digest_size=16).hexdigest() == \
-        "dfe4e4858db7e0b1557f5e531cff270e"
-
-
 def test_sieve_ceiling():
     with pytest.raises(ResourceError):
         pr.sieve_primes(10**9)
@@ -116,34 +103,9 @@ def test_sieve_cache_roundtrip(tmp_path):
             pr.load_prime_cache(short)
 
 
-def test_sieve_disk_cache_used(tmp_path):
-    t1 = pr.sieve_primes(10**7, cache_dir=tmp_path)
-    files = list(Path(tmp_path).glob("primes_*.bin"))
-    assert len(files) == 1
-    t2 = pr.sieve_primes(10**7, cache_dir=tmp_path)
-    assert np.array_equal(t1.primes, t2.primes)
-    # a cache cut at a whole prime loads; the re-sieved tail exposes it
-    files[0].write_bytes(files[0].read_bytes()[:-16])
-    with pytest.raises(ChecksumMismatch):
-        pr.sieve_primes(10**7, cache_dir=tmp_path)
-
-
-def test_sieve_cache_damaged_mid_file_raises(tmp_path):
-    table = pr.sieve_primes(10**7, cache_dir=tmp_path)
-    path = tmp_path / "primes_000010000000.bin"
-    raw = bytearray(path.read_bytes())
-    i = table.primes.size // 2
-    raw[9 + 8 * i + 7] ^= 0xFF          # the top byte of one middle prime
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ChecksumMismatch, match=f"out of order at byte {9 + 8 * (i + 1)}"):
-        pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
-    with pytest.raises(ChecksumMismatch):
-        pr.sieve_primes(10**7, cache_dir=tmp_path)
-
-
 def test_prime_sums_peak_memory_is_flat_in_x(tmp_path):
-    """The sums hold one block of primes at a time, cold (sieving and writing
-    the cache) and warm (reading it): no table of all the primes is built."""
+    """The sums hold one block of primes at a time, cold (sieving all) and warm
+    (re-sieving a sample of chunks): no table of all the primes is built."""
     import tracemalloc
 
     def peak(x):
@@ -155,30 +117,9 @@ def test_prime_sums_peak_memory_is_flat_in_x(tmp_path):
             tracemalloc.stop()
 
     (cold1, warm1), (cold2, warm2) = [(peak(x), peak(x)) for x in (10**7, 2 * 10**7)]
-    assert (tmp_path / "primes_000020000000.bin").stat().st_size == 9 + 8 * 1270607
+    assert json.loads((tmp_path / "primes_000020000000.sums.json").read_text())["count"] == 1270607
     assert abs(cold2 - cold1) < 2**20 and abs(warm2 - warm1) < 2**20
     assert warm1 < 8 * 664579           # the 1e7 table's bytes
-
-
-def test_cold_stream_stopped_early_leaves_no_cache(tmp_path, monkeypatch):
-    blocks = pr._prime_blocks(10**7, tmp_path)
-    next(blocks), next(blocks)
-    assert [f.name for f in tmp_path.iterdir()] == ["primes_000010000000.bin.tmp"]
-    blocks.close()
-    assert list(tmp_path.iterdir()) == []
-    # a sieve that fails mid-way
-    sieve_block, calls = pr._sieve_block, []
-
-    def failing(lo, hi, base):
-        calls.append(lo)
-        if len(calls) == 2:
-            raise MemoryError("segment")
-        return sieve_block(lo, hi, base)
-
-    monkeypatch.setattr(pr, "_sieve_block", failing)
-    with pytest.raises(MemoryError):
-        pr.prime_sums(10**7, cache_dir=tmp_path)
-    assert list(tmp_path.iterdir()) == []
 
 
 def _assert_1e7_pinned(cache_dir):
@@ -219,78 +160,31 @@ _SIDECAR = "primes_000010000000.sums.json"
 _LAST_CHUNK = 664579 - 10 * accum.CHUNK       # the 11th of the 1e7 chunks
 
 
-def _rewrite_sidecar(path, edit):
-    """Apply edit to the sidecar's contents and write them under a fresh checksum."""
-    body = json.loads(path.read_text())
-    del body["checksum"]
-    edit(body)
-    body["checksum"] = hashlib.blake2b(json.dumps(body, sort_keys=True).encode(),
-                                       digest_size=8).hexdigest()
-    path.write_text(json.dumps(body))
+def _count_sieved(monkeypatch) -> list[tuple[int, int]]:
+    """The ranges [lo, hi) that _sieve_block sieves from here on."""
+    ranges, sieve_block = [], pr._sieve_block
+
+    def counting(lo, hi, base):
+        ranges.append((lo, hi))
+        return sieve_block(lo, hi, base)
+
+    monkeypatch.setattr(pr, "_sieve_block", counting)
+    return ranges
 
 
 def test_warm_prime_sums_resum_a_sample_of_chunks(tmp_path, monkeypatch):
     summed = _count_chunk_sums(monkeypatch)
     cold = pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
     assert len(summed) == 3 * 11
+    firsts = json.loads((tmp_path / _SIDECAR).read_text())["firsts"]
+    assert firsts == pr.sieve_primes(10**7).primes[:: accum.CHUNK].tolist()
     summed.clear()
+    sieved = _count_sieved(monkeypatch)
     assert pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path) == cold
-    # chunks 0, 8 and 10 of 11, each for its three terms
+    # chunks 0, 8 and 10 of 11, re-sieved from their first primes, each summed
+    # for its three terms
+    assert sieved == [(firsts[0], firsts[1]), (firsts[8], firsts[9]), (firsts[10], 10**7 + 1)]
     assert summed == [accum.CHUNK] * 6 + [_LAST_CHUNK] * 3
-
-
-def test_damaged_sidecar_raises(tmp_path):
-    pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
-    spath = tmp_path / _SIDECAR
-    raw = spath.read_bytes()
-    i = raw.index(b'"0x1.') + 8
-    damaged = {
-        "a flipped byte": raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1 :],
-        "bad JSON": raw[: len(raw) // 2],
-    }
-    for what, data in damaged.items():
-        spath.write_bytes(data)
-        with pytest.raises(ChecksumMismatch, match=f"{_SIDECAR}: damaged"):
-            pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
-    spath.write_bytes(raw)
-    _rewrite_sidecar(spath, lambda body: body["partials"]["1 / p"].pop())
-    with pytest.raises(ChecksumMismatch, match="partials not 11 per term"):
-        pr.mertens_sums(10**7, cache_dir=tmp_path)
-
-
-@pytest.mark.parametrize("edit", ["nudged sampled partial", "another sieve cache"])
-def test_sidecar_of_other_code_is_recomputed_once(tmp_path, monkeypatch, edit):
-    cold = pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
-    spath = tmp_path / _SIDECAR
-    raw = spath.read_bytes()
-
-    def nudge(body):
-        if edit == "another sieve cache":
-            body["last"] -= 2
-            return
-        values = body["partials"]["1 / p"]
-        values[8] = math.nextafter(float.fromhex(values[8]), math.inf).hex()
-
-    _rewrite_sidecar(spath, nudge)
-    summed = _count_chunk_sums(monkeypatch)
-    assert pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path) == cold
-    assert len(summed) == 3 * 11 + (3 * 3 if edit == "nudged sampled partial" else 0)
-    assert spath.read_bytes() == raw                  # rewritten with the same bits
-    summed.clear()
-    assert pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path) == cold
-    assert len(summed) == 3 * 3
-
-
-def test_sieve_cache_damaged_mid_file_raises_with_a_sidecar(tmp_path):
-    pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
-    path = tmp_path / "primes_000010000000.bin"
-    raw = bytearray(path.read_bytes())
-    i = (len(raw) - 9) // 16
-    raw[9 + 8 * i + 7] ^= 0xFF          # the top byte of one middle prime
-    path.write_bytes(bytes(raw))
-    assert (tmp_path / _SIDECAR).exists()
-    with pytest.raises(ChecksumMismatch, match=f"out of order at byte {9 + 8 * (i + 1)}"):
-        pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
 
 
 def test_sums_that_fail_leave_no_sidecar(tmp_path, monkeypatch):
@@ -303,20 +197,20 @@ def test_sums_that_fail_leave_no_sidecar(tmp_path, monkeypatch):
         return chunk_sum(c, q, r)
 
     monkeypatch.setattr(accum, "_chunk_sum", failing)
-    with pytest.raises(MemoryError):                # cold: the stream is closed early
+    with pytest.raises(MemoryError):                # cold
         pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
     monkeypatch.setattr(accum, "_chunk_sum", chunk_sum)
-    pr.sieve_primes(10**7, cache_dir=tmp_path)
-    calls.clear()
-    monkeypatch.setattr(accum, "_chunk_sum", failing)
-    with pytest.raises(MemoryError):                # warm, with no sidecar yet
-        pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
-    assert [f.name for f in tmp_path.iterdir()] == ["primes_000010000000.bin"]
-    # a sidecar write that fails leaves the old sidecar and no temporary file
-    monkeypatch.setattr(accum, "_chunk_sum", chunk_sum)
     pr.mertens_sums(10**7, cache_dir=tmp_path)
     raw = (tmp_path / _SIDECAR).read_bytes()
+    calls.clear()
+    monkeypatch.setattr(accum, "_chunk_sum", failing)
+    with pytest.raises(MemoryError):                # warm, with a term the sidecar lacks
+        pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
+    assert [f.name for f in tmp_path.iterdir()] == [_SIDECAR]
+    assert (tmp_path / _SIDECAR).read_bytes() == raw
+    # a sidecar write that fails leaves the old sidecar and no temporary file
+    monkeypatch.setattr(accum, "_chunk_sum", chunk_sum)
 
     def refused(src, dst):
         raise OSError("rename")
@@ -324,7 +218,7 @@ def test_sums_that_fail_leave_no_sidecar(tmp_path, monkeypatch):
     monkeypatch.setattr(pr.os, "replace", refused)
     with pytest.raises(OSError, match="rename"):
         pr.v_xh(1e7, 0.2, cache_dir=tmp_path)
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["primes_000010000000.bin", _SIDECAR]
+    assert [f.name for f in tmp_path.iterdir()] == [_SIDECAR]
     assert (tmp_path / _SIDECAR).read_bytes() == raw
 
 
