@@ -2,53 +2,54 @@
 
 Array statistics (Mertens sums, V(x;h), moment sums) are reduced here so that
 rounding stays below the analytic error terms we report; scalar streams call
-math.fsum directly.  An array is cut into chunks of CHUNK elements; each
-chunk's sum is rounded correctly (to nearest, ties to even), and the chunk
-partials are then added with math.fsum.  The result depends on the array
-alone, and equals math.fsum(math.fsum(chunk) for chunk in chunks) bit for bit.
-An iterable of arrays is cut where their concatenation would be cut, a chunk
-that spans blocks gathered in one buffer, so a stream of blocks (the primes
-<= 1e8 as the sieve yields them) sums to the concatenation's bits without
-being held whole.
+math.fsum directly.  Every sum is the correctly rounded sum of its terms (to
+nearest, ties to even), equal to math.fsum over the whole array bit for bit,
+so it depends on the values alone and not on how they are cut.  An iterable
+of arrays sums as their concatenation, one block at a time, so a stream of
+blocks (the primes <= 1e8 as the sieve yields them) is never held whole.
 
-`partials` returns each term's chunk partials themselves, and `csums` is
-math.fsum of them: one summation path.  Since a partial is the correctly
-rounded sum of its chunk, it is a deterministic value of the data alone and
-can be stored and re-checked bit for bit, as the prime sums do (`primes`).
+`partials` returns each term's exact parts per block of the stream, `total`
+is math.fsum over all of a term's parts, and `csums` is the total of each
+term: one summation path.  A block's parts
+are a deterministic function of the block alone, so they can be stored and
+re-checked bit for bit, as the prime sums do (`primes`).
 
-A chunk is summed exactly in numpy by error-free extraction (Rump, Ogita and
-Oishi, "Accurate floating-point summation part I: faithful rounding", SIAM J.
-Sci. Comput. 31, 2008).  With sigma a power of two above 2n max|r| for n
-values r, each q = (r + sigma) - sigma is a multiple of 2^-53 sigma, r - q is
-exact, and every partial sum of the q is a multiple of 2^-53 sigma below
-sigma, so sum(q) is exact in any order.  The remainders r - q shrink by 2^35
-a pass, and the loop ends when they are all zero; on the subnormal grid every
-step is exact.  The chunk's sum is then math.fsum of the exact pass sums.
-Non-finite entries and magnitudes near overflow go to math.fsum itself, so
+A block is summed CHUNK values at a time, exactly, in numpy by error-free
+extraction (Rump, Ogita and Oishi, "Accurate floating-point summation part I:
+faithful rounding", SIAM J. Sci. Comput. 31, 2008).  With sigma a power of two
+above 2n max|r| for n values r, each q = (r + sigma) - sigma is a multiple of
+2^-53 sigma, r - q is exact, and every partial sum of the q is a multiple of
+2^-53 sigma below sigma, so sum(q) is exact in any order.  The remainders
+r - q shrink by 2^35 a pass, and the loop ends when they are all zero; on the
+subnormal grid every step is exact.  The exact pass sums are the chunk's
+parts, and math.fsum of exact parts is their correctly rounded total
+(Shewchuk, Discrete Comput. Geom. 18, 1997).  A chunk holding a non-finite
+entry or a magnitude near overflow gives its values themselves as parts, so
 NaN, infinities and overflow behave as fsum does.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from itertools import chain
 
 import numpy as np
 
-# chunk size for array reductions; fixed, so the partials (and hence the
-# rounded result) depend on the array alone
+# values summed per numpy pass; bounds the work buffers and the temporaries
+# of each term
 CHUNK = 1 << 16
 _SPREAD = CHUNK.bit_length()       # 2**_SPREAD >= 2 * CHUNK
 _HUGE = 2.0 ** (1022 - _SPREAD)    # below this, r + sigma cannot overflow
 
 
-def _chunk_sum(c: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
-    """Correctly rounded sum of at most CHUNK float64 values; q and r are work
-    buffers of c's size."""
+def _chunk_sum(c: np.ndarray, q: np.ndarray, r: np.ndarray) -> list[float]:
+    """Exact parts of the sum of at most CHUNK float64 values, or the values
+    themselves where math.fsum must see them; q and r are work buffers of c's
+    size."""
     lo, hi = c.min(), c.max()
     if not (-_HUGE < lo and hi < _HUGE):       # NaN, an infinity, or near overflow
-        return math.fsum(memoryview(c))
-    parts = []          # exact sums whose total is the chunk's exact sum
+        return c.tolist()
+    parts = []
     rest, top = c, max(-lo, hi)
     while top:
         sigma = math.ldexp(1.0, math.frexp(top)[1] + _SPREAD)   # > 2 CHUNK |rest|
@@ -57,65 +58,50 @@ def _chunk_sum(c: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
         parts.append(float(q.sum()))
         rest = np.subtract(rest, q, out=r)
         top = max(-r.min(), r.max())
-    return math.fsum(parts)
+    return parts
 
 
-def _chunks(arr) -> Iterator[np.ndarray]:
-    """arr, an array or an iterable of arrays, as chunks of CHUNK values cut
-    where they cut the concatenation; a chunk that spans blocks is gathered in
-    one float64 buffer, which the next such chunk overwrites, and a chunk
-    inside one block is a view of it in the block's dtype."""
-    buf, fill = np.empty(CHUNK), 0     # buf[:fill] is the chunk in progress
-    for block in [arr] if isinstance(arr, np.ndarray) else arr:
-        b = np.asarray(block).ravel()
-        i = 0
-        if fill:
-            i = min(CHUNK - fill, b.size)
-            buf[fill : fill + i] = b[:i]
-            fill += i
-            if fill < CHUNK:
-                continue
-            yield buf
-        whole = i + (b.size - i) // CHUNK * CHUNK
-        for j in range(i, whole, CHUNK):
-            yield b[j : j + CHUNK]
-        fill = b.size - whole
-        buf[:fill] = b[whole:]
-    if fill:
-        yield buf[:fill]
+def partials(arr, *terms, prep=None) -> list[list[list[float]]]:
+    """For each elementwise term, the exact parts of the sum of term(a) over
+    each block a of arr as float64, in block order: math.fsum of one block's
+    parts is the correctly rounded sum of its terms, and `total` of a term's
+    parts is that of the term over all of arr.
 
-
-def partials(arr, *terms, prep=None) -> list[list[float]]:
-    """For each elementwise term, the correctly rounded sum of term(a) over
-    each chunk a of arr as float64, in chunk order.
-
-    arr is an array or an iterable of arrays, cut as their concatenation.
-    The terms are evaluated one CHUNK at a time, so no full-length temporary
-    is made; each term maps a float64 chunk to an array of its size.  With
-    prep, each term takes prep(chunk) instead, made once per chunk, so the
-    terms can share work such as a logarithm.
+    arr is an array, one block, or an iterable of arrays.  The terms are
+    evaluated one CHUNK of a block at a time, so no full-length temporary is
+    made; each term maps a float64 chunk to an array of its size.  With prep,
+    each term takes prep(chunk) instead, made once per chunk, so the terms can
+    share work such as a logarithm.
     """
     out = [[] for _ in terms]
-    work = None
-    for c in _chunks(arr):
-        c = c.astype(float, copy=False)
-        if work is None:        # every chunk but the last holds CHUNK values
-            work = np.empty((2, c.size))
-        q, r = work[:, : c.size]
-        arg = c if prep is None else prep(c)
-        for acc, term in zip(out, terms):
-            acc.append(_chunk_sum(term(arg), q, r))
+    work = np.empty((2, CHUNK))
+    for block in [arr] if isinstance(arr, np.ndarray) else arr:
+        b = np.asarray(block).ravel()
+        for acc in out:
+            acc.append([])
+        for i in range(0, b.size, CHUNK):
+            c = b[i : i + CHUNK].astype(float, copy=False)
+            q, r = work[:, : c.size]
+            arg = c if prep is None else prep(c)
+            for acc, term in zip(out, terms):
+                acc[-1] += _chunk_sum(term(arg), q, r)
     return out
 
 
+def total(parts: list[list[float]]) -> float:
+    """The correctly rounded sum of one term's `partials`: math.fsum of all
+    its parts, 0.0 if there are none."""
+    return math.fsum(chain.from_iterable(parts))
+
+
 def csums(arr, *terms, prep=None) -> tuple[float, ...]:
-    """csum(term(a)) for each elementwise term, a = arr as float64: math.fsum
-    of the term's `partials` (arr, terms and prep as there)."""
-    # fsum of one partial is that partial, and of none is 0.0
-    return tuple(math.fsum(acc) for acc in partials(arr, *terms, prep=prep))
+    """The correctly rounded sum of term(a) for each elementwise term, a = arr
+    as float64: the `total` of the term's `partials` (arr, terms and prep as
+    there)."""
+    return tuple(map(total, partials(arr, *terms, prep=prep)))
 
 
 def csum(arr) -> float:
-    """Sum of a float array (or of an iterable of arrays, concatenated):
-    correctly rounded chunks, then fsum of the partials."""
+    """Correctly rounded sum of a float array (or of an iterable of arrays,
+    concatenated): math.fsum of its values, in numpy."""
     return csums(arr, lambda c: c)[0]

@@ -10,30 +10,29 @@ at several h from one sieve of x, as `verify-paper` needs them at x = 1e8.
 The primes <= x come as one stream of ascending blocks from a segmented
 sieve (`_prime_blocks`).  A sieve segment is _SEGMENT numbers, marked in a
 mask of its odd numbers only: 1 MB, which stays in L2 while every base prime
-strikes it.  The sums take the blocks as they come, summed chunk by chunk as
-their concatenation would be (`accum.partials`), so they never hold all
+strikes it.  The sums take the blocks as they come, each term correctly rounded
+over all of them (`accum.partials`), so they never hold all
 5,761,455 primes <= 1e8; `sieve_primes` gathers the stream into one array
 for callers that want it.  No primes are stored.
 
-A sum over x >= SUMS_CACHE_THRESHOLD with a cache directory keeps its chunk
-partials in a sidecar, primes_<x:012d>.sums.json: a JSON object with the
-limit, CHUNK, the prime count, the last prime, the first prime of each chunk,
-the partials as float.hex keyed by term ("ln p / p", "1 / p", and
+A sum over x >= SUMS_CACHE_THRESHOLD with a cache directory keeps the exact
+parts of its terms' sums over each block of the stream (`accum.partials`) in a
+sidecar, primes_<x:012d>.sums.json: a JSON object with the limit, _SEGMENT,
+the parts as float.hex by block, keyed by term ("ln p / p", "1 / p", and
 "sin^2(h ln p / 2) / p, h = " + h.hex() for each h), and a 64-bit BLAKE2b
 checksum over the rest (as JSON with sorted keys), written through a
-temporary file renamed into place.  A warm call whose terms are all in the
-sidecar re-sieves chunk 0, every _SUMS_SAMPLE_STRIDE-th chunk and the last
-(12 of the 88 chunks at 1e8) from their first primes.  Each must hold exactly
-its chunk: CHUNK primes from its first prime up to the next chunk's, and for
-the last chunk the rest of the count, ending at the last prime.  Their
-re-sums must equal the stored partials bit for bit; the result is then
-math.fsum of the stored partials, the bits of a full computation.  A damaged
-sidecar (bad JSON, a checksum that does not match, a wrong number of
-partials or first primes) raises ChecksumMismatch.  A sidecar whose sample
-is not reproduced, or that records no first primes (an older version's), is
+temporary file renamed into place.  A block's bounds follow from the limit
+and _SEGMENT alone (`_bounds`).  A warm call whose terms are all in the
+sidecar re-sieves block 0, every _SUMS_SAMPLE_STRIDE-th block and the last
+(7 of the 49 blocks at 1e8) from their bounds; their parts must equal the
+stored parts bit for bit, and the result is then math.fsum of all stored
+parts: the correctly rounded sum, the bits of a full computation.  A damaged
+sidecar (bad JSON, a checksum that does not match, parts for a wrong number
+of blocks) raises ChecksumMismatch.  A sidecar whose sample is not
+reproduced, or of another limit or _SEGMENT (an older version's too), is
 recomputed in full and rewritten; a call with a term it lacks sums all of its
 terms in one full stream and keeps the stored terms only if that stream
-reproduces their chunks.  A change to an unsampled chunk alone, written under
+reproduces their parts.  A change to an unsampled block alone, written under
 a fresh checksum, is not detected.
 
 `save_prime_cache` and `load_prime_cache` write and read a binary file of
@@ -55,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .accum import CHUNK, csum, partials
+from .accum import CHUNK, csum, partials, total
 from .errors import ChecksumMismatch, PreconditionError, ResourceError, VersionMismatch
 from .moments import EPSILON_DEFAULT, MomentConfig, MomentReport
 from .store import write_replacing
@@ -65,7 +64,7 @@ SIEVE_CEILING = 10**8
 SUMS_CACHE_THRESHOLD = 10**7
 H_CEILING = 0.4  # admissible shift ceiling for V(x;h)
 _SEGMENT = 1 << 21  # numbers per sieve segment
-_SUMS_SAMPLE_STRIDE = 8  # a warm sum re-sieves chunk 0, every 8th chunk and the last
+_SUMS_SAMPLE_STRIDE = 8  # a warm sum re-sieves block 0, every 8th block and the last
 
 _MAGIC = b"GRAMLAB\0"
 _VERSION = 1
@@ -132,17 +131,23 @@ def _sieve_block(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return found.view(np.uint64)        # non-negative int64: the same bits
 
 
+def _bounds(limit: int) -> list[tuple[int, int]]:
+    """The ranges [lo, hi) of the blocks of _prime_blocks(limit): the base
+    primes <= sqrt(limit), then one segment of _SEGMENT numbers per block."""
+    root = math.isqrt(limit)
+    return [(0, root + 1), *((lo, min(lo + _SEGMENT, limit + 1))
+                             for lo in range(root + 1, limit + 1, _SEGMENT))]
+
+
 def _prime_blocks(limit: int) -> Iterator[np.ndarray]:
-    """The primes <= limit as a stream of ascending uint64 blocks, the one
-    source of primes: the base primes <= sqrt(limit), then one block per
-    segment of _SEGMENT numbers (Bays and Hudson 1977)."""
+    """The primes <= limit as a stream of ascending uint64 blocks over
+    _bounds(limit), the one source of primes: the base primes, then a
+    segmented sieve (Bays and Hudson 1977)."""
     if limit > SIEVE_CEILING:
         raise ResourceError(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
     limit = max(int(limit), 0)
-    root = math.isqrt(limit)
-    base = _base_primes(root)
-    return chain([base], (_sieve_block(lo, min(lo + _SEGMENT, limit + 1), base)
-                          for lo in range(root + 1, limit + 1, _SEGMENT)))
+    base = _base_primes(math.isqrt(limit))
+    return chain([base], (_sieve_block(lo, hi, base) for lo, hi in _bounds(limit)[1:]))
 
 
 def sieve_primes(limit: int) -> PrimeTable:
@@ -227,109 +232,73 @@ def _vxh_term(h: float) -> tuple[str, Callable]:
             lambda c: np.sin(0.5 * h * c[1]) ** 2 / c[0])
 
 
-def _prime_partials(blocks: Iterable[np.ndarray], terms) -> list[list[float]]:
+def _prime_partials(blocks: Iterable[np.ndarray], terms) -> list[list[list[float]]]:
     """accum.partials over a stream of prime blocks of each term of (p, ln p),
     ln p taken once per chunk."""
     return partials(blocks, *terms, prep=lambda p: (p, np.log(p)))
 
 
-def _headed(blocks: Iterable[np.ndarray], head: dict) -> Iterator[np.ndarray]:
-    """blocks, passed through; head["firsts"] gets the first prime of each
-    CHUNK as they pass, and head["count"] and head["last"] at the end."""
-    count = last = 0
-    for block in blocks:
-        head["firsts"] += block[-count % CHUNK :: CHUNK].tolist()
-        count += block.size
-        last = int(block[-1]) if block.size else last
-        yield block
-    head.update(count=count, last=last)
-
-
-def _hex(values: Iterable[float]) -> list[str]:
-    """values as float.hex: their bits, as the sidecar stores them."""
-    return [v.hex() for v in values]
+def _hex(parts: Iterable[list[float]]) -> list[list[str]]:
+    """Parts by block as float.hex: their bits, as the sidecar stores them."""
+    return [[v.hex() for v in block] for block in parts]
 
 
 def _sums_digest(body: dict) -> str:
     return hashlib.blake2b(json.dumps(body, sort_keys=True).encode(), digest_size=8).hexdigest()
 
 
-def _load_sums(spath: Path, limit: int) -> dict | None:
-    """The sidecar at spath, its partials as floats: None if there is none,
-    or it is of another limit or CHUNK, or records no first primes (an older
-    version's); ChecksumMismatch, naming the file, if it is damaged."""
+def _load_sums(spath: Path, limit: int, blocks: int) -> dict[str, list[list[float]]]:
+    """The stored parts at spath as floats by term: none if there is no
+    sidecar or it is of another limit or _SEGMENT (an older version's too);
+    ChecksumMismatch, naming the file, if it is damaged."""
     if not spath.exists():
-        return None
+        return {}
     try:
         body = json.loads(spath.read_text(encoding="utf-8"))
         if body.pop("checksum") != _sums_digest(body):
             raise ValueError("checksum does not match")
-        if (body.get("limit"), body.get("chunk")) != (limit, CHUNK) or "firsts" not in body:
-            return None
-        if body["count"] < 1:
-            raise ValueError("no primes")
-        n = -(-body["count"] // CHUNK)
-        body["firsts"] = [int(p) for p in body["firsts"]]
-        body["partials"] = {name: [float.fromhex(v) for v in values]
-                            for name, values in body["partials"].items()}
-        if any(len(v) != n for v in (body["firsts"], *body["partials"].values())):
-            raise ValueError(f"first primes or partials not {n}")
+        if (body.get("limit"), body.get("segment")) != (limit, _SEGMENT):
+            return {}
+        stored = {name: [[float.fromhex(v) for v in block] for block in values]
+                  for name, values in body["partials"].items()}
+        if any(len(v) != blocks for v in stored.values()):
+            raise ValueError(f"parts not of {blocks} blocks")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ChecksumMismatch(f"{spath}: damaged prime-sum partials ({exc})") from None
-    return body
+    return stored
 
 
-def _save_sums(spath: Path, head: dict, sums: dict[str, list[float]]) -> None:
+def _save_sums(spath: Path, limit: int, sums: dict[str, list[list[float]]]) -> None:
     """Write the sidecar at spath through a temporary file renamed into place."""
-    body = {**head, "partials": {name: _hex(values) for name, values in sums.items()}}
+    body = {"limit": limit, "segment": _SEGMENT,
+            "partials": {name: _hex(parts) for name, parts in sums.items()}}
     body["checksum"] = _sums_digest(body)
     spath.parent.mkdir(parents=True, exist_ok=True)
     write_replacing(spath, (json.dumps(body, indent=1) + "\n").encode())
 
 
-def _resieved(body: dict, sample: list[int]) -> Iterator[np.ndarray]:
-    """The sampled chunks of the sidecar body, re-sieved from their first
-    primes, for as long as each holds exactly its chunk: CHUNK primes from its
-    first prime up to the next chunk's, or the rest of the count ending at the
-    last prime for the last chunk."""
-    limit, firsts, count = body["limit"], body["firsts"], body["count"]
-    n = len(firsts)
-    ends = firsts[1:] + [limit + 1]
-    base = _base_primes(math.isqrt(limit))
-    for i in sample:
-        if not 2 <= firsts[i] < ends[i] <= limit + 1:
-            return
-        block = _sieve_block(firsts[i], ends[i], base)
-        if (block.size != (CHUNK if i < n - 1 else count - i * CHUNK)
-                or block[0] != firsts[i] or (i == n - 1 and block[-1] != body["last"])):
-            return
-        yield block
-
-
 def _prime_csums(x: float, cache_dir: str | Path | None, terms: dict[str, Callable]
                  ) -> dict[str, float]:
     """csums over the primes p <= x of each named term of (p, ln p); with a
-    cache directory, through the partials of a sidecar (module docstring)."""
+    cache directory, through the parts of a sidecar (module docstring)."""
     limit = int(x)
     blocks = _prime_blocks(limit)       # checks the ceiling before any file is read
     if cache_dir is None or limit < SUMS_CACHE_THRESHOLD:
-        return dict(zip(terms, map(math.fsum, _prime_partials(blocks, terms.values()))))
+        return dict(zip(terms, map(total, _prime_partials(blocks, terms.values()))))
     spath = Path(cache_dir) / f"primes_{limit:012d}.sums.json"
-    body = _load_sums(spath, limit)
-    stored = body["partials"] if body else {}
+    bounds = _bounds(limit)
+    stored = _load_sums(spath, limit, len(bounds))
     if stored.keys() >= terms.keys():
-        n = len(body["firsts"])
-        sample = sorted({*range(0, n, _SUMS_SAMPLE_STRIDE), n - 1})
-        got = _prime_partials(_resieved(body, sample), terms.values())
+        sample = sorted({*range(0, len(bounds), _SUMS_SAMPLE_STRIDE), len(bounds) - 1})
+        base = _base_primes(math.isqrt(limit))
+        got = _prime_partials((_sieve_block(*bounds[i], base) for i in sample), terms.values())
         if all(_hex(g) == _hex(stored[name][i] for i in sample) for name, g in zip(terms, got)):
-            return {name: math.fsum(stored[name]) for name in terms}
-    head = {"limit": limit, "chunk": CHUNK, "firsts": []}
-    full = dict(zip(terms, _prime_partials(_headed(blocks, head), terms.values())))
-    if not (body and all(body[k] == head[k] for k in head) and all(
-            _hex(full[name]) == _hex(stored[name]) for name in terms.keys() & stored.keys())):
+            return {name: total(stored[name]) for name in terms}
+    full = dict(zip(terms, _prime_partials(blocks, terms.values())))
+    if any(_hex(full[name]) != _hex(stored[name]) for name in terms.keys() & stored.keys()):
         stored = {}             # not these primes' sums: rewrite
-    _save_sums(spath, head, {**stored, **full})
-    return {name: math.fsum(values) for name, values in full.items()}
+    _save_sums(spath, limit, {**stored, **full})
+    return {name: total(parts) for name, parts in full.items()}
 
 
 def _require_vxh(x: float, h: float) -> None:
@@ -346,7 +315,7 @@ def _vxh_result(x: float, h: float, value: float) -> VxhResult:
 
 
 def mertens_sums(x: int, cache_dir: str | Path | None = None) -> tuple[float, float]:
-    """(sum_{p<=x} ln p / p, sum_{p<=x} 1/p), each sum correctly rounded by chunk."""
+    """(sum_{p<=x} ln p / p, sum_{p<=x} 1/p), each sum correctly rounded."""
     return prime_sums(x, (), cache_dir)[0]
 
 

@@ -215,7 +215,7 @@ def test_c10_offset_second_moment_band(table_full):
 
 def test_c11_prime_sum_grid(tmp_path):
     # a fresh cache dir: the first 1e8 call stores its partials, the rest
-    # re-sieve a sample of their chunks
+    # re-sieve a sample of their blocks
     t0 = time.perf_counter()
     grid_ok = True
     for x in (1e4, 1e6, 1e8):

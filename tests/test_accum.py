@@ -8,9 +8,9 @@ from gramlab.accum import CHUNK, csum, csums, partials
 LENGTHS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
 
 
-def chunked_fsum(a: np.ndarray) -> float:
-    """The reference: math.fsum of each CHUNK slice, then of the partials."""
-    return math.fsum(math.fsum(a[i : i + CHUNK].tolist()) for i in range(0, a.size, CHUNK))
+def fsum(a: np.ndarray) -> float:
+    """The reference: math.fsum over the whole array."""
+    return math.fsum(a.tolist())
 
 
 def outcome(f, a):
@@ -18,6 +18,13 @@ def outcome(f, a):
         return float.hex(f(a))       # the hex keeps the sign of zero
     except (ValueError, OverflowError) as exc:
         return type(exc)
+
+
+def cut(a: np.ndarray, *at: int) -> list[np.ndarray]:
+    """a as a list of blocks cut at 0, at the given offsets and at four random
+    ones: the first block, and any between two equal cuts, is empty."""
+    more = np.random.default_rng(a.size).integers(0, a.size + 1, 4)
+    return np.split(a, np.sort(np.clip([0, *at, *more], 0, a.size)))
 
 
 def _data(kind: str, n: int, rng) -> np.ndarray:
@@ -41,17 +48,21 @@ def _data(kind: str, n: int, rng) -> np.ndarray:
 @pytest.mark.parametrize("kind", ["prime_like", "cancelling", "wide", "subnormal", "zeros"])
 @pytest.mark.parametrize("n", LENGTHS)
 def test_csum_equals_chunked_fsum(kind, n):
+    """csum of the array, whole or cut into blocks, is math.fsum over it."""
     a = _data(kind, n, np.random.default_rng(n))
-    assert outcome(csum, a) == outcome(chunked_fsum, a)
+    want = outcome(fsum, a)
+    assert outcome(csum, a) == want
+    assert outcome(lambda a: csum(cut(a, CHUNK - 1, CHUNK + 1)), a) == want
 
 
 @pytest.mark.parametrize("n", LENGTHS[1:])
 def test_csum_signed_zero(n):
     for a in (np.full(n, -0.0), np.full(n, 0.0), np.tile([-0.0, 0.0], n)[:n]):
-        assert outcome(csum, a) == outcome(chunked_fsum, a)
+        assert outcome(csum, a) == outcome(fsum, a)
     x = np.random.default_rng(n).standard_normal(n)
     a = np.concatenate([x, -x[::-1]])          # exact total zero, cancelling across chunks
-    assert outcome(csum, a) == outcome(chunked_fsum, a)
+    assert outcome(csum, a) == outcome(fsum, a)
+    assert outcome(lambda a: csum(cut(a, n)), a) == outcome(fsum, a)
 
 
 @pytest.mark.parametrize("special", [
@@ -62,15 +73,17 @@ def test_csum_signed_zero(n):
 def test_csum_special_values_as_fsum(special, at):
     a = np.random.default_rng(at).uniform(-1, 1, 2 * CHUNK)
     a[at : at + len(special)] = special
-    assert outcome(csum, a) == outcome(chunked_fsum, a)
+    want = outcome(fsum, a)
+    assert outcome(csum, a) == want
+    assert outcome(lambda a: csum(cut(a, at + 1)), a) == want      # a block cut inside
 
 
 def test_csums_evaluates_terms_by_chunk():
     p = np.arange(3, 3 + 2 * (CHUNK + 9), 2, dtype=np.uint64)
     pf = p.astype(float)
     got = csums(p, lambda c: np.log(c) / c, lambda c: 1.0 / c)
-    assert [float.hex(g) for g in got] == [float.hex(chunked_fsum(np.log(pf) / pf)),
-                                          float.hex(chunked_fsum(1.0 / pf))]
+    assert [float.hex(g) for g in got] == [float.hex(fsum(np.log(pf) / pf)),
+                                          float.hex(fsum(1.0 / pf))]
     assert csums(np.empty(0), lambda c: c, lambda c: c) == (0.0, 0.0)
 
 
@@ -87,26 +100,24 @@ def test_csums_of_blocks_equal_csums_of_their_concatenation(seed):
     want = [float.hex(v) for v in csums(a, *terms)]
     assert [float.hex(v) for v in csums(iter(blocks), *terms)] == want
     assert [float.hex(v) for v in csums(blocks, *terms)] == want    # a list is a stream too
-    assert float.hex(csum(iter(blocks))) == float.hex(chunked_fsum(a))
+    assert float.hex(csum(iter(blocks))) == float.hex(fsum(a))
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_csums_is_fsum_of_the_chunk_partials(seed):
-    rng = np.random.default_rng(seed)
-    a = _data(["prime_like", "cancelling", "wide"][seed % 3], 3 * CHUNK + 7, rng)
-    cuts = np.sort(np.concatenate([
-        rng.integers(0, a.size, 6),                          # random, with repeats: empty blocks
-        [0, 0, CHUNK - 1, CHUNK + 1, 2 * CHUNK, 2 * CHUNK, a.size]]))
-    blocks = np.split(a, cuts)
+def test_partials_are_exact_parts_by_block():
+    """One list of parts per block, empty blocks included; the fsum of a
+    block's parts is the fsum of its terms, and of all parts, of all terms."""
+    a = _data("cancelling", 3 * CHUNK + 7, np.random.default_rng(7))
+    blocks = cut(a, 5, 5, CHUNK + 1, 2 * CHUNK + 3)
     assert any(b.size == 0 for b in blocks)
     terms = (lambda c: c, np.sin)
     got = partials(iter(blocks), *terms)
-    assert [len(p) for p in got] == [4, 4]
-    want = [[float.hex(chunked_fsum(t(a[i : i + CHUNK]))) for i in range(0, a.size, CHUNK)]
-            for t in terms]
-    assert [[float.hex(v) for v in p] for p in got] == want
-    assert [float.hex(v) for v in csums(iter(blocks), *terms)] == \
-        [float.hex(math.fsum(p)) for p in got]
+    assert [len(p) for p in got] == [len(blocks)] * 2
+    for term, parts in zip(terms, got):
+        assert [float.hex(math.fsum(p)) for p in parts] == \
+            [float.hex(fsum(term(b))) for b in blocks]
+        assert float.hex(math.fsum(v for p in parts for v in p)) == float.hex(fsum(term(a)))
+    for i, b in enumerate(blocks):          # a block's parts depend on it alone
+        assert [p[i] for p in got] == [p[0] for p in partials(b.copy(), *terms)]
 
 
 def test_csums_of_integer_blocks_carry_across_blocks():

@@ -7,7 +7,7 @@ fault that no row catches yet is a strict xfail naming the ROADMAP item that
 will catch it, so the file lists the blind spots, and a closed one fails as
 XPASS until its entry is updated.
 
-Each sidecar fault damages the stored partials of the 1e7 prime sums, or the
+Each sidecar fault damages the stored parts of the 1e7 prime sums, or the
 sieve that re-checks them, and names what the next warm call must do: raise
 ChecksumMismatch, or recompute the sums in full rather than return the
 stored ones.
@@ -139,7 +139,7 @@ def test_fault_is_caught(fault, table_full, cache_dir, clean):
 # ---------------------------------------------------------------------------
 # the prime-sum sidecar
 
-X = 10**7                       # 664,579 primes: 11 chunks, of which 0, 8 and 10 are sampled
+X = 10**7                       # 664,579 primes: 6 blocks, of which 0 and 5 are sampled
 SIDECAR = f"primes_{X:012d}.sums.json"
 
 
@@ -174,17 +174,16 @@ def _cut_json(path, _):
 
 
 def _nudged(body):
-    values = body["partials"]["1 / p"]
-    values[8] = math.nextafter(float.fromhex(values[8]), math.inf).hex()
-
-
-def _shifted(body):
-    body["firsts"][8] += 2
+    parts = body["partials"]["1 / p"][5]
+    parts[0] = math.nextafter(float.fromhex(parts[0]), math.inf).hex()
 
 
 def _prime_dropped(_, monkeypatch):
-    """A sieve that loses one prime inside chunk 8."""
-    lost, sieve_block = pr.sieve_primes(X).primes[8 * accum.CHUNK + 100], pr._sieve_block
+    """A sieve that loses one prime inside block 5, the segment from
+    3163 + 4 * 2^21 to 1e7."""
+    primes = pr.sieve_primes(X).primes
+    lost = primes[np.searchsorted(primes, 3163 + 4 * 2**21) + 100]
+    sieve_block = pr._sieve_block
 
     def dropping(lo, hi, base):
         block = sieve_block(lo, hi, base)
@@ -193,17 +192,23 @@ def _prime_dropped(_, monkeypatch):
     monkeypatch.setattr(pr, "_sieve_block", dropping)
 
 
+def _other_segment(path, monkeypatch):
+    """The sidecar written again with segments of half the size."""
+    with monkeypatch.context() as m:
+        m.setattr(pr, "_SEGMENT", pr._SEGMENT // 2)
+        path.unlink()
+        pr.prime_sums(X, (0.2,), cache_dir=path.parent)
+    assert json.loads(path.read_text())["segment"] == pr._SEGMENT // 2
+
+
 SIDECAR_FAULTS = [
     SidecarFault("S1_flipped_byte", _flipped_byte, "damaged prime-sum partials"),
     SidecarFault("S2_bad_json", _cut_json, "damaged prime-sum partials"),
     SidecarFault("S3_partial_dropped", _rewritten(lambda b: b["partials"]["1 / p"].pop()),
-                 "damaged prime-sum partials (first primes or partials not 11)"),
-    SidecarFault("S4_first_prime_dropped", _rewritten(lambda b: b["firsts"].pop()),
-                 "damaged prime-sum partials (first primes or partials not 11)"),
+                 "damaged prime-sum partials (parts not of 6 blocks)"),
     SidecarFault("S5_sampled_partial_nudged_1_ulp", _rewritten(_nudged)),
-    SidecarFault("S6_sampled_first_prime_shifted", _rewritten(_shifted)),
-    SidecarFault("S7_no_first_primes", _rewritten(lambda b: b.pop("firsts"))),
     SidecarFault("S8_sieve_drops_a_sampled_prime", _prime_dropped),
+    SidecarFault("S9_another_segment", _other_segment),
 ]
 
 
@@ -220,7 +225,7 @@ def test_sidecar_fault_is_caught(fault, tmp_path, monkeypatch):
     summed, chunk_sum = [], accum._chunk_sum
     monkeypatch.setattr(accum, "_chunk_sum", lambda c, q, r: summed.append(c.size) or chunk_sum(c, q, r))
     pr.prime_sums(X, (0.2,), cache_dir=tmp_path)
-    assert len(summed) >= 3 * 11                    # a full stream, not the sample alone
+    assert sum(summed) >= 3 * 664579                # a full stream, not the sample alone
     # with the sieve mended, the sums and the sidecar are the clean run's
     monkeypatch.undo()
     assert pr.prime_sums(X, (0.2,), cache_dir=tmp_path) == cold

@@ -734,13 +734,15 @@ def test_cli_verify_paper_1e5_pinned(cli_cache_dir, tmp_path):
 
 def test_warm_verify_paper_resieves_the_sampled_chunks_only(cli_cache_dir, monkeypatch):
     # mertens_sums(1e8), v_xh(1e8, 0.2) and v_xh(1e8, 0.39) come from one
-    # sidecar, re-checked by re-sieving its 12 sampled chunk ranges; no other
-    # file of the cache dir is opened but the zero range's
+    # sidecar, re-checked by re-sieving 7 of its 49 blocks from their bounds;
+    # no other file of the cache dir is opened but the zero range's
     x = primes.SIEVE_CEILING
     primes.prime_sums(x, regression.VXH_GRID[x], cache_dir=cli_cache_dir)  # filled if absent
     spath = cli_cache_dir / f"primes_{x:012d}.sums.json"
-    firsts = json.loads(spath.read_text())["firsts"]
-    ends = firsts[1:] + [x + 1]
+    # the base primes <= 10^4, then one block per 2^21 numbers from 10001
+    edges = [0, *range(10001, x + 1, 2**21), x + 1]
+    blocks = list(zip(edges, edges[1:]))
+    assert len(blocks) == 49
     sieved, opened = [], []
     sieve_block, real_open = primes._sieve_block, io.open
 
@@ -759,9 +761,8 @@ def test_warm_verify_paper_resieves_the_sampled_chunks_only(cli_cache_dir, monke
                                       "verify-paper", "--n-limit", "100000"])
     monkeypatch.undo()
     assert r.exit_code == 0, r.output
-    chunks = list(zip(firsts, ends))
-    assert [s for s in sieved if s in chunks] == [chunks[i] for i in [*range(0, 88, 8), 87]]
-    assert all(s in chunks or s[1] <= 10**6 + 1 for s in sieved)    # the smaller x's sieves
+    assert [s for s in sieved if s in blocks] == blocks[::8]        # 0, 8, ..., 48: the last
+    assert all(s in blocks or s[1] <= 10**6 + 1 for s in sieved)    # the smaller x's sieves
     assert {p for p in opened if isinstance(p, Path) and cli_cache_dir in p.parents
             and cli_cache_dir / "zrange" not in p.parents} == {spath}
     assert r.stdout == (Path(__file__).parent / "data" / "verify_paper_1e5.json").read_text()

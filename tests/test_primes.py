@@ -105,7 +105,7 @@ def test_sieve_cache_roundtrip(tmp_path):
 
 def test_prime_sums_peak_memory_is_flat_in_x(tmp_path):
     """The sums hold one block of primes at a time, cold (sieving all) and warm
-    (re-sieving a sample of chunks): no table of all the primes is built."""
+    (re-sieving a sample of blocks): no table of all the primes is built."""
     import tracemalloc
 
     def peak(x):
@@ -117,22 +117,44 @@ def test_prime_sums_peak_memory_is_flat_in_x(tmp_path):
             tracemalloc.stop()
 
     (cold1, warm1), (cold2, warm2) = [(peak(x), peak(x)) for x in (10**7, 2 * 10**7)]
-    assert json.loads((tmp_path / "primes_000020000000.sums.json").read_text())["count"] == 1270607
+    stored = json.loads((tmp_path / "primes_000020000000.sums.json").read_text())
+    assert stored["limit"] == 2 * 10**7 and len(stored["partials"]["1 / p"]) == 11   # blocks
     assert abs(cold2 - cold1) < 2**20 and abs(warm2 - warm1) < 2**20
     assert warm1 < 8 * 664579           # the 1e7 table's bytes
 
 
 def _assert_1e7_pinned(cache_dir):
-    # 664,579 primes, so 11 chunks of the summation; values from before the
-    # sums were evaluated chunk by chunk, as float.hex
+    # 664,579 primes in 6 blocks, each sum correctly rounded, as float.hex
     lp, rp = pr.mertens_sums(10**7, cache_dir=cache_dir)
-    assert (lp.hex(), rp.hex()) == ("0x1.d924752d6bd33p+3", "0x1.854e369c8494cp+1")
+    assert (lp.hex(), rp.hex()) == ("0x1.d924752d6bd33p+3", "0x1.854e369c8494dp+1")
     assert pr.v_xh(1e7, 0.2, cache_dir=cache_dir).value.hex() == "0x1.a6fe730127f56p-1"
     assert pr.v_xh(1e7, 0.39, cache_dir=cache_dir).value.hex() == "0x1.248becb9c7a6cp+0"
 
 
 def test_prime_sums_at_1e7_pinned(tmp_path):
     _assert_1e7_pinned(tmp_path)
+
+
+def test_prime_sums_are_fsum_of_their_terms():
+    """Each sum is math.fsum over its whole term array, which no cut of the
+    primes reaches: at 1e6 and 1e7, 1 / p read one ulp low when it was
+    rounded once per chunk of 65,536 primes."""
+    def fsums(x, hs):
+        p = pr.sieve_primes(x).primes.astype(float)
+        lnp = np.log(p)
+        terms = [lnp / p, 1.0 / p, *(np.sin(0.5 * h * lnp) ** 2 / p for h in hs)]
+        return [math.fsum(t.tolist()).hex() for t in terms]
+
+    (lp, rp), vxh = pr.prime_sums(10**6, (0.2, 0.39))
+    assert [lp.hex(), rp.hex(), *(v.value.hex() for v in vxh)] == fsums(10**6, (0.2, 0.39))
+    assert [v.hex() for v in pr.mertens_sums(10**7)] == fsums(10**7, ())
+
+
+def _blocks_1e7() -> list[np.ndarray]:
+    """The primes <= 1e7 by block: the base primes <= 3162, then one block per
+    2^21 numbers from 3163, the last ending at 1e7."""
+    primes = pr.sieve_primes(10**7).primes
+    return np.split(primes, np.searchsorted(primes, range(3163, 10**7, 2**21)))
 
 
 def _count_chunk_sums(monkeypatch) -> list[int]:
@@ -147,17 +169,25 @@ def _count_chunk_sums(monkeypatch) -> list[int]:
     return sizes
 
 
+def _pieces(blocks, terms: int) -> list[int]:
+    """The sizes of the chunks that accum sums a stream of blocks in, once for
+    each term of a chunk."""
+    return [min(accum.CHUNK, b.size - i) for b in blocks
+            for i in range(0, b.size, accum.CHUNK) for _ in range(terms)]
+
+
 def test_prime_sums_at_1e7_pinned_from_the_sidecar(tmp_path, monkeypatch):
     _assert_1e7_pinned(tmp_path)
     spath = tmp_path / "primes_000010000000.sums.json"
     assert len(json.loads(spath.read_text())["partials"]) == 4   # each call added its term
     summed = _count_chunk_sums(monkeypatch)
     _assert_1e7_pinned(tmp_path)
-    assert len(summed) == (2 + 1 + 1) * 3        # each term at 3 of its 11 chunks
+    sample = [_blocks_1e7()[i] for i in (0, 5)]
+    # each term over blocks 0 and 5 of 6: the Mertens pair, then each V(x;h)
+    assert summed == _pieces(sample, 2) + _pieces(sample, 1) * 2
 
 
 _SIDECAR = "primes_000010000000.sums.json"
-_LAST_CHUNK = 664579 - 10 * accum.CHUNK       # the 11th of the 1e7 chunks
 
 
 def _count_sieved(monkeypatch) -> list[tuple[int, int]]:
@@ -173,18 +203,22 @@ def _count_sieved(monkeypatch) -> list[tuple[int, int]]:
 
 
 def test_warm_prime_sums_resum_a_sample_of_chunks(tmp_path, monkeypatch):
+    """A warm sum re-sieves its sampled blocks from their bounds and re-sums
+    them, chunk by chunk."""
+    blocks = _blocks_1e7()
+    assert len(blocks) == 6
     summed = _count_chunk_sums(monkeypatch)
     cold = pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
-    assert len(summed) == 3 * 11
-    firsts = json.loads((tmp_path / _SIDECAR).read_text())["firsts"]
-    assert firsts == pr.sieve_primes(10**7).primes[:: accum.CHUNK].tolist()
+    assert summed == _pieces(blocks, 3)
+    assert [len(p) for p in json.loads((tmp_path / _SIDECAR).read_text())["partials"].values()
+            ] == [6, 6, 6]
     summed.clear()
     sieved = _count_sieved(monkeypatch)
     assert pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path) == cold
-    # chunks 0, 8 and 10 of 11, re-sieved from their first primes, each summed
-    # for its three terms
-    assert sieved == [(firsts[0], firsts[1]), (firsts[8], firsts[9]), (firsts[10], 10**7 + 1)]
-    assert summed == [accum.CHUNK] * 6 + [_LAST_CHUNK] * 3
+    # blocks 0 and 5 of 6, re-sieved from their bounds, each summed for its
+    # three terms
+    assert sieved == [(0, 3163), (3163 + 4 * 2**21, 10**7 + 1)]
+    assert summed == _pieces([blocks[0], blocks[5]], 3)
 
 
 def test_sums_that_fail_leave_no_sidecar(tmp_path, monkeypatch):
