@@ -9,9 +9,10 @@ Layout under a range directory (store format version 3):
 The checksum is a 64-bit BLAKE2b over the two CSV payloads in fixed order, so
 a single flipped byte in either file is caught at load time.  Heights and Z
 values are written with 17 significant digits and round-trip binary64
-exactly.  Past the checksum, a load requires the index columns to count
-0..n_max_gram and 1..zero_count, finite strictly ascending heights, finite Z,
-and the extent the manifest states.
+exactly.  Past the checksum, a load requires each file's header and rows of
+its width, index columns that count 0..n_max_gram and 1..zero_count, finite
+strictly ascending heights, finite Z, the extent the manifest states, and
+zeros above t_0 and below the last Gram point.
 
 A stored range is this code's output or it is rebuilt.  A load raises
 VersionMismatch for a manifest of another format version, and for a stored Z
@@ -20,7 +21,9 @@ Gram index below 512, which covers both Z routes, then every 1024th, and the
 last): another kernel moves every value, and its zeros with them; a change at
 an unsampled index alone is not detected.  `cached_table` rebuilds such a
 range and overwrites it, as it does a miss.  Damaged data is no such case:
-checksum, parse, column and extent faults raise.
+every fault of a stored range, whether of its checksum, header, rows,
+columns or extent, is a ChecksumMismatch.  ParseError is for external
+ordinate tables only.
 
 A save writes each file beside its place and renames it in, data before the
 manifest, and removes the old manifest first: a save cut short leaves no
@@ -32,9 +35,9 @@ it hashes both files _READ_BYTES at a time, counting their lines, and
 compares the checksum before it parses a row, so a damaged byte is a
 checksum mismatch; then it parses each file from the start, _CSV_ROWS rows
 at a time, into value columns sized from the counted lines, and checks them
-whole.  A bad row under a matching checksum is a ParseError that names its
-line in the file.  The parsed bytes are the hashed bytes because a save
-renames a new file into place and never writes a data file in place.
+whole; a block that does not parse is named by its lines.  The parsed bytes
+are the hashed bytes because a save renames a new file into place and never
+writes a data file in place.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from . import zeta
-from .errors import ChecksumMismatch, ParseError, VersionMismatch
+from .errors import ChecksumMismatch, VersionMismatch
 from .zeros import ZeroTable, certified_table, require_under_ceiling
 
 STORE_VERSION = 3
@@ -160,28 +163,15 @@ def _hash_lines(fh, hasher) -> int:
     return lines + (end != b"\n")
 
 
-def _bad_line(fh, what: str, width: int, line: int, count: int) -> ParseError:
-    """The fault of the first of the count lines of fh from line on that
-    does not hold width numbers."""
-    fh.seek(0)
-    for i, text in enumerate(islice(fh, line - 1, line - 1 + count), start=line):
-        text = text.decode("utf-8", "replace").rstrip("\n")
-        try:
-            if len([float(f) for f in text.split(",")]) != width:
-                raise ValueError(f"{width} fields expected")
-        except ValueError as exc:
-            return ParseError(f"{what}: {exc}", line=i)
-    return ParseError(f"{what}: rows do not parse")
-
-
 def _parse(fh, what: str, header: str, first: int, lines: int) -> list[np.ndarray]:
     """The value columns (height, then any Z) of the data file at fh, lines
-    long, parsed _CSV_ROWS rows at a time from its start.  ParseError at the
-    first bad line; ChecksumMismatch unless the index column counts up from
-    first, the heights are finite and strictly ascending, and any Z is finite."""
+    long, parsed _CSV_ROWS rows at a time from its start.  ChecksumMismatch
+    unless it opens with header, each block of rows parses as rows of the
+    header's width, the index column counts up from first, the heights are
+    finite and strictly ascending, and any Z is finite."""
     fh.seek(0)
     if fh.readline().rstrip(b"\n") != header.encode():
-        raise ParseError(f"{what}: missing {header} header", line=1)
+        raise ChecksumMismatch(f"{what}: line 1 is not the {header} header")
     width, rows = header.count(",") + 1, lines - 1
     values = [np.empty(rows) for _ in range(width - 1)]
     for a in range(0, rows, _CSV_ROWS):
@@ -193,7 +183,8 @@ def _parse(fh, what: str, header: str, first: int, lines: int) -> list[np.ndarra
             except ValueError:
                 pass
         if block is None or block.shape != (n, width):
-            raise _bad_line(fh, what, width, a + 2, n)
+            raise ChecksumMismatch(f"{what}: lines {a + 2}-{a + n + 1} are not rows "
+                                   f"of {width} numbers")
         if not np.array_equal(block[:, 0], np.arange(first + a, first + a + n)):
             raise ChecksumMismatch(f"{what}: index column is not {first}..{first + rows - 1}")
         for j, column in enumerate(values, start=1):
@@ -225,9 +216,9 @@ def load_manifest(path: str | Path) -> CacheManifest:
 
 def load_range(path: str | Path) -> tuple[ZeroTable, CacheManifest]:
     """Load a persisted range; verifies version, checksum, the columns, extent,
-    and that no zero lies above the last Gram point, the certified anchor of a
-    built table.  VersionMismatch unless the current kernel reproduces the
-    stored Z at `z_sample`."""
+    and that every zero lies above t_0 and below the last Gram point, the
+    certified anchor of a built table.  VersionMismatch unless the current
+    kernel reproduces the stored Z at `z_sample`."""
     path = Path(path)
     manifest = load_manifest(path)
     h = _hasher()
@@ -245,9 +236,10 @@ def load_range(path: str | Path) -> tuple[ZeroTable, CacheManifest]:
     if claimed != held:
         raise ChecksumMismatch(f"{path}: manifest (n_max_gram, zero_count, [t_max]) "
                                f"= {claimed}, data {held}")
-    if zeros.size and not zeros[-1] < gram[-1]:
-        raise ChecksumMismatch(f"{path}: zero {fmt_height(zeros[-1])} is not below "
-                               "the last Gram point")
+    if zeros.size and not gram[0] < zeros[0] <= zeros[-1] < gram[-1]:
+        raise ChecksumMismatch(f"{path}: zeros {fmt_height(zeros[0])} to "
+                               f"{fmt_height(zeros[-1])} do not lie above t_0 and "
+                               "below the last Gram point")
     idx = z_sample(gram.size)
     if zeta.hardy_z_many(gram[idx]).tobytes() != z_gram[idx].tobytes():
         raise VersionMismatch(f"{path}: stored Z is not the current kernel's")

@@ -120,15 +120,15 @@ class ZeroTable:
     certified; no zero lies above it.
     """
 
-    def __init__(self, gram, zeros, z_gram=None, diagnostics=None):
-        """Gram points and zeros, built or loaded, and Z at the Gram points if
-        known.  Every zero takes the uniform certified half-width: each final
-        bracket fits inside [t - 1e-9, t + 1e-9], so built and loaded tables
-        report the same bytes.  The flags and S at the Gram points are made
-        a block of entries at a time, with no whole-range temporary."""
+    def __init__(self, gram, zeros, z_gram, diagnostics=None):
+        """Gram points, zeros and Z at the Gram points, built or loaded.  Every
+        zero takes the uniform certified half-width: each final bracket fits
+        inside [t - 1e-9, t + 1e-9], so built and loaded tables report the
+        same bytes.  The flags and S at the Gram points are made a block of
+        entries at a time, with no whole-range temporary."""
         gram, zeros = np.asarray(gram, dtype=float), np.asarray(zeros, dtype=float)
         self.gram = gram                  # t_n, index = n
-        self.z_gram = z_gram              # Z(t_n), or None until first needed
+        self.z_gram = z_gram              # Z(t_n)
         self.zeros = zeros                # ascending ordinates, 1-based count
         self.bracket_half = np.broadcast_to(BRACKET_HALF_WIDTH, zeros.size)
         self.diagnostics = diagnostics or ScanDiagnostics()
@@ -177,9 +177,7 @@ class ZeroTable:
     # -- queries -----------------------------------------------------------
 
     def z_values(self) -> np.ndarray:
-        """Z at every Gram point, computed on first use for loaded tables."""
-        if self.z_gram is None:
-            self.z_gram = zeta.hardy_z_many(self.gram)
+        """Z at every Gram point."""
         return self.z_gram
 
     @property

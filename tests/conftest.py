@@ -1,5 +1,5 @@
 import hashlib
-import tempfile
+import shutil
 from pathlib import Path
 
 import pytest
@@ -17,48 +17,58 @@ def _digest(*names: str) -> str:
     return h.hexdigest()
 
 
-# persisted across pytest runs and keyed by the modules that decide a table's
-# Gram points and zeros and the format it is stored in, so a change to them
-# rebuilds; delete the directory to force a rebuild
-CACHE_ROOT = (Path(tempfile.gettempdir()) / "gramlab-test-cache-"
-              f"{_digest('theta_gram.py', 'zeta.py', 'zeros.py', 'store.py')}")
+@pytest.fixture(scope="session", autouse=True)
+def cache_root(request, tmp_path_factory) -> Path:
+    """The fixture cache, persisted across pytest runs under pytest's own
+    cache and keyed by the modules that decide a table's Gram points and
+    zeros, the format it is stored in, and the prime sums, so a change to
+    them starts a fresh cache; the caches of other digests are removed.  A
+    fresh temporary directory when pytest's cache is off (-p no:cacheprovider)."""
+    if not hasattr(request.config, "cache"):
+        return tmp_path_factory.mktemp("gramlab-cache")
+    root = request.config.cache.mkdir("gramlab")
+    digest = _digest("theta_gram.py", "zeta.py", "zeros.py", "store.py",
+                     "primes.py", "accum.py")
+    for old in root.iterdir():
+        if old.name != digest:
+            shutil.rmtree(old)
+    return root / digest
 
 
-def _cached_table(n_max: int) -> ZeroTable:
-    return store.cached_table(n_max, CACHE_ROOT / f"n{n_max}")
+def _cached_table(root: Path, n_max: int) -> ZeroTable:
+    return store.cached_table(n_max, root / f"n{n_max}")
 
 
 @pytest.fixture(scope="session")
-def cache_dir() -> Path:
-    """A persistent cache directory, keyed by the modules of the sieve and of
-    its sums too: the partials of the 1e8 sums are stored once, then re-checked
-    on a sample."""
-    return CACHE_ROOT / f"cache-{_digest('primes.py', 'accum.py')}"
+def cache_dir(cache_root) -> Path:
+    """A persistent cache directory: the partials of the 1e8 sums are stored
+    once, then re-checked on a sample."""
+    return cache_root / "cache"
 
 
 @pytest.fixture(scope="session")
-def table_small() -> ZeroTable:
+def table_small(cache_root) -> ZeroTable:
     """Certified through gram index 1200 (covers the Titchmarsh range)."""
-    return _cached_table(1200)
+    return _cached_table(cache_root, 1200)
 
 
 @pytest.fixture(scope="session")
-def table_mid() -> ZeroTable:
+def table_mid(cache_root) -> ZeroTable:
     """Certified through gram index 5100 (covers the classification trio)."""
-    return _cached_table(5100)
+    return _cached_table(cache_root, 5100)
 
 
 @pytest.fixture(scope="session")
-def table_full() -> ZeroTable:
+def table_full(cache_root) -> ZeroTable:
     """Certified through gram index 100030 (covers n <= 1e5 statistics)."""
-    return _cached_table(100030)
+    return _cached_table(cache_root, 100030)
 
 
 @pytest.fixture(scope="session")
-def cli_cache_dir(table_full, cache_dir) -> Path:
+def cli_cache_dir(table_full, cache_root, cache_dir) -> Path:
     """cache_dir with table_full's range as the range a --cache-dir run loads."""
     zrange = cache_dir / "zrange"
     if not zrange.exists():
         cache_dir.mkdir(parents=True, exist_ok=True)
-        zrange.symlink_to(CACHE_ROOT / "n100030", target_is_directory=True)
+        zrange.symlink_to(cache_root / "n100030", target_is_directory=True)
     return cache_dir

@@ -61,7 +61,7 @@ def test_ambiguity_from_a_zero_near_a_gram_point(table_small, shift, flagged):
     zeros = table_small.zeros.copy()
     planted = int(np.searchsorted(zeros, table_small.gram[50]))
     zeros[planted] = table_small.gram[50] + shift
-    table = ZeroTable(table_small.gram, zeros)
+    table = ZeroTable(table_small.gram, zeros, table_small.z_values())
     assert [r.n for r in gl.classify_intervals(table, 40, 60) if r.ambiguous] == flagged
     assert np.nonzero(table.zero_ambiguous)[0].tolist() == ([planted] if flagged else [])
     assert table.count_zeros(float(table.gram[50])).at_zero == bool(flagged)
