@@ -98,6 +98,17 @@ def _interval_additivity(tab: ZeroTable, top: int) -> tuple[bool, str]:
     return np.array_equal(counts[n0 + m0] - counts[n0], m0 + s[n0 + m0] - s[n0]), ""
 
 
+def _gram_parity(tab: ZeroTable, z: np.ndarray, top: int) -> tuple[bool, str]:
+    """(-1)^(n-1) Z(t_n) > 0 exactly when S(t_n+0) is even, for 1 <= n <= top:
+    Z changes sign at each zero, and Z(t_0) < 0 with no zero below t_0."""
+    n = np.arange(1, top + 1)
+    regular = np.where(n % 2 == 1, z[1 : top + 1], -z[1 : top + 1]) > 0.0
+    bad = np.nonzero(regular != (tab.s_gram[1 : top + 1] % 2 == 0))[0]
+    if bad.size:
+        return False, f"{bad.size} Gram points disagree, the first at n = {bad[0] + 1}"
+    return True, f"n <= {top}"
+
+
 def _first_moment(tab: ZeroTable, eps: float) -> tuple[bool, str]:
     fm = moments.first_moment(tab, 10000, 1000, epsilon=eps)
     return fm.sum > 0, f"sum = {fm.sum}, ratio = {fm.ratio:.4f}"
@@ -238,6 +249,8 @@ def _checks(ctx: RegressionContext, top: int) -> list[tuple]:
         ("interval_additivity", "zero count over m adjacent intervals "
          "equals m + S difference (10^4 random pairs)", "interval additivity", 3,
          lambda: _interval_additivity(tab, top)),
+        ("gram_parity", "(-1)^(n-1) Z(t_n) > 0 exactly when S(t_n+0) is even",
+         "gram parity", 1, lambda: _gram_parity(tab, z, top)),
         ("first_moment_positive", "sum |r(n)| strictly positive on (N, N+M]",
          moment_facts, 11000, lambda: _first_moment(tab, eps)),
         ("empty_count_identity", "M1 equals sum (|r|-r)/2 exactly", moment_facts, 11000,

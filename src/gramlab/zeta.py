@@ -10,8 +10,10 @@ Two independent evaluation routes:
   high precision; the heavy cancellation in the series division rules out
   float64 generation.
 * euler_maclaurin: classical zeta summation with Bernoulli corrections and a
-  rigorous tail estimate; serves as the cross-method oracle and the small-t
-  route.
+  rigorous tail estimate, one vector evaluation over an array of heights that
+  returns every Bernoulli row with its bound; serves as the cross-method
+  oracle (the first row that meets a target) and as the route below
+  RS_SWITCH_T (the row with the least bound).
 
 The main sum is taken from prime phases.  With C + iS = e^(i t ln n),
 2 sum_{n<=N} n^(-1/2) cos(theta - t ln n) = 2 (cos theta sum_n n^(-1/2) C
@@ -32,12 +34,12 @@ order that holds it to 1e-13.  The terms also give Z at the Gram points,
 bit for bit the direct sum.  One rule, `_em_heights`, picks the route at every
 height for `hardy_z`, `hardy_z_many` and `hardy_z_local` alike.
 
-The scalar Euler-Maclaurin path accumulates with math.fsum.  Riemann-Siegel
-has one implementation, the vectorized one (a scalar t is a 1-element array);
-its main sum adds the terms one after another in a fixed order of n, so a
-height's value does not depend on the slice it is evaluated in.  That sum
-rounds at ~1e-13 at our sum lengths, far below the reported error bounds,
-which are dominated by phase rounding at large t.
+Each route has one implementation, the vectorized one (a scalar t is a
+1-element array).  Both add their terms one after another in a fixed order
+of n, so a height's value does not depend on the call or the slice it is
+evaluated in.  The Riemann-Siegel sum rounds at ~1e-13 at our sum lengths,
+far below the reported error bounds, which are dominated by phase rounding
+at large t.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .theta_gram import T_MIN, _require_heights, theta, theta_many
 
 TWO_PI = 2.0 * math.pi
 
-RS_SWITCH_T = 30.0  # euler_maclaurin below, riemann_siegel above
+RS_SWITCH_T = 510.0  # euler_maclaurin below, riemann_siegel above
 EM_MAX_T = 5.0e4
 EM_MIN_TARGET = 1e-13
 
@@ -387,7 +389,7 @@ def hardy_z_local(c: np.ndarray):
             moments.imag[:, b0:b1] = (st * pc - ct * ps).T
     z_c += _rs_remainder(c, n_c, a - n_c)
     low = _em_heights(c)
-    z_c[low] = [hardy_z(float(t)).z for t in c[low]]
+    z_c[low] = _hardy_z_em(c[low])[0]
 
     def expand(ts: np.ndarray) -> np.ndarray:
         row = np.searchsorted(mid, ts)          # the nearer centre
@@ -433,17 +435,62 @@ def _bernoulli_over_fact(k_max: int = 32) -> list[float]:
     return [float(B[2 * k] / math.factorial(2 * k)) for k in range(1, k_max + 1)]
 
 
-_EM_N_MAX = 400_000
 _EM_K_MAX = 30
+
+
+def _euler_maclaurin(sigma: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """zeta(sigma + i t) at heights ts, one row per count of Bernoulli terms.
+
+    Returns (values, bounds), both (_EM_K_MAX - 1, ts.size).  Row k - 1 adds
+    the first k Bernoulli terms to the head sum_{n<N} n^(-s) and the boundary
+    terms N^(1-s)/(s-1) + N^(-s)/2, with N = max(24, floor(0.75|s|) + 1).
+    Its bound is the rigorous tail estimate
+    |R_k| <= |s+2k+1|/(sigma+2k+1) * |next term| plus a binary64
+    phase-rounding floor: the RMS of the terms' amplitude times t ln n, plus
+    the boundary terms' share.  The head takes cos and sin of t ln n at every
+    n, in slices of at most _Z_ELEMENTS heights x terms (one height at
+    least) taken in order of falling N, each as long as its first height's
+    sum, and adds its (C, S) pairs over n one after another as _main_sum
+    does; zero amplitudes pad a height past its N.  So a height's rows do
+    not depend on the other heights of the call or on the slice.
+    """
+    s = sigma + 1j * ts
+    N = np.maximum(24, (0.75 * np.abs(s)).astype(np.int64) + 1)
+    n = np.arange(1.0, N.max(initial=24))
+    amp = n ** -sigma
+    lnn = np.log(n)
+    head = np.empty(ts.size, dtype=complex)
+    order, i = np.argsort(-N, kind="stable"), 0
+    while i < ts.size:
+        top = int(N[order[i]]) - 1
+        rows = order[i : i + max(1, _Z_ELEMENTS // top)]
+        phase = np.multiply.outer(lnn[:top], ts[rows])
+        terms = np.stack([np.cos(phase), -np.sin(phase)], axis=-1)
+        terms *= np.where(n[:top, None] < N[rows], amp[:top, None], 0.0)[..., None]
+        head[rows] = np.add.reduce(terms, axis=0).view(complex)[:, 0]
+        i += rows.size
+    lnN = np.log(N)
+    unit = np.cos(ts * lnN) - 1j * np.sin(ts * lnN)
+    npow = np.exp(-sigma * lnN) * unit
+    value = head + npow * N / (s - 1) + 0.5 * npow
+    wsum = np.cumsum((amp * lnn) ** 2)[N - 2]
+    tail_amp = np.abs(npow) * lnN * (N / np.abs(s - 1) + 1.0)
+    rounding = 8.0 * 2.22e-16 * (1.0 + ts * (np.sqrt(wsum) + tail_amp))
+    # Bernoulli term k = 1.._EM_K_MAX, B_2k/(2k)! s(s+1)...(s+2k-2) N^(-s-2k+1);
+    # the last only bounds the row before it
+    k = np.arange(1, _EM_K_MAX + 1)[:, None]
+    rising = np.cumprod(s + np.arange(2.0 * _EM_K_MAX - 1)[:, None], axis=0)[::2]
+    terms = np.array(_bernoulli_over_fact()[:_EM_K_MAX])[:, None] * rising \
+        * np.exp((1.0 - sigma - 2 * k) * lnN) * unit
+    bounds = np.abs(s + 2 * k[:-1] + 1) / (sigma + 2 * k[:-1] + 1) * np.abs(terms[1:])
+    return value + np.cumsum(terms[:-1], axis=0), bounds + rounding
 
 
 def zeta_euler_maclaurin(sigma: float, t: float, target_err: float = 1e-12):
     """zeta(sigma + i t) with a remainder bound below target_err.
 
-    Returns (value, achieved_bound).  The bound combines the rigorous
-    Bernoulli-tail estimate |R_K| <= |s+2K+1|/(sigma+2K+1) * |next term|
-    with a binary64 phase-rounding floor; PrecisionError if no truncation
-    schedule can meet the target.
+    Returns (value, achieved_bound) from the first row of _euler_maclaurin
+    whose bound meets the target; PrecisionError if none does.
     """
     if not (0.4 <= sigma <= 3.0):
         raise PreconditionError(f"sigma must lie in [0.4, 3], got {sigma}")
@@ -454,59 +501,22 @@ def zeta_euler_maclaurin(sigma: float, t: float, target_err: float = 1e-12):
     s = complex(sigma, t)
     if s == 1:
         raise DomainError("zeta has a pole at s = 1")
-    bof = _bernoulli_over_fact()
-    N = max(24, int(0.75 * abs(s)) + 1)
-    while N <= _EM_N_MAX:
-        n = np.arange(1, N, dtype=float)
-        amp = n ** -sigma
-        phase = t * np.log(n)
-        head = complex(math.fsum((amp * np.cos(phase)).tolist()),
-                       -math.fsum((amp * np.sin(phase)).tolist()))
-        lnN = math.log(N)
-        Npow = math.exp(-sigma * lnN) * complex(math.cos(t * lnN), -math.sin(t * lnN))
-        value = head + Npow * N / (s - 1) + 0.5 * Npow
-
-        # phase-rounding floor: RMS of per-term amplitude * t ln n errors,
-        # plus the boundary terms' contribution
-        wsum = float(np.sum((amp * np.log(n)) ** 2))
-        tail_amp = abs(Npow) * lnN * (N / abs(s - 1) + 1.0)
-        rounding = 8.0 * 2.22e-16 * (1.0 + t * (math.sqrt(wsum) + tail_amp))
-        rising = s           # (s)(s+1)...(s+2k-2) for the current k
-        Nfac = Npow / N      # N^(-s-2k+1) for the current k
-        corr = 0.0j
-        best = None
-        prev_mag = math.inf
-        for k in range(1, _EM_K_MAX):
-            term = bof[k - 1] * rising * Nfac
-            mag = abs(term)
-            if mag >= prev_mag:
-                break  # asymptotic tail started growing; N too small for more
-            corr += term
-            prev_mag = mag
-            rising_next = rising * (s + 2 * k - 1) * (s + 2 * k)
-            nfac_next = Nfac / (N * N)
-            # rigorous bound on the rest via the first omitted term
-            nxt = abs(bof[k]) * abs(rising_next) * abs(nfac_next)
-            bound = abs(s + 2 * k + 1) / (sigma + 2 * k + 1) * nxt
-            if bound + rounding <= target_err:
-                best = (value + corr, bound + rounding)
-                break
-            rising, Nfac = rising_next, nfac_next
-        if best is not None:
-            return best
-        N *= 2
-    raise PrecisionError(
-        f"euler_maclaurin cannot reach target_err={target_err:g} at s={s} in binary64")
+    values, bounds = _euler_maclaurin(sigma, np.array([float(t)]))
+    met = np.nonzero(bounds[:, 0] <= target_err)[0]
+    if not met.size:
+        raise PrecisionError(
+            f"euler_maclaurin cannot reach target_err={target_err:g} at s={s} in binary64")
+    return complex(values[met[0], 0]), float(bounds[met[0], 0])
 
 
-def _hardy_z_em_scalar(t: float):
-    # keep the target above the phase-rounding floor at this height
-    ln_n = math.log(max(0.75 * t, 24.0))
-    floor = 8.0 * 2.22e-16 * (1.0 + t * math.sqrt(ln_n ** 3 / 3.0))
-    zeta_val, bound = zeta_euler_maclaurin(0.5, t, max(1e-11, 4.0 * floor))
-    th = theta(t).value
-    z = (complex(math.cos(th), math.sin(th)) * zeta_val).real
-    return z, bound
+def _hardy_z_em(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z at heights ts from the row of _euler_maclaurin with the least bound,
+    rotated by theta, and that bound."""
+    values, bounds = _euler_maclaurin(0.5, ts)
+    best = bounds.argmin(axis=0), np.arange(ts.size)
+    zeta = values[best]
+    th = theta_many(ts)
+    return np.cos(th) * zeta.real - np.sin(th) * zeta.imag, bounds[best]
 
 
 # ---------------------------------------------------------------------------
@@ -523,21 +533,22 @@ def hardy_z(t: float) -> ZEval:
     if not T_MIN <= t < math.inf:
         raise DomainError(f"hardy_z requires finite t >= {T_MIN}, got {t}")
     t = float(t)
+    ts = np.array([t])
     if _em_heights(t):
-        z, bound = _hardy_z_em_scalar(t)
-        return ZEval(t=t, z=z, err_bound=bound + 1e-12, method="euler_maclaurin")
-    z = float(_hardy_z_rs(np.array([t]))[0])
+        z, bound = _hardy_z_em(ts)
+        return ZEval(t=t, z=float(z[0]), err_bound=float(bound[0]), method="euler_maclaurin")
+    z = float(_hardy_z_rs(ts)[0])
     return ZEval(t=t, z=z, err_bound=float(rs_err_bound(t)), method="riemann_siegel")
 
 
 def _route(ts: np.ndarray, above) -> np.ndarray:
-    """Z at heights ts, by hardy_z's scalar route where _em_heights holds and
+    """Z at heights ts, by the Euler-Maclaurin rows where _em_heights holds and
     by `above`, a vectorized Riemann-Siegel form, on the rest."""
     low = _em_heights(ts)
     if not low.any():
         return above(ts)
     out = np.empty(ts.shape)
-    out[low] = [hardy_z(float(t)).z for t in ts[low]]
+    out[low] = _hardy_z_em(ts[low])[0]
     out[~low] = above(ts[~low])
     return out
 

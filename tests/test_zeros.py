@@ -46,6 +46,25 @@ def test_brackets_exhibit_strict_sign_change(table_built):
         assert lo * hi < 0.0
 
 
+def test_zeros_bracketed_by_euler_maclaurin(table_small):
+    """Z by the Euler-Maclaurin evaluation changes sign across every zero's
+    published half-width."""
+    zs = table_small.zeros
+    lo = zt._hardy_z_em(zs - zr.BRACKET_HALF_WIDTH)[0]
+    hi = zt._hardy_z_em(zs + zr.BRACKET_HALF_WIDTH)[0]
+    assert np.all(lo * hi < 0.0)
+
+
+@pytest.mark.slow
+def test_zeros_below_the_switch_against_zetazero(table_small):
+    """Every zero below RS_SWITCH_T lies within REFINE_WIDTH / 2, plus 1e-11
+    for the rounding of Z, of mpmath.zetazero at 25 digits."""
+    zs = table_small.zeros[table_small.zeros < zt.RS_SWITCH_T]
+    for n, t in enumerate(zs, start=1):
+        ref = float(mpmath.zetazero(n).imag)
+        assert abs(t - ref) <= zr.REFINE_WIDTH / 2 + 1e-11, n
+
+
 def test_hutchinson_empty_interval(table_built):
     g = table_built.gram
     assert table_built.find_zeros(float(g[126]), float(g[127])) == []
@@ -446,16 +465,17 @@ def test_table_construction_is_lean(table_full):
 
 
 # BLAKE2b-128 of the fixture tables' arrays, taken before the Gram solve was
-# blocked and the expansion's moments were stored a row per order
+# blocked and the expansion's moments were stored a row per order; zeros and
+# z_gram taken again when RS_SWITCH_T moved from 30 to 510
 TABLE_DIGESTS = {
     "table_small": {"gram": "cc8dcacaef150ba97edc03c9e29e781a",
-                    "zeros": "1da829265a99e53a85ebbe8ed3197aa2",
-                    "z_gram": "29cb8c6a160c013e9b4f3af2d92d0ade",
+                    "zeros": "791eb2459a75c205ccb45cdb4a0a44dd",
+                    "z_gram": "9a550b1ca5b1b6819651506db6857937",
                     "s_gram": "993d0e7548e07458b4095230059e933f",
                     "zero_ambiguous": "37e699432a6aeb33d37a14773c27923b"},
     "table_mid": {"gram": "5d5d50c046c1816a6eb665a5275719eb",
-                  "zeros": "a502701c06a97211cf652ea20915e229",
-                  "z_gram": "ce3611a5be1327a8de662057dba7120d",
+                  "zeros": "d5cb0b9c8bbace2e38a97b4f95bace02",
+                  "z_gram": "89c195ccafc73068c56890fbfdd3c9dc",
                   "s_gram": "d6b051562e5fef695e1a8c909874eb57",
                   "zero_ambiguous": "0dfcddd703bae85d08b2f749857e5cd8"},
 }

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -52,22 +53,19 @@ def _z_euler_maclaurin(t: float) -> tuple[float, float]:
 def test_cross_method_agreement():
     """Riemann-Siegel vs Euler-Maclaurin over the shared range from RS_SWITCH_T.
 
-    Above t = 200 (where the 4-correction truncation bound is below 1e-8)
-    the routes agree to 1e-8; below that they agree within the two reported
-    bounds.  Below RS_SWITCH_T hardy_z is the Euler-Maclaurin route itself.
+    There the 4-correction truncation bound is below 1e-9, and the routes
+    agree to 1e-8 and within the two reported bounds.  Below RS_SWITCH_T
+    hardy_z is the Euler-Maclaurin route itself.
     """
     rng = np.random.default_rng(7)
     worst = 0.0
-    for t in rng.uniform(200.0, 5e4, size=460):
+    for t in rng.uniform(zt.RS_SWITCH_T, 5e4, size=460):
         zrs = zt.hardy_z(float(t))
         assert zrs.method == "riemann_siegel"
-        worst = max(worst, abs(zrs.z - _z_euler_maclaurin(float(t))[0]))
-    assert worst < 1e-8
-    ts = rng.uniform(10.0, 200.0, size=40)
-    for t in ts[ts >= zt.RS_SWITCH_T]:
-        zrs = zt.hardy_z(float(t))
         zem, bound = _z_euler_maclaurin(float(t))
         assert abs(zrs.z - zem) <= zrs.err_bound + bound
+        worst = max(worst, abs(zrs.z - zem))
+    assert worst < 1e-8
 
 
 def test_vectorized_matches_scalar():
@@ -122,12 +120,11 @@ def test_em_at_100_against_independent_oracle_and_z():
     with mpmath.workdps(30):
         ref = complex(mpmath.zeta(mpmath.mpf("0.5") + 100j))
     assert abs(v - ref) < 1e-9
-    # rotating back through theta reproduces Z within the RS route's bound
-    ze = zt.hardy_z(100.0)
-    assert ze.method == "riemann_siegel"
+    # rotating back through theta reproduces Riemann-Siegel Z within its bound
+    z = float(zt._hardy_z_rs(np.array([100.0]))[0])
     theta_val = th.theta(100.0).value
-    lhs = complex(math.cos(theta_val), -math.sin(theta_val)) * ze.z
-    assert abs(v - lhs) <= ze.err_bound
+    lhs = complex(math.cos(theta_val), -math.sin(theta_val)) * z
+    assert abs(v - lhs) <= float(zt.rs_err_bound(100.0))
 
 
 def test_em_oracle_agreement_along_strip():
@@ -157,6 +154,67 @@ def test_em_preconditions():
 def test_em_precision_error_when_target_unreachable():
     with pytest.raises(PrecisionError):
         zt.zeta_euler_maclaurin(0.5, 5e4, 1e-13)
+
+
+# BLAKE2b-128 of the int8 Bernoulli term counts (-1 for PrecisionError) on the
+# grid below, frozen from the N-doubling search this evaluation replaced
+# (commit 7dc5e6c): 2737 calls succeed, every one at its first N, and 1619
+# raise
+EM_GRID_COUNTS = "271ab071e5a37442e404431ae771616c"
+
+
+def test_em_term_counts_on_the_grid():
+    """Every call of the old search that succeeded takes the same number of
+    Bernoulli terms, and every other call raises PrecisionError."""
+    sigmas, ts = np.linspace(0.4, 3.0, 6), np.linspace(0.0, 5e4, 121)
+    targets = np.geomspace(1e-13, 1e-6, 6)
+    counts = np.empty((sigmas.size, ts.size, targets.size), dtype=np.int8)
+    for i, sigma in enumerate(sigmas):
+        values, bounds = zt._euler_maclaurin(float(sigma), ts)
+        met = bounds[:, :, None] <= targets
+        counts[i] = np.where(met.any(axis=0), met.argmax(axis=0) + 1, -1)
+        # zeta_euler_maclaurin returns the first row that meets the target;
+        # the low heights keep its calls cheap
+        for j in range(11):
+            for target, k in zip(targets, counts[i, j]):
+                if k < 0:
+                    with pytest.raises(PrecisionError):
+                        zt.zeta_euler_maclaurin(float(sigma), float(ts[j]), float(target))
+                else:
+                    got = zt.zeta_euler_maclaurin(float(sigma), float(ts[j]), float(target))
+                    assert got == (values[k - 1, j], bounds[k - 1, j])
+    assert np.count_nonzero(counts[:, :11] < 0) and np.count_nonzero(counts[:, :11] > 0)
+    assert hashlib.blake2b(counts.tobytes(), digest_size=16).hexdigest() == EM_GRID_COUNTS
+
+
+def test_em_route_within_bound_against_oracle():
+    """Forty seeded heights below RS_SWITCH_T, where Z is Euler-Maclaurin's."""
+    with mpmath.workdps(20):
+        for t in np.random.default_rng(20261020).uniform(zt.T_MIN, zt.RS_SWITCH_T, 40):
+            ze = zt.hardy_z(float(t))
+            assert ze.method == "euler_maclaurin"
+            assert abs(ze.z - siegelz_oracle(float(t))) <= ze.err_bound
+
+
+def test_em_route_bits_do_not_depend_on_the_call():
+    """A height below RS_SWITCH_T has the same Z alone, in a long call of
+    several slices, in a short call of one, and mixed with Riemann-Siegel
+    heights."""
+    rng = np.random.default_rng(20261021)
+    ts = rng.uniform(zt.T_MIN, zt.RS_SWITCH_T, 300)
+    alone = np.array([zt.hardy_z_many(np.array([t]))[0] for t in ts])
+    # sums of up to 382 terms: the 300 heights take more than one slice, and
+    # reversed, each height takes another place in its slice
+    assert ts.size > zt._Z_ELEMENTS // int(0.75 * ts.max())
+    assert np.array_equal(zt.hardy_z_many(ts), alone)
+    assert np.array_equal(zt.hardy_z_many(ts[::-1]), alone[::-1])
+    # below t = 32 every sum has 23 terms, and these heights are one slice
+    low = ts < 32.0
+    assert np.array_equal(zt.hardy_z_many(ts[low]), alone[low])
+    order = rng.permutation(600)
+    mixed = np.empty(600)
+    mixed[order] = zt.hardy_z_many(np.r_[ts, rng.uniform(zt.RS_SWITCH_T, 1e5, 300)][order])
+    assert np.array_equal(mixed[:300], alone)
 
 
 def test_half_line_identities(table_small):
@@ -283,12 +341,12 @@ def test_local_expansion_evaluation_is_flat():
     assert peak - out.nbytes <= 2 * 2**20
 
 
-@pytest.mark.parametrize("n_lo, count", [(4, 20), (4, 4096), (90000, 4096)])
+@pytest.mark.parametrize("n_lo, count", [(277, 20), (277, 4096), (90000, 4096)])
 def test_local_expansion_order_meets_its_remainder_bound(n_lo, count):
     """K is the least order whose proven tail bound is 1e-13, and it holds."""
     g = th.gram_points(n_lo + count, n_lo)
-    # G_4 is the lowest Gram interval above RS_SWITCH_T, and the widest
-    assert g[0] >= zt.RS_SWITCH_T > th.gram_point(3).t
+    # G_277 is the lowest Gram interval above RS_SWITCH_T, and the widest
+    assert g[0] >= zt.RS_SWITCH_T > th.gram_point(276).t
     n_top = int(math.sqrt(g[-1] / zt.TWO_PI))
     # a height takes the nearer Gram point c: |h| is at most half the wider
     # gap beside c, and the expanded sum runs to N(c)
@@ -308,12 +366,18 @@ def test_local_expansion_order_meets_its_remainder_bound(n_lo, count):
     assert tail(order) <= 1e-13 < tail(order - 1)
     z = zt.hardy_z_local(g)
     assert z.order == order
-    if count == 20:
-        # below t = 100 both kernels round near 1e-14, so the expansion at the
-        # midpoints of the Gram intervals, where |h| is largest, shows its own
-        # truncation
-        mid = 0.5 * (g[:-1] + g[1:])
-        assert np.max(np.abs(z(mid) - zt.hardy_z_many(mid))) <= 2e-13
+
+
+def test_local_expansion_shows_its_own_truncation_below_t_100(monkeypatch):
+    """Below t = 100 both Riemann-Siegel kernels round near 1e-14, so the
+    expansion at the midpoints of the Gram intervals, where |h| is largest,
+    shows its own truncation.  Euler-Maclaurin serves those heights, so the
+    switch is moved down to T_MIN to reach both kernels there."""
+    monkeypatch.setattr(zt, "RS_SWITCH_T", zt.T_MIN)
+    g = th.gram_points(24, 4)
+    z = zt.hardy_z_local(g)
+    mid = 0.5 * (g[:-1] + g[1:])
+    assert np.max(np.abs(z(mid) - zt.hardy_z_many(mid))) <= 2e-13
 
 
 @pytest.mark.parametrize("k", [3, 10, 40, 100])
