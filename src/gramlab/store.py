@@ -1,15 +1,17 @@
 """Persistence of computed Gram points, Z at them, and zeros.
 
-Layout under a range directory (store format version 3):
+Layout under a range directory (store format version 4):
 
     gram.csv      index,t,z rows: Gram point t_n and Z(t_n) for n = 0..n_max_gram
     zeros.csv     index,t rows: zero ordinates, indexed from 1
     manifest.json version, extent, creation time, checksum
 
-The checksum is a 64-bit BLAKE2b over the two CSV payloads in fixed order, so
-a single flipped byte in either file is caught at load time.  Heights and Z
-values are written with 17 significant digits and round-trip binary64
-exactly.  Past the checksum, a load requires each file's header and rows of
+Each data row has a fixed width, such as `000000,40235574f9068e14,bff882566514afd2`:
+the index zero-padded to the width of the file's last index, then each
+value's IEEE-754 binary64 bits as 16 lowercase hex digits, so no bit passes
+through a decimal.  The checksum is a 64-bit BLAKE2b over the two CSV
+payloads in fixed order, so a single flipped byte in either file is caught at
+load time.  Past the checksum, a load requires each file's header and rows of
 its width, index columns that count 0..n_max_gram and 1..zero_count, finite
 strictly ascending heights, finite Z, the extent the manifest states, and
 zeros above t_0 and below the last Gram point.
@@ -29,15 +31,16 @@ A save writes each file beside its place and renames it in, data before the
 manifest, and removes the old manifest first: a save cut short leaves no
 manifest, so the range is rebuilt rather than read.
 
-Neither direction holds a whole file.  A save formats, hashes and writes
-_CSV_ROWS rows at a time.  A load opens each file once and reads it twice:
-it hashes both files _READ_BYTES at a time, counting their lines, and
+Neither direction holds a whole file.  A save encodes, hashes and writes
+_CSV_ROWS rows at a time, each block one uint8 array.  A load opens each file
+once and reads it twice: it hashes both files _READ_BYTES at a time and
 compares the checksum before it parses a row, so a damaged byte is a
 checksum mismatch; then it parses each file from the start, _CSV_ROWS rows
-at a time, into value columns sized from the counted lines, and checks them
-whole; a block that does not parse is named by its lines.  The parsed bytes
-are the hashed bytes because a save renames a new file into place and never
-writes a data file in place.
+at a time, into value columns.  The row width comes from the first data row
+and the row count from the file size; every row's commas, newline, hex digits
+and index are checked block by block, so a block that does not parse is
+named by its lines.  The parsed bytes are the hashed bytes because a save
+renames a new file into place and never writes a data file in place.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -57,13 +60,17 @@ from . import zeta
 from .errors import ChecksumMismatch, VersionMismatch
 from .zeros import ZeroTable, certified_table, require_under_ceiling
 
-STORE_VERSION = 3
+STORE_VERSION = 4
 _GRAM_HEADER = "index,t,z"
 _ZEROS_HEADER = "index,t"
 _Z_SAMPLE_HEAD = 512     # Gram indices re-evaluated in full: t < 827, both Z routes
 _Z_SAMPLE_STRIDE = 1024  # then every this many, and the last
-_CSV_ROWS = 4096         # rows per format call and written block
-_READ_BYTES = 1 << 16    # bytes per read of a data file
+_CSV_ROWS = 4096         # rows per encoded or parsed block
+_READ_BYTES = 1 << 16    # bytes per read of a data file while hashing
+# a byte -> its two lowercase hex digits; an ASCII byte -> its hex value, 16 if none
+_HEX = np.frombuffer(b"".join(b"%02x" % i for i in range(256)), np.uint8).reshape(256, 2)
+_NIBBLE = np.array([int(chr(c), 16) if chr(c) in "0123456789abcdef" else 16
+                    for c in range(256)], np.uint8)
 
 
 @dataclass(frozen=True)
@@ -92,17 +99,30 @@ def _digest(gram_bytes: bytes, zero_bytes: bytes) -> str:
     return h.hexdigest()
 
 
-def _csv(hasher, header: str, row: str, first: int, *columns: np.ndarray
-         ) -> Iterator[bytes]:
-    """header, then row %-formatted with (index, *values) for each entry of
-    columns, indexed from first, as blocks of _CSV_ROWS rows; each block is
-    added to hasher as it is made."""
-    n = len(columns[0])
+def _index(lo: int, hi: int, digits: int) -> np.ndarray:
+    """The indices lo..hi-1 as rows of ASCII decimal digits, zero-padded to digits."""
+    scale = 10 ** np.arange(digits - 1, -1, -1)
+    return (np.arange(lo, hi)[:, None] // scale % 10 + ord("0")).astype(np.uint8)
+
+
+def _csv(hasher, header: str, first: int, *columns: np.ndarray) -> Iterator[bytes]:
+    """header, then a row for each entry of columns, indexed from first: the
+    index zero-padded to the width of the last, then each value's binary64
+    bits as 16 hex digits; as blocks of _CSV_ROWS rows, each added to hasher
+    as it is made."""
+    n, k = len(columns[0]), len(columns)
+    digits = len(str(first + n - 1))
 
     def rows(a: int) -> bytes:
         b = min(a + _CSV_ROWS, n)
-        fields = zip(range(first + a, first + b), *(c[a:b].tolist() for c in columns))
-        return (row * (b - a) % tuple(chain.from_iterable(fields))).encode()
+        block = np.empty((b - a, digits + 17 * k + 1), np.uint8)
+        block[:, :digits] = _index(first + a, first + b, digits)
+        fields = block[:, digits:-1].reshape(b - a, k, 17)     # a view: ",", 16 digits
+        fields[:, :, 0] = ord(",")
+        bits = np.stack([c[a:b] for c in columns], axis=1).astype(">f8").view(np.uint8)
+        fields[:, :, 1:] = _HEX.take(bits, axis=0).reshape(b - a, k, 16)
+        block[:, -1] = ord("\n")
+        return block.tobytes()
 
     for block in chain([(header + "\n").encode()], map(rows, range(0, n, _CSV_ROWS))):
         hasher.update(block)
@@ -136,10 +156,8 @@ def save_range(table: ZeroTable, path: str | Path) -> CacheManifest:
     z = table.z_values()
     h = _hasher()
     (path / "manifest.json").unlink(missing_ok=True)
-    write_replacing(path / "gram.csv", _csv(h, _GRAM_HEADER, "%d,%.17g,%.17g\n", 0,
-                                            table.gram, z))
-    write_replacing(path / "zeros.csv", _csv(h, _ZEROS_HEADER, "%d,%.17g\n", 1,
-                                             table.zeros))
+    write_replacing(path / "gram.csv", _csv(h, _GRAM_HEADER, 0, table.gram, z))
+    write_replacing(path / "zeros.csv", _csv(h, _ZEROS_HEADER, 1, table.zeros))
     manifest = CacheManifest(
         version=STORE_VERSION,
         n_max_gram=int(table.gram.size - 1),
@@ -153,42 +171,47 @@ def save_range(table: ZeroTable, path: str | Path) -> CacheManifest:
     return manifest
 
 
-def _hash_lines(fh, hasher) -> int:
-    """Add the file at fh to hasher, _READ_BYTES at a time; the number of
-    lines it holds, an unterminated last line included."""
-    lines, end = 0, b"\n"
-    while chunk := fh.read(_READ_BYTES):
-        hasher.update(chunk)
-        lines, end = lines + chunk.count(b"\n"), chunk[-1:]
-    return lines + (end != b"\n")
-
-
-def _parse(fh, what: str, header: str, first: int, lines: int) -> list[np.ndarray]:
-    """The value columns (height, then any Z) of the data file at fh, lines
-    long, parsed _CSV_ROWS rows at a time from its start.  ChecksumMismatch
-    unless it opens with header, each block of rows parses as rows of the
-    header's width, the index column counts up from first, the heights are
-    finite and strictly ascending, and any Z is finite."""
+def _parse(fh, what: str, header: str, first: int) -> list[np.ndarray]:
+    """The value columns (height, then any Z) of the data file at fh, parsed
+    _CSV_ROWS rows at a time from its start.  ChecksumMismatch unless it opens
+    with header, each block holds rows as wide as the first (the last may lack
+    its newline), each an index, a comma and 16 hex digits per value, and a
+    newline, the index column counts up from first, zero-padded to the width
+    of the last index, the heights are finite and strictly ascending, and any
+    Z is finite."""
     fh.seek(0)
     if fh.readline().rstrip(b"\n") != header.encode():
         raise ChecksumMismatch(f"{what}: line 1 is not the {header} header")
-    width, rows = header.count(",") + 1, lines - 1
-    values = [np.empty(rows) for _ in range(width - 1)]
+    start = fh.tell()
+    width = len(fh.readline().rstrip(b"\n")) + 1
+    rows = -(-(fh.seek(0, os.SEEK_END) - start) // width)
+    fh.seek(start)
+    k = header.count(",")
+    digits = width - 1 - 17 * k
+    last = first + rows - 1
+    values = [np.empty(rows) for _ in range(k)]
     for a in range(0, rows, _CSV_ROWS):
         n = min(_CSV_ROWS, rows - a)
-        text, block = list(islice(fh, n)), None
-        if any(map(bytes.strip, text)):     # np.loadtxt warns on a block of blank lines
-            try:
-                block = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                pass
-        if block is None or block.shape != (n, width):
+        raw = fh.read(n * width)
+        if len(raw) == n * width - 1:       # only the last block is short: no final newline
+            raw += b"\n"
+        block = np.frombuffer(raw, np.uint8)
+        parsed = digits > 0 and block.size == n * width
+        if parsed:
+            block = block.reshape(n, width)
+            fields = block[:, digits:-1].reshape(n, k, 17)
+            nibbles = _NIBBLE.take(fields[:, :, 1:])
+            parsed = ((block[:, -1] == ord("\n")).all() and (fields[:, :, 0] == ord(",")).all()
+                      and (nibbles < 16).all())
+        if not parsed:
             raise ChecksumMismatch(f"{what}: lines {a + 2}-{a + n + 1} are not rows "
-                                   f"of {width} numbers")
-        if not np.array_equal(block[:, 0], np.arange(first + a, first + a + n)):
-            raise ChecksumMismatch(f"{what}: index column is not {first}..{first + rows - 1}")
-        for j, column in enumerate(values, start=1):
-            column[a : a + n] = block[:, j]
+                                   f"of {k + 1} numbers")
+        if not np.array_equal(block[:, :digits], _index(first + a, first + a + n,
+                                                         len(str(last)))):
+            raise ChecksumMismatch(f"{what}: index column is not {first}..{last}")
+        bits = nibbles[:, :, 0::2] << 4 | nibbles[:, :, 1::2]
+        for j, column in enumerate(values):
+            column[a : a + n] = bits.view(">f8")[:, j, 0]
     if not all(np.isfinite(column).all() for column in values):
         raise ChecksumMismatch(f"{what}: a height or Z value is not finite")
     if not (values[0][1:] > values[0][:-1]).all():
@@ -224,11 +247,13 @@ def load_range(path: str | Path) -> tuple[ZeroTable, CacheManifest]:
     h = _hasher()
     try:
         with open(path / "gram.csv", "rb") as g, open(path / "zeros.csv", "rb") as zs:
-            lines = [_hash_lines(fh, h) for fh in (g, zs)]
+            for fh in (g, zs):
+                while chunk := fh.read(_READ_BYTES):
+                    h.update(chunk)
             if h.hexdigest() != manifest.checksum:
                 raise ChecksumMismatch(f"{path}: data does not match manifest checksum")
-            gram, z_gram = _parse(g, "gram.csv", _GRAM_HEADER, 0, lines[0])
-            (zeros,) = _parse(zs, "zeros.csv", _ZEROS_HEADER, 1, lines[1])
+            gram, z_gram = _parse(g, "gram.csv", _GRAM_HEADER, 0)
+            (zeros,) = _parse(zs, "zeros.csv", _ZEROS_HEADER, 1)
     except FileNotFoundError as exc:
         raise ChecksumMismatch(f"{exc.filename}: missing from the range") from None
     claimed = (manifest.n_max_gram, manifest.zero_count, [manifest.t_max])

@@ -1,5 +1,6 @@
 import hashlib
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,11 @@ import pytest
 import gramlab
 from gramlab import store
 from gramlab.zeros import ZeroTable
+
+
+def hex_bits(x: float) -> str:
+    """x's binary64 bits as 16 lowercase hex digits, as a stored range holds it."""
+    return struct.pack(">d", x).hex()
 
 
 def _digest(*names: str) -> str:

@@ -38,6 +38,8 @@ from gramlab import primes as pr
 from gramlab.errors import ChecksumMismatch, GramLabError, VersionMismatch
 from gramlab.zeros import ZeroTable
 
+from conftest import hex_bits
+
 N_LIMIT = 100000
 
 
@@ -261,12 +263,18 @@ STORE_FAULTS = [
                                  ("t_max_1e6", "t_max", 1e6)]),
     # any other version is another format, read before the fields are checked
     *(StoreFault(f"version_{name}", _manifest(lambda m, v=version: m.update(version=v)),
-                 VersionMismatch, f"manifest.json: store version {version}, supported 3")
-      for name, version in [("1", 1), ("2", 2), ("4", 4), ("3_a_string", "3")]),
+                 VersionMismatch, f"manifest.json: store version {version}, supported 4")
+      for name, version in [("1", 1), ("2", 2), ("3", 3), ("5", 5), ("4_a_string", "4")]),
     StoreFault("gram_csv_bad_header", _rows("gram.csv", lambda ls: _set(ls, 0, 0, "idx")),
                ChecksumMismatch, "gram.csv: line 1 is not the index,t,z header"),
     StoreFault("zeros_csv_bad_row_3", _rows("zeros.csv", lambda ls: _set(ls, 2, 1, "x")),
                ChecksumMismatch, "zeros.csv: lines 2-101 are not rows of 2 numbers"),
+    StoreFault("gram_csv_line_501_one_byte_short",
+               _rows("gram.csv", lambda ls: ls.__setitem__(500, ls[500][:-2] + "\n")),
+               ChecksumMismatch, "gram.csv: lines 402-501 are not rows of 3 numbers"),
+    StoreFault("zeros_csv_uppercase_hex_line_700",
+               _rows("zeros.csv", lambda ls: _set(ls, 699, 1, _field(ls, 699, 1).upper())),
+               ChecksumMismatch, "zeros.csv: lines 602-701 are not rows of 2 numbers"),
     StoreFault("gram_csv_bad_height_line_901",
                _rows("gram.csv", lambda ls: _set(ls, 900, 1, "1.5x")),
                ChecksumMismatch, "gram.csv: lines 802-901 are not rows of 3 numbers"),
@@ -281,7 +289,8 @@ STORE_FAULTS = [
                ChecksumMismatch, "zeros.csv: lines 2-2 are not rows of 2 numbers"),
     StoreFault("zeros_csv_rows_swapped", _rows("zeros.csv", lambda ls: _swap_lines(ls, 5, 6)),
                ChecksumMismatch, "zeros.csv: index column is not 1..1240"),
-    StoreFault("gram_csv_index_7_at_row_3", _rows("gram.csv", lambda ls: _set(ls, 3, 0, "7")),
+    StoreFault("gram_csv_index_7_at_row_3",
+               _rows("gram.csv", lambda ls: _set(ls, 3, 0, "0007")),
                ChecksumMismatch, "gram.csv: index column is not 0..1240"),
     StoreFault("zeros_csv_heights_swapped",
                _rows("zeros.csv", lambda ls: _swap_heights(ls, 5, 6)),
@@ -292,16 +301,20 @@ STORE_FAULTS = [
     StoreFault("gram_csv_heights_swapped_across_blocks",
                _rows("gram.csv", lambda ls: _swap_heights(ls, 100, 101)),
                ChecksumMismatch, "gram.csv: heights are not strictly ascending"),
-    StoreFault("gram_csv_height_nan", _rows("gram.csv", lambda ls: _set(ls, 9, 1, "nan")),
+    StoreFault("gram_csv_height_nan",
+               _rows("gram.csv", lambda ls: _set(ls, 9, 1, hex_bits(math.nan))),
                ChecksumMismatch, "gram.csv: a height or Z value is not finite"),
-    StoreFault("gram_csv_z_inf", _rows("gram.csv", lambda ls: _set(ls, 9, 2, "inf")),
+    StoreFault("gram_csv_z_inf",
+               _rows("gram.csv", lambda ls: _set(ls, 9, 2, hex_bits(math.inf))),
                ChecksumMismatch, "gram.csv: a height or Z value is not finite"),
-    StoreFault("zeros_csv_height_nan", _rows("zeros.csv", lambda ls: _set(ls, 9, 1, "nan")),
+    StoreFault("zeros_csv_height_nan",
+               _rows("zeros.csv", lambda ls: _set(ls, 9, 1, hex_bits(math.nan))),
                ChecksumMismatch, "zeros.csv: a height or Z value is not finite"),
     StoreFault("zero_above_the_last_gram_point",
-               _rows("zeros.csv", lambda ls: _set(ls, -1, 1, "1e6")),
+               _rows("zeros.csv", lambda ls: _set(ls, -1, 1, hex_bits(1e6))),
                ChecksumMismatch, _ZERO_SPAN),
-    StoreFault("first_zero_below_t_0", _rows("zeros.csv", lambda ls: _set(ls, 1, 1, "9.5")),
+    StoreFault("first_zero_below_t_0",
+               _rows("zeros.csv", lambda ls: _set(ls, 1, 1, hex_bits(9.5))),
                ChecksumMismatch, _ZERO_SPAN),
     StoreFault("first_zero_on_t_0", _first_zero_on_t_0, ChecksumMismatch, _ZERO_SPAN),
 ]

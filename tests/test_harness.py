@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import gramlab
 from gramlab import cli, primes, regression, store, zeta
@@ -19,6 +20,8 @@ from gramlab import ingest as ing
 from gramlab.errors import ChecksumMismatch, ParseError, VersionMismatch
 from gramlab.reports import Report, render, to_csv, to_json
 from gramlab.zeros import HEADROOM, ScanDiagnostics, ZeroTable
+
+from conftest import hex_bits
 
 
 def test_save_load_roundtrip(table_small, tmp_path):
@@ -28,7 +31,7 @@ def test_save_load_roundtrip(table_small, tmp_path):
     assert np.array_equal(loaded.zeros, table_small.zeros)
     assert np.array_equal(loaded.s_gram, table_small.s_gram)
     assert man2.checksum == man.checksum
-    assert man2.version == store.STORE_VERSION == 3
+    assert man2.version == store.STORE_VERSION == 4
     assert json.loads((tmp_path / "rng" / "manifest.json").read_text()).keys() \
         == {"version", "n_max_gram", "t_max", "zero_count", "created", "checksum"}
     assert man2.zero_count == table_small.zeros.size
@@ -43,6 +46,27 @@ def test_heights_roundtrip_binary64(table_small, tmp_path):
     assert loaded.zeros.tobytes() == table_small.zeros.tobytes()
     assert loaded.gram.tobytes() == table_small.gram.tobytes()
     assert loaded.z_values().tobytes() == table_small.z_values().tobytes()
+
+
+def _through_the_codec(header: str, first: int, *columns: np.ndarray) -> list[np.ndarray]:
+    """columns written as one data file by the block writer, then parsed back,
+    7 rows a block."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(store, "_CSV_ROWS", 7)
+        fh = io.BytesIO(b"".join(store._csv(store._hasher(), header, first, *columns)))
+        return store._parse(fh, "data.csv", header, first)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+def test_every_finite_bit_pattern_roundtrips(patterns):
+    # -0.0, the smallest subnormal and the largest finite value, then the drawn ones
+    values = np.array([1 << 63, 1, 0x7FEF_FFFF_FFFF_FFFF, *patterns], np.uint64).view(float)
+    z = values[np.isfinite(values)]
+    _, z_back = _through_the_codec(store._GRAM_HEADER, 0, np.arange(z.size, dtype=float), z)
+    (heights,) = _through_the_codec(store._ZEROS_HEADER, 1, np.unique(z))
+    assert z_back.tobytes() == z.tobytes()
+    assert heights.tobytes() == np.unique(z).tobytes()
 
 
 def _rewrite(rng: Path, name: str, edit) -> None:
@@ -102,9 +126,9 @@ def test_order_is_checked_across_read_blocks(table_small, tmp_path, monkeypatch,
         store.load_range(rng)
 
 
-def _move_heights(lines, by):
-    for row in range(1, len(lines)):
-        _set(lines, row, 1, store.fmt_height(float(_field(lines, row, 1)) + by))
+def _move_heights(lines, heights, by):
+    for row, t in enumerate(heights, start=1):
+        _set(lines, row, 1, hex_bits(t + by))
 
 
 def test_unterminated_last_row_and_header_only_zeros_load(table_small, tmp_path,
@@ -199,10 +223,10 @@ def _of_another_kernel(rng: Path, table: ZeroTable) -> None:
     """Move every stored zero by 3e-7, 300 published half-widths, and one
     sampled stored Z value by an ulp, as another kernel would; the checksum
     is made to agree."""
-    _rewrite(rng, "zeros.csv", lambda ls: _move_heights(ls, 3e-7))
+    _rewrite(rng, "zeros.csv", lambda ls: _move_heights(ls, table.zeros, 3e-7))
     row = 1 + store.z_sample(table.gram.size)[-2]
     z_row = np.nextafter(table.z_values()[row - 1], np.inf)
-    _rewrite(rng, "gram.csv", lambda ls: _set(ls, row, 2, store.fmt_height(z_row)))
+    _rewrite(rng, "gram.csv", lambda ls: _set(ls, row, 2, hex_bits(z_row)))
 
 
 def test_stored_z_that_the_kernel_does_not_reproduce_is_a_version_mismatch(table_small,
@@ -210,7 +234,8 @@ def test_stored_z_that_the_kernel_does_not_reproduce_is_a_version_mismatch(table
     rng = tmp_path / "rng"
     store.save_range(table_small, rng)
     _of_another_kernel(rng, table_small)
-    loaded = np.loadtxt(rng / "zeros.csv", delimiter=",", skiprows=1)[:, 1]
+    rows = (rng / "zeros.csv").read_text().splitlines()[1:]
+    loaded = np.frombuffer(bytes.fromhex("".join(row.split(",")[1] for row in rows)), ">f8")
     assert np.abs(loaded - table_small.zeros - 3e-7).max() < 1e-12
     with pytest.raises(VersionMismatch, match="stored Z"):
         store.load_range(rng)
@@ -224,11 +249,11 @@ def test_version_1_range_loads_and_recomputes_z(table_small, tmp_path):
     store.save_range(table_small, rng)
     _as_version_1(rng, table_small)
     gram = rng / "gram.csv"
-    assert gram.read_text().startswith("index,t\n0,")
+    assert gram.read_text().startswith("index,t\n0000,")
     with pytest.raises(VersionMismatch):
         store.load_range(rng)
     served = store.cached_table(1200, rng)
-    assert gram.read_text().startswith("index,t,z\n0,")
+    assert gram.read_text().startswith("index,t,z\n0000,")
     loaded, man = store.load_range(rng)
     assert man.version == store.STORE_VERSION
     for table in (served, loaded):
