@@ -229,6 +229,7 @@ _RANGE_QUERIES = {
     "adjacent": lambda t, n: moments.adjacent_difference_moment(t, _cfg(n)),
     "first": lambda t, n: moments.first_moment(t, n - 11, 11),
     "alternating": lambda t, n: moments.alternating_sum(t, _cfg(n)),
+    "counts": lambda t, n: moments.empty_and_crowded_counts(t, n - 11, 11),
     "titchmarsh": lambda t, n: moments.titchmarsh_correlation(t, n),
     "residual": lambda t, n: primes.residual_moments(t, n - 11, 11, 1, y=10.0),
 }

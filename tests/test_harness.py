@@ -564,6 +564,52 @@ def test_cli_verify_paper_1e5_pinned(cli_cache_dir, tmp_path):
     assert r.stdout == (Path(__file__).parent / "data" / "verify_paper_1e5.json").read_text()
 
 
+def _gramlab(args, capsys):
+    """`gramlab args` in process: its stdout, its stderr and its exit code."""
+    code = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "argv", ["gramlab", *args])
+        try:
+            cli.entry()
+        except SystemExit as exc:
+            code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+_R = ["--start-n", "1000", "--length-m", "500"]
+_MOMENT_COMMANDS = [
+    ["moments", "--kind", "block", *_R, "--shift-m", "3", "--order-k", "2"],
+    ["moments", "--kind", "adjacent", *_R, "--order-k", "2"],
+    ["moments", "--kind", "first", *_R],
+    ["moments", "--kind", "counts", *_R],
+    ["moments", "--kind", "alternating", *_R, "--order-k", "2"],
+    ["moments", "--kind", "selberg-even", *_R, "--order-k", "2"],
+    ["moments", "--kind", "selberg-odd", *_R, "--order-k", "2"],
+    ["moments", "--kind", "residual", *_R, "--order-k", "2"],
+    ["moments", "--kind", "alternating", *_R, "--order-k", "0"],
+    ["moments", "--kind", "adjacent", *_R, "--order-k", "14"],  # bound past float range
+    ["--epsilon", "5e-4", "moments", "--kind", "block", *_R, "--shift-m", "3000"],  # main term
+    ["moments", "--kind", "adjacent", "--start-n", "1", "--length-m", "500"],
+    ["titchmarsh", "--upper-n", "0"],
+    ["titchmarsh", "--upper-n", "1000"],
+]
+# `$ gramlab <args>`, then its stdout, its stderr lines marked `2> `, and
+# `[exit <code>]`, for each command in csv and then in json
+_MOMENT_REPORTS = Path(__file__).parent / "data" / "moment_reports.txt"
+
+
+def test_cli_moment_reports_pinned(table_mid, cache_root, tmp_path, capsys):
+    (tmp_path / "zrange").symlink_to(cache_root / "n5100", target_is_directory=True)
+    parts = []
+    for args in [[*fmt, *cmd] for fmt in ([], ["--format", "json"])
+                 for cmd in _MOMENT_COMMANDS]:
+        out, err, code = _gramlab(["--cache-dir", str(tmp_path), *args], capsys)
+        err = "".join(f"2> {line}\n" for line in err.splitlines())
+        parts.append(f"$ gramlab {' '.join(args)}\n{out}{err}[exit {code}]\n")
+    assert "".join(parts) == _MOMENT_REPORTS.read_text()
+
+
 def test_warm_verify_paper_resieves_the_sampled_chunks_only(cli_cache_dir, monkeypatch):
     # mertens_sums(1e8), v_xh(1e8, 0.2) and v_xh(1e8, 0.39) come from one
     # sidecar, re-checked by re-sieving 7 of its 49 blocks from their bounds;
