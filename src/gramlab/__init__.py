@@ -22,10 +22,10 @@ from .gram_law import (DeltaRecord, IntervalRecord, NuHistogram,
                        classify_intervals, delta_array, delta_n, gsp_flags,
                        interval_counts, nu_histogram, offset_ladder_check,
                        offset_ladder_check_range)
-from .moments import (EPSILON_DEFAULT, MomentConfig, MomentReport,
+from .moments import (EPSILON_DEFAULT, MomentReport,
                       adjacent_difference_moment, alternating_sum,
                       block_difference_moment, empty_and_crowded_counts,
-                      first_moment, selberg_delta_moment,
+                      first_moment, moment_constants, selberg_delta_moment,
                       titchmarsh_correlation)
 from .primes import (DiagonalCheck, PrimeTable, VxhResult,
                      diagonal_identity_check, mertens_sums, residual_moments,

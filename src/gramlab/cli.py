@@ -51,6 +51,7 @@ def _emit(ctx_obj, report: Report) -> None:
 @click.pass_context
 def main(ctx, cache_dir, fmt, epsilon):
     """Numerical laboratory for Gram points, Hardy Z zeros, and Gram's law."""
+    moments.moment_constants(epsilon)   # PreconditionError before any command runs
     ctx.obj = {"cache_dir": cache_dir, "format": fmt, "epsilon": epsilon}
 
 
@@ -152,22 +153,18 @@ def moments_cmd(obj, kind, n_start, m_len, m_shift, k_ord):
         _emit(obj, rep)
         return
     if kind == "first":
-        r = moments.first_moment(table, n_start, m_len, epsilon=eps)
+        r = moments.first_moment(table, n_start, m_len)
     elif kind == "block":
-        cfg = moments.MomentConfig(N=n_start, M=m_len, m=m_shift, k=k_ord, epsilon=eps)
-        r = moments.block_difference_moment(table, cfg)
+        r = moments.block_difference_moment(table, n_start, m_len, m_shift, k_ord, eps)
     elif kind == "adjacent":
-        cfg = moments.MomentConfig(N=n_start, M=m_len, m=1, k=k_ord, epsilon=eps)
-        r = moments.adjacent_difference_moment(table, cfg)
+        r = moments.adjacent_difference_moment(table, n_start, m_len, k_ord, eps)
     elif kind == "alternating":
-        cfg = moments.MomentConfig(N=n_start, M=m_len, m=1, k=k_ord, epsilon=eps)
-        r = moments.alternating_sum(table, cfg)
-    elif kind == "selberg-even":
-        r = moments.selberg_delta_moment(table, n_start, m_len, k_ord, "even", epsilon=eps)
-    elif kind == "selberg-odd":
-        r = moments.selberg_delta_moment(table, n_start, m_len, k_ord, "odd", epsilon=eps)
+        r = moments.alternating_sum(table, n_start, m_len, k_ord, eps)
+    elif kind.startswith("selberg-"):
+        r = moments.selberg_delta_moment(table, n_start, m_len, k_ord,
+                                         kind.removeprefix("selberg-"), eps)
     else:
-        r = primes.residual_moments(table, n_start, m_len, k_ord, epsilon=eps)
+        r = primes.residual_moments(table, n_start, m_len, k_ord, eps)
     rep = Report(kind="moment")
     rep.add(kind, {"N": n_start, "M": m_len, "m": m_shift, "k": k_ord,
                    "epsilon": eps},

@@ -56,8 +56,9 @@ import numpy as np
 
 from .accum import CHUNK, csum, partials, total
 from .errors import ChecksumMismatch, PreconditionError, ResourceError, VersionMismatch
-from .moments import EPSILON_DEFAULT, MomentConfig, MomentReport
+from .moments import EPSILON_DEFAULT, MomentReport, _require_range, moment_constants
 from .store import write_replacing
+from .theta_gram import gram_points
 from .zeros import ZeroTable
 
 SIEVE_CEILING = 10**8
@@ -378,18 +379,19 @@ def residual_moments(table: ZeroTable, N: int, M: int, k: int,
     """
     if k < 1:
         raise PreconditionError("residual_moments requires k >= 1")
-    cfg = MomentConfig(N=N, M=M, m=0, k=k, epsilon=epsilon)
+    a_const, _, _ = moment_constants(epsilon)
+    _require_range(N, M, k=k)
     notes = ("exploratory: admissible regime ln x >= 192 k unreachable at desk scale",)
     if y is None:
-        y = cfg.y
+        y = (float(gram_points(N, N)[0]) ** (0.1 * epsilon)) ** (1.0 / (4.0 * k))
     table.require_gram_index(N + M)
     ts = table.gram[N + 1 : N + M + 1]
     s_vals = table.s_gram[N + 1 : N + M + 1].astype(float)
     v_vals = _v_sum(ts, y)
     r_vals = s_vals + v_vals
     total = csum(r_vals ** (2 * k))
-    log10_bound = 2 * k * math.log10(cfg.A * math.exp(-4.0) * k) + math.log10(M)
-    return MomentReport.bounded(cfg, total, log10_bound, notes)
+    log10_bound = 2 * k * math.log10(a_const * math.exp(-4.0) * k) + math.log10(M)
+    return MomentReport.bounded(total, log10_bound, notes)
 
 
 # ---------------------------------------------------------------------------

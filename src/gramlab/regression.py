@@ -109,8 +109,8 @@ def _gram_parity(tab: ZeroTable, z: np.ndarray, top: int) -> tuple[bool, str]:
     return True, f"n <= {top}"
 
 
-def _first_moment(tab: ZeroTable, eps: float) -> tuple[bool, str]:
-    fm = moments.first_moment(tab, 10000, 1000, epsilon=eps)
+def _first_moment(tab: ZeroTable) -> tuple[bool, str]:
+    fm = moments.first_moment(tab, 10000, 1000)
     return fm.sum > 0, f"sum = {fm.sum}, ratio = {fm.ratio:.4f}"
 
 
@@ -122,13 +122,12 @@ def _empty_count_identity(tab: ZeroTable) -> tuple[bool, str]:
 
 def _loose_bounds(tab: ZeroTable, eps: float) -> tuple[bool, str]:
     N, M = 10000, 1000
-    cfgs = [moments.MomentConfig(N=N, M=M, m=1, k=k, epsilon=eps) for k in (1, 2, 3)]
-    ok = [moments.adjacent_difference_moment(tab, cfg).bound_satisfied for cfg in cfgs]
-    ok += [moments.alternating_sum(tab, cfg).bound_satisfied for cfg in cfgs]
-    ok += [moments.selberg_delta_moment(tab, N, M, k, "odd", epsilon=eps).bound_satisfied
+    ok = [moments.adjacent_difference_moment(tab, N, M, k, eps).bound_satisfied
+          for k in (1, 2, 3)]
+    ok += [moments.alternating_sum(tab, N, M, k, eps).bound_satisfied for k in (1, 2, 3)]
+    ok += [moments.selberg_delta_moment(tab, N, M, k, "odd", eps).bound_satisfied
            for k in (1, 2)]
-    ok += [primes.residual_moments(tab, N, M, k, epsilon=eps).bound_satisfied
-           for k in (1, 2)]
+    ok += [primes.residual_moments(tab, N, M, k, eps).bound_satisfied for k in (1, 2)]
     return all(ok), f"{sum(ok)}/{len(ok)}"
 
 
@@ -252,7 +251,7 @@ def _checks(ctx: RegressionContext, top: int) -> list[tuple]:
         ("gram_parity", "(-1)^(n-1) Z(t_n) > 0 exactly when S(t_n+0) is even",
          "gram parity", 1, lambda: _gram_parity(tab, z, top)),
         ("first_moment_positive", "sum |r(n)| strictly positive on (N, N+M]",
-         moment_facts, 11000, lambda: _first_moment(tab, eps)),
+         moment_facts, 11000, lambda: _first_moment(tab)),
         ("empty_count_identity", "M1 equals sum (|r|-r)/2 exactly", moment_facts, 11000,
          lambda: _empty_count_identity(tab)),
         ("empty_crowded_positive",

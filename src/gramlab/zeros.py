@@ -226,7 +226,8 @@ class ZeroTable:
         return [self.zero(k) for k in range(i + 1, j + 1)]
 
     def completeness_certificate(self, t_lo: float, t_hi: float):
-        """True iff located sign changes match N(t_hi+0) - N(t_lo+0)."""
+        """(ok, details) for the zeros located in (t_lo, t_hi]: complete at or
+        below the anchor t_certified, through which the build checked its count."""
         if not (7.0 < t_lo < t_hi):
             raise PreconditionError("completeness_certificate requires 7 < t_lo < t_hi")
         if t_hi > self.t_certified + 1e-12:
@@ -235,9 +236,7 @@ class ZeroTable:
                            "failed_blocks": list(self.diagnostics.failed_blocks)}
         located = int(np.searchsorted(self.zeros, t_hi, side="right")
                       - np.searchsorted(self.zeros, t_lo, side="right"))
-        delta_n = self.count_zeros(t_hi).n_of_t - self.count_zeros(t_lo).n_of_t
-        ok = located == delta_n
-        return ok, {"located": located, "count_difference": delta_n}
+        return True, {"located": located, "t_certified": self.t_certified}
 
     def zero(self, index: int) -> CriticalZero:
         """Zero by 1-based global index."""

@@ -175,11 +175,10 @@ def test_c08_loose_bounds_hold(table_full):
     results = []
     for N, M in ((10000, 1000), (50000, 2000)):
         for k in (1, 2, 3):
-            cfg = mo.MomentConfig(N=N, M=M, m=1, k=k, epsilon=eps)
-            results.append(mo.adjacent_difference_moment(table_full, cfg).bound_satisfied)
+            results.append(mo.adjacent_difference_moment(
+                table_full, N, M, k, eps).bound_satisfied)
         for k in (1, 2, 3, 4):
-            cfg = mo.MomentConfig(N=N, M=M, m=1, k=k, epsilon=eps)
-            results.append(mo.alternating_sum(table_full, cfg).bound_satisfied)
+            results.append(mo.alternating_sum(table_full, N, M, k, eps).bound_satisfied)
         for k in (1, 2):
             results.append(mo.selberg_delta_moment(
                 table_full, N, M, k, "odd", epsilon=eps).bound_satisfied)

@@ -213,22 +213,16 @@ def test_uncertified_range_raises(table_small):
         gl.nu_histogram(table_small, top + 10)
 
 
-def _cfg(n):
-    """Moments over (n - 11, n]: N + M = n."""
-    return moments.MomentConfig(N=n - 11, M=11, m=1, k=1)
-
-
 # each query, asked to reach Gram index n
 _RANGE_QUERIES = {
     "s_at_gram": lambda t, n: t.s_at_gram(n),
     "classify_intervals": lambda t, n: gl.classify_intervals(t, 1, n),
     "interval_counts": lambda t, n: gl.interval_counts(t, n - 5, n),
     "nu_histogram": lambda t, n: gl.nu_histogram(t, n),
-    "block": lambda t, n: moments.block_difference_moment(
-        t, moments.MomentConfig(N=n - 12, M=11, m=1, k=1)),
-    "adjacent": lambda t, n: moments.adjacent_difference_moment(t, _cfg(n)),
+    "block": lambda t, n: moments.block_difference_moment(t, n - 12, 11, 1, 1),
+    "adjacent": lambda t, n: moments.adjacent_difference_moment(t, n - 11, 11, 1),
     "first": lambda t, n: moments.first_moment(t, n - 11, 11),
-    "alternating": lambda t, n: moments.alternating_sum(t, _cfg(n)),
+    "alternating": lambda t, n: moments.alternating_sum(t, n - 11, 11, 1),
     "counts": lambda t, n: moments.empty_and_crowded_counts(t, n - 11, 11),
     "titchmarsh": lambda t, n: moments.titchmarsh_correlation(t, n),
     "residual": lambda t, n: primes.residual_moments(t, n - 11, 11, 1, y=10.0),

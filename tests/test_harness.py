@@ -610,6 +610,25 @@ def test_cli_moment_reports_pinned(table_mid, cache_root, tmp_path, capsys):
     assert "".join(parts) == _MOMENT_REPORTS.read_text()
 
 
+@pytest.mark.parametrize("epsilon", ["0.5", "nan"])
+@pytest.mark.parametrize("args", [
+    ["verify-paper", "--n-limit", "1200"],
+    ["verify-paper", "--n-limit", "20000"],
+    ["moments", "--kind", "counts", *_R],
+    ["moments", "--kind", "first", *_R],
+    ["moments", "--kind", "adjacent", *_R],
+    ["moments", "--kind", "selberg-even", *_R],
+    ["titchmarsh", "--upper-n", "1000"],
+    ["classify", "--n-lo", "1", "--n-hi", "100"]])
+def test_cli_epsilon_is_checked_before_any_command(args, epsilon, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    out, err, code = _gramlab(["--cache-dir", str(cache), "--epsilon", epsilon, *args],
+                              capsys)
+    assert (out, err, code) == ("", "error: epsilon must lie in the open interval "
+                                "(0, 1e-3)\n", 2)
+    assert not cache.exists()     # nothing was built or read
+
+
 def test_warm_verify_paper_resieves_the_sampled_chunks_only(cli_cache_dir, monkeypatch):
     # mertens_sums(1e8), v_xh(1e8, 0.2) and v_xh(1e8, 0.39) come from one
     # sidecar, re-checked by re-sieving 7 of its 49 blocks from their bounds;

@@ -8,31 +8,25 @@ from gramlab import moments as mo
 from gramlab.errors import PreconditionError, UncertifiedRange
 
 
-def test_config_constants():
-    cfg = mo.MomentConfig(N=10000, M=1000, m=1, k=1, epsilon=9e-4)
-    assert cfg.A == pytest.approx(math.exp(21.0) * 9e-4 ** -1.5, rel=1e-12)
-    assert cfg.B == pytest.approx(cfg.A ** 2 * math.exp(-8.0), rel=1e-12)
-    assert cfg.lam == pytest.approx((2 * cfg.B * math.e * math.pi ** 2) ** 2, rel=1e-12)
-    assert cfg.L == pytest.approx(math.log(math.log(10000)), rel=1e-12)
-    assert cfg.x == pytest.approx(float(mo.gram_points(10000, 10000)[0]) ** (0.1 * 9e-4))
-    assert cfg.y == pytest.approx(cfg.x ** 0.25)
+def test_moment_constants():
+    a, b, lam = mo.moment_constants(9e-4)
+    assert a == pytest.approx(math.exp(21.0) * 9e-4 ** -1.5, rel=1e-12)
+    assert b == pytest.approx(a ** 2 * math.exp(-8.0), rel=1e-12)
+    assert lam == pytest.approx((2 * b * math.e * math.pi ** 2) ** 2, rel=1e-12)
 
 
-def test_config_epsilon_open_interval():
-    with pytest.raises(PreconditionError):
-        mo.MomentConfig(N=100, M=10, epsilon=1e-3)
-    with pytest.raises(PreconditionError):
-        mo.MomentConfig(N=100, M=10, epsilon=0.0)
+def test_moment_constants_epsilon_open_interval():
+    for epsilon in (1e-3, 0.0, math.nan):
+        with pytest.raises(PreconditionError, match="open interval"):
+            mo.moment_constants(epsilon)
 
 
 def test_block_moment_zero_shift(table_small):
-    cfg = mo.MomentConfig(N=100, M=200, m=0, k=1)
-    assert mo.block_difference_moment(table_small, cfg).sum == 0
+    assert mo.block_difference_moment(table_small, 100, 200, 0, 1).sum == 0
 
 
 def test_block_moment_definitional_identity(table_small):
-    cfg = mo.MomentConfig(N=100, M=300, m=7, k=2)
-    rep = mo.block_difference_moment(table_small, cfg)
+    rep = mo.block_difference_moment(table_small, 100, 300, 7, 2)
     s = [table_small.s_at_gram(n) for n in range(0, 1101)]
     direct = sum((s[n + 7] - s[n]) ** 4 for n in range(101, 401))
     assert rep.sum == direct
@@ -40,40 +34,34 @@ def test_block_moment_definitional_identity(table_small):
 
 
 def test_block_moment_positive_and_trend(table_full):
-    cfg = mo.MomentConfig(N=10000, M=1000, m=10, k=1)
-    rep = mo.block_difference_moment(table_full, cfg)
+    rep = mo.block_difference_moment(table_full, 10000, 1000, 10, 1)
     assert rep.sum > 0 and isinstance(rep.sum, int)
 
 
 def test_adjacent_moment_is_r_power_sum(table_small):
-    cfg = mo.MomentConfig(N=100, M=500, m=1, k=1)
-    rep = mo.adjacent_difference_moment(table_small, cfg)
+    rep = mo.adjacent_difference_moment(table_small, 100, 500, 1)
     counts = gl.interval_counts(table_small, 101, 600)
     assert rep.sum == int(np.sum((counts - 1) ** 2))
     assert rep.bound_satisfied
 
 
 def test_adjacent_moment_power_mean(table_small):
-    c1 = mo.MomentConfig(N=100, M=500, m=1, k=1)
-    c2 = mo.MomentConfig(N=100, M=500, m=1, k=2)
-    s2 = mo.adjacent_difference_moment(table_small, c1).sum
-    s4 = mo.adjacent_difference_moment(table_small, c2).sum
+    s2 = mo.adjacent_difference_moment(table_small, 100, 500, 1).sum
+    s4 = mo.adjacent_difference_moment(table_small, 100, 500, 2).sum
     assert s4 >= s2 ** 2 / 500.0
 
 
 def test_adjacent_bound_large_k_no_overflow(table_small):
-    cfg = mo.MomentConfig(N=100, M=500, m=1, k=14)
-    rep = mo.adjacent_difference_moment(table_small, cfg)
+    rep = mo.adjacent_difference_moment(table_small, 100, 500, 14)
     assert rep.bound_satisfied
     assert rep.bound == math.inf and rep.log10_bound > 308
 
 
 def test_adjacent_moment_exact_past_int64(table_full):
     # eight terms of 2^60 each: the sum passes 2^63 although every term fits
-    cfg = mo.MomentConfig(N=90000, M=10000, m=1, k=30)
     s = table_full.s_gram
     r = s[90001:100001] - s[90000:100000]
-    assert mo.adjacent_difference_moment(table_full, cfg).sum \
+    assert mo.adjacent_difference_moment(table_full, 90000, 10000, 30).sum \
         == sum(int(v) ** 60 for v in r.tolist())
 
 
@@ -97,8 +85,7 @@ def test_first_moment_regular_low_range(table_small):
 
 def test_cauchy_consistency(table_small):
     fm = mo.first_moment(table_small, 100, 500).sum
-    cfg = mo.MomentConfig(N=100, M=500, m=1, k=1)
-    am = mo.adjacent_difference_moment(table_small, cfg).sum
+    am = mo.adjacent_difference_moment(table_small, 100, 500, 1).sum
     assert fm ** 2 <= 500 * am
 
 
@@ -119,14 +106,14 @@ def test_telescoping(table_small):
 
 
 def test_alternating_t0_telescopes(table_small):
-    rep = mo.alternating_sum(table_small, mo.MomentConfig(N=100, M=500, m=1, k=0))
+    rep = mo.alternating_sum(table_small, 100, 500, 0)
     s = table_small.s_gram
     assert rep.sum == int(s[600]) - int(s[100])
 
 
 def test_alternating_t1_identity(table_small):
     """2 T_1 = S^2(t_{N+M}) - S^2(t_N) + sum r^2, exactly."""
-    rep = mo.alternating_sum(table_small, mo.MomentConfig(N=100, M=500, m=1, k=1))
+    rep = mo.alternating_sum(table_small, 100, 500, 1)
     s = table_small.s_gram
     r = s[101:601] - s[100:600]
     rhs = int(s[600]) ** 2 - int(s[100]) ** 2 + int(np.sum(r ** 2))
@@ -135,7 +122,7 @@ def test_alternating_t1_identity(table_small):
 
 
 def test_alternating_even_bound(table_small):
-    rep = mo.alternating_sum(table_small, mo.MomentConfig(N=100, M=500, m=1, k=2))
+    rep = mo.alternating_sum(table_small, 100, 500, 2)
     assert rep.bound_satisfied
 
 

@@ -116,7 +116,9 @@ def test_find_zeros_preconditions(table_built):
 
 def test_completeness_certificate(table_built):
     ok, diag = table_built.completeness_certificate(8.0, 150.0)
-    assert ok and diag["located"] == diag["count_difference"]
+    # an independent count: mpmath.nzeros computes N(t) with its own zeta
+    assert ok and diag["located"] == mpmath.nzeros(150.0) - mpmath.nzeros(8.0) == 52
+    assert diag["t_certified"] == table_built.t_certified
     ok, diag = table_built.completeness_certificate(8.0, 1e7)
     assert not ok and "beyond certified" in diag["reason"]
     with pytest.raises(PreconditionError):
