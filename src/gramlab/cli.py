@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 assertion failure, 2 precondition or parse error,
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from pathlib import Path
@@ -33,6 +34,17 @@ def _obtain_table(ctx_obj, n_needed: int) -> ZeroTable:
     cache_dir = ctx_obj.get("cache_dir")
     path = Path(cache_dir) / RANGE_SUBDIR if cache_dir else None
     return store.cached_table(n_needed, path)
+
+
+class _TableOnUse:
+    """The table through Gram index n_needed, obtained when a sum first reads
+    it: a sum checks its arguments first, so a rejected call builds nothing."""
+
+    def __init__(self, ctx_obj, n_needed: int):
+        self._obtain = functools.cache(lambda: _obtain_table(ctx_obj, n_needed))
+
+    def __getattr__(self, name):
+        return getattr(self._obtain(), name)
 
 
 def _emit(ctx_obj, report: Report) -> None:
@@ -144,7 +156,7 @@ _MOMENT_KINDS = ("block", "adjacent", "first", "counts", "alternating",
 def moments_cmd(obj, kind, n_start, m_len, m_shift, k_ord):
     """Moment sums of S at Gram points over (N, N+M]."""
     eps = obj["epsilon"]
-    table = _obtain_table(obj, n_start + m_len + m_shift)
+    table = _TableOnUse(obj, n_start + m_len + m_shift)
     if kind == "counts":
         m1, m2 = moments.empty_and_crowded_counts(table, n_start, m_len)
         rep = Report(kind="moment")
@@ -175,7 +187,7 @@ def moments_cmd(obj, kind, n_start, m_len, m_shift, k_ord):
 
 
 @main.command()
-@click.option("--upper-n", type=int, required=True)
+@click.option("--upper-n", type=click.IntRange(min=1), required=True)
 @click.pass_obj
 def titchmarsh(obj, upper_n):
     """Correlation sum of Z at adjacent Gram points against -2(gamma+1)N."""

@@ -16,24 +16,22 @@ over all of them (`accum.partials`), so they never hold all
 for callers that want it.  No primes are stored.
 
 A sum over x >= SUMS_CACHE_THRESHOLD with a cache directory keeps the exact
-parts of its terms' sums over each block of the stream (`accum.partials`) in a
-sidecar, primes_<x:012d>.sums.json: a JSON object with the limit, _SEGMENT,
-the parts as float.hex by block, keyed by term ("ln p / p", "1 / p", and
-"sin^2(h ln p / 2) / p, h = " + h.hex() for each h), and a 64-bit BLAKE2b
-checksum over the rest (as JSON with sorted keys), written through a
-temporary file renamed into place.  A block's bounds follow from the limit
-and _SEGMENT alone (`_bounds`).  A warm call whose terms are all in the
-sidecar re-sieves block 0, every _SUMS_SAMPLE_STRIDE-th block and the last
-(7 of the 49 blocks at 1e8) from their bounds; their parts must equal the
-stored parts bit for bit, and the result is then math.fsum of all stored
-parts: the correctly rounded sum, the bits of a full computation.  A damaged
-sidecar (bad JSON, a checksum that does not match, parts for a wrong number
-of blocks) raises ChecksumMismatch.  A sidecar whose sample is not
-reproduced, or of another limit or _SEGMENT (an older version's too), is
-recomputed in full and rewritten; a call with a term it lacks sums all of its
+parts of its terms' sums over each block of the stream (`accum.partials`) in
+a sidecar, the checked directory primes_<x:012d>/ of `store.write_checked`:
+parts.json holds them as float.hex by block, keyed by term ("ln p / p",
+"1 / p", and "sin^2(h ln p / 2) / p, h = " + h.hex() for each h), under a
+manifest of the limit and _SEGMENT, from which each block's bounds follow
+(`_bounds`).  A warm call whose terms are all stored re-sieves block 0, every
+_SUMS_SAMPLE_STRIDE-th block and the last (7 of the 49 blocks at 1e8); their
+parts must equal the stored parts bit for bit, and the result is then
+math.fsum of all stored parts, the bits of a full computation.  A damaged
+sidecar raises ChecksumMismatch.  One with no manifest (a write cut short),
+of another limit or _SEGMENT, or whose sample is not reproduced is
+recomputed in full and rewritten; a call with a term it lacks sums all its
 terms in one full stream and keeps the stored terms only if that stream
-reproduces their parts.  A change to an unsampled block alone, written under
-a fresh checksum, is not detected.
+reproduces their parts.  A change to an unsampled block alone, under a fresh
+checksum, is not detected; the one-file primes_<x:012d>.sums.json of
+earlier versions is never read.
 
 `save_prime_cache` and `load_prime_cache` write and read a binary file of
 primes (8-byte magic "GRAMLAB\\0", one version byte, then the primes as
@@ -43,7 +41,6 @@ little-endian uint64), and `verify_spot_range` re-sieves a range of a
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -57,7 +54,7 @@ import numpy as np
 from .accum import CHUNK, csum, partials, total
 from .errors import ChecksumMismatch, PreconditionError, ResourceError, VersionMismatch
 from .moments import EPSILON_DEFAULT, MomentReport, _require_range, moment_constants
-from .store import write_replacing
+from .store import read_checked, write_checked, write_replacing
 from .theta_gram import gram_points
 from .zeros import ZeroTable
 
@@ -66,6 +63,7 @@ SUMS_CACHE_THRESHOLD = 10**7
 H_CEILING = 0.4  # admissible shift ceiling for V(x;h)
 _SEGMENT = 1 << 21  # numbers per sieve segment
 _SUMS_SAMPLE_STRIDE = 8  # a warm sum re-sieves block 0, every 8th block and the last
+_PARTS = "parts.json"    # the file of a sidecar's parts
 
 _MAGIC = b"GRAMLAB\0"
 _VERSION = 1
@@ -244,38 +242,22 @@ def _hex(parts: Iterable[list[float]]) -> list[list[str]]:
     return [[v.hex() for v in block] for block in parts]
 
 
-def _sums_digest(body: dict) -> str:
-    return hashlib.blake2b(json.dumps(body, sort_keys=True).encode(), digest_size=8).hexdigest()
-
-
-def _load_sums(spath: Path, limit: int, blocks: int) -> dict[str, list[list[float]]]:
-    """The stored parts at spath as floats by term: none if there is no
-    sidecar or it is of another limit or _SEGMENT (an older version's too);
-    ChecksumMismatch, naming the file, if it is damaged."""
-    if not spath.exists():
+def _load_sums(sdir: Path, limit: int, blocks: int) -> dict[str, list[list[float]]]:
+    """The stored parts of the sidecar sdir as floats by term: none if it has
+    no manifest or another limit or _SEGMENT; ChecksumMismatch if damaged."""
+    if not (sdir / "manifest.json").exists():
         return {}
     try:
-        body = json.loads(spath.read_text(encoding="utf-8"))
-        if body.pop("checksum") != _sums_digest(body):
-            raise ValueError("checksum does not match")
-        if (body.get("limit"), body.get("segment")) != (limit, _SEGMENT):
-            return {}
-        stored = {name: [[float.fromhex(v) for v in block] for block in values]
-                  for name, values in body["partials"].items()}
+        with read_checked(sdir, (_PARTS,), limit=limit, segment=_SEGMENT) as (_, (fh,)):
+            stored = {name: [[float.fromhex(v) for v in block] for block in values]
+                      for name, values in json.load(fh).items()}
         if any(len(v) != blocks for v in stored.values()):
             raise ValueError(f"parts not of {blocks} blocks")
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ChecksumMismatch(f"{spath}: damaged prime-sum partials ({exc})") from None
+    except VersionMismatch:
+        return {}
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ChecksumMismatch(f"{sdir / _PARTS}: damaged prime-sum partials ({exc})") from None
     return stored
-
-
-def _save_sums(spath: Path, limit: int, sums: dict[str, list[list[float]]]) -> None:
-    """Write the sidecar at spath through a temporary file renamed into place."""
-    body = {"limit": limit, "segment": _SEGMENT,
-            "partials": {name: _hex(parts) for name, parts in sums.items()}}
-    body["checksum"] = _sums_digest(body)
-    spath.parent.mkdir(parents=True, exist_ok=True)
-    write_replacing(spath, (json.dumps(body, indent=1) + "\n").encode())
 
 
 def _prime_csums(x: float, cache_dir: str | Path | None, terms: dict[str, Callable]
@@ -286,9 +268,9 @@ def _prime_csums(x: float, cache_dir: str | Path | None, terms: dict[str, Callab
     blocks = _prime_blocks(limit)       # checks the ceiling before any file is read
     if cache_dir is None or limit < SUMS_CACHE_THRESHOLD:
         return dict(zip(terms, map(total, _prime_partials(blocks, terms.values()))))
-    spath = Path(cache_dir) / f"primes_{limit:012d}.sums.json"
+    sdir = Path(cache_dir) / f"primes_{limit:012d}"
     bounds = _bounds(limit)
-    stored = _load_sums(spath, limit, len(bounds))
+    stored = _load_sums(sdir, limit, len(bounds))
     if stored.keys() >= terms.keys():
         sample = sorted({*range(0, len(bounds), _SUMS_SAMPLE_STRIDE), len(bounds) - 1})
         base = _base_primes(math.isqrt(limit))
@@ -298,8 +280,10 @@ def _prime_csums(x: float, cache_dir: str | Path | None, terms: dict[str, Callab
     full = dict(zip(terms, _prime_partials(blocks, terms.values())))
     if any(_hex(full[name]) != _hex(stored[name]) for name in terms.keys() & stored.keys()):
         stored = {}             # not these primes' sums: rewrite
-    _save_sums(spath, limit, {**stored, **full})
-    return {name: total(parts) for name, parts in full.items()}
+    parts = {name: _hex(values) for name, values in {**stored, **full}.items()}
+    write_checked(sdir, {_PARTS: [(json.dumps(parts, indent=1) + "\n").encode()]},
+                  limit=limit, segment=_SEGMENT)
+    return {name: total(values) for name, values in full.items()}
 
 
 def _require_vxh(x: float, h: float) -> None:

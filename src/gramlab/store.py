@@ -1,6 +1,17 @@
-"""Persistence of computed Gram points, Z at them, and zeros.
+"""Checked directories, the one form of every cache entry, and the stored
+range of Gram points, Z at them, and zeros.
 
-Layout under a range directory (store format version 4):
+A checked directory holds named files and a manifest.json: the caller's
+fields and a 64-bit BLAKE2b over the files in order, so a flipped byte is
+caught.  `write_checked` removes the old manifest, writes each file beside
+its place and renames it in, and writes the manifest last, so a write cut
+short leaves no manifest.  `read_checked` checks the manifest's identity
+fields (VersionMismatch), then hashes the files _READ_BYTES at a time before
+anything parses them (ChecksumMismatch), and hands them back open: the
+parsed bytes are the hashed bytes, since no file is written in place.  A
+range is one such directory; the prime-sum sidecar of `primes` is another.
+
+A range (store format version 4) holds:
 
     gram.csv      index,t,z rows: Gram point t_n and Z(t_n) for n = 0..n_max_gram
     zeros.csv     index,t rows: zero ordinates, indexed from 1
@@ -9,12 +20,10 @@ Layout under a range directory (store format version 4):
 Each data row has a fixed width, such as `000000,40235574f9068e14,bff882566514afd2`:
 the index zero-padded to the width of the file's last index, then each
 value's IEEE-754 binary64 bits as 16 lowercase hex digits, so no bit passes
-through a decimal.  The checksum is a 64-bit BLAKE2b over the two CSV
-payloads in fixed order, so a single flipped byte in either file is caught at
-load time.  Past the checksum, a load requires each file's header and rows of
-its width, index columns that count 0..n_max_gram and 1..zero_count, finite
-strictly ascending heights, finite Z, the extent the manifest states, and
-zeros above t_0 and below the last Gram point.
+through a decimal.  Past the checksum, a load requires each file's header
+and rows of its width, index columns that count 0..n_max_gram and
+1..zero_count, finite strictly ascending heights, finite Z, the extent the
+manifest states, and zeros above t_0 and below the last Gram point.
 
 A stored range is this code's output or it is rebuilt.  A load raises
 VersionMismatch for a manifest of another format version, and for a stored Z
@@ -22,25 +31,14 @@ that the current kernel does not reproduce bit for bit at `z_sample` (every
 Gram index below 512, which covers both Z routes, then every 1024th, and the
 last): another kernel moves every value, and its zeros with them; a change at
 an unsampled index alone is not detected.  `cached_table` rebuilds such a
-range and overwrites it, as it does a miss.  Damaged data is no such case:
-every fault of a stored range, whether of its checksum, header, rows,
-columns or extent, is a ChecksumMismatch.  ParseError is for external
-ordinate tables only.
+range and overwrites it, as it does a miss or a save cut short.  Every fault
+of a stored range, whether of its checksum, header, rows, columns or extent,
+is a ChecksumMismatch.  ParseError is for external ordinate tables only.
 
-A save writes each file beside its place and renames it in, data before the
-manifest, and removes the old manifest first: a save cut short leaves no
-manifest, so the range is rebuilt rather than read.
-
-Neither direction holds a whole file.  A save encodes, hashes and writes
-_CSV_ROWS rows at a time, each block one uint8 array.  A load opens each file
-once and reads it twice: it hashes both files _READ_BYTES at a time and
-compares the checksum before it parses a row, so a damaged byte is a
-checksum mismatch; then it parses each file from the start, _CSV_ROWS rows
-at a time, into value columns.  The row width comes from the first data row
-and the row count from the file size; every row's commas, newline, hex digits
-and index are checked block by block, so a block that does not parse is
-named by its lines.  The parsed bytes are the hashed bytes because a save
-renames a new file into place and never writes a data file in place.
+Neither direction holds a whole file: a save encodes _CSV_ROWS rows at a
+time, each block one uint8 array, and a load parses them as many at a time,
+the row width from the first data row and the row count from the file size,
+so a block that does not parse is named by its lines.
 """
 
 from __future__ import annotations
@@ -49,10 +47,12 @@ import hashlib
 import json
 import os
 from collections.abc import Iterable, Iterator
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -83,20 +83,9 @@ class CacheManifest:
     checksum: str
 
 
-def fmt_height(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _hasher():
-    """The manifest checksum: a 64-bit BLAKE2b over gram.csv, then zeros.csv."""
+    """A manifest checksum: a 64-bit BLAKE2b over a checked directory's files, in order."""
     return hashlib.blake2b(digest_size=8)
-
-
-def _digest(gram_bytes: bytes, zero_bytes: bytes) -> str:
-    h = _hasher()
-    h.update(gram_bytes)
-    h.update(zero_bytes)
-    return h.hexdigest()
 
 
 def _index(lo: int, hi: int, digits: int) -> np.ndarray:
@@ -105,11 +94,10 @@ def _index(lo: int, hi: int, digits: int) -> np.ndarray:
     return (np.arange(lo, hi)[:, None] // scale % 10 + ord("0")).astype(np.uint8)
 
 
-def _csv(hasher, header: str, first: int, *columns: np.ndarray) -> Iterator[bytes]:
+def _csv(header: str, first: int, *columns: np.ndarray) -> Iterator[bytes]:
     """header, then a row for each entry of columns, indexed from first: the
     index zero-padded to the width of the last, then each value's binary64
-    bits as 16 hex digits; as blocks of _CSV_ROWS rows, each added to hasher
-    as it is made."""
+    bits as 16 hex digits; as blocks of _CSV_ROWS rows."""
     n, k = len(columns[0]), len(columns)
     digits = len(str(first + n - 1))
 
@@ -124,9 +112,7 @@ def _csv(hasher, header: str, first: int, *columns: np.ndarray) -> Iterator[byte
         block[:, -1] = ord("\n")
         return block.tobytes()
 
-    for block in chain([(header + "\n").encode()], map(rows, range(0, n, _CSV_ROWS))):
-        hasher.update(block)
-        yield block
+    return chain([(header + "\n").encode()], map(rows, range(0, n, _CSV_ROWS)))
 
 
 def z_sample(size: int) -> np.ndarray:
@@ -136,10 +122,8 @@ def z_sample(size: int) -> np.ndarray:
 
 
 def write_replacing(path: Path, data: bytes | Iterable[bytes]) -> None:
-    """Write data, bytes or an iterable of byte blocks, beside path, then
-    rename it into place; a write cut short removes what it wrote.  The one
-    atomic file write: the range files here, and the prime files and sums
-    sidecars of `primes`."""
+    """Write data, bytes or byte blocks, beside path and rename it into place;
+    a write cut short removes what it wrote.  The one atomic file write."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -149,37 +133,72 @@ def write_replacing(path: Path, data: bytes | Iterable[bytes]) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def save_range(table: ZeroTable, path: str | Path) -> CacheManifest:
-    """Persist a table; its manifest's n_max_gram is the certified index."""
-    path = Path(path)
+def write_checked(path: Path, files: dict[str, Iterable[bytes]], **fields) -> dict:
+    """Write files (name -> byte blocks) and their manifest, fields and the
+    checksum, as the checked directory at path; returns the manifest."""
     path.mkdir(parents=True, exist_ok=True)
-    z = table.z_values()
-    h = _hasher()
     (path / "manifest.json").unlink(missing_ok=True)
-    write_replacing(path / "gram.csv", _csv(h, _GRAM_HEADER, 0, table.gram, z))
-    write_replacing(path / "zeros.csv", _csv(h, _ZEROS_HEADER, 1, table.zeros))
-    manifest = CacheManifest(
-        version=STORE_VERSION,
-        n_max_gram=int(table.gram.size - 1),
-        t_max=float(table.gram[-1]),
-        zero_count=int(table.zeros.size),
-        created=datetime.now(timezone.utc).isoformat(),
-        checksum=h.hexdigest(),
-    )
-    write_replacing(path / "manifest.json",
-                    (json.dumps(manifest.__dict__, indent=2) + "\n").encode())
+    h = _hasher()
+    for name, blocks in files.items():
+        write_replacing(path / name, (h.update(block) or block for block in blocks))
+    manifest = {**fields, "checksum": h.hexdigest()}
+    write_replacing(path / "manifest.json", (json.dumps(manifest, indent=2) + "\n").encode())
     return manifest
 
 
+def _read_manifest(path: Path, **identity) -> dict:
+    """The manifest of the checked directory at path.  VersionMismatch if a
+    field of identity holds another value; ChecksumMismatch if the manifest
+    is missing or truncated, or lacks one of those fields or its checksum."""
+    mpath = path / "manifest.json"
+    try:
+        data = json.loads(mpath.read_text(encoding="utf-8"))
+        for key, want in identity.items():
+            if data[key] != want:
+                raise VersionMismatch(f"{mpath}: store {key} {data[key]}, supported {want}")
+        if type(data["checksum"]) is not str:
+            raise ValueError("checksum is not a string")
+    except (FileNotFoundError, ValueError, TypeError, KeyError) as exc:  # or truncated
+        raise ChecksumMismatch(f"{mpath}: damaged manifest ({exc})") from None
+    return data
+
+
+@contextmanager
+def read_checked(path: Path, names: tuple[str, ...], **identity
+                 ) -> Iterator[tuple[dict, list[BinaryIO]]]:
+    """The manifest of the checked directory at path, by `_read_manifest`, and
+    its files of names, open at their start once they match its checksum."""
+    manifest = _read_manifest(path, **identity)
+    with ExitStack() as stack:
+        try:
+            files = [stack.enter_context(open(path / name, "rb")) for name in names]
+        except FileNotFoundError as exc:
+            raise ChecksumMismatch(f"{exc.filename}: missing") from None
+        h = _hasher()
+        for fh in files:
+            while chunk := fh.read(_READ_BYTES):
+                h.update(chunk)
+            fh.seek(0)
+        if h.hexdigest() != manifest["checksum"]:
+            raise ChecksumMismatch(f"{path}: data does not match manifest checksum")
+        yield manifest, files
+
+
+def save_range(table: ZeroTable, path: str | Path) -> CacheManifest:
+    """Persist a table; its manifest's n_max_gram is the certified index."""
+    z = table.z_values()
+    return CacheManifest(**write_checked(
+        Path(path), {"gram.csv": _csv(_GRAM_HEADER, 0, table.gram, z),
+                     "zeros.csv": _csv(_ZEROS_HEADER, 1, table.zeros)},
+        version=STORE_VERSION, n_max_gram=int(table.gram.size - 1),
+        t_max=float(table.gram[-1]), zero_count=int(table.zeros.size),
+        created=datetime.now(timezone.utc).isoformat()))
+
+
 def _parse(fh, what: str, header: str, first: int) -> list[np.ndarray]:
-    """The value columns (height, then any Z) of the data file at fh, parsed
-    _CSV_ROWS rows at a time from its start.  ChecksumMismatch unless it opens
-    with header, each block holds rows as wide as the first (the last may lack
-    its newline), each an index, a comma and 16 hex digits per value, and a
-    newline, the index column counts up from first, zero-padded to the width
-    of the last index, the heights are finite and strictly ascending, and any
-    Z is finite."""
-    fh.seek(0)
+    """The value columns (height, then any Z) of the data file at fh, which
+    opens with header and indexes its rows from first, parsed _CSV_ROWS rows
+    at a time from its start (the last row may lack its newline)."""
     if fh.readline().rstrip(b"\n") != header.encode():
         raise ChecksumMismatch(f"{what}: line 1 is not the {header} header")
     start = fh.tell()
@@ -219,52 +238,38 @@ def _parse(fh, what: str, header: str, first: int) -> list[np.ndarray]:
     return values
 
 
-def load_manifest(path: str | Path) -> CacheManifest:
-    """The manifest at path.  VersionMismatch if it states another version; a
-    truncated or incomplete one is a ChecksumMismatch."""
-    mpath = Path(path) / "manifest.json"
+def _range_manifest(path: Path, data: dict) -> CacheManifest:
+    """A range's manifest fields as a CacheManifest, with integer extents."""
     try:
-        data = json.loads(mpath.read_text(encoding="utf-8"))
-        if data["version"] != STORE_VERSION:
-            raise VersionMismatch(f"{mpath}: store version {data['version']}, "
-                                  f"supported {STORE_VERSION}")
         manifest = CacheManifest(**data)
-    except (ValueError, TypeError, KeyError) as exc:  # truncated, or a field missing
-        raise ChecksumMismatch(f"{mpath}: damaged manifest ({exc})") from None
-    if not all(type(n) is int for n in (manifest.n_max_gram, manifest.zero_count)):
-        raise ChecksumMismatch(f"{mpath}: damaged manifest (n_max_gram and zero_count "
-                               "must be integers)")
+        if not all(type(n) is int for n in (manifest.n_max_gram, manifest.zero_count)):
+            raise TypeError("n_max_gram and zero_count must be integers")
+    except TypeError as exc:
+        raise ChecksumMismatch(f"{path / 'manifest.json'}: damaged manifest ({exc})") from None
     return manifest
 
 
+def load_manifest(path: str | Path) -> CacheManifest:
+    """The manifest of the range at path, by `_read_manifest`."""
+    return _range_manifest(Path(path), _read_manifest(Path(path), version=STORE_VERSION))
+
+
 def load_range(path: str | Path) -> tuple[ZeroTable, CacheManifest]:
-    """Load a persisted range; verifies version, checksum, the columns, extent,
-    and that every zero lies above t_0 and below the last Gram point, the
-    certified anchor of a built table.  VersionMismatch unless the current
-    kernel reproduces the stored Z at `z_sample`."""
+    """The range at path and its manifest, checked as the module docstring says."""
     path = Path(path)
-    manifest = load_manifest(path)
-    h = _hasher()
-    try:
-        with open(path / "gram.csv", "rb") as g, open(path / "zeros.csv", "rb") as zs:
-            for fh in (g, zs):
-                while chunk := fh.read(_READ_BYTES):
-                    h.update(chunk)
-            if h.hexdigest() != manifest.checksum:
-                raise ChecksumMismatch(f"{path}: data does not match manifest checksum")
-            gram, z_gram = _parse(g, "gram.csv", _GRAM_HEADER, 0)
-            (zeros,) = _parse(zs, "zeros.csv", _ZEROS_HEADER, 1)
-    except FileNotFoundError as exc:
-        raise ChecksumMismatch(f"{exc.filename}: missing from the range") from None
+    with read_checked(path, ("gram.csv", "zeros.csv"), version=STORE_VERSION
+                      ) as (data, (g, zs)):
+        manifest = _range_manifest(path, data)
+        gram, z_gram = _parse(g, "gram.csv", _GRAM_HEADER, 0)
+        (zeros,) = _parse(zs, "zeros.csv", _ZEROS_HEADER, 1)
     claimed = (manifest.n_max_gram, manifest.zero_count, [manifest.t_max])
     held = (gram.size - 1, zeros.size, [float(gram[-1])] if gram.size else [])
     if claimed != held:
         raise ChecksumMismatch(f"{path}: manifest (n_max_gram, zero_count, [t_max]) "
                                f"= {claimed}, data {held}")
     if zeros.size and not gram[0] < zeros[0] <= zeros[-1] < gram[-1]:
-        raise ChecksumMismatch(f"{path}: zeros {fmt_height(zeros[0])} to "
-                               f"{fmt_height(zeros[-1])} do not lie above t_0 and "
-                               "below the last Gram point")
+        raise ChecksumMismatch(f"{path}: zeros {zeros[0]:.17g} to {zeros[-1]:.17g} "
+                               "do not lie above t_0 and below the last Gram point")
     idx = z_sample(gram.size)
     if zeta.hardy_z_many(gram[idx]).tobytes() != z_gram[idx].tobytes():
         raise VersionMismatch(f"{path}: stored Z is not the current kernel's")
@@ -277,8 +282,7 @@ def cached_table(n_needed: int, path: str | Path | None) -> ZeroTable:
     Loads path when its manifest reaches n_needed; otherwise, or when the range
     is of another format version or kernel (VersionMismatch), builds with
     `certified_table` and saves the result there.  path None caches nothing.
-    ResourceError, before the cache is read, past the table ceiling.
-    """
+    ResourceError, before the cache is read, past the table ceiling."""
     require_under_ceiling(n_needed)
     if path is not None and (Path(path) / "manifest.json").exists():
         try:

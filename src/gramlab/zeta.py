@@ -379,14 +379,13 @@ def hardy_z_local(c: np.ndarray):
         j = min(i + width, c.size)
         terms = _main_terms(c[i:j], n_c[i:j], n_top)
         z_c[i:j] = _main_sum(terms, th[i:j])
-        for b0 in range(i, j, step):
-            b1 = min(b0 + step, j)
-            # the (Cw, Sw) column pair of each centre against P, in one product
-            prod = terms[:, b0 - i : b1 - i].reshape(n_top, -1).T @ powers
-            pc, ps = prod[0::2], prod[1::2]
-            ct, st = np.cos(th[b0:b1])[:, None], np.sin(th[b0:b1])[:, None]
-            moments.real[:, b0:b1] = (ct * pc + st * ps).T
-            moments.imag[:, b0:b1] = (st * pc - ct * ps).T
+        # the (Cw, Sw) column pair of each centre against P, step centres a product
+        prod = np.concatenate([terms[:, b : b + step].reshape(n_top, -1).T @ powers
+                               for b in range(0, j - i, step)])
+        pc, ps = prod[0::2], prod[1::2]
+        ct, st = np.cos(th[i:j])[:, None], np.sin(th[i:j])[:, None]
+        moments.real[:, i:j] = (ct * pc + st * ps).T
+        moments.imag[:, i:j] = (st * pc - ct * ps).T
     z_c += _rs_remainder(c, n_c, a - n_c)
     low = _em_heights(c)
     z_c[low] = _hardy_z_em(c[low])[0]

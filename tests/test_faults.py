@@ -13,10 +13,11 @@ and names the exception and message of its load.  A damaged range is a
 ChecksumMismatch, and the CLI exits 1 on it with one error line; a range of
 another format version is a VersionMismatch, which `cached_table` rebuilds.
 
-Each sidecar fault damages the stored parts of the 1e7 prime sums, or the
-sieve that re-checks them, and names what the next warm call must do: raise
-ChecksumMismatch, or recompute the sums in full rather than return the
-stored ones.
+Each sidecar fault damages the checked directory of the 1e7 prime sums, its
+parts or its manifest, or the sieve that re-checks them, and names what the
+next warm call must do: raise ChecksumMismatch, or recompute the sums in full
+rather than return the stored ones, and rewrite the sidecar as a clean run
+writes it.
 """
 
 import hashlib
@@ -38,7 +39,7 @@ from gramlab import primes as pr
 from gramlab.errors import ChecksumMismatch, GramLabError, VersionMismatch
 from gramlab.zeros import ZeroTable
 
-from conftest import hex_bits
+from conftest import hex_bits, recheck
 
 N_LIMIT = 100000
 
@@ -192,9 +193,7 @@ def _rows(name: str, edit) -> Callable[[Path], None]:
         lines = path.read_text().splitlines(keepends=True)
         edit(lines)
         path.write_text("".join(lines))
-        checksum = store._digest((rng / "gram.csv").read_bytes(),
-                                 (rng / "zeros.csv").read_bytes())
-        _manifest(lambda m: m.update(checksum=checksum))(rng)
+        recheck(rng, "gram.csv", "zeros.csv")
     return damage
 
 
@@ -251,7 +250,7 @@ STORE_FAULTS = [
     StoreFault("manifest_truncated", _bytes("manifest.json", lambda b: b[:40]),
                ChecksumMismatch, _DAMAGED_MANIFEST),
     *(StoreFault(f"{stem}_csv_missing", _missing(f"{stem}.csv"), ChecksumMismatch,
-                 f"{stem}.csv: missing from the range") for stem in ("gram", "zeros")),
+                 f"{stem}.csv: missing") for stem in ("gram", "zeros")),
     *(StoreFault(f"manifest_{name}", _manifest(lambda m, f=field, v=value: m.update({f: v})),
                  ChecksumMismatch, _EXTENT)
       for name, field, value in [("n_max_gram_200000", "n_max_gram", 200000),
@@ -356,42 +355,52 @@ def test_cli_damaged_caches_exit_1(fault, damaged, monkeypatch, capsys):
 # the prime-sum sidecar
 
 X = 10**7                       # 664,579 primes: 6 blocks, of which 0 and 5 are sampled
-SIDECAR = f"primes_{X:012d}.sums.json"
+SIDECAR = f"primes_{X:012d}"
+PARTS = "parts.json"
 
 
 @dataclass(frozen=True)
 class SidecarFault:
     name: str
-    damage: Callable[[Path, pytest.MonkeyPatch], None]
-    raises: str | None = None   # the ChecksumMismatch message; None: recomputed in full
+    damage: Callable[[Path, pytest.MonkeyPatch], None]  # applied to the sidecar directory
+    raises: str | None = None   # the ChecksumMismatch message after SIDECAR; None: recomputed
 
 
-def _rewritten(edit) -> Callable[[Path, pytest.MonkeyPatch], None]:
-    """A fault that applies edit to the sidecar's contents and writes them
-    under a fresh checksum, as other code would."""
-    def damage(path, _):
-        body = json.loads(path.read_text())
-        del body["checksum"]
-        edit(body)
-        body["checksum"] = hashlib.blake2b(json.dumps(body, sort_keys=True).encode(),
-                                           digest_size=8).hexdigest()
-        path.write_text(json.dumps(body))
+def _cut(name: str) -> Callable[[Path, pytest.MonkeyPatch], None]:
+    def damage(sdir, _):
+        path = sdir / name
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
     return damage
 
 
-def _flipped_byte(path, _):
+def _flipped_byte(sdir, _):
+    path = sdir / PARTS
     raw = path.read_bytes()
     i = raw.index(b'"0x1.') + 8
     path.write_bytes(raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1 :])
 
 
-def _cut_json(path, _):
-    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+def _rewritten(edit) -> Callable[[Path, pytest.MonkeyPatch], None]:
+    """A fault that replaces the stored parts with edit of them, written under
+    a fresh checksum, as other code would."""
+    def damage(sdir, _):
+        parts = json.loads((sdir / PARTS).read_text())
+        (sdir / PARTS).write_text(json.dumps(edit(parts)))
+        recheck(sdir, PARTS)
+    return damage
 
 
-def _nudged(body):
-    parts = body["partials"]["1 / p"][5]
-    parts[0] = math.nextafter(float.fromhex(parts[0]), math.inf).hex()
+def _nudged(parts):
+    block = parts["1 / p"][5]
+    block[0] = math.nextafter(float.fromhex(block[0]), math.inf).hex()
+    return parts
+
+
+def _of_limit(sdir, _):
+    """The manifest rewritten for another limit, as other code would."""
+    mpath = sdir / "manifest.json"
+    mpath.write_text(json.dumps({**json.loads(mpath.read_text()), "limit": X + 1}))
+    recheck(sdir, PARTS)
 
 
 def _prime_dropped(_, monkeypatch):
@@ -408,43 +417,97 @@ def _prime_dropped(_, monkeypatch):
     monkeypatch.setattr(pr, "_sieve_block", dropping)
 
 
-def _other_segment(path, monkeypatch):
+def _other_segment(sdir, monkeypatch):
     """The sidecar written again with segments of half the size."""
     with monkeypatch.context() as m:
         m.setattr(pr, "_SEGMENT", pr._SEGMENT // 2)
-        path.unlink()
-        pr.prime_sums(X, (0.2,), cache_dir=path.parent)
-    assert json.loads(path.read_text())["segment"] == pr._SEGMENT // 2
+        pr.prime_sums(X, (0.2,), cache_dir=sdir.parent)
+    assert json.loads((sdir / "manifest.json").read_text())["segment"] == pr._SEGMENT // 2
 
+
+_SUMS_CHECKSUM = ": data does not match manifest checksum"
 
 SIDECAR_FAULTS = [
-    SidecarFault("S1_flipped_byte", _flipped_byte, "damaged prime-sum partials"),
-    SidecarFault("S2_bad_json", _cut_json, "damaged prime-sum partials"),
-    SidecarFault("S3_partial_dropped", _rewritten(lambda b: b["partials"]["1 / p"].pop()),
-                 "damaged prime-sum partials (parts not of 6 blocks)"),
+    SidecarFault("S1_flipped_byte", _flipped_byte, _SUMS_CHECKSUM),
+    SidecarFault("S2_bad_json", _cut(PARTS), _SUMS_CHECKSUM),
+    SidecarFault("S3_partial_dropped", _rewritten(lambda p: {**p, "1 / p": p["1 / p"][:-1]}),
+                 f"/{PARTS}: damaged prime-sum partials (parts not of 6 blocks)"),
+    SidecarFault("S4_manifest_cut", _cut("manifest.json"), "/manifest.json: damaged manifest"),
     SidecarFault("S5_sampled_partial_nudged_1_ulp", _rewritten(_nudged)),
+    SidecarFault("S6_parts_not_an_object", _rewritten(lambda p: list(p)),
+                 f"/{PARTS}: damaged prime-sum partials"),
+    # a save cut short leaves no manifest: the sums are recomputed, as a range
+    # is rebuilt, though the shared reader refuses the directory
+    SidecarFault("S7_manifest_missing", lambda sdir, _: (sdir / "manifest.json").unlink()),
     SidecarFault("S8_sieve_drops_a_sampled_prime", _prime_dropped),
     SidecarFault("S9_another_segment", _other_segment),
+    SidecarFault("S10_another_limit", _of_limit),
 ]
+
+
+def _listing(sdir: Path) -> dict[str, bytes]:
+    return {f.name: f.read_bytes() for f in sdir.iterdir()}
+
+
+def _count_summed(monkeypatch) -> list[int]:
+    summed, chunk_sum = [], accum._chunk_sum
+    monkeypatch.setattr(accum, "_chunk_sum",
+                        lambda c, q, r: summed.append(c.size) or chunk_sum(c, q, r))
+    return summed
 
 
 @pytest.mark.parametrize("fault", SIDECAR_FAULTS, ids=lambda f: f.name)
 def test_sidecar_fault_is_caught(fault, tmp_path, monkeypatch, capsys):
     cold = pr.prime_sums(X, (0.2,), cache_dir=tmp_path)
-    spath = tmp_path / SIDECAR
-    raw = spath.read_bytes()
-    fault.damage(spath, monkeypatch)
+    sdir = tmp_path / SIDECAR
+    raw = _listing(sdir)
+    fault.damage(sdir, monkeypatch)
     if fault.raises:
-        with pytest.raises(ChecksumMismatch, match=re.escape(f"{SIDECAR}: {fault.raises}")):
+        with pytest.raises(ChecksumMismatch, match=re.escape(SIDECAR + fault.raises)):
             pr.prime_sums(X, (0.2,), cache_dir=tmp_path)
         _exits_1(monkeypatch, capsys, "--cache-dir", str(tmp_path),
                  "primes", "--kind", "mertens", "--x", "1e7")
         return
-    summed, chunk_sum = [], accum._chunk_sum
-    monkeypatch.setattr(accum, "_chunk_sum", lambda c, q, r: summed.append(c.size) or chunk_sum(c, q, r))
+    summed = _count_summed(monkeypatch)
     pr.prime_sums(X, (0.2,), cache_dir=tmp_path)
     assert sum(summed) >= 3 * 664579                # a full stream, not the sample alone
     # with the sieve mended, the sums and the sidecar are the clean run's
     monkeypatch.undo()
     assert pr.prime_sums(X, (0.2,), cache_dir=tmp_path) == cold
-    assert spath.read_bytes() == raw
+    assert _listing(sdir) == raw
+
+
+@pytest.mark.parametrize("kind", ["range", "sidecar"])
+def test_shared_reader_refuses_a_directory_without_its_manifest(kind, saved, tmp_path):
+    if kind == "range":
+        path, names = shutil.copytree(saved, tmp_path / "zrange"), ("gram.csv", "zeros.csv")
+    else:
+        pr.prime_sums(X, (0.2,), cache_dir=tmp_path)
+        path, names = tmp_path / SIDECAR, (PARTS,)
+    (path / "manifest.json").unlink()
+    with pytest.raises(ChecksumMismatch, match=re.escape(_DAMAGED_MANIFEST)):
+        with store.read_checked(path, names):
+            pass
+
+
+def test_parent_format_sidecar_is_never_read(tmp_path, monkeypatch):
+    # the one-file sidecar that kept its checksum inside its JSON body: a cache
+    # holding only that file recomputes the sums once, then serves them warm
+    pr.prime_sums(X, (0.2,), cache_dir=tmp_path / "new")
+    body = {"limit": X, "segment": pr._SEGMENT,
+            "partials": json.loads((tmp_path / "new" / SIDECAR / PARTS).read_text())}
+    body["checksum"] = hashlib.blake2b(json.dumps(body, sort_keys=True).encode(),
+                                       digest_size=8).hexdigest()
+    old = tmp_path / "cache" / f"primes_{X:012d}.sums.json"
+    old.parent.mkdir()
+    old.write_text(json.dumps(body, indent=1) + "\n")
+    raw = old.read_bytes()
+    summed = _count_summed(monkeypatch)
+    cold = pr.prime_sums(X, (0.2,), cache_dir=old.parent)
+    assert sum(summed) == 3 * 664579                # one full stream
+    summed.clear()
+    assert pr.prime_sums(X, (0.2,), cache_dir=old.parent) == cold
+    assert 0 < sum(summed) < 664579                 # the sampled blocks alone
+    assert sorted(f.name for f in old.parent.iterdir()) == [SIDECAR, old.name]
+    assert old.read_bytes() == raw
+    assert _listing(old.parent / SIDECAR) == _listing(tmp_path / "new" / SIDECAR)

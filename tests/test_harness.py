@@ -21,7 +21,7 @@ from gramlab.errors import ChecksumMismatch, ParseError, VersionMismatch
 from gramlab.reports import Report, render, to_csv, to_json
 from gramlab.zeros import HEADROOM, ScanDiagnostics, ZeroTable
 
-from conftest import hex_bits
+from conftest import hex_bits, recheck
 
 
 def test_save_load_roundtrip(table_small, tmp_path):
@@ -53,7 +53,7 @@ def _through_the_codec(header: str, first: int, *columns: np.ndarray) -> list[np
     7 rows a block."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(store, "_CSV_ROWS", 7)
-        fh = io.BytesIO(b"".join(store._csv(store._hasher(), header, first, *columns)))
+        fh = io.BytesIO(b"".join(store._csv(header, first, *columns)))
         return store._parse(fh, "data.csv", header, first)
 
 
@@ -75,11 +75,7 @@ def _rewrite(rng: Path, name: str, edit) -> None:
     lines = path.read_text().splitlines(keepends=True)
     edit(lines)
     path.write_text("".join(lines))
-    mpath = rng / "manifest.json"
-    data = json.loads(mpath.read_text())
-    data["checksum"] = store._digest((rng / "gram.csv").read_bytes(),
-                                     (rng / "zeros.csv").read_bytes())
-    mpath.write_text(json.dumps(data))
+    recheck(rng, "gram.csv", "zeros.csv")
 
 
 def _field(lines, row, col):
@@ -202,10 +198,8 @@ def _as_version_1(rng: Path, table: ZeroTable) -> None:
     gram.write_text("".join(line.rsplit(",", 1)[0] + "\n"
                             for line in gram.read_text().splitlines()))
     mpath = rng / "manifest.json"
-    data = json.loads(mpath.read_text())
-    data["version"] = 1
-    data["checksum"] = store._digest(gram.read_bytes(), (rng / "zeros.csv").read_bytes())
-    mpath.write_text(json.dumps(data))
+    mpath.write_text(json.dumps({**json.loads(mpath.read_text()), "version": 1}))
+    recheck(rng, "gram.csv", "zeros.csv")
 
 
 def _as_format_2(rng: Path, table: ZeroTable) -> None:
@@ -610,6 +604,32 @@ def test_cli_moment_reports_pinned(table_mid, cache_root, tmp_path, capsys):
     assert "".join(parts) == _MOMENT_REPORTS.read_text()
 
 
+_RANGE_MESSAGE = "require N >= 3, M >= 1, m >= 0, k >= 0"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["moments", "--kind", "first", "--start-n", "1000", "--length-m", "0"], _RANGE_MESSAGE),
+    (["moments", "--kind", "adjacent", "--start-n", "1", "--length-m", "500"], _RANGE_MESSAGE),
+    (["moments", "--kind", "block", *_R, "--shift-m", "-1"], _RANGE_MESSAGE),
+    (["moments", "--kind", "block", *_R, "--order-k", "0"],
+     "block_difference_moment requires k >= 1"),
+    (["moments", "--kind", "counts", "--start-n", "1000", "--length-m", "0"],
+     "interval range must satisfy 1 <= n_lo <= n_hi"),
+    (["moments", "--kind", "first", "--start-n", "-5", "--length-m", "500"],
+     "first_moment requires N >= 0"),
+    (["moments", "--kind", "alternating", *_R, "--order-k", "-1"], _RANGE_MESSAGE),
+    (["moments", "--kind", "selberg-odd", *_R, "--order-k", "0"],
+     "selberg_delta_moment requires k >= 1"),
+    (["moments", "--kind", "residual", *_R, "--order-k", "0"],
+     "residual_moments requires k >= 1"),
+    (["titchmarsh", "--upper-n", "-3"],
+     "Invalid value for '--upper-n': -3 is not in the range x>=1.")])
+def test_cli_rejected_moments_obtain_no_table(args, message, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert _gramlab(["--cache-dir", str(cache), *args], capsys) == ("", f"error: {message}\n", 2)
+    assert not cache.exists()       # no zrange/ was built, saved or read
+
+
 @pytest.mark.parametrize("epsilon", ["0.5", "nan"])
 @pytest.mark.parametrize("args", [
     ["verify-paper", "--n-limit", "1200"],
@@ -635,7 +655,7 @@ def test_warm_verify_paper_resieves_the_sampled_chunks_only(cli_cache_dir, monke
     # no other file of the cache dir is opened but the zero range's
     x = primes.SIEVE_CEILING
     primes.prime_sums(x, regression.VXH_GRID[x], cache_dir=cli_cache_dir)  # filled if absent
-    spath = cli_cache_dir / f"primes_{x:012d}.sums.json"
+    sdir = cli_cache_dir / f"primes_{x:012d}"
     # the base primes <= 10^4, then one block per 2^21 numbers from 10001
     edges = [0, *range(10001, x + 1, 2**21), x + 1]
     blocks = list(zip(edges, edges[1:]))
@@ -661,7 +681,8 @@ def test_warm_verify_paper_resieves_the_sampled_chunks_only(cli_cache_dir, monke
     assert [s for s in sieved if s in blocks] == blocks[::8]        # 0, 8, ..., 48: the last
     assert all(s in blocks or s[1] <= 10**6 + 1 for s in sieved)    # the smaller x's sieves
     assert {p for p in opened if isinstance(p, Path) and cli_cache_dir in p.parents
-            and cli_cache_dir / "zrange" not in p.parents} == {spath}
+            and cli_cache_dir / "zrange" not in p.parents} == {sdir / "manifest.json",
+                                                                sdir / "parts.json"}
     assert r.stdout == (Path(__file__).parent / "data" / "verify_paper_1e5.json").read_text()
 
 
@@ -673,8 +694,22 @@ def test_cli_prime_sums_same_cold_warm_and_uncached(tmp_path, args):
             _run_cli(["primes", *args], tmp_path)]
     assert [r.returncode for r in runs] == [0, 0, 0], runs[0].stderr
     assert runs[0].stdout == runs[1].stdout == runs[2].stdout
-    assert sorted(f.name for f in (tmp_path / "cache").iterdir()) == \
-        ["primes_000010000000.sums.json"]
+    assert sorted(f.name for f in (tmp_path / "cache").iterdir()) == ["primes_000010000000"]
+
+
+def test_cold_and_warm_verify_paper_leave_two_checked_directories(tmp_path):
+    # the zero range and the 1e8 prime-sum sidecar, each with its manifest and
+    # no temporary file, and a warm run leaves the same
+    cache = tmp_path / "cache"
+    listings = []
+    for _ in range(2):
+        r = _run_cli(["--cache-dir", str(cache), "verify-paper", "--n-limit", "1200"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        listings.append(sorted(f.relative_to(cache).as_posix() for f in cache.rglob("*")))
+    assert listings[0] == listings[1] == [
+        "primes_000100000000", "primes_000100000000/manifest.json",
+        "primes_000100000000/parts.json",
+        "zrange", "zrange/gram.csv", "zrange/manifest.json", "zrange/zeros.csv"]
 
 
 def test_cli_verify_paper_n_limit_floor(tmp_path):

@@ -117,8 +117,9 @@ def test_prime_sums_peak_memory_is_flat_in_x(tmp_path):
             tracemalloc.stop()
 
     (cold1, warm1), (cold2, warm2) = [(peak(x), peak(x)) for x in (10**7, 2 * 10**7)]
-    stored = json.loads((tmp_path / "primes_000020000000.sums.json").read_text())
-    assert stored["limit"] == 2 * 10**7 and len(stored["partials"]["1 / p"]) == 11   # blocks
+    sdir = tmp_path / "primes_000020000000"
+    assert json.loads((sdir / "manifest.json").read_text())["limit"] == 2 * 10**7
+    assert len(json.loads((sdir / "parts.json").read_text())["1 / p"]) == 11    # blocks
     assert abs(cold2 - cold1) < 2**20 and abs(warm2 - warm1) < 2**20
     assert warm1 < 8 * 664579           # the 1e7 table's bytes
 
@@ -176,18 +177,26 @@ def _pieces(blocks, terms: int) -> list[int]:
             for i in range(0, b.size, accum.CHUNK) for _ in range(terms)]
 
 
+_SIDECAR = "primes_000010000000"
+
+
+def _parts(cache_dir) -> dict[str, list[list[str]]]:
+    """The stored parts of the 1e7 sidecar in cache_dir."""
+    return json.loads((cache_dir / _SIDECAR / "parts.json").read_text())
+
+
+def _listing(sdir) -> dict[str, bytes]:
+    return {f.name: f.read_bytes() for f in sdir.iterdir()}
+
+
 def test_prime_sums_at_1e7_pinned_from_the_sidecar(tmp_path, monkeypatch):
     _assert_1e7_pinned(tmp_path)
-    spath = tmp_path / "primes_000010000000.sums.json"
-    assert len(json.loads(spath.read_text())["partials"]) == 4   # each call added its term
+    assert len(_parts(tmp_path)) == 4       # each call added its term
     summed = _count_chunk_sums(monkeypatch)
     _assert_1e7_pinned(tmp_path)
     sample = [_blocks_1e7()[i] for i in (0, 5)]
     # each term over blocks 0 and 5 of 6: the Mertens pair, then each V(x;h)
     assert summed == _pieces(sample, 2) + _pieces(sample, 1) * 2
-
-
-_SIDECAR = "primes_000010000000.sums.json"
 
 
 def _count_sieved(monkeypatch) -> list[tuple[int, int]]:
@@ -210,8 +219,7 @@ def test_warm_prime_sums_resum_a_sample_of_chunks(tmp_path, monkeypatch):
     summed = _count_chunk_sums(monkeypatch)
     cold = pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
     assert summed == _pieces(blocks, 3)
-    assert [len(p) for p in json.loads((tmp_path / _SIDECAR).read_text())["partials"].values()
-            ] == [6, 6, 6]
+    assert [len(p) for p in _parts(tmp_path).values()] == [6, 6, 6]
     summed.clear()
     sieved = _count_sieved(monkeypatch)
     assert pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path) == cold
@@ -236,14 +244,16 @@ def test_sums_that_fail_leave_no_sidecar(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
     monkeypatch.setattr(accum, "_chunk_sum", chunk_sum)
     pr.mertens_sums(10**7, cache_dir=tmp_path)
-    raw = (tmp_path / _SIDECAR).read_bytes()
+    sdir = tmp_path / _SIDECAR
+    raw = _listing(sdir)
     calls.clear()
     monkeypatch.setattr(accum, "_chunk_sum", failing)
     with pytest.raises(MemoryError):                # warm, with a term the sidecar lacks
         pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
     assert [f.name for f in tmp_path.iterdir()] == [_SIDECAR]
-    assert (tmp_path / _SIDECAR).read_bytes() == raw
-    # a sidecar write that fails leaves the old sidecar and no temporary file
+    assert _listing(sdir) == raw
+    # a sidecar write that fails leaves no manifest and no temporary file, so
+    # the next call takes the sidecar for absent and writes it whole
     monkeypatch.setattr(accum, "_chunk_sum", chunk_sum)
 
     def refused(src, dst):
@@ -252,8 +262,13 @@ def test_sums_that_fail_leave_no_sidecar(tmp_path, monkeypatch):
     monkeypatch.setattr(pr.os, "replace", refused)
     with pytest.raises(OSError, match="rename"):
         pr.v_xh(1e7, 0.2, cache_dir=tmp_path)
-    assert [f.name for f in tmp_path.iterdir()] == [_SIDECAR]
-    assert (tmp_path / _SIDECAR).read_bytes() == raw
+    assert _listing(sdir) == {"parts.json": raw["parts.json"]}
+    monkeypatch.undo()
+    summed = _count_chunk_sums(monkeypatch)
+    value = pr.v_xh(1e7, 0.2, cache_dir=tmp_path)
+    assert summed == _pieces(_blocks_1e7(), 1)     # one full stream of its one term
+    assert sorted(_listing(sdir)) == ["manifest.json", "parts.json"]
+    assert value == pr.v_xh(1e7, 0.2)
 
 
 def test_mertens_hand_value_at_10():
