@@ -18,7 +18,7 @@ from .errors import (DomainError, GramLabError, ParseError, PreconditionError,
                      ResourceError, UncertifiedRange)
 from .reports import Report, render
 from .theta_gram import gram_points
-from .zeros import GRAM_CEILING, ZeroTable, gram_index_for_height
+from .zeros import GRAM_CEILING, gram_index_for_height, require_heights
 
 RANGE_SUBDIR = "zrange"
 
@@ -30,18 +30,15 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _obtain_table(ctx_obj, n_needed: int) -> ZeroTable:
-    cache_dir = ctx_obj.get("cache_dir")
-    path = Path(cache_dir) / RANGE_SUBDIR if cache_dir else None
-    return store.cached_table(n_needed, path)
-
-
 class _TableOnUse:
-    """The table through Gram index n_needed, obtained when a sum first reads
-    it: a sum checks its arguments first, so a rejected call builds nothing."""
+    """The table through Gram index n_needed, from the range under the cache
+    directory, obtained when a command first reads it: every command checks
+    its arguments first, so a rejected call builds and reads nothing."""
 
     def __init__(self, ctx_obj, n_needed: int):
-        self._obtain = functools.cache(lambda: _obtain_table(ctx_obj, n_needed))
+        cache_dir = ctx_obj.get("cache_dir")
+        path = Path(cache_dir) / RANGE_SUBDIR if cache_dir else None
+        self._obtain = functools.cache(lambda: store.cached_table(n_needed, path))
 
     def __getattr__(self, name):
         return getattr(self._obtain(), name)
@@ -89,7 +86,8 @@ def gram(obj, n_lo, n_hi):
 @click.pass_obj
 def zeros(obj, t_lo, t_hi):
     """Certified zeros of Z in (t-lo, t-hi]."""
-    table = _obtain_table(obj, gram_index_for_height(t_hi))
+    require_heights(t_lo, t_hi)
+    table = _TableOnUse(obj, gram_index_for_height(t_hi))
     rep = Report(kind="classification")
     for z in table.find_zeros(t_lo, t_hi):
         rep.add("find_zeros", {"t_lo": t_lo, "t_hi": t_hi}, index=z.index,
@@ -104,7 +102,7 @@ def zeros(obj, t_lo, t_hi):
 @click.pass_obj
 def classify(obj, n_lo, n_hi):
     """Gram's-law flags for intervals G_n, n in [n-lo, n-hi]."""
-    table = _obtain_table(obj, n_hi)
+    table = _TableOnUse(obj, n_hi)
     rep = Report(kind="classification")
     for r in gram_law.classify_intervals(table, n_lo, n_hi):
         rep.add("classify_intervals", {"n_lo": n_lo, "n_hi": n_hi},
@@ -119,7 +117,7 @@ def classify(obj, n_lo, n_hi):
 @click.pass_obj
 def delta(obj, n_lo, n_hi):
     """Zero-to-Gram offsets Delta_n for zero indices in [n-lo, n-hi]."""
-    table = _obtain_table(obj, n_hi)    # holds certified_n >= n_hi zeros
+    table = _TableOnUse(obj, n_hi)    # holds certified_n >= n_hi zeros
     rep = Report(kind="classification")
     deltas = gram_law.delta_array(table, n_lo, n_hi).tolist()
     for idx, d in zip(range(n_lo, n_hi + 1), deltas):
@@ -129,11 +127,11 @@ def delta(obj, n_lo, n_hi):
 
 
 @main.command()
-@click.option("--upper-n", type=int, required=True)
+@click.option("--upper-n", type=click.IntRange(min=1), required=True)
 @click.pass_obj
 def nu(obj, upper_n):
     """Occupancy histogram nu_k over G_1..G_N."""
-    table = _obtain_table(obj, upper_n)
+    table = _TableOnUse(obj, upper_n)
     h = gram_law.nu_histogram(table, upper_n)
     rep = Report(kind="histogram")
     for k in sorted(h.counts):
@@ -191,7 +189,7 @@ def moments_cmd(obj, kind, n_start, m_len, m_shift, k_ord):
 @click.pass_obj
 def titchmarsh(obj, upper_n):
     """Correlation sum of Z at adjacent Gram points against -2(gamma+1)N."""
-    table = _obtain_table(obj, upper_n)
+    table = _TableOnUse(obj, upper_n)
     r = moments.titchmarsh_correlation(table, upper_n)
     rep = Report(kind="moment")
     rep.add("titchmarsh_correlation", {"N": upper_n}, sum=r.sum,
@@ -246,7 +244,7 @@ def ingest_cmd(obj, path, match_tol):
     """Match an external ordinate table against computed zeros."""
     ext = ingest.parse_ordinate_file(path)
     t_hi = float(ext[-1]) + 5.0 if ext.size else 30.0
-    table = _obtain_table(obj, gram_index_for_height(t_hi))
+    table = _TableOnUse(obj, gram_index_for_height(t_hi))
     r = ingest.ingest_external_table(path, table, match_tol=match_tol)
     rep = Report(kind="match")
     rep.add("ingest_external_table", {"path": str(path), "match_tol": match_tol},
@@ -262,7 +260,7 @@ def ingest_cmd(obj, path, match_tol):
 @click.pass_obj
 def verify_paper(obj, n_limit):
     """Run every published-value regression; exit 1 on any failure."""
-    table = _obtain_table(obj, n_limit)
+    table = _TableOnUse(obj, n_limit)
     ctx = regression.RegressionContext(
         table=table, n_limit=n_limit, epsilon=obj["epsilon"],
         cache_dir=obj["cache_dir"])

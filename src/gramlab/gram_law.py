@@ -52,11 +52,14 @@ class NuHistogram:
 
 
 def _edges(table: ZeroTable, n_lo: int, n_hi: int) -> np.ndarray:
-    """N(t_n) for n = n_lo-1..n_hi: zeros of G_n are zeros[edges[i]:edges[i+1]]."""
+    """N(t_n + 0) for n = n_lo-1..n_hi, read from S(t_n + 0) = N(t_n + 0) - n:
+    zeros of G_n are zeros[edges[i]:edges[i+1]]."""
     if not (1 <= n_lo <= n_hi):
         raise PreconditionError("interval range must satisfy 1 <= n_lo <= n_hi")
     table.require_gram_index(n_hi)
-    return np.searchsorted(table.zeros, table.gram[n_lo - 1 : n_hi + 1], side="right")
+    edges = np.arange(n_lo - 1, n_hi + 1)       # in place: no second temporary
+    edges += table.s_gram[n_lo - 1 : n_hi + 1]
+    return edges
 
 
 def interval_counts(table: ZeroTable, n_lo: int, n_hi: int) -> np.ndarray:

@@ -38,7 +38,9 @@ is a ChecksumMismatch.  ParseError is for external ordinate tables only.
 Neither direction holds a whole file: a save encodes _CSV_ROWS rows at a
 time, each block one uint8 array, and a load parses them as many at a time,
 the row width from the first data row and the row count from the file size,
-so a block that does not parse is named by its lines.
+so a block that does not parse is named by its lines.  A block is decoded by
+byte arithmetic, with no lookup table: each hex digit's value from its byte
+code, and the index column as its digits times powers of ten.
 """
 
 from __future__ import annotations
@@ -67,10 +69,8 @@ _Z_SAMPLE_HEAD = 512     # Gram indices re-evaluated in full: t < 827, both Z ro
 _Z_SAMPLE_STRIDE = 1024  # then every this many, and the last
 _CSV_ROWS = 4096         # rows per encoded or parsed block
 _READ_BYTES = 1 << 16    # bytes per read of a data file while hashing
-# a byte -> its two lowercase hex digits; an ASCII byte -> its hex value, 16 if none
+# a byte -> its two lowercase hex digits
 _HEX = np.frombuffer(b"".join(b"%02x" % i for i in range(256)), np.uint8).reshape(256, 2)
-_NIBBLE = np.array([int(chr(c), 16) if chr(c) in "0123456789abcdef" else 16
-                    for c in range(256)], np.uint8)
 
 
 @dataclass(frozen=True)
@@ -219,16 +219,26 @@ def _parse(fh, what: str, header: str, first: int) -> list[np.ndarray]:
         if parsed:
             block = block.reshape(n, width)
             fields = block[:, digits:-1].reshape(n, k, 17)
-            nibbles = _NIBBLE.take(fields[:, :, 1:])
+            # a hex digit's value: c - 48 for 0-9, less 39 more for a-f; any
+            # other byte wraps to a value that is 16 or more, or to a letter's
+            # value with no letter's offset
+            nibbles = fields[:, :, 1:] - np.uint8(48)
+            letter = nibbles > 9
+            nibbles -= np.uint8(39) * letter
             parsed = ((block[:, -1] == ord("\n")).all() and (fields[:, :, 0] == ord(",")).all()
-                      and (nibbles < 16).all())
+                      and (nibbles < 16).all() and np.array_equal(nibbles > 9, letter))
         if not parsed:
             raise ChecksumMismatch(f"{what}: lines {a + 2}-{a + n + 1} are not rows "
                                    f"of {k + 1} numbers")
-        if not np.array_equal(block[:, :digits], _index(first + a, first + a + n,
-                                                         len(str(last)))):
+        # the index: decimal digits, zero-padded to the width of the last
+        index = block[:, :digits] - np.uint8(48)
+        if not (digits == len(str(last)) and (index < 10).all() and np.array_equal(
+                index @ 10 ** np.arange(digits - 1, -1, -1), np.arange(first + a, first + a + n))):
             raise ChecksumMismatch(f"{what}: index column is not {first}..{last}")
-        bits = nibbles[:, :, 0::2] << 4 | nibbles[:, :, 1::2]
+        # a byte from its two digits: a digit pair read as one little-endian
+        # 16-bit word is high + 256 low
+        pairs = nibbles.view("<u2")
+        bits = ((pairs << 4 | pairs >> 8) & 0xFF).astype(np.uint8)
         for j, column in enumerate(values):
             column[a : a + n] = bits.view(">f8")[:, j, 0]
     if not all(np.isfinite(column).all() for column in values):

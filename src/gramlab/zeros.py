@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -113,6 +114,12 @@ def near(points: np.ndarray, ts) -> np.ndarray:
     return hit.reshape(ts.shape)
 
 
+def require_heights(t_lo: float, t_hi: float) -> None:
+    """PreconditionError unless 7 < t_lo < t_hi: the heights a zero query takes."""
+    if not (7.0 < t_lo < t_hi):
+        raise PreconditionError("require 7 < t_lo < t_hi")
+
+
 class ZeroTable:
     """Gram points 0..certified_n, their Z values, and the zeros below the last.
 
@@ -124,21 +131,26 @@ class ZeroTable:
         """Gram points, zeros and Z at the Gram points, built or loaded.  Every
         zero takes the uniform certified half-width: each final bracket fits
         inside [t - 1e-9, t + 1e-9], so built and loaded tables report the
-        same bytes.  The flags and S at the Gram points are made a block of
-        entries at a time, with no whole-range temporary."""
+        same bytes.  S at the Gram points is made a block of entries at a time,
+        with no whole-range temporary; the ambiguity flags on first use."""
         gram, zeros = np.asarray(gram, dtype=float), np.asarray(zeros, dtype=float)
         self.gram = gram                  # t_n, index = n
         self.z_gram = z_gram              # Z(t_n)
         self.zeros = zeros                # ascending ordinates, 1-based count
         self.bracket_half = np.broadcast_to(BRACKET_HALF_WIDTH, zeros.size)
         self.diagnostics = diagnostics or ScanDiagnostics()
-        self.zero_ambiguous = near(gram, zeros)
         # S(t_n + 0) = N(t_n + 0) - n, a block of counts at a time
         self.s_gram = np.empty(gram.size, dtype=np.int64)
         for s in range(0, gram.size, _BLOCK):
             e = min(s + _BLOCK, gram.size)
             np.subtract(np.searchsorted(zeros, gram[s:e], side="right"),
                         np.arange(s, e), out=self.s_gram[s:e])
+
+    @cached_property
+    def zero_ambiguous(self) -> np.ndarray:
+        """True where a zero lies within AMBIGUITY_TOL of a Gram point; made
+        on first use, as only `zero` reads it."""
+        return near(self.gram, self.zeros)
 
     # -- construction ------------------------------------------------------
 
@@ -218,8 +230,7 @@ class ZeroTable:
         return int(self.s_gram[n])
 
     def find_zeros(self, t_lo: float, t_hi: float) -> list[CriticalZero]:
-        if not (7.0 < t_lo < t_hi):
-            raise PreconditionError("find_zeros requires 7 < t_lo < t_hi")
+        require_heights(t_lo, t_hi)
         self._require_certified_t(t_hi)
         i = int(np.searchsorted(self.zeros, t_lo, side="right"))
         j = int(np.searchsorted(self.zeros, t_hi, side="right"))
@@ -228,8 +239,7 @@ class ZeroTable:
     def completeness_certificate(self, t_lo: float, t_hi: float):
         """(ok, details) for the zeros located in (t_lo, t_hi]: complete at or
         below the anchor t_certified, through which the build checked its count."""
-        if not (7.0 < t_lo < t_hi):
-            raise PreconditionError("completeness_certificate requires 7 < t_lo < t_hi")
+        require_heights(t_lo, t_hi)
         if t_hi > self.t_certified + 1e-12:
             return False, {"reason": "beyond certified height",
                            "t_certified": self.t_certified,
@@ -456,6 +466,7 @@ def gram_index_for_height(t: float) -> int:
 
 
 def find_zeros(t_lo: float, t_hi: float) -> list[CriticalZero]:
+    require_heights(t_lo, t_hi)
     return certified_table(gram_index_for_height(t_hi)).find_zeros(t_lo, t_hi)
 
 
@@ -468,4 +479,5 @@ def s_at_gram(n: int) -> int:
 
 
 def completeness_certificate(t_lo: float, t_hi: float):
+    require_heights(t_lo, t_hi)
     return certified_table(gram_index_for_height(t_hi)).completeness_certificate(t_lo, t_hi)

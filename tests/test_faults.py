@@ -274,6 +274,18 @@ STORE_FAULTS = [
     StoreFault("zeros_csv_uppercase_hex_line_700",
                _rows("zeros.csv", lambda ls: _set(ls, 699, 1, _field(ls, 699, 1).upper())),
                ChecksumMismatch, "zeros.csv: lines 602-701 are not rows of 2 numbers"),
+    # bytes that the arithmetic decode wraps into a digit's value: "`" to 9
+    # as a hex digit, ":" to 10 at an index digit, so "000:" sums to 10
+    StoreFault("zeros_csv_backtick_hex_line_300",
+               _rows("zeros.csv", lambda ls: _set(ls, 299, 1, "`" + _field(ls, 299, 1)[1:])),
+               ChecksumMismatch, "zeros.csv: lines 202-301 are not rows of 2 numbers"),
+    StoreFault("gram_csv_index_colon_for_10",
+               _rows("gram.csv", lambda ls: _set(ls, 11, 0, "000:")),
+               ChecksumMismatch, "gram.csv: index column is not 0..1240"),
+    StoreFault("zeros_csv_index_padded_wider",
+               _rows("zeros.csv", lambda ls: ls.__setitem__(
+                   slice(1, None), ["0" + line for line in ls[1:]])),
+               ChecksumMismatch, "zeros.csv: index column is not 1..1240"),
     StoreFault("gram_csv_bad_height_line_901",
                _rows("gram.csv", lambda ls: _set(ls, 900, 1, "1.5x")),
                ChecksumMismatch, "gram.csv: lines 802-901 are not rows of 3 numbers"),

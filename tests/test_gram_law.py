@@ -38,6 +38,17 @@ def test_g2147_holds_three_zeros(table_mid):
     assert list(range(edges[0] + 1, edges[1] + 1)) == [2146, 2147, 2148]
 
 
+def test_interval_counts_match_a_recount_from_the_arrays(table_full):
+    """interval_counts reads N(t_n + 0) from s_gram; on every window of 1e4
+    intervals it equals the occupancy recounted from the zeros and Gram points."""
+    top = table_full.certified_n
+    for n_lo in range(1, top + 1, 10**4):
+        n_hi = min(n_lo + 10**4 - 1, top)
+        edges = np.searchsorted(table_full.zeros, table_full.gram[n_lo - 1 : n_hi + 1],
+                                side="right")
+        assert np.array_equal(gl.interval_counts(table_full, n_lo, n_hi), np.diff(edges))
+
+
 def test_gl_without_sgl_trio(table_mid):
     for n in (3359, 3778, 4542):
         rec = gl.classify_intervals(table_mid, n, n)[0]

@@ -442,7 +442,26 @@ def test_cli_malformed_range_exits_2(args, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.entry()
     assert exc.value.code == 2
-    assert "n_lo <= n_hi" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {_RANGE_MESSAGES[args[0]]}\n"
+
+
+_RANGE_MESSAGES = {
+    "classify": "interval range must satisfy 1 <= n_lo <= n_hi",
+    "delta": "zero index range must satisfy 1 <= n_lo <= n_hi",
+    "nu": "Invalid value for '--upper-n': 0 is not in the range x>=1.",
+    "zeros": "require 7 < t_lo < t_hi"}
+
+
+@pytest.mark.parametrize("args", [["classify", "--n-lo", "0", "--n-hi", "5"],
+                                  ["delta", "--n-lo", "0", "--n-hi", "5"],
+                                  ["nu", "--upper-n", "0"],
+                                  ["zeros", "--t-lo", "50", "--t-hi", "10"]])
+def test_cli_rejected_ranges_obtain_no_table(args, tmp_path, capsys):
+    # each command checks its arguments before it builds, reads or saves a table
+    cache = tmp_path / "cache"
+    assert _gramlab(["--cache-dir", str(cache), *args], capsys) == (
+        "", f"error: {_RANGE_MESSAGES[args[0]]}\n", 2)
+    assert not cache.exists()
 
 
 def _exits_2_past_the_ceiling(args, tmp_path, monkeypatch, capsys):

@@ -139,16 +139,36 @@ def test_prime_sums_at_1e7_pinned(tmp_path):
 def test_prime_sums_are_fsum_of_their_terms():
     """Each sum is math.fsum over its whole term array, which no cut of the
     primes reaches: at 1e6 and 1e7, 1 / p read one ulp low when it was
-    rounded once per chunk of 65,536 primes."""
+    rounded once per chunk of 65,536 primes.  The V(x;h) terms are those of
+    `_vxh_term`."""
     def fsums(x, hs):
         p = pr.sieve_primes(x).primes.astype(float)
         lnp = np.log(p)
-        terms = [lnp / p, 1.0 / p, *(np.sin(0.5 * h * lnp) ** 2 / p for h in hs)]
+        terms = [lnp / p, 1.0 / p, *(pr._vxh_term(h)[1]((p, lnp)) for h in hs)]
         return [math.fsum(t.tolist()).hex() for t in terms]
 
     (lp, rp), vxh = pr.prime_sums(10**6, (0.2, 0.39))
     assert [lp.hex(), rp.hex(), *(v.value.hex() for v in vxh)] == fsums(10**6, (0.2, 0.39))
     assert [v.hex() for v in pr.mertens_sums(10**7)] == fsums(10**7, ())
+
+
+@pytest.mark.parametrize("h", [0.05, 0.1, 0.2, 0.39])
+def test_vxh_term_within_4_ulp_of_mpmath(h):
+    """The term t^2 / ((1 + t^2) p), t = tan(y), is within 4 ulp of
+    sin^2(y) / p at 30 digits, with y = h ln p / 2 as the term takes it, on
+    seeded windows of primes up to 1e8 and on those where y passes pi/2 and pi."""
+    rng = np.random.default_rng(36)
+    base = pr._base_primes(10**4)
+    centres = [*rng.integers(10**4, 10**8 - 10**4, 6),
+               *(c for c in (math.exp(math.pi / h), math.exp(2 * math.pi / h)) if c < 10**8)]
+    p = np.concatenate([pr._sieve_block(max(int(c) - 5000, 2), int(c) + 5000, base)
+                        for c in centres]).astype(float)
+    lnp = np.log(p)
+    got = pr._vxh_term(h)[1]((p, lnp))
+    with mpmath.workdps(30):
+        ref = [mpmath.sin(mpmath.mpf(y)) ** 2 / int(q) for y, q in zip(0.5 * h * lnp, p)]
+        ulps = [abs(mpmath.mpf(g) - r) / np.spacing(float(r)) for g, r in zip(got, ref)]
+    assert max(ulps) <= 4
 
 
 def _blocks_1e7() -> list[np.ndarray]:
@@ -227,6 +247,38 @@ def test_warm_prime_sums_resum_a_sample_of_chunks(tmp_path, monkeypatch):
     # three terms
     assert sieved == [(0, 3163), (3163 + 4 * 2**21, 10**7 + 1)]
     assert summed == _pieces([blocks[0], blocks[5]], 3)
+
+
+def test_a_sidecar_of_the_sin_form_is_rewritten_once(tmp_path, monkeypatch):
+    """A sidecar written with the earlier term sin(y)^2 / p fails the warm
+    sample check: the sums are computed in full from the tangent form and
+    written once, and the next call takes them from its sample."""
+    tangent = pr._vxh_term
+
+    def sin_form(h):
+        return tangent(h)[0], lambda c: np.sin(0.5 * h * c[1]) ** 2 / c[0]
+
+    monkeypatch.setattr(pr, "_vxh_term", sin_form)
+    earlier = pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
+    stored = _parts(tmp_path)
+    monkeypatch.setattr(pr, "_vxh_term", tangent)
+    writes, write_checked = [], pr.write_checked
+    monkeypatch.setattr(pr, "write_checked",
+                        lambda *a, **k: writes.append(1) or write_checked(*a, **k))
+    sieved = _count_sieved(monkeypatch)
+    now = pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path)
+    sample = [(0, 3163), (3163 + 4 * 2**21, 10**7 + 1)]
+    assert sieved == sample + [(lo, min(lo + 2**21, 10**7 + 1))
+                               for lo in range(3163, 10**7 + 1, 2**21)]
+    assert writes == [1]
+    assert now == pr.prime_sums(10**7, (0.2,)) and now[0] == earlier[0]
+    parts = _parts(tmp_path)
+    (name,) = parts.keys() - pr._MERTENS_TERMS.keys()
+    assert parts[name] != stored[name]
+    assert {k: parts[k] for k in pr._MERTENS_TERMS} == {k: stored[k] for k in pr._MERTENS_TERMS}
+    sieved.clear()
+    assert pr.prime_sums(10**7, (0.2,), cache_dir=tmp_path) == now
+    assert sieved == sample and writes == [1]
 
 
 def test_sums_that_fail_leave_no_sidecar(tmp_path, monkeypatch):

@@ -88,11 +88,16 @@ def test_s_at_gram_values(table_built):
     assert table_built.s_at_gram(128) == 0
 
 
-def test_module_level_queries():
+def test_module_level_queries(monkeypatch):
     # each builds its own certified table through the one provider
     assert zr.count_zeros(30.0).n_of_t == 3
     assert zr.s_at_gram(127) == -1
     assert [z.index for z in zr.find_zeros(8.0, 30.0)] == [1, 2, 3]
+    # heights outside 7 < t_lo < t_hi are refused before a table is built
+    monkeypatch.setattr(ZeroTable, "build", None)
+    for query in (zr.find_zeros, zr.completeness_certificate):
+        with pytest.raises(PreconditionError, match="require 7 < t_lo < t_hi"):
+            query(50.0, 10.0)
 
 
 def test_s_bounded_by_9_log_t(table_full):
@@ -440,6 +445,30 @@ def _near_reference(points, ts):
     below = points[np.maximum(i - 1, 0)]
     above = points[np.minimum(i, points.size - 1)]
     return (np.abs(below - ts) < zr.AMBIGUITY_TOL) | (np.abs(above - ts) < zr.AMBIGUITY_TOL)
+
+
+def test_ambiguity_flags_are_made_on_first_use(table_built, tmp_path, monkeypatch):
+    """A built table and a loaded one flag the zeros within AMBIGUITY_TOL of a
+    Gram point, by the reference expression; neither a build, a construction
+    nor a load runs near() for them, and the first read runs it once."""
+    gram = table_built.gram
+    zeros = table_built.zeros.copy()
+    planted = np.searchsorted(zeros, gram[[20, 60]])
+    zeros[planted] = gram[[20, 60]] + [5e-10, -5e-10]
+    calls = []
+    near = zr.near
+    monkeypatch.setattr(zr, "near", lambda points, ts: calls.append(1) or near(points, ts))
+    built = ZeroTable.build(100)
+    store.save_range(ZeroTable(gram, zeros, table_built.z_values()), tmp_path / "rng")
+    loaded, _ = store.load_range(tmp_path / "rng")
+    assert calls == []
+    for table in (built, loaded):
+        want = _near_reference(table.gram, table.zeros)
+        assert table.zero(1).ambiguous == bool(want[0])
+        assert np.array_equal(table.zero_ambiguous, want)
+    assert len(calls) == 2
+    assert np.nonzero(loaded.zero_ambiguous)[0].tolist() == planted.tolist()
+    assert loaded.zero(int(planted[0]) + 1).ambiguous
 
 
 def test_table_construction_is_lean(table_full):
