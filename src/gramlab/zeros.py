@@ -14,9 +14,10 @@ left at their ends: one Z call per pass, on the brackets still wider than
 1e-9, each retiring as it gets there.  A build streams these stages over
 runs of `zeta.LOCAL_BRACKETS` Gram points, each with one evaluator: the
 caller's z_eval, or `zeta.hardy_z_local`, a Taylor expansion of the
-Riemann-Siegel main sum about every Gram point of the run whose one cos+sin
-pass per Gram point also gives Z there.  The next run starts at the last
-anchor the previous one certified, so a block open at a run's end is carried.
+Riemann-Siegel main sum about every Gram point of the run whose one pass of
+prime phases through `zeta._sincos` per Gram point also gives Z there.  The
+next run starts at the last anchor the previous one certified, so a block
+open at a run's end is carried.
 A build holds its output arrays (the Gram points, Z there, and the zeros,
 which each run writes into one array) and one run: a run's evaluator, with its
 moments, is dropped before the next run's is made, and the Gram solve and
@@ -323,13 +324,12 @@ def _scan(gram, zg, anchors, z_eval, diag):
 
 
 def _ab_scale(f_kept, f_replaced, fx, where):
-    """Scale f_kept by m = 1 - fx/f_replaced where `where`, or by 1/2 where m <= 0.1."""
-    m = fx[where]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m /= f_replaced[where]
-    np.subtract(1.0, m, out=m)
-    m[~(m > 0.1)] = 0.5
-    f_kept[where] *= m
+    """f_kept scaled by m = 1 - fx/f_replaced where `where`, or by 1/2 where
+    m <= 0.1, and unchanged elsewhere."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = 1.0 - fx / f_replaced
+        m[~(m > 0.1)] = 0.5
+        return np.where(where, f_kept * m, f_kept)
 
 
 def _secant_points(a, b, fa, fb, out):
@@ -366,7 +366,8 @@ def _refine(lo, hi, z_lo, z_hi, z_eval, passes, diag):
     its bracket that holds the sign change, so its width at least halves: a
     bracket ends at most max(REFINE_WIDTH, width / 2^passes) wide, and no row
     gives up the secant step.  Narrows lo and hi in place; the working state
-    is compacted in place to the unfinished rows after every pass.  Each
+    is taken by selection, not masked copies, and is compacted to the
+    unfinished rows only after a pass in which some row finished.  Each
     pass adds its rows and heights into diag by pass index, so runs of
     brackets refined one after another keep one tally.
     """
@@ -396,15 +397,11 @@ def _refine(lo, hi, z_lo, z_hi, z_eval, passes, diag):
         fx = z_eval(ts)
         fx, fm = fx[:n], fx[n:]
         left = np.sign(fx) == s                 # x replaces the lo end
-        right = ~left
-        _ab_scale(fb, fa, fx, left & (last == 1))   # an end kept on two passes running
-        _ab_scale(fa, fb, fx, right & (last == -1))
-        np.copyto(a, x, where=left)
-        np.copyto(fa, fx, where=left)
-        np.copyto(b, x, where=right)
-        np.copyto(fb, fx, where=right)
-        np.copyto(last, 1, where=left)
-        np.copyto(last, -1, where=right)
+        fb = _ab_scale(fb, fa, fx, left & (last == 1))  # an end kept on two passes running
+        fa = _ab_scale(fa, fb, fx, ~left & (last == -1))
+        a, fa = np.where(left, x, a), np.where(left, fx, fa)
+        b, fb = np.where(left, b, x), np.where(left, fb, fx)
+        last = np.where(left, np.int8(1), np.int8(-1))
         # a paired row's midpoint then narrows what x left, if it lies inside
         inside = (a[pair] < mid) & (mid < b[pair])
         pair, mid, fm = pair[inside], mid[inside], fm[inside]
@@ -412,12 +409,10 @@ def _refine(lo, hi, z_lo, z_hi, z_eval, passes, diag):
         a[pair[up]], fa[pair[up]] = mid[up], fm[up]
         b[pair[~up]], fb[pair[~up]] = mid[~up], fm[~up]
         done = b - a <= REFINE_WIDTH
-        lo[row[done]], hi[row[done]] = a[done], b[done]
-        keep = np.nonzero(~done)[0]             # compacted in place
-        for v in (row, a, b, fa, fb, s, last):
-            v[:keep.size] = v[keep]
-        row, a, b, fa, fb, s, last = (v[:keep.size]
-                                      for v in (row, a, b, fa, fb, s, last))
+        if done.any():                          # none does in the first passes
+            lo[row[done]], hi[row[done]] = a[done], b[done]
+            keep = ~done
+            row, a, b, fa, fb, s, last = (v[keep] for v in (row, a, b, fa, fb, s, last))
     lo[row], hi[row] = a, b
 
 

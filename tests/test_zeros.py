@@ -245,6 +245,32 @@ def test_refine_narrow_bracket_makes_no_call():
     assert passes == 0 and (lo, hi) == (1.5707963264, 1.5707963271)
 
 
+# BLAKE2b-128 of _refine's lo, hi and pass tallies on the synthetic set below,
+# taken before its selections, scaling and compaction were rewritten
+REFINE_DIGEST = "d2504617a3100237cbd2f0b951cd1e96"
+
+
+def test_refine_bits_pinned():
+    """2,000 brackets of expm1(a(t) sin(pi t)), a(t) in [1, 12]: the convex
+    branches stall false position, so Anderson-Bjorck scaling acts, and the
+    widest brackets need the paired midpoints of a short pass budget.  No
+    rewrite of the refinement loop may move a bit of its output."""
+    def f(ts):
+        return np.expm1((6.5 + 5.5 * np.sin(ts / 7.0)) * np.sin(np.pi * ts))
+
+    rng = np.random.default_rng(2026)
+    roots = np.sort(rng.choice(np.arange(1, 20001), 2000, replace=False)).astype(float)
+    lo = roots - rng.uniform(1e-10, 0.45, roots.size)
+    hi = roots + rng.uniform(1e-10, 0.45, roots.size)
+    diag = ScanDiagnostics()
+    _refine(lo, hi, f(lo), f(hi), f, 22, diag)
+    assert np.all(hi - lo <= zr.REFINE_WIDTH) and np.all((lo <= roots) & (roots <= hi))
+    h = hashlib.blake2b(digest_size=16)
+    for array in (lo, hi, np.array(diag.refine_active), np.array(diag.refine_heights)):
+        h.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    assert h.hexdigest() == REFINE_DIGEST
+
+
 def test_build_evaluates_each_height_once():
     """One Z call per densification depth and per refinement pass, no height twice."""
     calls = []
@@ -497,16 +523,18 @@ def test_table_construction_is_lean(table_full):
 
 # BLAKE2b-128 of the fixture tables' arrays, taken before the Gram solve was
 # blocked and the expansion's moments were stored a row per order; zeros and
-# z_gram taken again when RS_SWITCH_T moved from 30 to 510
+# z_gram taken again when RS_SWITCH_T moved from 30 to 510, and again when
+# every phase in zeta went through _sincos (one zero of table_small moved, by
+# 1.1e-13, and two of table_mid, the larger by 4.5e-10)
 TABLE_DIGESTS = {
     "table_small": {"gram": "cc8dcacaef150ba97edc03c9e29e781a",
-                    "zeros": "791eb2459a75c205ccb45cdb4a0a44dd",
-                    "z_gram": "9a550b1ca5b1b6819651506db6857937",
+                    "zeros": "be4ca92903c7eec6536e77587c89b2a7",
+                    "z_gram": "16188e736eb501adca46ccea11bdc83b",
                     "s_gram": "993d0e7548e07458b4095230059e933f",
                     "zero_ambiguous": "37e699432a6aeb33d37a14773c27923b"},
     "table_mid": {"gram": "5d5d50c046c1816a6eb665a5275719eb",
-                  "zeros": "d5cb0b9c8bbace2e38a97b4f95bace02",
-                  "z_gram": "89c195ccafc73068c56890fbfdd3c9dc",
+                  "zeros": "ba7e6f61b1292eb88b441d6c63d2a081",
+                  "z_gram": "17c7ee4d354caeb460478c65feec8bb4",
                   "s_gram": "d6b051562e5fef695e1a8c909874eb57",
                   "zero_ambiguous": "0dfcddd703bae85d08b2f749857e5cd8"},
 }
