@@ -20,12 +20,19 @@ faithful rounding", SIAM J. Sci. Comput. 31, 2008).  With sigma a power of two
 above 2n max|r| for n values r, each q = (r + sigma) - sigma is a multiple of
 2^-53 sigma, r - q is exact, and every partial sum of the q is a multiple of
 2^-53 sigma below sigma, so sum(q) is exact in any order.  The remainders
-r - q shrink by 2^35 a pass, and the loop ends when they are all zero; on the
+r - q shrink by 2^36 a pass, and the loop ends when they are all zero; on the
 subnormal grid every step is exact.  The exact pass sums are the chunk's
 parts, and math.fsum of exact parts is their correctly rounded total
 (Shewchuk, Discrete Comput. Geom. 18, 1997).  A chunk holding a non-finite
 entry or a magnitude near overflow gives its values themselves as parts, so
 NaN, infinities and overflow behave as fsum does.
+
+`verify-paper` takes its prime sums on a worker thread, whose allocations go
+to a malloc arena of their own, so the memory held at once is kept small:
+CHUNK is 2^15, 256 KB per buffer, and a stream frees each block before it
+makes the next.  Sums do not depend on CHUNK; the stored parts do, so a
+sidecar written with another CHUNK fails its sample check and is recomputed
+once.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import numpy as np
 
 # values summed per numpy pass; bounds the work buffers and the temporaries
 # of each term
-CHUNK = 1 << 16
+CHUNK = 1 << 15
 _SPREAD = CHUNK.bit_length()       # 2**_SPREAD >= 2 * CHUNK
 _HUGE = 2.0 ** (1022 - _SPREAD)    # below this, r + sigma cannot overflow
 
@@ -73,18 +80,25 @@ def partials(arr, *terms, prep=None) -> list[list[list[float]]]:
     each term takes prep(chunk) instead, made once per chunk, so the terms can
     share work such as a logarithm.
     """
-    out = [[] for _ in terms]
     work = np.empty((2, CHUNK))
-    for block in [arr] if isinstance(arr, np.ndarray) else arr:
+
+    def block_parts(block) -> list[list[float]]:
         b = np.asarray(block).ravel()
-        for acc in out:
-            acc.append([])
+        parts = [[] for _ in terms]
         for i in range(0, b.size, CHUNK):
             c = b[i : i + CHUNK].astype(float, copy=False)
             q, r = work[:, : c.size]
             arg = c if prep is None else prep(c)
-            for acc, term in zip(out, terms):
-                acc[-1] += _chunk_sum(term(arg), q, r)
+            for acc, term in zip(parts, terms):
+                acc += _chunk_sum(term(arg), q, r)
+        return parts
+
+    out = [[] for _ in terms]
+    # map holds no block past its parts: a stream frees each block, and its
+    # chunks, before it makes the next
+    for parts in map(block_parts, [arr] if isinstance(arr, np.ndarray) else arr):
+        for acc, p in zip(out, parts):
+            acc.append(p)
     return out
 
 

@@ -18,7 +18,8 @@ from .errors import (DomainError, GramLabError, ParseError, PreconditionError,
                      ResourceError, UncertifiedRange)
 from .reports import Report, render
 from .theta_gram import gram_points
-from .zeros import GRAM_CEILING, gram_index_for_height, require_heights
+from .zeros import (GRAM_CEILING, gram_index_for_height, require_heights,
+                    require_under_ceiling)
 
 RANGE_SUBDIR = "zrange"
 
@@ -260,6 +261,7 @@ def ingest_cmd(obj, path, match_tol):
 @click.pass_obj
 def verify_paper(obj, n_limit):
     """Run every published-value regression; exit 1 on any failure."""
+    require_under_ceiling(n_limit)      # before the prime-sum worker starts
     table = _TableOnUse(obj, n_limit)
     ctx = regression.RegressionContext(
         table=table, n_limit=n_limit, epsilon=obj["epsilon"],

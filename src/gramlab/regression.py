@@ -9,6 +9,14 @@ Each assertion is one entry of `_checks`.  One rule gates them all: a row runs
 when both the certified table and n_limit reach the largest Gram index its
 check reads, and is otherwise skipped with reason "insufficient range".
 n_limit must be at least 1.  Output is deterministic: same inputs, same bytes.
+
+The prime sums and the table are independent inputs, so `run_paper_regression`
+takes the sums on one worker thread, the 1e8 sieve first, while the calling
+thread obtains the table (loads it, or builds and saves it) and runs the rows
+in order; each row waits for the sums it reads.  The bytes, and the error that
+surfaces first, are those of taking the two one after the other: the table is
+read before any row, and a row raises its sums' error where it reads them.
+The worker is shut down before the call returns, on error too.
 """
 
 from __future__ import annotations
@@ -33,6 +41,9 @@ Z_MIN_1E5 = (97281, 1.238e-5)
 Z_MIN_1E6 = (368383, 8.908e-8)
 # the points of x in (1e4, 1e6, 1e8) by h in (0.05, 0.1, 0.2, 0.39) with h ln x > 2
 VXH_GRID = {10**4: (0.39,), 10**6: (0.2, 0.39), 10**8: (0.2, 0.39)}
+_MERTENS_XS = (10, 1000, 10**6, primes.SIEVE_CEILING)
+# every x a prime-sum row reads, the largest (the costliest sieve) first
+_SUMS_XS = sorted({*_MERTENS_XS, *VXH_GRID}, reverse=True)
 
 
 @dataclass
@@ -159,6 +170,11 @@ def _vxh_grid(sums) -> tuple[bool, str]:
     return ok, "; ".join(detail)
 
 
+def _prime_sums(x: int, cache_dir: str | None):
+    """Mertens sums and the V(x;h) of the grid at x, from one sieve of x."""
+    return primes.prime_sums(x, VXH_GRID.get(x, ()), cache_dir)
+
+
 def _gram_spacing() -> tuple[bool, str]:
     # the literal 3M/(N ln^2 N) form holds only at astronomical N (and then
     # with a pi m factor); check the rigorous mean-value chain bound instead
@@ -174,21 +190,18 @@ def _gram_spacing() -> tuple[bool, str]:
     return ok, "; ".join(detail)
 
 
-def _checks(ctx: RegressionContext, top: int) -> list[tuple]:
+def _checks(ctx: RegressionContext, top: int, sums=None) -> list[tuple]:
     """(name, claim, skip claim, Gram index needed, check) per row, in report order.
 
     A row needs the largest Gram index its check reads; top is the Gram index
     both the table and n_limit reach.  A check returns (ok, detail); ok None
-    marks a row that is always skipped.
+    marks a row that is always skipped.  sums(x) gives `_prime_sums` at x of
+    _SUMS_XS; by default each is taken on first use, once per call.
     """
     tab = ctx.table
     z = tab.z_values()
-
-    @lru_cache(maxsize=None)
-    def sums(x: int):
-        """Mertens sums and the V(x;h) of the grid at x, one sieve of x per run."""
-        return primes.prime_sums(x, VXH_GRID.get(x, ()), ctx.cache_dir)
-
+    if sums is None:
+        sums = lru_cache(maxsize=None)(lambda x: _prime_sums(x, ctx.cache_dir))
     offsets = lru_cache(maxsize=None)(lambda: _offset_rows(tab))  # one Delta_n array per run
 
     eps = ctx.epsilon
@@ -272,7 +285,7 @@ def _checks(ctx: RegressionContext, top: int) -> list[tuple]:
         ("gsp_fraction_1e5", "fraction with Delta_n = 0 reported (< 1)", "GSP fraction",
          n_1e5, lambda: offsets()[1]),
         *((f"mertens_sums_x{x}", "sum ln p/p < ln x and reciprocal sum window at x", "", 0,
-           lambda x=x: _mertens(x, *sums(x)[0])) for x in (10, 1000, 10**6, primes.SIEVE_CEILING)),
+           lambda x=x: _mertens(x, *sums(x)[0])) for x in _MERTENS_XS),
         ("vxh_grid", "V(x;h) within 1.05 of (1/2) ln(h ln x) on the grid", "", 0,
          lambda: _vxh_grid(sums)),
         ("gram_spacing_bound",
@@ -286,16 +299,26 @@ def _checks(ctx: RegressionContext, top: int) -> list[tuple]:
 
 
 def run_paper_regression(ctx: RegressionContext) -> Report:
+    """One row per assertion, the prime sums taken on a worker thread while
+    the table is obtained (module docstring)."""
+    from concurrent.futures import ThreadPoolExecutor  # off the CLI's import path
+
     rep = Report(kind="paper_regression")
-    top = min(ctx.n_limit, ctx.table.certified_n)
-    for name, claim, skip_claim, needs, check in _checks(ctx, top):
-        if top < needs:
-            status, claim, detail = "skip", skip_claim, "insufficient range"
-        else:
-            ok, detail = check()
-            status = "skip" if ok is None else "pass" if ok else "fail"
-        rep.add("regression", {"assertion": name},
-                assertion=name, claim=claim, status=status, detail=detail)
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        futures = {x: pool.submit(_prime_sums, x, ctx.cache_dir) for x in _SUMS_XS}
+        top = min(ctx.n_limit, ctx.table.certified_n)
+        for name, claim, skip_claim, needs, check in _checks(
+                ctx, top, lambda x: futures[x].result()):
+            if top < needs:
+                status, claim, detail = "skip", skip_claim, "insufficient range"
+            else:
+                ok, detail = check()
+                status = "skip" if ok is None else "pass" if ok else "fail"
+            rep.add("regression", {"assertion": name},
+                    assertion=name, claim=claim, status=status, detail=detail)
+    finally:
+        pool.shutdown(cancel_futures=True)  # joins the worker
     return rep
 
 

@@ -17,7 +17,8 @@ Each sidecar fault damages the checked directory of the 1e7 prime sums, its
 parts or its manifest, or the sieve that re-checks them, and names what the
 next warm call must do: raise ChecksumMismatch, or recompute the sums in full
 rather than return the stored ones, and rewrite the sidecar as a clean run
-writes it.
+writes it.  `verify-paper` re-checks the 1e8 sidecar on a worker thread while
+it loads the range, and still reports a damaged range first.
 """
 
 import hashlib
@@ -26,6 +27,7 @@ import math
 import re
 import shutil
 import sys
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -487,6 +489,40 @@ def test_sidecar_fault_is_caught(fault, tmp_path, monkeypatch, capsys):
     monkeypatch.undo()
     assert pr.prime_sums(X, (0.2,), cache_dir=tmp_path) == cold
     assert _listing(sdir) == raw
+
+
+def test_verify_paper_errors_come_as_if_taken_in_turn(saved, cache_dir, tmp_path,
+                                                     monkeypatch, capsys):
+    """verify-paper takes the 1e8 sums on a worker thread while it loads the
+    range, yet a damaged range still wins over a damaged sidecar, a damaged
+    sidecar alone gives its own error, and no worker outlives a run."""
+    x = pr.SIEVE_CEILING
+    pr.prime_sums(x, regression.VXH_GRID[x], cache_dir=cache_dir)  # filled if absent
+    cache = tmp_path / "cache"
+    rng = shutil.copytree(saved, cache / cli.RANGE_SUBDIR)
+    _flipped_byte(shutil.copytree(cache_dir / f"primes_{x:012d}", cache / f"primes_{x:012d}"),
+                  monkeypatch)                                # under a stale checksum
+    gram_csv = rng / "gram.csv"
+    clean = gram_csv.read_bytes()
+    gram_csv.write_bytes(clean[:-2] + bytes([clean[-2] ^ 1]) + clean[-1:])
+    errors = []
+    for load in (lambda: store.load_range(rng),
+                 lambda: pr.prime_sums(x, regression.VXH_GRID[x], cache_dir=cache)):
+        with pytest.raises(ChecksumMismatch) as exc:
+            load()
+        errors.append(f"error: {exc.value}\n")
+    threads, seen, prime_sums = threading.active_count(), [], pr.prime_sums
+    monkeypatch.setattr(pr, "prime_sums",
+                        lambda *a: seen.append(threading.current_thread()) or prime_sums(*a))
+    monkeypatch.setattr(sys, "argv", ["gramlab", "--cache-dir", str(cache), "verify-paper",
+                                      "--n-limit", "1200"])
+    for error in errors:            # both damaged, then the sidecar alone
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert (capsys.readouterr(), exc.value.code) == (("", error), 1)
+        assert threading.active_count() == threads
+        gram_csv.write_bytes(clean)
+    assert seen and threading.main_thread() not in seen
 
 
 @pytest.mark.parametrize("kind", ["range", "sidecar"])

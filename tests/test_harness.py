@@ -480,8 +480,10 @@ def _exits_2_past_the_ceiling(args, tmp_path, monkeypatch, capsys):
 
 
 def test_cli_index_past_the_table_ceiling_exits_2(tmp_path, monkeypatch, capsys):
-    _exits_2_past_the_ceiling(["delta", "--n-lo", "5", "--n-hi", "99999999"],
-                              tmp_path, monkeypatch, capsys)
+    # verify-paper checks its limit before its prime sums start: no sidecar either
+    for args in (["delta", "--n-lo", "5", "--n-hi", "99999999"],
+                 ["verify-paper", "--n-limit", "2000001"]):
+        _exits_2_past_the_ceiling(args, tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("command", ["zeros 1e50", "zeros 1.7e308", "ingest 1e300"])
