@@ -5,7 +5,10 @@ import pytest
 
 from gramlab.accum import CHUNK, csum, csums, partials
 
-LENGTHS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
+# lengths around CHUNK, and around 2^16 and 3 * 2^16 + 7, which sit at or
+# next to a chunk boundary for any CHUNK a power of two up to 2^16
+LENGTHS = sorted({0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7,
+                  2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7})
 
 
 def fsum(a: np.ndarray) -> float:
@@ -69,9 +72,9 @@ def test_csum_signed_zero(n):
     [math.nan], [math.inf], [-math.inf], [math.inf, -math.inf], [math.inf, math.nan],
     [1e308, 1e308], [1e308, 1e308, -1e308], [-1e308, -1e308], [2.0**1006, 2.0**1006],
 ])
-@pytest.mark.parametrize("at", [0, CHUNK - 1, CHUNK + 5])
+@pytest.mark.parametrize("at", sorted({0, CHUNK - 1, CHUNK + 5, 2**16 - 1, 2**16 + 5}))
 def test_csum_special_values_as_fsum(special, at):
-    a = np.random.default_rng(at).uniform(-1, 1, 2 * CHUNK)
+    a = np.random.default_rng(at).uniform(-1, 1, 2 * max(CHUNK, 2**16))
     a[at : at + len(special)] = special
     want = outcome(fsum, a)
     assert outcome(csum, a) == want
