@@ -33,6 +33,6 @@ from .primes import (DiagonalCheck, PrimeTable, VxhResult,
 from .store import CacheManifest, cached_table, load_range, save_range
 from .ingest import MatchReport, ingest_external_table
 from .reports import Report, render, to_csv, to_json
-from .regression import RegressionContext, exit_code, run_paper_regression
+from .regression import exit_code, run_paper_regression
 
 __version__ = "0.1.0"

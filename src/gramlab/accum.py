@@ -9,10 +9,10 @@ of arrays sums as their concatenation, one block at a time, so a stream of
 blocks (the primes <= 1e8 as the sieve yields them) is never held whole.
 
 `partials` returns each term's exact parts per block of the stream, `total`
-is math.fsum over all of a term's parts, and `csums` is the total of each
-term: one summation path.  A block's parts
-are a deterministic function of the block alone, so they can be stored and
-re-checked bit for bit, as the prime sums do (`primes`).
+is math.fsum over all of a term's parts, and `csum` is the total of the
+identity term: one summation path.  A block's parts are a deterministic
+function of the block alone, so they can be stored and re-checked bit for
+bit, as the prime sums do (`primes`).
 
 A block is summed CHUNK values at a time, exactly, in numpy by error-free
 extraction (Rump, Ogita and Oishi, "Accurate floating-point summation part I:
@@ -108,14 +108,7 @@ def total(parts: list[list[float]]) -> float:
     return math.fsum(chain.from_iterable(parts))
 
 
-def csums(arr, *terms, prep=None) -> tuple[float, ...]:
-    """The correctly rounded sum of term(a) for each elementwise term, a = arr
-    as float64: the `total` of the term's `partials` (arr, terms and prep as
-    there)."""
-    return tuple(map(total, partials(arr, *terms, prep=prep)))
-
-
 def csum(arr) -> float:
     """Correctly rounded sum of a float array (or of an iterable of arrays,
     concatenated): math.fsum of its values, in numpy."""
-    return csums(arr, lambda c: c)[0]
+    return total(partials(arr, lambda c: c)[0])

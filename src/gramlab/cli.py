@@ -23,7 +23,7 @@ from .zeros import (GRAM_CEILING, gram_index_for_height, require_heights,
 
 RANGE_SUBDIR = "zrange"
 
-_PRECOND = (PreconditionError, ParseError, DomainError, ResourceError, ValueError)
+_PRECOND = (PreconditionError, ParseError, DomainError, ResourceError)
 
 
 def _fail(code: int, message: str):
@@ -214,7 +214,7 @@ def primes_cmd(obj, kind, x, h, t, y, k_ord):
     if kind == "mertens":
         if x is None:
             _fail(2, "mertens requires --x")
-        lp, rp = primes.mertens_sums(int(x), cache_dir=cache)
+        lp, rp = primes.mertens_sums(x, cache_dir=cache)
         rep.add("mertens_sums", {"x": int(x)}, sum_logp_over_p=lp,
                 sum_recip_p=rp, ln_x=math.log(x))
     elif kind == "vxh":
@@ -262,11 +262,8 @@ def ingest_cmd(obj, path, match_tol):
 def verify_paper(obj, n_limit):
     """Run every published-value regression; exit 1 on any failure."""
     require_under_ceiling(n_limit)      # before the prime-sum worker starts
-    table = _TableOnUse(obj, n_limit)
-    ctx = regression.RegressionContext(
-        table=table, n_limit=n_limit, epsilon=obj["epsilon"],
-        cache_dir=obj["cache_dir"])
-    rep = regression.run_paper_regression(ctx)
+    rep = regression.run_paper_regression(_TableOnUse(obj, n_limit), n_limit,
+                                          obj["epsilon"], obj["cache_dir"])
     _emit(obj, rep)
     sys.exit(regression.exit_code(rep))
 

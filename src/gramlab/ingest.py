@@ -7,12 +7,13 @@ one-to-one within a tolerance over two sorted lists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 from .zeros import ZeroTable
 
 DEFAULT_MATCH_TOL = 1e-4
@@ -52,6 +53,9 @@ def parse_ordinate_file(path: str | Path) -> np.ndarray:
 def ingest_external_table(path: str | Path, table: ZeroTable,
                           match_tol: float = DEFAULT_MATCH_TOL) -> MatchReport:
     """Match an external ordinate list against the computed zeros."""
+    if not 0.0 <= match_tol < math.inf:
+        raise PreconditionError(f"ingest requires a finite match_tol >= 0 (--match-tol), "
+                                f"got {match_tol}")
     ext = parse_ordinate_file(path)
     comp = table.zeros
     i = j = matched = 0

@@ -151,7 +151,7 @@ def _prime_blocks(limit: int) -> Iterator[np.ndarray]:
     """The primes <= limit as a stream of ascending uint64 blocks over
     _bounds(limit), the one source of primes: the base primes, then a
     segmented sieve (Bays and Hudson 1977)."""
-    if limit > SIEVE_CEILING:
+    if not limit <= SIEVE_CEILING:      # NaN and infinities too, before int()
         raise ResourceError(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
     limit = max(int(limit), 0)
     base = _base_primes(math.isqrt(limit))
@@ -281,10 +281,11 @@ def _load_sums(sdir: Path, limit: int, blocks: int) -> dict[str, list[list[float
 
 def _prime_csums(x: float, cache_dir: str | Path | None, terms: dict[str, Callable]
                  ) -> dict[str, float]:
-    """csums over the primes p <= x of each named term of (p, ln p); with a
-    cache directory, through the parts of a sidecar (module docstring)."""
+    """The correctly rounded sum over the primes p <= x of each named term of
+    (p, ln p), the `total` of its `partials`; with a cache directory, through
+    the parts of a sidecar (module docstring)."""
+    blocks = _prime_blocks(x)           # checks the ceiling before int() or any file
     limit = int(x)
-    blocks = _prime_blocks(limit)       # checks the ceiling before any file is read
     if cache_dir is None or limit < SUMS_CACHE_THRESHOLD:
         return dict(zip(terms, map(total, _prime_partials(blocks, terms.values()))))
     sdir = Path(cache_dir) / f"primes_{limit:012d}"
@@ -306,6 +307,8 @@ def _prime_csums(x: float, cache_dir: str | Path | None, terms: dict[str, Callab
 
 
 def _require_vxh(x: float, h: float) -> None:
+    if not x >= 2:
+        raise PreconditionError("v_xh requires x >= 2")
     if not (0.0 < h < H_CEILING):
         raise PreconditionError(f"require 0 < h < {H_CEILING}")
     if not h * math.log(x) > 2.0:
@@ -318,16 +321,16 @@ def _vxh_result(x: float, h: float, value: float) -> VxhResult:
                      deviation=abs(value - main))
 
 
-def mertens_sums(x: int, cache_dir: str | Path | None = None) -> tuple[float, float]:
+def mertens_sums(x: float, cache_dir: str | Path | None = None) -> tuple[float, float]:
     """(sum_{p<=x} ln p / p, sum_{p<=x} 1/p), each sum correctly rounded."""
     return prime_sums(x, (), cache_dir)[0]
 
 
-def prime_sums(x: int, hs: tuple[float, ...] = (), cache_dir: str | Path | None = None
+def prime_sums(x: float, hs: tuple[float, ...] = (), cache_dir: str | Path | None = None
                ) -> tuple[tuple[float, float], tuple[VxhResult, ...]]:
     """(mertens_sums(x), v_xh(x, h) for each h of hs), bit for bit, from one
     sieve of x and one ln p per chunk."""
-    if x < 2:
+    if not x >= 2:
         raise PreconditionError("mertens_sums requires x >= 2")
     for h in hs:
         _require_vxh(x, h)
@@ -341,7 +344,7 @@ def _v_sum(ts, y: float) -> np.ndarray:
     """(1/pi) sum_{p<y} sin(t ln p)/sqrt(p) for scalar or array t."""
     if y <= 2:
         return np.zeros(np.shape(ts))
-    primes = sieve_primes(int(math.ceil(y))).primes
+    primes = sieve_primes(y).primes     # the primes <= int(y): every p < y
     p = primes[primes < y].astype(float)   # holds 2, since y > 2
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
     lnp = np.log(p)
@@ -357,7 +360,9 @@ def _v_sum(ts, y: float) -> np.ndarray:
 
 def v_y(t: float, y: float) -> float:
     """V_y(t) with the strict cutoff p < y."""
-    if y < 2:
+    if not math.isfinite(t):
+        raise PreconditionError("v_y requires a finite t")
+    if not y >= 2:
         raise PreconditionError("v_y requires y >= 2")
     return float(_v_sum(float(t), y))
 
@@ -413,7 +418,7 @@ def diagonal_identity_check(k: int, y: float,
     """
     if k not in (1, 2):
         raise PreconditionError("diagonal_identity_check supports k = 1 or 2")
-    if k == 1 and y < 2:
+    if k == 1 and not y >= 2:
         raise PreconditionError("require y >= 2")
     if k == 2 and not y > math.e ** 3:
         # the theta-window derivation needs y > e^3; the k = 1 case is exact
@@ -421,7 +426,7 @@ def diagonal_identity_check(k: int, y: float,
         raise PreconditionError("require y > e^3 for k = 2")
     if k == 2 and y > _DIAGONAL_Y_CEILING_K2:
         raise ResourceError(f"k = 2 brute force capped at y <= {_DIAGONAL_Y_CEILING_K2}")
-    primes = sieve_primes(int(y)).primes.tolist()
+    primes = sieve_primes(y).primes.tolist()
     coeff = {p: (a.get(p, 0j) if a is not None else 1.0 + 0j) for p in primes}
     mags = [abs(coeff[p]) ** 2 for p in primes]
     sigma1 = math.fsum(m / p for m, p in zip(mags, primes))

@@ -10,20 +10,22 @@ when both the certified table and n_limit reach the largest Gram index its
 check reads, and is otherwise skipped with reason "insufficient range".
 n_limit must be at least 1.  Output is deterministic: same inputs, same bytes.
 
-The prime sums and the table are independent inputs, so `run_paper_regression`
+`run_paper_regression(table, n_limit, epsilon, cache_dir)` is the one way to
+run the rows.  The prime sums and the table are independent inputs, so it
 takes the sums on one worker thread, the 1e8 sieve first, while the calling
-thread obtains the table (loads it, or builds and saves it) and runs the rows
-in order; each row waits for the sums it reads.  The bytes, and the error that
-surfaces first, are those of taking the two one after the other: the table is
-read before any row, and a row raises its sums' error where it reads them.
-The worker is shut down before the call returns, on error too.
+thread obtains the table and runs the rows in order; each row waits for the
+sums it reads.  A table that loads or builds itself when first read, as the
+CLI passes, is obtained only after the worker has started.  The bytes, and
+the error that surfaces first, are those of taking the two one after the
+other: the table is read before any row, and a row raises its sums' error
+where it reads them.  The worker is shut down before the call returns, on
+error too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -44,14 +46,6 @@ VXH_GRID = {10**4: (0.39,), 10**6: (0.2, 0.39), 10**8: (0.2, 0.39)}
 _MERTENS_XS = (10, 1000, 10**6, primes.SIEVE_CEILING)
 # every x a prime-sum row reads, the largest (the costliest sieve) first
 _SUMS_XS = sorted({*_MERTENS_XS, *VXH_GRID}, reverse=True)
-
-
-@dataclass
-class RegressionContext:
-    table: ZeroTable
-    n_limit: int
-    epsilon: float = moments.EPSILON_DEFAULT
-    cache_dir: str | None = None
 
 
 def _count(value: int, expected: int) -> tuple[bool, str]:
@@ -190,21 +184,17 @@ def _gram_spacing() -> tuple[bool, str]:
     return ok, "; ".join(detail)
 
 
-def _checks(ctx: RegressionContext, top: int, sums=None) -> list[tuple]:
+def _checks(tab: ZeroTable, top: int, epsilon: float, sums) -> list[tuple]:
     """(name, claim, skip claim, Gram index needed, check) per row, in report order.
 
     A row needs the largest Gram index its check reads; top is the Gram index
     both the table and n_limit reach.  A check returns (ok, detail); ok None
     marks a row that is always skipped.  sums(x) gives `_prime_sums` at x of
-    _SUMS_XS; by default each is taken on first use, once per call.
+    _SUMS_XS.
     """
-    tab = ctx.table
     z = tab.z_values()
-    if sums is None:
-        sums = lru_cache(maxsize=None)(lambda x: _prime_sums(x, ctx.cache_dir))
-    offsets = lru_cache(maxsize=None)(lambda: _offset_rows(tab))  # one Delta_n array per run
+    offsets = cache(lambda: _offset_rows(tab))  # one Delta_n array per run
 
-    eps = ctx.epsilon
     n_1e5 = 100000 if tab.zeros.size >= 100000 else math.inf  # Delta_n needs zeros too
     titch, moment_facts = "Titchmarsh range counts", "moment facts at N=1e4"
     return [
@@ -273,7 +263,7 @@ def _checks(ctx: RegressionContext, top: int, sums=None) -> list[tuple]:
                          f"fractions {m[0] / 1000:.4f}, {m[1] / 1000:.4f}")),
         ("loose_bounds_hold",
          "adjacent/alternating/odd-offset/residual moment bounds all hold", moment_facts,
-         11000, lambda: _loose_bounds(tab, eps)),
+         11000, lambda: _loose_bounds(tab, epsilon)),
         ("titchmarsh_correlation_1e4",
          "sum Z(t_{n-1}) Z(t_n) / (-2(gamma+1)N) in [0.8, 1.2] at N = 1e4",
          "correlation ratio", 10000,
@@ -298,7 +288,9 @@ def _checks(ctx: RegressionContext, top: int, sums=None) -> list[tuple]:
     ]
 
 
-def run_paper_regression(ctx: RegressionContext) -> Report:
+def run_paper_regression(table: ZeroTable, n_limit: int,
+                         epsilon: float = moments.EPSILON_DEFAULT,
+                         cache_dir: str | None = None) -> Report:
     """One row per assertion, the prime sums taken on a worker thread while
     the table is obtained (module docstring)."""
     from concurrent.futures import ThreadPoolExecutor  # off the CLI's import path
@@ -306,10 +298,10 @@ def run_paper_regression(ctx: RegressionContext) -> Report:
     rep = Report(kind="paper_regression")
     pool = ThreadPoolExecutor(max_workers=1)
     try:
-        futures = {x: pool.submit(_prime_sums, x, ctx.cache_dir) for x in _SUMS_XS}
-        top = min(ctx.n_limit, ctx.table.certified_n)
+        futures = {x: pool.submit(_prime_sums, x, cache_dir) for x in _SUMS_XS}
+        top = min(n_limit, table.certified_n)
         for name, claim, skip_claim, needs, check in _checks(
-                ctx, top, lambda x: futures[x].result()):
+                table, top, epsilon, lambda x: futures[x].result()):
             if top < needs:
                 status, claim, detail = "skip", skip_claim, "insufficient range"
             else:

@@ -110,9 +110,11 @@ _RS_WEIGHTS = (
 )
 
 
-@lru_cache(maxsize=2)
-def _rs_polys(tail_max: float = _RS_TAIL) -> tuple[np.ndarray, ...]:
-    """Highest-first polyval arrays in v = u^2 for C_0..C_4 at p = 1/2 + u.
+@lru_cache(maxsize=1)
+def _rs_table() -> np.ndarray:
+    """C_0..C_4 at p = 1/2 + u as one (width, 5, 1) table of Horner steps in
+    v = u^2, highest order first: row j holds the coefficients that
+    np.polyval would add at its step j.
 
     Psi(1/2+u) = [sin(pi/8) cos(2pi u^2) - cos(pi/8) sin(2pi u^2)] / cos(2pi u)
     is entire and even in u; its first _PSI_TERMS Taylor coefficients are
@@ -121,7 +123,8 @@ def _rs_polys(tail_max: float = _RS_TAIL) -> tuple[np.ndarray, ...]:
     rounding to float.  C_k has the parity of k, so its other coefficients
     are exact zeros: even k gives a polynomial in v, odd k one times u.
     Over v <= 1/4 the coefficients past the 20th to 23rd add less than
-    tail_max, bounded by sum |c_j| 4^-j, and are dropped.
+    _RS_TAIL, bounded by sum |c_j| 4^-j, and are dropped.  The shorter
+    polynomials are led by zeros: 0 v + 0 is exactly 0, so no bit moves.
     """
     import mpmath
 
@@ -160,21 +163,13 @@ def _rs_polys(tail_max: float = _RS_TAIL) -> tuple[np.ndarray, ...]:
                 for i in range(n_terms - order):
                     c[i] += scale * math.perm(i + order, order) * a[i + order]
             coef = c[k % 2 :: 2]
-            # drop the tail whose bound sum |c_j| 4^-j over v <= 1/4 is below tail_max
+            # drop the tail whose bound sum |c_j| 4^-j over v <= 1/4 is below _RS_TAIL
             tail = mpmath.mpf(0)
             keep = len(coef)
-            while keep and tail + abs(coef[keep - 1]) / 4 ** (keep - 1) < tail_max:
+            while keep and tail + abs(coef[keep - 1]) / 4 ** (keep - 1) < _RS_TAIL:
                 keep -= 1
                 tail += abs(coef[keep]) / 4 ** keep
             polys.append(np.asarray([float(x) for x in coef[:keep]][::-1]))
-    return tuple(polys)
-
-
-@lru_cache(maxsize=1)
-def _rs_table() -> np.ndarray:
-    """_rs_polys() as one (width, 5, 1) table of Horner steps, the shorter
-    polynomials led by zeros: 0 v + 0 is exactly 0, so no bit moves."""
-    polys = _rs_polys()
     width = max(poly.size for poly in polys)
     table = np.zeros((width, 5, 1))
     for k, poly in enumerate(polys):
@@ -455,20 +450,20 @@ def hardy_z_local(c: np.ndarray):
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin evaluation
 
+_EM_K_MAX = 30
+
+
 @lru_cache(maxsize=1)
-def _bernoulli_over_fact(k_max: int = 32) -> list[float]:
-    """B_{2k}/(2k)! for k = 1..k_max, exact recurrence then one rounding."""
+def _bernoulli_over_fact() -> list[float]:
+    """B_{2k}/(2k)! for k = 1.._EM_K_MAX, exact recurrence then one rounding."""
     # B_m via sum_{j=0}^{m} C(m+1, j) B_j = 0
     B = [Fraction(1)]
-    for m in range(1, 2 * k_max + 1):
+    for m in range(1, 2 * _EM_K_MAX + 1):
         acc = Fraction(0)
         for j in range(m):
             acc += math.comb(m + 1, j) * B[j]
         B.append(-acc / (m + 1))
-    return [float(B[2 * k] / math.factorial(2 * k)) for k in range(1, k_max + 1)]
-
-
-_EM_K_MAX = 30
+    return [float(B[2 * k] / math.factorial(2 * k)) for k in range(1, _EM_K_MAX + 1)]
 
 
 def _euler_maclaurin(sigma: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -515,7 +510,7 @@ def _euler_maclaurin(sigma: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # the last only bounds the row before it
     k = np.arange(1, _EM_K_MAX + 1)[:, None]
     rising = np.cumprod(s + np.arange(2.0 * _EM_K_MAX - 1)[:, None], axis=0)[::2]
-    terms = np.array(_bernoulli_over_fact()[:_EM_K_MAX])[:, None] * rising \
+    terms = np.array(_bernoulli_over_fact())[:, None] * rising \
         * np.exp((1.0 - sigma - 2 * k) * lnN) * unit
     bounds = np.abs(s + 2 * k[:-1] + 1) / (sigma + 2 * k[:-1] + 1) * np.abs(terms[1:])
     return value + np.cumsum(terms[:-1], axis=0), bounds + rounding

@@ -240,10 +240,8 @@ def test_c11_prime_sum_grid(tmp_path):
 
 
 def test_c12_determinism(table_small, cache_dir):
-    ctx = regression.RegressionContext(table=table_small, n_limit=1200,
-                                       cache_dir=str(cache_dir))
-    rep1 = regression.run_paper_regression(ctx)
-    rep2 = regression.run_paper_regression(ctx)
+    rep1 = regression.run_paper_regression(table_small, 1200, cache_dir=str(cache_dir))
+    rep2 = regression.run_paper_regression(table_small, 1200, cache_dir=str(cache_dir))
     ok = (to_csv(rep1) == to_csv(rep2)) and (to_json(rep1) == to_json(rep2))
     _line("C12", ok, "two verification runs render byte-identical reports")
     assert ok
@@ -258,9 +256,8 @@ _VERIFY_PAPER_1E5 = Path(__file__).parent / "data" / "verify_paper_1e5.json"
 
 
 def test_c12_rows_through_1e5_pinned(table_full, cache_dir):
-    ctx = regression.RegressionContext(table=table_full, n_limit=100000,
-                                       cache_dir=str(cache_dir))
-    out = to_json(regression.run_paper_regression(ctx))
+    out = to_json(regression.run_paper_regression(table_full, 100000,
+                                                  cache_dir=str(cache_dir)))
     ok = out == _VERIFY_PAPER_1E5.read_text()
     _line("C12", ok, "verification rows through n = 1e5 match the pinned report")
     assert ok

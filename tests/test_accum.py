@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gramlab.accum import CHUNK, csum, csums, partials
+from gramlab.accum import CHUNK, csum, partials, total
 
 # lengths around CHUNK, and around 2^16 and 3 * 2^16 + 7, which sit at or
 # next to a chunk boundary for any CHUNK a power of two up to 2^16
@@ -14,6 +14,11 @@ LENGTHS = sorted({0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7,
 def fsum(a: np.ndarray) -> float:
     """The reference: math.fsum over the whole array."""
     return math.fsum(a.tolist())
+
+
+def csums(arr, *terms, prep=None) -> tuple[float, ...]:
+    """The correctly rounded sum of each term over arr: the `total` of its `partials`."""
+    return tuple(map(total, partials(arr, *terms, prep=prep)))
 
 
 def outcome(f, a):

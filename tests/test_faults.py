@@ -114,8 +114,8 @@ FAULTS = [
 
 
 def _statuses(table: ZeroTable, cache_dir) -> dict[str, str]:
-    ctx = regression.RegressionContext(table=table, n_limit=N_LIMIT, cache_dir=str(cache_dir))
-    return {r["assertion"]: r["status"] for r in regression.run_paper_regression(ctx).rows}
+    rep = regression.run_paper_regression(table, N_LIMIT, cache_dir=str(cache_dir))
+    return {r["assertion"]: r["status"] for r in rep.rows}
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -151,9 +152,7 @@ def test_nu_identities_property(table_small, N):
 
 
 def test_broken_nu_identity_fails_its_row_only(table_small, cache_dir, monkeypatch):
-    ctx = regression.RegressionContext(table=table_small, n_limit=1200,
-                                       cache_dir=str(cache_dir))
-    good = regression.run_paper_regression(ctx).rows
+    good = regression.run_paper_regression(table_small, 1200, cache_dir=str(cache_dir)).rows
     counts = gl.interval_counts
 
     def broken(table, n_lo, n_hi):
@@ -162,7 +161,7 @@ def test_broken_nu_identity_fails_its_row_only(table_small, cache_dir, monkeypat
         return c
 
     monkeypatch.setattr(gl, "interval_counts", broken)
-    rows = regression.run_paper_regression(ctx).rows
+    rows = regression.run_paper_regression(table_small, 1200, cache_dir=str(cache_dir)).rows
     assert [r["assertion"] for r in rows] == [r["assertion"] for r in good]
     changed = [(g, r) for g, r in zip(good, rows) if g != r]
     assert [(g["assertion"], g["status"], r["status"], r["detail"]) for g, r in changed] \
@@ -172,8 +171,6 @@ def test_broken_nu_identity_fails_its_row_only(table_small, cache_dir, monkeypat
 def test_broken_occupancy_fails_empty_count_identity(table_full, cache_dir, monkeypatch):
     # M1 comes from interval occupancy and r(n) from S at Gram points, so
     # occupancy that disagrees with S fails the row
-    ctx = regression.RegressionContext(table=table_full, n_limit=11000,
-                                       cache_dir=str(cache_dir))
     counts = gl.interval_counts
 
     def broken(table, n_lo, n_hi):
@@ -183,20 +180,21 @@ def test_broken_occupancy_fails_empty_count_identity(table_full, cache_dir, monk
 
     for module in (gl, moments):          # every binding of interval_counts
         monkeypatch.setattr(module, "interval_counts", broken)
-    rows = {r["assertion"]: r for r in regression.run_paper_regression(ctx).rows}
+    rows = {r["assertion"]: r for r in regression.run_paper_regression(
+        table_full, 11000, cache_dir=str(cache_dir)).rows}
     assert rows["empty_count_identity"]["status"] == "fail"
 
 
 def test_each_row_reads_no_gram_index_past_its_need(table_full, cache_dir):
     """Cut at the Gram index a row needs (1 at least), a table still serves its check."""
-    full = regression.RegressionContext(table=table_full, n_limit=100000)
-    needs = {row[0]: max(row[3], 1) for row in regression._checks(full, 100000)}
+    sums = functools.cache(lambda x: regression._prime_sums(x, str(cache_dir)))
+    checks = functools.partial(regression._checks, epsilon=moments.EPSILON_DEFAULT, sums=sums)
+    needs = {row[0]: max(row[3], 1) for row in checks(table_full, 100000)}
     z = table_full.z_values()
     for n in sorted(set(needs.values()) - {math.inf}):
         cut = ZeroTable(table_full.gram[: n + 1],
                         table_full.zeros[table_full.zeros < table_full.gram[n]], z[: n + 1])
-        ctx = regression.RegressionContext(table=cut, n_limit=n, cache_dir=str(cache_dir))
-        for name, _, _, _, check in regression._checks(ctx, n):
+        for name, _, _, _, check in checks(cut, n):
             if needs[name] == n:
                 assert check()[0] in (True, None), name
 

@@ -670,6 +670,48 @@ def test_cli_epsilon_is_checked_before_any_command(args, epsilon, tmp_path, caps
     assert not cache.exists()     # nothing was built or read
 
 
+def _bad(message: str, *args: str):
+    return pytest.param(list(args), message, id=" ".join(args))
+
+
+_X_MIN, _CEILING = "x >= 2", "exceeds ceiling"
+_BAD_NUMBERS = [
+    *(_bad(message, "primes", "--kind", "mertens", "--x", x)
+      for x, message in (("nan", _X_MIN), ("inf", _CEILING), ("1", _X_MIN))),
+    *(_bad(_X_MIN, "primes", "--kind", "vxh", "--x", x, "--h", "0.2")
+      for x in ("nan", "-inf", "0")),
+    _bad(_CEILING, "primes", "--kind", "vxh", "--x", "inf", "--h", "0.2"),
+    *(_bad("0 < h < 0.4", "primes", "--kind", "vxh", "--x", "1e6", "--h", h)
+      for h in ("nan", "inf", "0.5")),
+    # every finite t is in V_y's domain: -inf stands for the out-of-domain value
+    *(_bad("finite t", "primes", "--kind", "vy", "--t", t, "--y", "10")
+      for t in ("nan", "inf", "-inf")),
+    *(_bad(message, "primes", "--kind", "vy", "--t", "10", "--y", y)
+      for y, message in (("nan", "y >= 2"), ("inf", _CEILING), ("1", "y >= 2"))),
+    *(_bad(message, "primes", "--kind", "diagonal", "--y", y)
+      for y, message in (("nan", "y >= 2"), ("inf", _CEILING), ("1", "y >= 2"))),
+    *(_bad(message, "primes", "--kind", "diagonal", "--order-k", k, "--y", "50")
+      for k, message in (("nan", "--order-k"), ("inf", "--order-k"), ("3", "k = 1 or 2"))),
+    *(_bad("match_tol", "ingest", "ORDINATES", "--match-tol", tol)
+      for tol in ("nan", "inf", "-1")),
+]
+
+
+@pytest.mark.parametrize("args, message", _BAD_NUMBERS)
+def test_cli_prime_and_ingest_numbers_out_of_domain_exit_2(args, message, tmp_path, capsys):
+    """NaN, an infinity or a finite value out of domain, in each numeric option
+    of `primes` and `ingest`: one error line naming the requirement, exit 2,
+    and nothing sieved into or built under the cache directory."""
+    ordinates = tmp_path / "ordinates.txt"
+    ordinates.write_text("14.134725\n21.022040\n")
+    args = [str(ordinates) if a == "ORDINATES" else a for a in args]
+    cache = tmp_path / "cache"
+    out, err, code = _gramlab(["--cache-dir", str(cache), *args], capsys)
+    assert (out, code) == ("", 2)
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert not cache.exists()
+
+
 def test_warm_verify_paper_resieves_the_sampled_chunks_only(cli_cache_dir, monkeypatch):
     # mertens_sums(1e8), v_xh(1e8, 0.2) and v_xh(1e8, 0.39) come from one
     # sidecar, re-checked by re-sieving 7 of its 49 blocks from their bounds;
@@ -758,8 +800,8 @@ def test_cli_verify_paper_n_limit_floor(tmp_path):
 def test_short_table_skips_the_rows_past_it(cache_dir):
     table = ZeroTable.build(10)
     assert table.certified_n == 10
-    ctx = regression.RegressionContext(table=table, n_limit=10, cache_dir=str(cache_dir))
-    rows = {r["assertion"]: r for r in regression.run_paper_regression(ctx).rows}
+    rep = regression.run_paper_regression(table, 10, cache_dir=str(cache_dir))
+    rows = {r["assertion"]: r for r in rep.rows}
     for name in ("a_positive_n1_15", "one_zero_per_interval_n1_15"):   # G_1..G_15
         assert (rows[name]["status"], rows[name]["detail"]) == ("skip", "insufficient range")
     assert rows["gram1895_ordinate_3"]["status"] == "pass"

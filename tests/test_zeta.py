@@ -270,10 +270,17 @@ def test_rs_corrections_match_high_precision_differentiation():
                 assert abs(float(mine[k][0]) - float(ref[k])) <= 1e-15
 
 
-def test_rs_polys_trimmed_within_their_tail_bound():
+def _rs_polys(table: np.ndarray) -> list[np.ndarray]:
+    """The polyval array of each C_k in a table of Horner steps, its leading zeros cut."""
+    return [np.trim_zeros(table[:, k, 0], "f") for k in range(table.shape[1])]
+
+
+def test_rs_polys_trimmed_within_their_tail_bound(monkeypatch):
     # the trimmed coefficients are the full ones less their highest orders,
     # so the two polynomials differ by exactly the dropped terms
-    full, trimmed = zt._rs_polys(0.0), zt._rs_polys()
+    trimmed = _rs_polys(zt._rs_table())
+    monkeypatch.setattr(zt, "_RS_TAIL", 0.0)
+    full = _rs_polys(zt._rs_table.__wrapped__())    # uncached, with no tail dropped
     u = np.linspace(0.0, 1.0, 1001, endpoint=False) - 0.5
     for k, (f, t) in enumerate(zip(full, trimmed)):
         assert 20 <= t.size < f.size
@@ -285,7 +292,8 @@ def test_rs_polys_trimmed_within_their_tail_bound():
 def test_rs_corrections_are_polyval_bit_for_bit():
     p = np.random.default_rng(16).random(10_000)
     u = p - 0.5
-    ref = [u ** (k % 2) * np.polyval(c, u * u) for k, c in enumerate(zt._rs_polys())]
+    polys = _rs_polys(zt._rs_table())
+    ref = [u ** (k % 2) * np.polyval(c, u * u) for k, c in enumerate(polys)]
     for mine, want in zip(zt._rs_corrections(p), ref):
         assert np.array_equal(mine, want)
 
