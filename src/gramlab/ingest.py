@@ -1,12 +1,13 @@
 """Cross-validation of computed zeros against external ordinate tables.
 
-External format: plain text, one decimal ordinate per line, strictly
+External format: UTF-8 text, one decimal ordinate per line, strictly
 ascending; blank lines and '#' comments are ignored.  Matching is greedy
 one-to-one within a tolerance over two sorted lists.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,23 +31,28 @@ class MatchReport:
 
 
 def parse_ordinate_file(path: str | Path) -> np.ndarray:
+    """The ordinates of a UTF-8 file; ParseError naming the first bad line."""
+    data = Path(path).read_bytes()
+    try:
+        lines = io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1) from None
     vals: list[float] = []
     prev = -np.inf
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                v = float(text)
-            except ValueError:
-                raise ParseError(f"not a decimal ordinate: {text!r}", line=lineno) from None
-            if not np.isfinite(v):
-                raise ParseError(f"non-finite ordinate {text!r}", line=lineno)
-            if v <= prev:
-                raise ParseError("ordinates must be strictly ascending", line=lineno)
-            vals.append(v)
-            prev = v
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            v = float(text)
+        except ValueError:
+            raise ParseError(f"not a decimal ordinate: {text!r}", line=lineno) from None
+        if not np.isfinite(v):
+            raise ParseError(f"non-finite ordinate {text!r}", line=lineno)
+        if v <= prev:
+            raise ParseError("ordinates must be strictly ascending", line=lineno)
+        vals.append(v)
+        prev = v
     return np.asarray(vals)
 
 

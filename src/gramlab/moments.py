@@ -27,13 +27,38 @@ EULER_GAMMA = 0.5772156649015329
 EPSILON_DEFAULT = 9e-4
 
 
+def _power(x: float, y: float) -> float:
+    """x ** y, inf past the float range."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
 def moment_constants(epsilon: float) -> tuple[float, float, float]:
-    """(A, B, lambda) = (e^21 eps^-1.5, A^2 e^-8, (2 B e pi^2)^2), for eps in (0, 1e-3)."""
+    """(A, B, lambda) = (e^21 eps^-1.5, A^2 e^-8, (2 B e pi^2)^2), for eps in (0, 1e-3);
+    a constant past the float range reads inf (lambda below eps ~ 1e-46, all
+    three below ~ 1e-205)."""
     if not (0.0 < epsilon < 1e-3):
         raise PreconditionError("epsilon must lie in the open interval (0, 1e-3)")
-    a_const = math.exp(21.0) * epsilon ** -1.5
+    a_const = math.exp(21.0) * _power(epsilon, -1.5)
     b_const = a_const * a_const * math.exp(-8.0)
-    return a_const, b_const, (2.0 * b_const * math.e * math.pi ** 2) ** 2
+    return a_const, b_const, _power(2.0 * b_const * math.e * math.pi ** 2, 2)
+
+
+def _main_term(k: int, M: int, x: float, div: float = 1.0) -> float:
+    """(2k)!/k! M x^k / div^(2k) for x, div > 0, with (2k)!/k! the exact integer
+    perm(2k, k): in floats where every factor and the result hold, else from
+    log10, inf past the float range."""
+    perm = math.perm(2 * k, k)
+    try:
+        main = float(perm) * M * x ** k / div ** (2 * k)
+    except OverflowError:
+        main = math.inf
+    if math.isfinite(main):
+        return main
+    log10 = math.log10(perm * M) + k * math.log10(x) - 2 * k * math.log10(div)
+    return 10.0 ** log10 if log10 < 308 else math.inf
 
 
 def _require_range(N: int, M: int, m: int = 0, k: int = 0) -> None:
@@ -103,7 +128,7 @@ def block_difference_moment(table: ZeroTable, N: int, M: int, m: int, k: int,
         notes.append("m below the admissible floor k/eps * exp(lam k^2); trend reporting only")
     main = ratio = None
     if arg is not None and arg > 0:
-        main = math.factorial(2 * k) / math.factorial(k) * M * (arg / (2.0 * math.pi ** 2)) ** k
+        main = _main_term(k, M, arg / (2.0 * math.pi ** 2))
         ratio = total / main if main else None
     else:
         notes.append("main term undefined: ln(m eps / k) <= 0 at this scale")
@@ -160,7 +185,7 @@ def alternating_sum(table: ZeroTable, N: int, M: int, k: int,
     else:
         h = k // 2
         log10_bound = (math.log10(0.02) + (h + 1) * math.log10(10.0 * a_const)
-                       + math.log10(math.factorial(2 * h) / math.factorial(h))
+                       + math.log10(math.perm(2 * h, h))
                        + math.log10(M) + (h - 0.5) * math.log10(L)
                        - 2 * h * math.log10(2.0 * math.pi))
     return MomentReport.bounded(total, log10_bound)
@@ -179,8 +204,7 @@ def selberg_delta_moment(table: ZeroTable, N: int, M: int, k: int, parity: str,
     L = math.log(math.log(N))
     if parity == "even":
         total = _int_power_sum(deltas, 2 * k)
-        main = math.factorial(2 * k) / math.factorial(k) * M * L ** k \
-            / (2.0 * math.pi) ** (2 * k)
+        main = _main_term(k, M, L, 2.0 * math.pi)
         return MomentReport(sum=total, main_term=main, ratio=total / main if main else None)
     total = _int_power_sum(deltas, 2 * k - 1)
     log10_bound = (9.0 * math.log10(math.e) + k * math.log10(b_const * k)

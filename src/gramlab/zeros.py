@@ -116,9 +116,11 @@ def near(points: np.ndarray, ts) -> np.ndarray:
 
 
 def require_heights(t_lo: float, t_hi: float) -> None:
-    """PreconditionError unless 7 < t_lo < t_hi: the heights a zero query takes."""
+    """PreconditionError unless 7 < t_lo < t_hi < inf: the heights a zero query takes."""
     if not (7.0 < t_lo < t_hi):
         raise PreconditionError("require 7 < t_lo < t_hi")
+    if t_hi == math.inf:
+        raise PreconditionError("require a finite t_hi")
 
 
 class ZeroTable:

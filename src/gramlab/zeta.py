@@ -25,13 +25,13 @@ Omega(n), so about pi(N) of the N terms cost trig (29 of 108 at t = 7.5e4).
 A table build evaluates Z only within half a Gram interval of some Gram
 point, and there a third form of the Riemann-Siegel route, `hardy_z_local`,
 expands the main sum about each Gram point c of a run: with moments
-M_k = sum_n n^(-1/2) e^(i(theta(c) - c ln n)) (ln n)^k / k!, taken once per
-Gram point from the same prime-phase terms,
+M_k = sum_n n^(-1/2) e^(i(theta(c) - c ln n)) (ln n)^k / k!,
 Z(c + h) = 2 Re[e^(i(theta(c+h) - theta(c))) sum_{k<=K} M_k (-ih)^k]
 plus the same C_0..C_4 correction at c + h.  The Taylor tail is at most
 2 sum_n n^(-1/2) x^(K+1)/(K+1)! e^x with x = max|h| ln N, and K is the least
-order that holds it to 1e-13.  The terms also give Z at the Gram points,
-bit for bit the direct sum.  One rule, `_em_heights`, picks the route at every
+order that holds it to 1e-13.  `_hardy_z_rs`, the one loop forming every
+main sum, sums Z at the Gram points and hands each slice's prime-phase terms
+to the moments.  One rule, `_em_heights`, picks the route at every
 height for `hardy_z`, `hardy_z_many` and `hardy_z_local` alike.
 
 Every phase, the prime phases t ln p, theta, the rotations and the
@@ -220,6 +220,7 @@ def _sincos(x, sin=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 _Z_ELEMENTS = 1 << 15  # heights x terms per slice of the main sum
+LOCAL_BRACKETS = 8192  # heights per run, Gram points per build run: 2.8 MB of moments
 
 
 @lru_cache(maxsize=64)
@@ -308,28 +309,33 @@ def _rs_remainder(t: np.ndarray, N: np.ndarray, p: np.ndarray) -> np.ndarray:
         * (c0 + q * (c1 + q * (c2 + q * (c3 + q * c4))))
 
 
-def _hardy_z_rs(ts: np.ndarray) -> np.ndarray:
-    """Riemann-Siegel Z over an array, in slices of at most _Z_ELEMENTS heights
-    x terms; a height's terms and its sum do not depend on the slice, so
-    slicing does not move a bit."""
+def _hardy_z_rs(ts: np.ndarray, hook=None) -> np.ndarray:
+    """Riemann-Siegel Z over an array: the one loop that forms the main sum,
+    to n_top = N(max ts) in slices of _Z_ELEMENTS // n_top heights, with theta
+    and the correction once per run of whole slices, at most LOCAL_BRACKETS
+    heights or one slice.  No bit depends on the slice or run.  hook(i, terms,
+    sin_th, cos_th), if given, sees each slice's terms and rotation from i."""
     out = np.empty(ts.shape)
-    if ts.size == 0:
-        return out
-    rows = max(1, _Z_ELEMENTS // int(math.sqrt(float(ts.max()) / TWO_PI)))
-    for i in range(0, ts.size, rows):
-        seg = ts[i : i + rows]
+    n_top = int(math.sqrt(float(ts.max(initial=T_MIN)) / TWO_PI))
+    width = max(1, _Z_ELEMENTS // n_top)
+    for r in range(0, ts.size, run := width * max(1, LOCAL_BRACKETS // width)):
+        seg = ts[r : r + run]
         a = np.sqrt(seg / TWO_PI)
         N = a.astype(np.int64)
-        terms = _main_terms(seg, N, int(N.max()))
-        out[i : i + rows] = _main_sum(terms, *_sincos(theta_many(seg))) \
-            + _rs_remainder(seg, N, a - N)
+        sin_th, cos_th = _sincos(theta_many(seg))
+        for i in range(0, seg.size, width):
+            sl = slice(i, i + width)
+            terms = _main_terms(seg[sl], N[sl], n_top)
+            out[r + i : r + i + width] = _main_sum(terms, sin_th[sl], cos_th[sl])
+            if hook:
+                hook(r + i, terms, sin_th[sl], cos_th[sl])
+        out[r : r + run] += _rs_remainder(seg, N, a - N)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Riemann-Siegel expansion about Gram points
 
-LOCAL_BRACKETS = 8192  # Gram points per build run: 2.8 MB of moments, ~5 ms of fixed calls
 _LOCAL_TOL = 1e-13     # bound on the truncated Taylor tail of the main sum
 # multiply-adds per matrix product: OpenBLAS runs products this small on one
 # thread; its threaded ones stalled about 8 ms a call in one process of 6 on
@@ -364,11 +370,11 @@ def hardy_z_local(c: np.ndarray):
     At each centre c the moments
     M_k = sum_{n <= N(c)} n^(-1/2) e^(i(theta(c) - c ln n)) (ln n)^k / k!
         = e^(i theta(c)) (P_k . Cw - i P_k . Sw)
-    take the prime-phase terms Cw, Sw = n^(-1/2) (cos, sin)(c ln n) of
-    _main_terms and one matrix product with the table P_k = (ln n)^k / k!
-    (Odlyzko & Schonhage 1988 reuse n^(-it) about a base point the same way).
-    The same terms give Z at the centres as _hardy_z_rs sums them, bit for
-    bit hardy_z_many's values, carried as the function's `at_centres`.  The
+    take the prime-phase terms Cw, Sw = n^(-1/2) (cos, sin)(c ln n) that
+    _hardy_z_rs hands over slice by slice, and one matrix product with the
+    table P_k = (ln n)^k / k! (Odlyzko & Schonhage 1988 reuse n^(-it) about a
+    base point the same way).  That one call also sums Z at the centres, the
+    function's `at_centres`, bit for bit hardy_z_many's values.  The
     function maps heights t in [c_0, c_last] to hardy_z_many's value where
     _em_heights holds, and elsewhere, from the nearer centre c, to
     Z(c + h) = 2 Re[e^(i dtheta) sum_{k <= K} M_k (-ih)^k] + R(t), where
@@ -381,10 +387,7 @@ def hardy_z_local(c: np.ndarray):
     the least that holds this to _LOCAL_TOL.
     """
     c = np.asarray(c, dtype=float)
-    a = np.sqrt(c / TWO_PI)
-    n_c = a.astype(np.int64)
-    th = theta_many(c)
-    sin_th, cos_th = _sincos(th)
+    n_c = np.sqrt(c / TWO_PI).astype(np.int64)
     n_top = int(n_c[-1])
     n = np.arange(1, n_top + 1, dtype=float)
     logn = np.log(n)
@@ -400,21 +403,18 @@ def hardy_z_local(c: np.ndarray):
     # a row per order k, a column per centre: a Horner step of the expansion
     # gathers one row at the heights' centres, and no height copies all K + 1
     moments = np.empty((order + 1, c.size), dtype=complex)
-    z_c = np.empty(c.size)
-    width = max(1, _Z_ELEMENTS // n_top)                        # centres per slice
     step = max(1, _SERIAL_MACS // (2 * n_top * (order + 1)))   # centres per product
-    for i in range(0, c.size, width):
-        j = min(i + width, c.size)
-        terms = _main_terms(c[i:j], n_c[i:j], n_top)
-        z_c[i:j] = _main_sum(terms, sin_th[i:j], cos_th[i:j])
+
+    def take_moments(i, terms, sin_th, cos_th):
         # the (Cw, Sw) column pair of each centre against P, step centres a product
         prod = np.concatenate([terms[:, b : b + step].reshape(n_top, -1).T @ powers
-                               for b in range(0, j - i, step)])
+                               for b in range(0, sin_th.size, step)])
         pc, ps = prod[0::2], prod[1::2]
-        ct, st = cos_th[i:j, None], sin_th[i:j, None]
-        moments.real[:, i:j] = (ct * pc + st * ps).T
-        moments.imag[:, i:j] = (st * pc - ct * ps).T
-    z_c += _rs_remainder(c, n_c, a - n_c)
+        ct, st = cos_th[:, None], sin_th[:, None]
+        moments.real[:, i : i + ct.size] = (ct * pc + st * ps).T
+        moments.imag[:, i : i + ct.size] = (st * pc - ct * ps).T
+
+    z_c = _hardy_z_rs(c, take_moments)
     low = _em_heights(c)
     z_c[low] = _hardy_z_em(c[low])[0]
 
@@ -436,7 +436,7 @@ def hardy_z_local(c: np.ndarray):
         s = np.nonzero(N != nr)[0]              # across an integer of sqrt(t/2pi)
         top = np.maximum(N[s], nr[s]).astype(float)
         z[s] += (N[s] - nr[s]) * 2.0 / np.sqrt(top) \
-            * _sincos(th[row[s]] + dth[s] - ts[s] * np.log(top))[1]
+            * _sincos(theta_many(cr[s]) + dth[s] - ts[s] * np.log(top))[1]
         return z + _rs_remainder(ts, N, a - N)
 
     def z_local(ts: np.ndarray) -> np.ndarray:

@@ -625,6 +625,27 @@ def test_cli_moment_reports_pinned(table_mid, cache_root, tmp_path, capsys):
     assert "".join(parts) == _MOMENT_REPORTS.read_text()
 
 
+@pytest.mark.parametrize("args, field, value", [
+    (["--epsilon", "1e-50", "moments", "--kind", "adjacent", *_R],
+     "bound", "9.3353878804393188e+168"),
+    (["moments", "--kind", "alternating", *_R, "--order-k", "400"], "bound", "inf"),
+    (["moments", "--kind", "alternating", "--start-n", "3", "--length-m", "5",
+      "--order-k", "400"], "bound", "inf"),
+    (["moments", "--kind", "selberg-even", "--start-n", "3", "--length-m", "5",
+      "--order-k", "200"], "main_term", "1.0146163838450219e-30")],
+    ids=["adjacent eps 1e-50", "alternating k 400", "alternating k 400 N 3",
+         "selberg-even k 200 N 3"])
+def test_cli_moments_at_extreme_epsilon_and_order_report(args, field, value, table_mid,
+                                                        cache_root, tmp_path, capsys):
+    """A constant, a factorial quotient or a power past the float range ends in a
+    report, not an OverflowError: a bound or main term past it reads inf."""
+    (tmp_path / "zrange").symlink_to(cache_root / "n5100", target_is_directory=True)
+    out, err, code = _gramlab(["--cache-dir", str(tmp_path), *args], capsys)
+    assert (err, code) == ("", 0)
+    header, row = out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))[field] == value
+
+
 _RANGE_MESSAGE = "require N >= 3, M >= 1, m >= 0, k >= 0"
 
 
@@ -694,17 +715,21 @@ _BAD_NUMBERS = [
       for k, message in (("nan", "--order-k"), ("inf", "--order-k"), ("3", "k = 1 or 2"))),
     *(_bad("match_tol", "ingest", "ORDINATES", "--match-tol", tol)
       for tol in ("nan", "inf", "-1")),
+    _bad("line 2: not UTF-8 text", "ingest", "NOT_UTF8"),
+    _bad("require a finite t_hi", "zeros", "--t-lo", "8", "--t-hi", "inf"),
 ]
 
 
 @pytest.mark.parametrize("args, message", _BAD_NUMBERS)
 def test_cli_prime_and_ingest_numbers_out_of_domain_exit_2(args, message, tmp_path, capsys):
     """NaN, an infinity or a finite value out of domain, in each numeric option
-    of `primes` and `ingest`: one error line naming the requirement, exit 2,
+    of `primes` and `ingest`, an ordinate file that is not UTF-8, and an
+    infinite `zeros` height: one error line naming the requirement, exit 2,
     and nothing sieved into or built under the cache directory."""
-    ordinates = tmp_path / "ordinates.txt"
-    ordinates.write_text("14.134725\n21.022040\n")
-    args = [str(ordinates) if a == "ORDINATES" else a for a in args]
+    files = {"ORDINATES": tmp_path / "ordinates.txt", "NOT_UTF8": tmp_path / "not_utf8.txt"}
+    files["ORDINATES"].write_text("14.134725\n21.022040\n")
+    files["NOT_UTF8"].write_bytes(b"14.13\n\xff\xfe\n")
+    args = [str(files.get(a, a)) for a in args]
     cache = tmp_path / "cache"
     out, err, code = _gramlab(["--cache-dir", str(cache), *args], capsys)
     assert (out, code) == ("", 2)

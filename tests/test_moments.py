@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,36 @@ def test_moment_constants_epsilon_open_interval():
     for epsilon in (1e-3, 0.0, math.nan):
         with pytest.raises(PreconditionError, match="open interval"):
             mo.moment_constants(epsilon)
+
+
+def test_moment_constants_read_inf_past_the_float_range():
+    """lambda leaves the float range below eps ~ 1e-46, A and B below ~ 1e-205;
+    every eps in (0, 1e-3) still gives the three constants."""
+    assert all(map(math.isfinite, mo.moment_constants(1e-45)))
+    a, b, lam = mo.moment_constants(1e-50)
+    assert math.isfinite(a) and math.isfinite(b) and lam == math.inf
+    assert b == pytest.approx(a ** 2 * math.exp(-8.0), rel=1e-12)
+    for epsilon in (1e-206, 5e-324):
+        assert mo.moment_constants(epsilon) == (math.inf,) * 3
+
+
+@pytest.mark.parametrize("k, M, x, div", [(1, 500, 0.3, 1.0), (14, 500, 0.094, 2 * math.pi),
+                                          (120, 1000, 2.44, 2 * math.pi),
+                                          (200, 5, 0.094, 2 * math.pi), (400, 500, 7.0, 1.0)])
+def test_main_term_from_the_exact_ratio(k, M, x, div):
+    """(2k)!/k! M x^k / div^(2k) near its 40-digit value, also where a factor or
+    a partial product leaves the float range; as the factorial quotient it
+    replaced, bit for bit, where that quotient was finite."""
+    with mpmath.workdps(40):
+        ref = mpmath.factorial(2 * k) / mpmath.factorial(k) * M \
+            * mpmath.mpf(x) ** k / mpmath.mpf(div) ** (2 * k)
+    main = mo._main_term(k, M, x, div)
+    if ref > 1.7e308:
+        assert main == math.inf
+    else:
+        assert main == pytest.approx(float(ref), rel=1e-11)
+    if k <= 14:
+        assert main == math.factorial(2 * k) / math.factorial(k) * M * x ** k / div ** (2 * k)
 
 
 def test_block_moment_zero_shift(table_small):

@@ -306,6 +306,24 @@ def test_hardy_z_many_slices_do_not_move_a_bit():
     assert np.array_equal(zt.hardy_z_many(ts), one)
 
 
+def test_hardy_z_many_working_set_is_flat():
+    """1e5 heights take theta and the correction a run of at most
+    LOCAL_BRACKETS heights at a time, so the call peaks within 2 MB of its
+    result however long the array is."""
+    import tracemalloc
+
+    ts = np.random.default_rng(18).uniform(zt.RS_SWITCH_T, 1e5, 100_000)
+    first = zt.hardy_z_many(ts)
+    tracemalloc.start()
+    try:
+        out = zt.hardy_z_many(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.tobytes() == first.tobytes()
+    assert peak - out.nbytes <= 2 * 2**20
+
+
 def test_theta_delta_is_accurate_relative_to_h():
     def theta_series(t):        # theta's series, as theta_gram evaluates it
         return t / 2 * mpmath.log(t / (2 * mpmath.pi)) - t / 2 - mpmath.pi / 8 \
@@ -327,6 +345,17 @@ def test_local_expansion_at_the_centres_is_the_direct_sum(n_lo):
     # hardy_z_many sums them, so a build's z_gram is the direct kernel's
     assert np.array_equal(z.at_centres, zt.hardy_z_many(g))
     assert np.max(np.abs(z(g) - zt.hardy_z_many(g))) <= 1e-12
+
+
+def test_local_expansion_does_not_depend_on_the_run_length(monkeypatch):
+    """Centres split over runs of one slice take the same moments and Z as one run."""
+    g = th.gram_points(90999, 90000)
+    ts = np.r_[g[:-1] + 0.37 * np.diff(g), g[-1]]
+    whole = zt.hardy_z_local(g)
+    monkeypatch.setattr(zt, "LOCAL_BRACKETS", 50)
+    runs = zt.hardy_z_local(g)
+    assert np.array_equal(runs.at_centres, whole.at_centres)
+    assert runs(ts).tobytes() == whole(ts).tobytes()
 
 
 def test_local_expansion_evaluation_is_flat():
