@@ -64,7 +64,6 @@ from .accum import CHUNK, csum, partials, total
 from .errors import ChecksumMismatch, PreconditionError, ResourceError, VersionMismatch
 from .moments import EPSILON_DEFAULT, MomentReport, _require_range, moment_constants
 from .store import read_checked, write_checked, write_replacing
-from .theta_gram import gram_points
 from .zeros import ZeroTable
 
 SIEVE_CEILING = 10**8
@@ -390,9 +389,9 @@ def residual_moments(table: ZeroTable, N: int, M: int, k: int,
     a_const, _, _ = moment_constants(epsilon)
     _require_range(N, M, k=k)
     notes = ("exploratory: admissible regime ln x >= 192 k unreachable at desk scale",)
-    if y is None:
-        y = (float(gram_points(N, N)[0]) ** (0.1 * epsilon)) ** (1.0 / (4.0 * k))
     table.require_gram_index(N + M)
+    if y is None:
+        y = (float(table.gram[N]) ** (0.1 * epsilon)) ** (1.0 / (4.0 * k))
     ts = table.gram[N + 1 : N + M + 1]
     s_vals = table.s_gram[N + 1 : N + M + 1].astype(float)
     v_vals = _v_sum(ts, y)

@@ -32,7 +32,7 @@ import numpy as np
 from . import gram_law, moments, primes
 from .reports import Report
 from .theta_gram import gram_points, gram_spacing_report, theta, theta_derivative
-from .zeros import ZeroTable
+from .zeros import ZeroTable, gram_regular
 
 # frozen from a 30-digit prime-zeta evaluation; test suite re-derives it
 MERTENS_CONSTANT = 0.2614972128476428
@@ -99,15 +99,14 @@ def _interval_additivity(tab: ZeroTable, top: int) -> tuple[bool, str]:
     s = tab.s_gram
     n0, m0 = rng.integers(1, top - 1, size=(10000, 2)).T
     m0 = m0 % (top - n0) + 1
-    counts = np.searchsorted(tab.zeros, tab.gram[: top + 1], side="right")  # N(t_n + 0)
+    counts = tab.n_at(tab.gram[: top + 1])  # N(t_n + 0)
     return np.array_equal(counts[n0 + m0] - counts[n0], m0 + s[n0 + m0] - s[n0]), ""
 
 
 def _gram_parity(tab: ZeroTable, z: np.ndarray, top: int) -> tuple[bool, str]:
     """(-1)^(n-1) Z(t_n) > 0 exactly when S(t_n+0) is even, for 1 <= n <= top:
     Z changes sign at each zero, and Z(t_0) < 0 with no zero below t_0."""
-    n = np.arange(1, top + 1)
-    regular = np.where(n % 2 == 1, z[1 : top + 1], -z[1 : top + 1]) > 0.0
+    regular = gram_regular(1, z[1 : top + 1])
     bad = np.nonzero(regular != (tab.s_gram[1 : top + 1] % 2 == 0))[0]
     if bad.size:
         return False, f"{bad.size} Gram points disagree, the first at n = {bad[0] + 1}"

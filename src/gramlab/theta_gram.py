@@ -142,7 +142,7 @@ def residual_tolerance(target) -> np.ndarray:
 def _newton_step(t: np.ndarray, target: np.ndarray) -> np.ndarray:
     step = (_theta_raw(t) - target) / _theta_d1_raw(t)
     # keep iterates on the t > 7 branch (theta' > 0 there)
-    return np.maximum(t - step, 7.0 + 1e-9)
+    return np.maximum(t - step, T_MIN + 1e-9)
 
 
 GRAM_BLOCK = 8192   # Gram indices solved at once

@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ResourceError, UncertifiedRange
-from .theta_gram import gram_points, theta
+from .theta_gram import T_MIN, gram_points, theta
 from . import zeta
 
 # zeros and Gram points closer than this are flagged ambiguous
@@ -99,25 +98,24 @@ def near(points: np.ndarray, ts) -> np.ndarray:
     hit = np.zeros(flat.size, dtype=bool)
     if not points.size:
         return hit.reshape(ts.shape)
-    # the neighbours of each t: points[i] above (the last point past the end)
-    # and points[i - 1] below; per block, one index and one difference buffer
-    # serve both
+    # per block, the neighbours of each t: points[i] above (the last point
+    # past the end) and points[i - 1] below
     for s in range(0, flat.size, _BLOCK):
-        t, out = flat[s : s + _BLOCK], hit[s : s + _BLOCK]
+        t = flat[s : s + _BLOCK]
         i = np.searchsorted(points, t)
-        np.minimum(i, points.size - 1, out=i)
-        d = points.take(i)
-        np.less(np.abs(np.subtract(d, t, out=d), out=d), AMBIGUITY_TOL, out=out)
-        i -= 1
-        np.maximum(i, 0, out=i)
-        points.take(i, out=d)
-        out |= np.abs(np.subtract(d, t, out=d), out=d) < AMBIGUITY_TOL
+        above, below = points[np.minimum(i, points.size - 1)], points[np.maximum(i - 1, 0)]
+        hit[s : s + _BLOCK] = np.minimum(abs(above - t), abs(below - t)) < AMBIGUITY_TOL
     return hit.reshape(ts.shape)
+
+
+def gram_regular(n_lo: int, z: np.ndarray) -> np.ndarray:
+    """True where Gram point n = n_lo + i is regular, (-1)^(n-1) Z(t_n) > 0, Z(t_n) = z[i]."""
+    return np.where(np.arange(n_lo, n_lo + z.size) % 2 == 1, z, -z) > 0.0
 
 
 def require_heights(t_lo: float, t_hi: float) -> None:
     """PreconditionError unless 7 < t_lo < t_hi < inf: the heights a zero query takes."""
-    if not (7.0 < t_lo < t_hi):
+    if not (T_MIN < t_lo < t_hi):
         raise PreconditionError("require 7 < t_lo < t_hi")
     if t_hi == math.inf:
         raise PreconditionError("require a finite t_hi")
@@ -127,7 +125,8 @@ class ZeroTable:
     """Gram points 0..certified_n, their Z values, and the zeros below the last.
 
     The last Gram point is a regular anchor through which the zero count is
-    certified; no zero lies above it.
+    certified; no zero lies above it.  A query flags as ambiguous only the
+    zeros it returns: those within AMBIGUITY_TOL of a Gram point.
     """
 
     def __init__(self, gram, zeros, z_gram, diagnostics=None):
@@ -135,25 +134,17 @@ class ZeroTable:
         zero takes the uniform certified half-width: each final bracket fits
         inside [t - 1e-9, t + 1e-9], so built and loaded tables report the
         same bytes.  S at the Gram points is made a block of entries at a time,
-        with no whole-range temporary; the ambiguity flags on first use."""
+        with no whole-range temporary."""
         gram, zeros = np.asarray(gram, dtype=float), np.asarray(zeros, dtype=float)
         self.gram = gram                  # t_n, index = n
         self.z_gram = z_gram              # Z(t_n)
         self.zeros = zeros                # ascending ordinates, 1-based count
-        self.bracket_half = np.broadcast_to(BRACKET_HALF_WIDTH, zeros.size)
         self.diagnostics = diagnostics or ScanDiagnostics()
         # S(t_n + 0) = N(t_n + 0) - n, a block of counts at a time
         self.s_gram = np.empty(gram.size, dtype=np.int64)
         for s in range(0, gram.size, _BLOCK):
             e = min(s + _BLOCK, gram.size)
-            np.subtract(np.searchsorted(zeros, gram[s:e], side="right"),
-                        np.arange(s, e), out=self.s_gram[s:e])
-
-    @cached_property
-    def zero_ambiguous(self) -> np.ndarray:
-        """True where a zero lies within AMBIGUITY_TOL of a Gram point; made
-        on first use, as only `zero` reads it."""
-        return near(self.gram, self.zeros)
+            np.subtract(self.n_at(gram[s:e]), np.arange(s, e), out=self.s_gram[s:e])
 
     # -- construction ------------------------------------------------------
 
@@ -174,8 +165,7 @@ class ZeroTable:
             run_eval = z_eval or zeta.hardy_z_local(gram[a:b])
             zg[known:b] = z_eval(gram[known:b]) if z_eval else run_eval.at_centres[known - a:]
             known = b
-            # (-1)^(n-1) Z(t_n) > 0
-            regular = np.where(np.arange(a, b) % 2 == 1, zg[a:b], -zg[a:b]) > 0.0
+            regular = gram_regular(a, zg[a:b])
             if not regular[0]:
                 raise UncertifiedRange("no regular anchor at the base of the range")
             anchors = a + np.nonzero(regular)[0]
@@ -210,17 +200,24 @@ class ZeroTable:
             raise UncertifiedRange(
                 f"gram index {n} beyond certified index {self.certified_n}")
 
+    def n_at(self, ts):
+        """N(t + 0) at heights ts: the zeros of the list at or below each."""
+        return np.searchsorted(self.zeros, ts, side="right")
+
+    def _beyond_certified(self, t: float) -> bool:
+        return t > self.t_certified + 1e-12
+
     def _require_certified_t(self, t: float) -> None:
-        if t > self.t_certified + 1e-12:
+        if self._beyond_certified(t):
             raise UncertifiedRange(
                 f"t = {t} beyond certified height {self.t_certified}")
 
     def count_zeros(self, t: float) -> CountResult:
         """N(t+0) and S(t+0) from the certified zero list."""
-        if not t > 7.0:
+        if not t > T_MIN:
             raise PreconditionError("count_zeros requires t > 7")
         self._require_certified_t(t)
-        n_of_t = int(np.searchsorted(self.zeros, t, side="right"))
+        n_of_t = int(self.n_at(t))
         s_of_t = n_of_t - theta(t).value / math.pi - 1.0
         return CountResult(t=float(t), n_of_t=n_of_t, s_of_t=s_of_t,
                            certified=True, at_zero=bool(near(self.zeros, t)))
@@ -235,30 +232,32 @@ class ZeroTable:
     def find_zeros(self, t_lo: float, t_hi: float) -> list[CriticalZero]:
         require_heights(t_lo, t_hi)
         self._require_certified_t(t_hi)
-        i = int(np.searchsorted(self.zeros, t_lo, side="right"))
-        j = int(np.searchsorted(self.zeros, t_hi, side="right"))
-        return [self.zero(k) for k in range(i + 1, j + 1)]
+        i, j = self.n_at([t_lo, t_hi]).tolist()
+        return self._zeros(i, j)
 
     def completeness_certificate(self, t_lo: float, t_hi: float):
         """(ok, details) for the zeros located in (t_lo, t_hi]: complete at or
         below the anchor t_certified, through which the build checked its count."""
         require_heights(t_lo, t_hi)
-        if t_hi > self.t_certified + 1e-12:
+        if self._beyond_certified(t_hi):
             return False, {"reason": "beyond certified height",
                            "t_certified": self.t_certified,
                            "failed_blocks": list(self.diagnostics.failed_blocks)}
-        located = int(np.searchsorted(self.zeros, t_hi, side="right")
-                      - np.searchsorted(self.zeros, t_lo, side="right"))
-        return True, {"located": located, "t_certified": self.t_certified}
+        i, j = self.n_at([t_lo, t_hi]).tolist()
+        return True, {"located": j - i, "t_certified": self.t_certified}
 
     def zero(self, index: int) -> CriticalZero:
         """Zero by 1-based global index."""
         if not (1 <= index <= self.zeros.size):
             raise UncertifiedRange(f"zero index {index} outside certified table")
-        k = index - 1
-        return CriticalZero(index=index, t=float(self.zeros[k]),
-                            bracket_width=float(self.bracket_half[k]),
-                            certified=True, ambiguous=bool(self.zero_ambiguous[k]))
+        return self._zeros(index - 1, index)[0]
+
+    def _zeros(self, i: int, j: int) -> list[CriticalZero]:
+        """Zeros i + 1..j by 1-based index, flagged by one near() call."""
+        ts = self.zeros[i:j]
+        rows = zip(range(i + 1, j + 1), ts.tolist(), near(self.gram, ts).tolist())
+        return [CriticalZero(index=k, t=t, bracket_width=BRACKET_HALF_WIDTH, certified=True,
+                             ambiguous=a) for k, t, a in rows]
 
 
 def _scan(gram, zg, anchors, z_eval, diag):

@@ -451,19 +451,16 @@ def hardy_z_local(c: np.ndarray):
 # Euler-Maclaurin evaluation
 
 _EM_K_MAX = 30
+_EM_BLOCK = 1024  # heights per _euler_maclaurin call of _hardy_z_em
 
 
 @lru_cache(maxsize=1)
 def _bernoulli_over_fact() -> list[float]:
-    """B_{2k}/(2k)! for k = 1.._EM_K_MAX, exact recurrence then one rounding."""
-    # B_m via sum_{j=0}^{m} C(m+1, j) B_j = 0
-    B = [Fraction(1)]
-    for m in range(1, 2 * _EM_K_MAX + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * B[j]
-        B.append(-acc / (m + 1))
-    return [float(B[2 * k] / math.factorial(2 * k)) for k in range(1, _EM_K_MAX + 1)]
+    """B_{2k}/(2k)! for k = 1.._EM_K_MAX from mpmath's exact B_2k, then one rounding."""
+    import mpmath
+
+    return [float(Fraction(*mpmath.bernfrac(2 * k)) / math.factorial(2 * k))
+            for k in range(1, _EM_K_MAX + 1)]
 
 
 def _euler_maclaurin(sigma: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -541,12 +538,17 @@ def zeta_euler_maclaurin(sigma: float, t: float, target_err: float = 1e-12):
 
 def _hardy_z_em(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Z at heights ts from the row of _euler_maclaurin with the least bound,
-    rotated by theta, and that bound."""
-    values, bounds = _euler_maclaurin(0.5, ts)
-    best = bounds.argmin(axis=0), np.arange(ts.size)
-    zeta = values[best]
-    sin, cos = _sincos(theta_many(ts))
-    return cos * zeta.real - sin * zeta.imag, bounds[best]
+    rotated by theta, and that bound.  The rows are taken _EM_BLOCK heights
+    at a time, so the working set does not grow with the array."""
+    z, bound = np.empty(ts.size), np.empty(ts.size)
+    for s in range(0, ts.size, _EM_BLOCK):
+        t = ts[s : s + _EM_BLOCK]
+        values, bounds = _euler_maclaurin(0.5, t)
+        best = bounds.argmin(axis=0), np.arange(t.size)
+        sin, cos = _sincos(theta_many(t))
+        z[s : s + t.size] = cos * values[best].real - sin * values[best].imag
+        bound[s : s + t.size] = bounds[best]
+    return z, bound
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,31 @@ def recheck(path: Path, *names: str) -> None:
                         **fields)
 
 
+# numpy's float64 loop targets for (tan, log, exp) in a process: every pinned
+# float array passes through one of the three, and their last bits move with
+# the target.  AVX512_OFF gives the loops an AVX2-only x86 CPU runs.
+X86_V4 = ("X86_V4", "X86_V4", "X86_V4")
+AVX2 = ("baseline(X86_V2)", "X86_V3", "X86_V3")
+AVX512_OFF = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+
+
+def simd_target() -> tuple[str, ...]:
+    """The float64 loop targets numpy dispatches tan, log and exp to here."""
+    from numpy.lib.introspect import opt_func_info
+
+    info = opt_func_info(func_name="^(tan|log|exp)$")
+    return tuple(info.get(f, {}).get("dd", {}).get("current") for f in ("tan", "log", "exp"))
+
+
+def pinned(digests: dict):
+    """The entry of `digests` for this process's loop targets; fails naming
+    the targets if none is pinned for them."""
+    target = simd_target()
+    if target not in digests:
+        pytest.fail(f"no digest pinned for numpy loop targets {target}")
+    return digests[target]
+
+
 def _digest(*names: str) -> str:
     """Digest of the named gramlab modules."""
     h = hashlib.blake2b(digest_size=8)

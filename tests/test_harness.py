@@ -168,7 +168,7 @@ def test_store_peak_memory_is_flat(table_full, tmp_path):
     finally:
         tracemalloc.stop()
     held = sum(a.nbytes for a in (loaded.gram, loaded.zeros, loaded.z_gram,
-                                  loaded.s_gram, loaded.zero_ambiguous))
+                                  loaded.s_gram))
     assert save_peak < 2 * 2**20
     assert load_peak - held < 3 * 2**20
 

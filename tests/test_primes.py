@@ -439,6 +439,19 @@ def test_diagonal_identity_k2_random_maps(seed):
     assert chk.ok
 
 
+@pytest.mark.parametrize("y", [21, 50, 1000])
+def test_diagonal_identity_k2_is_its_closed_form(y):
+    """With unit coefficients the k = 2 brute force is lhs = 2 sigma1^2 - sigma2:
+    each pair of primes p < q gives pq twice, and p = q gives p^2 once.  So
+    theta = -1/8 at every y, and the check cannot fail."""
+    primes = pr.sieve_primes(y).primes.tolist()
+    sigma1 = math.fsum(1.0 / p for p in primes)
+    sigma2 = math.fsum(1.0 / p ** 2 for p in primes)
+    chk = pr.diagonal_identity_check(2, y)
+    assert chk.lhs == pytest.approx(2.0 * sigma1 ** 2 - sigma2, rel=1e-14, abs=0)
+    assert chk.theta == pytest.approx(-0.125, rel=1e-13, abs=0)
+
+
 def test_diagonal_identity_zero_map():
     chk = pr.diagonal_identity_check(2, 30, a={})
     assert chk.lhs == 0.0 and chk.ok

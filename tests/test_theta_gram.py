@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import gramlab.theta_gram as th
 from gramlab.errors import ConvergenceError, DomainError
+from conftest import AVX2, X86_V4, pinned
 
 mpmath.mp.dps = 30
 
@@ -185,9 +186,11 @@ def test_gram_window_is_the_slice_of_the_solve_from_0(solve_from_0, n_hi, n_lo):
 
 def test_gram_points_bits_pinned(solve_from_0):
     """BLAKE2b-128 of gram_points(100050), taken when every point of a solve
-    from n = 0 stopped after the 3 steps n = 0 needs."""
+    from n = 0 stopped after the 3 steps n = 0 needs; one digest per numpy
+    loop target, as theta's logarithm moves with it."""
     digest = hashlib.blake2b(solve_from_0.tobytes(), digest_size=16).hexdigest()
-    assert digest == "254e6fe4b597cff5ad6491c7ddb0b2c0"
+    assert digest == pinned({X86_V4: "254e6fe4b597cff5ad6491c7ddb0b2c0",
+                             AVX2: "5da5fc83fee4488272a878eced85e509"})
 
 
 def test_three_newton_steps_reach_every_gram_point_to_the_ceiling():

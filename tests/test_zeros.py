@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,6 +15,7 @@ from gramlab import store
 from gramlab.errors import PreconditionError, ResourceError, UncertifiedRange
 from gramlab.zeros import ScanDiagnostics, ZeroTable, _refine, _scan
 from gramlab.theta_gram import gram_points, theta
+from conftest import AVX2, AVX512_OFF, X86_V4, pinned, simd_target
 
 mpmath.mp.dps = 25
 
@@ -462,7 +467,8 @@ def test_from_arrays_roundtrip_semantics(table_built):
 
 def test_ambiguity_flags_absent_at_this_height(table_built):
     # no zero within 1e-9 of a Gram point in the built range
-    assert not table_built.zero_ambiguous.any()
+    assert not zr.near(table_built.gram, table_built.zeros).any()
+    assert not any(z.ambiguous for z in table_built.find_zeros(8.0, table_built.t_certified))
 
 
 def _near_reference(points, ts):
@@ -473,17 +479,23 @@ def _near_reference(points, ts):
     return (np.abs(below - ts) < zr.AMBIGUITY_TOL) | (np.abs(above - ts) < zr.AMBIGUITY_TOL)
 
 
-def test_ambiguity_flags_are_made_on_first_use(table_built, tmp_path, monkeypatch):
+def _count_near(monkeypatch) -> list:
+    """zeros.near wrapped to record how many heights each call passes it."""
+    calls, near = [], zr.near
+    monkeypatch.setattr(zr, "near", lambda points, ts: calls.append(np.size(ts)) or near(points, ts))
+    return calls
+
+
+def test_ambiguity_flags_are_made_per_query(table_built, tmp_path, monkeypatch):
     """A built table and a loaded one flag the zeros within AMBIGUITY_TOL of a
     Gram point, by the reference expression; neither a build, a construction
-    nor a load runs near() for them, and the first read runs it once."""
+    nor a load runs near() for them, and a query runs it once, on the zeros
+    it returns."""
     gram = table_built.gram
     zeros = table_built.zeros.copy()
     planted = np.searchsorted(zeros, gram[[20, 60]])
     zeros[planted] = gram[[20, 60]] + [5e-10, -5e-10]
-    calls = []
-    near = zr.near
-    monkeypatch.setattr(zr, "near", lambda points, ts: calls.append(1) or near(points, ts))
+    calls = _count_near(monkeypatch)
     built = ZeroTable.build(100)
     store.save_range(ZeroTable(gram, zeros, table_built.z_values()), tmp_path / "rng")
     loaded, _ = store.load_range(tmp_path / "rng")
@@ -491,15 +503,25 @@ def test_ambiguity_flags_are_made_on_first_use(table_built, tmp_path, monkeypatc
     for table in (built, loaded):
         want = _near_reference(table.gram, table.zeros)
         assert table.zero(1).ambiguous == bool(want[0])
-        assert np.array_equal(table.zero_ambiguous, want)
-    assert len(calls) == 2
-    assert np.nonzero(loaded.zero_ambiguous)[0].tolist() == planted.tolist()
+        assert [z.ambiguous for z in table.find_zeros(8.0, table.t_certified)] == want.tolist()
+    assert calls == [1, built.zeros.size, 1, loaded.zeros.size]
+    assert np.nonzero(want)[0].tolist() == planted.tolist()
     assert loaded.zero(int(planted[0]) + 1).ambiguous
 
 
+def test_a_query_flags_only_the_zeros_it_returns(table_full, monkeypatch):
+    """Hutchinson's two zeros in G_135 take one near() call on two heights;
+    the table used to flag all of its 100,040 zeros to answer them."""
+    calls = _count_near(monkeypatch)
+    zs = table_full.find_zeros(float(table_full.gram[134]), float(table_full.gram[135]))
+    assert [z.index for z in zs] == [135, 136] and calls == [2]
+    assert not any(z.ambiguous for z in zs)
+
+
 def test_table_construction_is_lean(table_full):
-    """S at the Gram points and the ambiguity flags, made with one index and
-    one difference buffer: the 1e5 table's construction peaked at 6.2 MB."""
+    """S at the Gram points, made a block of counts at a time: the 1e5
+    table's construction peaked at 6.2 MB with whole-range temporaries.
+    near() agrees with its reference expression."""
     import tracemalloc
 
     gram, zeros = table_full.gram.copy(), table_full.zeros.copy()
@@ -512,7 +534,7 @@ def test_table_construction_is_lean(table_full):
     assert peak <= 3.5 * 2**20
     s_ref = np.searchsorted(zeros, gram, side="right") - np.arange(gram.size)
     assert table.s_gram.dtype == np.int64 and np.array_equal(table.s_gram, s_ref)
-    assert np.array_equal(table.zero_ambiguous, _near_reference(gram, zeros))
+    assert np.array_equal(zr.near(gram, zeros), _near_reference(gram, zeros))
     rng = np.random.default_rng(5)
     planted = gram[rng.integers(0, gram.size, 200)] + rng.uniform(-2e-9, 2e-9, 200)
     for ts in (planted, gram[:1] - 1.0, gram[-1:] + 5e-10, gram):
@@ -525,18 +547,32 @@ def test_table_construction_is_lean(table_full):
 # blocked and the expansion's moments were stored a row per order; zeros and
 # z_gram taken again when RS_SWITCH_T moved from 30 to 510, and again when
 # every phase in zeta went through _sincos (one zero of table_small moved, by
-# 1.1e-13, and two of table_mid, the larger by 4.5e-10)
+# 1.1e-13, and two of table_mid, the larger by 4.5e-10).  One set per numpy
+# loop target: gram (of table_mid), zeros and z_gram move with it, s_gram and
+# the ambiguity flags near(gram, zeros) do not.
 TABLE_DIGESTS = {
-    "table_small": {"gram": "cc8dcacaef150ba97edc03c9e29e781a",
-                    "zeros": "be4ca92903c7eec6536e77587c89b2a7",
-                    "z_gram": "16188e736eb501adca46ccea11bdc83b",
-                    "s_gram": "993d0e7548e07458b4095230059e933f",
-                    "zero_ambiguous": "37e699432a6aeb33d37a14773c27923b"},
-    "table_mid": {"gram": "5d5d50c046c1816a6eb665a5275719eb",
-                  "zeros": "ba7e6f61b1292eb88b441d6c63d2a081",
-                  "z_gram": "17c7ee4d354caeb460478c65feec8bb4",
-                  "s_gram": "d6b051562e5fef695e1a8c909874eb57",
-                  "zero_ambiguous": "0dfcddd703bae85d08b2f749857e5cd8"},
+    "table_small": {
+        X86_V4: {"gram": "cc8dcacaef150ba97edc03c9e29e781a",
+                 "zeros": "be4ca92903c7eec6536e77587c89b2a7",
+                 "z_gram": "16188e736eb501adca46ccea11bdc83b",
+                 "s_gram": "993d0e7548e07458b4095230059e933f",
+                 "zero_ambiguous": "37e699432a6aeb33d37a14773c27923b"},
+        AVX2: {"gram": "cc8dcacaef150ba97edc03c9e29e781a",
+               "zeros": "5d57ced1d74387a7fb04f8ae3630f23e",
+               "z_gram": "782e61abd7de5b935a2a23b5f48084e0",
+               "s_gram": "993d0e7548e07458b4095230059e933f",
+               "zero_ambiguous": "37e699432a6aeb33d37a14773c27923b"}},
+    "table_mid": {
+        X86_V4: {"gram": "5d5d50c046c1816a6eb665a5275719eb",
+                 "zeros": "ba7e6f61b1292eb88b441d6c63d2a081",
+                 "z_gram": "17c7ee4d354caeb460478c65feec8bb4",
+                 "s_gram": "d6b051562e5fef695e1a8c909874eb57",
+                 "zero_ambiguous": "0dfcddd703bae85d08b2f749857e5cd8"},
+        AVX2: {"gram": "052d1d20f4fb0e173a8e481ad7864ad8",
+               "zeros": "88347d844dfa10e1b30b517852f2c47c",
+               "z_gram": "d9ee5e717b087a12b96cd622a0a9d7a1",
+               "s_gram": "d6b051562e5fef695e1a8c909874eb57",
+               "zero_ambiguous": "0dfcddd703bae85d08b2f749857e5cd8"}},
 }
 
 
@@ -544,15 +580,33 @@ TABLE_DIGESTS = {
 def test_table_bits_pinned(request, fixture):
     """No layout change to the Gram solve, the expansion or the build may move a bit."""
     table = request.getfixturevalue(fixture)
-    for name, digest in TABLE_DIGESTS[fixture].items():
-        array = np.ascontiguousarray(getattr(table, name))
+    for name, digest in pinned(TABLE_DIGESTS[fixture]).items():
+        array = zr.near(table.gram, table.zeros) if name == "zero_ambiguous" else getattr(table, name)
+        array = np.ascontiguousarray(array)
         assert hashlib.blake2b(array.tobytes(), digest_size=16).hexdigest() == digest, name
 
 
+def test_bit_pins_hold_on_the_avx2_loops(tmp_path):
+    """The Gram-point and table pins of the loops an AVX2-only CPU runs, in a
+    child process with numpy's AVX-512 loops switched off."""
+    if simd_target() != X86_V4:
+        pytest.skip(f"numpy runs the {simd_target()} loops here: test_table_bits_pinned "
+                    "checks their pins")
+    tests = Path(__file__).parent
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--basetemp", str(tmp_path / "child"),
+         f"{tests}/test_theta_gram.py::test_gram_points_bits_pinned",
+         f"{tests}/test_zeros.py::test_table_bits_pinned"],
+        env={**os.environ, **AVX512_OFF}, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout[-3000:]
+    assert "3 passed" in run.stdout
+
+
 def test_table_construction_at_1e6_is_flat():
-    """ZeroTable(gram, zeros, z) at 1e6 Gram points holds S at the Gram points,
-    the flags and one block of temporaries: whole-range index and difference
-    buffers took about 16 MB more."""
+    """ZeroTable(gram, zeros, z) at 1e6 Gram points holds S at the Gram points
+    and one block of temporaries: whole-range index and difference buffers
+    took about 16 MB more."""
     import tracemalloc
 
     gram = gram_points(10**6)
@@ -565,8 +619,9 @@ def test_table_construction_at_1e6_is_flat():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - table.s_gram.nbytes - table.zero_ambiguous.nbytes <= 1.5 * 2**20
-    assert np.array_equal(table.zero_ambiguous, _near_reference(gram, zeros))
-    assert np.count_nonzero(table.zero_ambiguous) == 1000
+    assert peak - table.s_gram.nbytes <= 1.5 * 2**20
+    flags = zr.near(gram, zeros)
+    assert np.array_equal(flags, _near_reference(gram, zeros))
+    assert np.count_nonzero(flags) == 1000
     s_ref = np.searchsorted(zeros, gram, side="right") - np.arange(gram.size)
     assert table.s_gram.dtype == np.int64 and np.array_equal(table.s_gram, s_ref)
