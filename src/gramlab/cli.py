@@ -45,7 +45,11 @@ class _TableOnUse:
         return getattr(self._obtain(), name)
 
 
-def _emit(ctx_obj, report: Report) -> None:
+def _emit(ctx_obj, kind: str, rows) -> None:
+    """Print the report of `kind` made of (operation, config, fields) rows."""
+    report = Report(kind=kind)
+    for operation, config, fields in rows:
+        report.add(operation, config, **fields)
     click.echo(render(report, ctx_obj["format"]), nl=False)
 
 
@@ -74,11 +78,8 @@ def gram(obj, n_lo, n_hi):
     if n_hi - n_lo >= GRAM_CEILING:
         raise ResourceError(f"window of {n_hi - n_lo + 1} gram points exceeds ceiling "
                             f"{GRAM_CEILING}")
-    heights = gram_points(n_hi, n_lo)
-    rep = Report(kind="classification")
-    for n, t in zip(range(n_lo, n_hi + 1), heights):
-        rep.add("gram_point", {"n": n}, index=n, t=float(t))
-    _emit(obj, rep)
+    _emit(obj, "classification", (("gram_point", {"n": n}, {"index": n, "t": t})
+                                  for n, t in enumerate(gram_points(n_hi, n_lo).tolist(), n_lo)))
 
 
 @main.command()
@@ -89,12 +90,8 @@ def zeros(obj, t_lo, t_hi):
     """Certified zeros of Z in (t-lo, t-hi]."""
     require_heights(t_lo, t_hi)
     table = _TableOnUse(obj, gram_index_for_height(t_hi))
-    rep = Report(kind="classification")
-    for z in table.find_zeros(t_lo, t_hi):
-        rep.add("find_zeros", {"t_lo": t_lo, "t_hi": t_hi}, index=z.index,
-                t=z.t, bracket_width=z.bracket_width, certified=z.certified,
-                ambiguous=z.ambiguous)
-    _emit(obj, rep)
+    _emit(obj, "classification", (("find_zeros", {"t_lo": t_lo, "t_hi": t_hi}, vars(z))
+                                  for z in table.find_zeros(t_lo, t_hi)))
 
 
 @main.command()
@@ -104,12 +101,8 @@ def zeros(obj, t_lo, t_hi):
 def classify(obj, n_lo, n_hi):
     """Gram's-law flags for intervals G_n, n in [n-lo, n-hi]."""
     table = _TableOnUse(obj, n_hi)
-    rep = Report(kind="classification")
-    for r in gram_law.classify_intervals(table, n_lo, n_hi):
-        rep.add("classify_intervals", {"n_lo": n_lo, "n_hi": n_hi},
-                n=r.n, zero_count=r.zero_count, r=r.r, sgl=r.sgl, gl=r.gl,
-                wgl=r.wgl, ambiguous=r.ambiguous)
-    _emit(obj, rep)
+    _emit(obj, "classification", (("classify_intervals", {"n_lo": n_lo, "n_hi": n_hi}, vars(r))
+                                  for r in gram_law.classify_intervals(table, n_lo, n_hi)))
 
 
 @main.command()
@@ -119,12 +112,11 @@ def classify(obj, n_lo, n_hi):
 def delta(obj, n_lo, n_hi):
     """Zero-to-Gram offsets Delta_n for zero indices in [n-lo, n-hi]."""
     table = _TableOnUse(obj, n_hi)    # holds certified_n >= n_hi zeros
-    rep = Report(kind="classification")
     deltas = gram_law.delta_array(table, n_lo, n_hi).tolist()
-    for idx, d in zip(range(n_lo, n_hi + 1), deltas):
-        rep.add("delta_n", {"zero_index": idx}, zero_index=idx,
-                gram_index=idx + d, delta=d, on_line=True)
-    _emit(obj, rep)
+    _emit(obj, "classification", (
+        ("delta_n", {"zero_index": n},
+         {"zero_index": n, "gram_index": n + d, "delta": d, "on_line": True})
+        for n, d in enumerate(deltas, n_lo)))
 
 
 @main.command()
@@ -132,21 +124,46 @@ def delta(obj, n_lo, n_hi):
 @click.pass_obj
 def nu(obj, upper_n):
     """Occupancy histogram nu_k over G_1..G_N."""
-    table = _TableOnUse(obj, upper_n)
-    h = gram_law.nu_histogram(table, upper_n)
-    rep = Report(kind="histogram")
-    for k in sorted(h.counts):
-        rep.add("nu_histogram", {"upper_index": h.upper_index,
-                                 "s_at_end": h.s_at_end}, k=k, count=h.counts[k])
-    _emit(obj, rep)
+    h = gram_law.nu_histogram(_TableOnUse(obj, upper_n), upper_n)
+    config = {"upper_index": h.upper_index, "s_at_end": h.s_at_end}
+    _emit(obj, "histogram", (("nu_histogram", config, {"k": k, "count": h.counts[k]})
+                             for k in sorted(h.counts)))
 
 
-_MOMENT_KINDS = ("block", "adjacent", "first", "counts", "alternating",
-                 "selberg-even", "selberg-odd", "residual")
+def _moment(sum_, *params):
+    """A --kind whose MomentReport is sum_(table, N, M, **params), params named
+    among m, k and epsilon: its row maker, and whether the sum reads the shift m."""
+    def row(kind, table, N, M, m, k, epsilon):
+        args = {"m": m, "k": k, "epsilon": epsilon}
+        r = sum_(table, N, M, **{p: args[p] for p in params})
+        return kind, {"N": N, "M": M, **args}, {**vars(r), "notes": "; ".join(r.notes)}
+    return row, "m" in params
+
+
+def _counts(kind, table, N, M, m, k, epsilon):
+    m1, m2 = moments.empty_and_crowded_counts(table, N, M)
+    return ("empty_and_crowded_counts", {"N": N, "M": M},
+            {"m1": m1, "m2": m2, "m1_fraction": m1 / M, "m2_fraction": m2 / M})
+
+
+# --kind: its row maker, and whether its sum reads through Gram index N + M + m
+# rather than N + M
+_MOMENT_KINDS = {
+    "block": _moment(moments.block_difference_moment, "m", "k", "epsilon"),
+    "adjacent": _moment(moments.adjacent_difference_moment, "k", "epsilon"),
+    "first": _moment(moments.first_moment),
+    "counts": (_counts, False),
+    "alternating": _moment(moments.alternating_sum, "k", "epsilon"),
+    "selberg-even": _moment(functools.partial(moments.selberg_delta_moment, parity="even"),
+                            "k", "epsilon"),
+    "selberg-odd": _moment(functools.partial(moments.selberg_delta_moment, parity="odd"),
+                           "k", "epsilon"),
+    "residual": _moment(primes.residual_moments, "k", "epsilon"),
+}
 
 
 @main.command("moments")
-@click.option("--kind", type=click.Choice(_MOMENT_KINDS), required=True)
+@click.option("--kind", type=click.Choice(list(_MOMENT_KINDS)), required=True)
 @click.option("--start-n", "n_start", type=int, required=True, help="range start N")
 @click.option("--length-m", "m_len", type=int, required=True, help="range length M")
 @click.option("--shift-m", "m_shift", type=int, default=1, show_default=True)
@@ -154,35 +171,9 @@ _MOMENT_KINDS = ("block", "adjacent", "first", "counts", "alternating",
 @click.pass_obj
 def moments_cmd(obj, kind, n_start, m_len, m_shift, k_ord):
     """Moment sums of S at Gram points over (N, N+M]."""
-    eps = obj["epsilon"]
-    table = _TableOnUse(obj, n_start + m_len + m_shift)
-    if kind == "counts":
-        m1, m2 = moments.empty_and_crowded_counts(table, n_start, m_len)
-        rep = Report(kind="moment")
-        rep.add("empty_and_crowded_counts", {"N": n_start, "M": m_len},
-                m1=m1, m2=m2, m1_fraction=m1 / m_len, m2_fraction=m2 / m_len)
-        _emit(obj, rep)
-        return
-    if kind == "first":
-        r = moments.first_moment(table, n_start, m_len)
-    elif kind == "block":
-        r = moments.block_difference_moment(table, n_start, m_len, m_shift, k_ord, eps)
-    elif kind == "adjacent":
-        r = moments.adjacent_difference_moment(table, n_start, m_len, k_ord, eps)
-    elif kind == "alternating":
-        r = moments.alternating_sum(table, n_start, m_len, k_ord, eps)
-    elif kind.startswith("selberg-"):
-        r = moments.selberg_delta_moment(table, n_start, m_len, k_ord,
-                                         kind.removeprefix("selberg-"), eps)
-    else:
-        r = primes.residual_moments(table, n_start, m_len, k_ord, eps)
-    rep = Report(kind="moment")
-    rep.add(kind, {"N": n_start, "M": m_len, "m": m_shift, "k": k_ord,
-                   "epsilon": eps},
-            sum=r.sum, main_term=r.main_term, ratio=r.ratio, bound=r.bound,
-            log10_bound=r.log10_bound, bound_satisfied=r.bound_satisfied,
-            notes="; ".join(r.notes))
-    _emit(obj, rep)
+    row, shifted = _MOMENT_KINDS[kind]
+    table = _TableOnUse(obj, n_start + m_len + (m_shift if shifted else 0))
+    _emit(obj, "moment", [row(kind, table, n_start, m_len, m_shift, k_ord, obj["epsilon"])])
 
 
 @main.command()
@@ -190,50 +181,51 @@ def moments_cmd(obj, kind, n_start, m_len, m_shift, k_ord):
 @click.pass_obj
 def titchmarsh(obj, upper_n):
     """Correlation sum of Z at adjacent Gram points against -2(gamma+1)N."""
-    table = _TableOnUse(obj, upper_n)
-    r = moments.titchmarsh_correlation(table, upper_n)
-    rep = Report(kind="moment")
-    rep.add("titchmarsh_correlation", {"N": upper_n}, sum=r.sum,
-            main_term=r.main_term, ratio=r.ratio)
-    _emit(obj, rep)
+    r = moments.titchmarsh_correlation(_TableOnUse(obj, upper_n), upper_n)
+    _emit(obj, "moment", [("titchmarsh_correlation", {"N": upper_n},
+                           {"sum": r.sum, "main_term": r.main_term, "ratio": r.ratio})])
+
+
+def _mertens(x, cache_dir, **_):
+    lp, rp = primes.mertens_sums(x, cache_dir=cache_dir)
+    return ("mertens_sums", {"x": int(x)},
+            {"sum_logp_over_p": lp, "sum_recip_p": rp, "ln_x": math.log(x)})
+
+
+def _vxh(x, h, cache_dir, **_):
+    r = primes.v_xh(x, h, cache_dir=cache_dir)
+    return "v_xh", {"x": x, "h": h}, {"value": r.value, "main": r.main, "deviation": r.deviation}
+
+
+def _diagonal(k, y, **_):
+    d = primes.diagonal_identity_check(k, y)
+    return ("diagonal_identity_check", {"k": k, "y": y},
+            {"lhs": d.lhs, "sigma1": d.sigma1, "sigma2": d.sigma2, "theta": d.theta, "ok": d.ok})
+
+
+# --kind: the options it requires, and its row from the options
+_PRIME_KINDS = {
+    "mertens": (("x",), _mertens),
+    "vxh": (("x", "h"), _vxh),
+    "vy": (("t", "y"), lambda t, y, **_: ("v_y", {"t": t, "y": y}, {"value": primes.v_y(t, y)})),
+    "diagonal": (("y",), _diagonal),
+}
 
 
 @main.command("primes")
-@click.option("--kind", type=click.Choice(["mertens", "vxh", "vy", "diagonal"]),
-              required=True)
+@click.option("--kind", type=click.Choice(list(_PRIME_KINDS)), required=True)
 @click.option("--x", type=float, default=None)
 @click.option("--h", type=float, default=None)
 @click.option("--t", type=float, default=None)
 @click.option("--y", type=float, default=None)
 @click.option("--order-k", "k_ord", type=int, default=1, show_default=True)
 @click.pass_obj
-def primes_cmd(obj, kind, x, h, t, y, k_ord):
+def primes_cmd(obj, kind, k_ord, **options):
     """Prime sieve sums: Mertens, V(x;h), V_y(t), diagonal identity."""
-    cache = obj["cache_dir"]
-    rep = Report(kind="moment")
-    if kind == "mertens":
-        if x is None:
-            _fail(2, "mertens requires --x")
-        lp, rp = primes.mertens_sums(x, cache_dir=cache)
-        rep.add("mertens_sums", {"x": int(x)}, sum_logp_over_p=lp,
-                sum_recip_p=rp, ln_x=math.log(x))
-    elif kind == "vxh":
-        if x is None or h is None:
-            _fail(2, "vxh requires --x and --h")
-        r = primes.v_xh(x, h, cache_dir=cache)
-        rep.add("v_xh", {"x": x, "h": h}, value=r.value, main=r.main,
-                deviation=r.deviation)
-    elif kind == "vy":
-        if t is None or y is None:
-            _fail(2, "vy requires --t and --y")
-        rep.add("v_y", {"t": t, "y": y}, value=primes.v_y(t, y))
-    else:
-        if y is None:
-            _fail(2, "diagonal requires --y")
-        d = primes.diagonal_identity_check(k_ord, y)
-        rep.add("diagonal_identity_check", {"k": k_ord, "y": y}, lhs=d.lhs,
-                sigma1=d.sigma1, sigma2=d.sigma2, theta=d.theta, ok=d.ok)
-    _emit(obj, rep)
+    required, row = _PRIME_KINDS[kind]
+    if any(options[name] is None for name in required):
+        _fail(2, f"{kind} requires " + " and ".join(f"--{name}" for name in required))
+    _emit(obj, "moment", [row(k=k_ord, cache_dir=obj["cache_dir"], **options)])
 
 
 @main.command("ingest")
@@ -244,15 +236,11 @@ def primes_cmd(obj, kind, x, h, t, y, k_ord):
 def ingest_cmd(obj, path, match_tol):
     """Match an external ordinate table against computed zeros."""
     ext = ingest.parse_ordinate_file(path)
-    t_hi = float(ext[-1]) + 5.0 if ext.size else 30.0
-    table = _TableOnUse(obj, gram_index_for_height(t_hi))
-    r = ingest.ingest_external_table(path, table, match_tol=match_tol)
-    rep = Report(kind="match")
-    rep.add("ingest_external_table", {"path": str(path), "match_tol": match_tol},
-            matched=r.matched, unmatched_external=r.unmatched_external,
-            unmatched_computed=r.unmatched_computed, max_abs_diff=r.max_abs_diff,
-            external_count=r.external_count, computed_count=r.computed_count)
-    _emit(obj, rep)
+    ingest.require_match_tol(match_tol)     # before it sizes the table
+    reach = float(ext[-1]) + match_tol if ext.size else 0.0
+    r = ingest.match_ordinates(ext, _TableOnUse(obj, gram_index_for_height(reach)), match_tol)
+    _emit(obj, "match", [("ingest_external_table", {"path": str(path), "match_tol": match_tol},
+                          vars(r))])
 
 
 @main.command("verify-paper")
@@ -264,7 +252,7 @@ def verify_paper(obj, n_limit):
     require_under_ceiling(n_limit)      # before the prime-sum worker starts
     rep = regression.run_paper_regression(_TableOnUse(obj, n_limit), n_limit,
                                           obj["epsilon"], obj["cache_dir"])
-    _emit(obj, rep)
+    click.echo(render(rep, obj["format"]), nl=False)
     sys.exit(regression.exit_code(rep))
 
 

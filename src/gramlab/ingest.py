@@ -2,7 +2,9 @@
 
 External format: UTF-8 text, one decimal ordinate per line, strictly
 ascending; blank lines and '#' comments are ignored.  Matching is greedy
-one-to-one within a tolerance over two sorted lists.
+one-to-one within a tolerance over two sorted lists: the file's ordinates and
+the computed zeros within the tolerance of its span [first, last], none for an
+empty file, so a report does not depend on how far the table reaches.
 """
 
 from __future__ import annotations
@@ -56,18 +58,25 @@ def parse_ordinate_file(path: str | Path) -> np.ndarray:
     return np.asarray(vals)
 
 
-def ingest_external_table(path: str | Path, table: ZeroTable,
-                          match_tol: float = DEFAULT_MATCH_TOL) -> MatchReport:
-    """Match an external ordinate list against the computed zeros."""
+def require_match_tol(match_tol: float) -> None:
+    """PreconditionError unless 0 <= match_tol < inf."""
     if not 0.0 <= match_tol < math.inf:
         raise PreconditionError(f"ingest requires a finite match_tol >= 0 (--match-tol), "
                                 f"got {match_tol}")
-    ext = parse_ordinate_file(path)
-    comp = table.zeros
-    i = j = matched = 0
+
+
+def match_ordinates(ext: np.ndarray, table: ZeroTable,
+                    match_tol: float = DEFAULT_MATCH_TOL) -> MatchReport:
+    """Match ascending ordinates against the computed zeros within match_tol
+    of their span; the table must reach the last ordinate plus match_tol."""
+    require_match_tol(match_tol)
+    comp = ext      # no ordinate: no zero, and the table is not read
+    if ext.size:
+        z = table.zeros
+        comp = z[np.searchsorted(z, ext[0] - match_tol):
+                 np.searchsorted(z, ext[-1] + match_tol, side="right")]
+    i = j = matched = unmatched_ext = unmatched_comp = 0
     max_diff = 0.0
-    unmatched_ext = 0
-    unmatched_comp = 0
     while i < ext.size and j < comp.size:
         d = ext[i] - comp[j]
         if abs(d) <= match_tol:
@@ -81,9 +90,11 @@ def ingest_external_table(path: str | Path, table: ZeroTable,
         else:
             unmatched_ext += 1
             i += 1
-    unmatched_ext += ext.size - i
-    unmatched_comp += comp.size - j
-    return MatchReport(matched=matched, unmatched_external=int(unmatched_ext),
-                       unmatched_computed=int(unmatched_comp),
-                       max_abs_diff=max_diff, external_count=int(ext.size),
-                       computed_count=int(comp.size))
+    return MatchReport(matched, unmatched_ext + ext.size - i, unmatched_comp + comp.size - j,
+                       max_diff, ext.size, comp.size)
+
+
+def ingest_external_table(path: str | Path, table: ZeroTable,
+                          match_tol: float = DEFAULT_MATCH_TOL) -> MatchReport:
+    """Match the ordinates of the file at path against the computed zeros."""
+    return match_ordinates(parse_ordinate_file(path), table, match_tol)

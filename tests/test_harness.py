@@ -18,8 +18,10 @@ import gramlab
 from gramlab import cli, primes, regression, store, zeta
 from gramlab import ingest as ing
 from gramlab.errors import ChecksumMismatch, ParseError, VersionMismatch
+from gramlab.gram_law import IntervalRecord
 from gramlab.reports import Report, render, to_csv, to_json
-from gramlab.zeros import HEADROOM, ScanDiagnostics, ZeroTable
+from gramlab.zeros import (BRACKET_HALF_WIDTH, HEADROOM, CriticalZero, ScanDiagnostics,
+                           ZeroTable)
 
 from conftest import hex_bits, recheck
 
@@ -344,8 +346,7 @@ def test_ingest_empty_file(table_small, tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
     rep = ing.ingest_external_table(path, table_small)
-    assert rep.matched == 0
-    assert rep.unmatched_computed == table_small.zeros.size
+    assert rep == ing.MatchReport(0, 0, 0, 0.0, 0, 0)     # no span: no computed zero
 
 
 def test_ingest_descending_rejected(table_small, tmp_path):
@@ -373,9 +374,20 @@ def test_ingest_unmatched_on_both_sides(table_small, tmp_path):
     path = tmp_path / "ext.txt"
     path.write_text("\n".join(f"{t:.6f}" for t in ext) + "\n")
     rep = ing.ingest_external_table(path, table_small)
-    assert (rep.matched, rep.unmatched_external, rep.unmatched_computed) \
-        == (9, 1, zs.size - 9)
-    assert (rep.external_count, rep.computed_count) == (10, zs.size)
+    # the computed zeros are those of the file's span: the first ten
+    assert (rep.matched, rep.unmatched_external, rep.unmatched_computed) == (9, 1, 1)
+    assert (rep.external_count, rep.computed_count) == (10, 10)
+
+
+def test_ingest_counts_the_zeros_of_the_span_only(table_small, tmp_path):
+    # zeros within match_tol of [first, last] count, and none further out
+    zs = table_small.zeros
+    path = tmp_path / "ext.txt"
+    path.write_text(f"{float(zs[10]) + 0.5e-4!r}\n{float(zs[12]) - 0.5e-4!r}\n")
+    counts = [(r.matched, r.unmatched_computed, r.computed_count)
+              for r in (ing.ingest_external_table(path, table_small, tol)
+                        for tol in (0.0, 1e-4))]
+    assert counts == [(0, 1, 1), (2, 1, 3)]
 
 
 def test_ingest_comments_and_blanks(table_small, tmp_path):
@@ -609,20 +621,120 @@ _MOMENT_COMMANDS = [
     ["titchmarsh", "--upper-n", "0"],
     ["titchmarsh", "--upper-n", "1000"],
 ]
-# `$ gramlab <args>`, then its stdout, its stderr lines marked `2> `, and
-# `[exit <code>]`, for each command in csv and then in json
-_MOMENT_REPORTS = Path(__file__).parent / "data" / "moment_reports.txt"
+_REPORT_COMMANDS = [
+    ["gram", "--n-lo", "0", "--n-hi", "5"],
+    ["gram", "--n-lo", "0", "--n-hi", "2000000"],
+    ["zeros", "--t-lo", "8", "--t-hi", "50"],
+    ["zeros", "--t-lo", "100", "--t-hi", "101"],    # no zero: the kind line
+    ["classify", "--n-lo", "120", "--n-hi", "130"],
+    ["delta", "--n-lo", "120", "--n-hi", "140"],
+    ["nu", "--upper-n", "1000"],
+    ["primes", "--kind", "mertens", "--x", "1000"],
+    ["primes", "--kind", "vxh", "--x", "1e6", "--h", "0.2"],
+    ["primes", "--kind", "vy", "--t", "100", "--y", "50"],
+    ["primes", "--kind", "diagonal", "--y", "50"],
+    ["primes", "--kind", "diagonal", "--order-k", "2", "--y", "50"],
+    ["primes", "--kind", "mertens"],
+    ["primes", "--kind", "vxh", "--x", "1e6"],
+    ["primes", "--kind", "vxh", "--h", "0.2"],
+    ["primes", "--kind", "vy", "--t", "100"],
+    ["primes", "--kind", "vy", "--y", "50"],
+    ["primes", "--kind", "diagonal"],
+]
+_DATA = Path(__file__).parent / "data"
 
 
-def test_cli_moment_reports_pinned(table_mid, cache_root, tmp_path, capsys):
-    (tmp_path / "zrange").symlink_to(cache_root / "n5100", target_is_directory=True)
+def _transcript(commands, cache: Path, capsys) -> str:
+    """`$ gramlab <args>`, then its stdout, its stderr lines marked `2> `, and
+    `[exit <code>]`, for each command in csv and then in json, run with
+    --cache-dir cache"""
     parts = []
-    for args in [[*fmt, *cmd] for fmt in ([], ["--format", "json"])
-                 for cmd in _MOMENT_COMMANDS]:
-        out, err, code = _gramlab(["--cache-dir", str(tmp_path), *args], capsys)
+    for args in [[*fmt, *cmd] for fmt in ([], ["--format", "json"]) for cmd in commands]:
+        out, err, code = _gramlab(["--cache-dir", str(cache), *args], capsys)
         err = "".join(f"2> {line}\n" for line in err.splitlines())
         parts.append(f"$ gramlab {' '.join(args)}\n{out}{err}[exit {code}]\n")
-    assert "".join(parts) == _MOMENT_REPORTS.read_text()
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("commands, pinned", [(_MOMENT_COMMANDS, "moment_reports.txt"),
+                                              (_REPORT_COMMANDS, "command_reports.txt")],
+                         ids=["moments", "commands"])
+def test_cli_reports_pinned(commands, pinned, table_mid, cache_root, tmp_path, capsys):
+    (tmp_path / "zrange").symlink_to(cache_root / "n5100", target_is_directory=True)
+    assert _transcript(commands, tmp_path, capsys) == (_DATA / pinned).read_text()
+
+
+_INGEST_COMMANDS = [
+    ["ingest", "first3.txt"],
+    ["ingest", "gaps.txt"],
+    ["ingest", "empty.txt"],
+    ["ingest", "first3.txt", "--match-tol", "0"],
+    ["ingest", "first3.txt", "--match-tol", "inf"],
+]
+
+
+def _ordinate_files(zeros, where: Path) -> None:
+    """The files of _INGEST_COMMANDS: the first three zeros; the first ten less
+    the fifth, with one ordinate between the seventh and eighth; none."""
+    gaps = np.sort(np.r_[np.delete(zeros[:10], 4), 0.5 * (zeros[6] + zeros[7])])
+    for name, ts in (("first3.txt", zeros[:3]), ("gaps.txt", gaps), ("empty.txt", [])):
+        (where / name).write_text("".join(f"{t:.6f}\n" for t in ts))
+
+
+def test_cli_ingest_reports_pinned(table_mid, cache_root, tmp_path, monkeypatch, capsys):
+    _ordinate_files(table_mid.zeros, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zrange").symlink_to(cache_root / "n5100", target_is_directory=True)
+    assert _transcript(_INGEST_COMMANDS, tmp_path, capsys) \
+        == (_DATA / "ingest_reports.txt").read_text()
+
+
+@pytest.mark.parametrize("name", ["first3.txt", "gaps.txt", "empty.txt"])
+def test_cli_ingest_report_is_the_same_from_any_cache(name, table_small, cli_cache_dir,
+                                                      tmp_path, monkeypatch, capsys):
+    # the computed zeros of the file's span, not of whatever table the cache
+    # holds; the 1e5 range's zeros lie within BRACKET_HALF_WIDTH of a smaller
+    # build's, not on them, so its max_abs_diff may differ by that much
+    _ordinate_files(table_small.zeros, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    plain, cold, warm = (_gramlab([*cache, "ingest", name], capsys)
+                         for cache in ([], ["--cache-dir", "cold"],
+                                       ["--cache-dir", str(cli_cache_dir)]))
+    assert plain == cold and plain[1:] == warm[1:] == ("", 0)
+    assert (tmp_path / "cold").exists() == (name != "empty.txt")   # empty: no table read
+    (header, *rows), (_, *warm_rows) = plain[0].splitlines(), warm[0].splitlines()
+    assert header.split(",") == [f.name for f in dataclasses.fields(ing.MatchReport)]
+    row, warm_row = (dict(zip(header.split(","), r.split(","))) for r in rows + warm_rows)
+    assert abs(float(row.pop("max_abs_diff")) - float(warm_row.pop("max_abs_diff"))) \
+        <= 2 * BRACKET_HALF_WIDTH
+    counts = {"first3.txt": "3,0,0,3,3", "gaps.txt": "9,1,1,10,10",
+              "empty.txt": "0,0,0,0,0"}[name]
+    assert ",".join(row.values()) == ",".join(warm_row.values()) == counts
+
+
+@pytest.mark.parametrize("kind, shift", [("first", "3000000"), ("adjacent", "200000"),
+                                         ("counts", "-500")])
+def test_cli_moments_shift_is_read_by_block_only(kind, shift, tmp_path, capsys):
+    # only --kind block reads --shift-m: the others neither build its table,
+    # nor hit the ceiling through it, nor stop short of N + M by it
+    args = ["moments", "--kind", kind, "--start-n", "1000", "--length-m", "10"]
+    cache = tmp_path / "cache"
+    shifted = _gramlab(["--cache-dir", str(cache), *args, "--shift-m", shift], capsys)
+    assert shifted == (_gramlab(args, capsys)[0], "", 0)
+    manifest = json.loads((cache / "zrange" / "manifest.json").read_text())
+    assert manifest["n_max_gram"] <= 1010 + HEADROOM
+
+
+@pytest.mark.parametrize("args, record", [
+    (["zeros", "--t-lo", "8", "--t-hi", "50"], CriticalZero),
+    (["classify", "--n-lo", "1", "--n-hi", "20"], IntervalRecord)])
+def test_cli_record_rows_are_the_record_fields(args, record, table_small, cache_root,
+                                               tmp_path, capsys):
+    """zeros, classify (and ingest, above) print each field of their record in order."""
+    (tmp_path / "zrange").symlink_to(cache_root / "n1200", target_is_directory=True)
+    out, err, code = _gramlab(["--cache-dir", str(tmp_path), *args], capsys)
+    assert (err, code) == ("", 0)
+    assert out.splitlines()[0].split(",") == [f.name for f in dataclasses.fields(record)]
 
 
 @pytest.mark.parametrize("args, field, value", [
@@ -863,7 +975,7 @@ def test_cli_cache_irregular_top(tmp_path):
 
 
 @pytest.mark.parametrize("args, n_read", [
-    (["moments", "--kind", "adjacent", "--start-n", "1000", "--length-m", "1000"], 2001),
+    (["moments", "--kind", "adjacent", "--start-n", "1000", "--length-m", "1000"], 2000),
     (["delta", "--n-lo", "1", "--n-hi", "1000"], 1000)])
 def test_cli_saves_no_range_past_its_headroom(tmp_path, args, n_read):
     # the commands ask for the Gram index they read; certified_table adds HEADROOM
