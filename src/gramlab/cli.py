@@ -57,7 +57,10 @@ def _emit(ctx_obj, kind: str, rows) -> None:
 @click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
               help="directory for persisted ranges and prime-sum partials")
 @click.option("--threads", type=click.IntRange(1, 1), default=1, show_default=True,
-              expose_value=False, help="Z is evaluated on one thread; only 1 is accepted")
+              expose_value=False,
+              help="only 1 is accepted, and it sets nothing: Z is evaluated on one "
+                   "thread per process, and a cold table build forks one child per "
+                   "usable CPU")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--epsilon", type=float, default=moments.EPSILON_DEFAULT, show_default=True,

@@ -69,6 +69,8 @@ from .zeros import ZeroTable
 SIEVE_CEILING = 10**8
 SUMS_CACHE_THRESHOLD = 10**7
 H_CEILING = 0.4  # admissible shift ceiling for V(x;h)
+# the largest float64 step of a phase t ln p that V_y(t) accepts, in radians
+VY_PHASE_STEP = 1e-6
 _SEGMENT = 1 << 21  # numbers per sieve segment
 _SUMS_SAMPLE_STRIDE = 8  # a warm sum re-sieves block 0, every 8th block and the last
 _PARTS = "parts.json"    # the file of a sidecar's parts
@@ -146,12 +148,25 @@ def _bounds(limit: int) -> list[tuple[int, int]]:
                              for lo in range(root + 1, limit + 1, _SEGMENT))]
 
 
+def _require_sieve_limit(limit: float) -> None:
+    """ResourceError past SIEVE_CEILING, NaN and infinities too, before int()."""
+    if not limit <= SIEVE_CEILING:
+        raise ResourceError(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
+
+
+def _largest_prime_below(y: float) -> int:
+    """The largest prime p < y, for 2 < y <= SIEVE_CEILING, from a sieve of the
+    256 integers below y: no gap between primes below 1e8 is wider than 220,
+    the one after 47326693."""
+    hi = math.ceil(y)                   # p < y for an integer p is p < ceil(y)
+    return int(_sieve_block(max(hi - 256, 0), hi, _base_primes(math.isqrt(hi)))[-1])
+
+
 def _prime_blocks(limit: int) -> Iterator[np.ndarray]:
     """The primes <= limit as a stream of ascending uint64 blocks over
     _bounds(limit), the one source of primes: the base primes, then a
     segmented sieve (Bays and Hudson 1977)."""
-    if not limit <= SIEVE_CEILING:      # NaN and infinities too, before int()
-        raise ResourceError(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
+    _require_sieve_limit(limit)
     limit = max(int(limit), 0)
     base = _base_primes(math.isqrt(limit))
     return chain([base], (_sieve_block(lo, hi, base) for lo, hi in _bounds(limit)[1:]))
@@ -358,11 +373,23 @@ def _v_sum(ts, y: float) -> np.ndarray:
 
 
 def v_y(t: float, y: float) -> float:
-    """V_y(t) with the strict cutoff p < y."""
+    """V_y(t) with the strict cutoff p < y.
+
+    PreconditionError where one float64 step of the phase t ln p, for the
+    largest prime p < y, exceeds VY_PHASE_STEP: there the phases, and so the
+    value, are noise.
+    """
     if not math.isfinite(t):
         raise PreconditionError("v_y requires a finite t")
     if not y >= 2:
         raise PreconditionError("v_y requires y >= 2")
+    _require_sieve_limit(y)
+    if y > 2:                           # checked before the primes below y are sieved
+        p = _largest_prime_below(y)
+        if (step := float(np.spacing(abs(t) * math.log(p)))) > VY_PHASE_STEP:
+            raise PreconditionError(
+                f"v_y requires one float64 step of t ln p to be at most {VY_PHASE_STEP:g} "
+                f"for p = {p}, the largest prime below y; it is {step:.3g}")
     return float(_v_sum(float(t), y))
 
 

@@ -18,6 +18,17 @@ Riemann-Siegel main sum about every Gram point of the run whose one pass of
 prime phases through `zeta._sincos` per Gram point also gives Z there.  The
 next run starts at the last anchor the previous one certified, so a block
 open at a run's end is carried.
+A build cuts its runs into P contiguous parts, P = min(usable CPUs, runs).
+Part p starts at split[p], a multiple of `zeta.LOCAL_BRACKETS` where the
+one-part build starts a run; its first anchor is that run's, the last
+regular Gram point below split[p], found from `hardy_z_local`'s Z at the Gram
+points just below, and its first run takes Z over its whole window.  This
+process builds part 0 and a child forked for each later part builds its runs
+into the output arrays, shared with it; as Z at a Gram point depends on the
+point alone and a run's evaluator on its window alone, the table is bit for
+bit the one-part build's.  P is 1, with no fork, for a caller's z_eval, off Linux, while
+another Python thread runs, and where os.fork would warn (Python 3.12 and
+later, with more than one OS thread in the process).
 A build holds its output arrays (the Gram points, Z there, and the zeros,
 which each run writes into one array) and one run: a run's evaluator, with its
 moments, is dropped before the next run's is made, and the Gram solve and
@@ -32,6 +43,10 @@ lives in `certified_table` alone.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -85,6 +100,19 @@ class ScanDiagnostics:
     densify_active: list = field(default_factory=list)  # rows per densification depth
     refine_active: list = field(default_factory=list)   # rows per refinement pass
     refine_heights: list = field(default_factory=list)  # heights per refinement pass
+
+    def add(self, other: "ScanDiagnostics") -> None:
+        """Tally another part's runs into this one, as if scanned after it."""
+        self.blocks += other.blocks
+        self.densified_blocks += other.densified_blocks
+        self.max_depth = max(self.max_depth, other.max_depth)
+        self.failed_blocks += other.failed_blocks
+        for mine, theirs in ((self.densify_active, other.densify_active),
+                             (self.refine_active, other.refine_active),
+                             (self.refine_heights, other.refine_heights)):
+            mine += [0] * (len(theirs) - len(mine))
+            for i, v in enumerate(theirs):
+                mine[i] += v
 
 
 # entries per block of the table constructor's passes
@@ -154,29 +182,14 @@ class ZeroTable:
         if n_max < 1:
             raise DomainError("n_max must be >= 1")
         gram = gram_points(n_max)
-        zg = np.empty(gram.size)
-        # a met block holds as many zeros as Gram intervals: the zeros a build
-        # locates between t_0 and its anchor a are a of them
-        zeros = np.empty(gram.size - 1)
+        step = zeta.LOCAL_BRACKETS
+        runs = -(-gram.size // step)
+        parts = 1 if z_eval or not _may_fork() else min(_usable_cpus(), runs)
+        # part p builds the runs from Gram index split[p] up to split[p + 1]
+        split = [step * (runs * p // parts) for p in range(parts)] + [gram.size]
+        zg, zeros = _outputs(gram.size, shared=parts > 1)
         diag = ScanDiagnostics()
-        a = known = 0           # the run's first Gram index; Gram points with Z so far
-        while known < gram.size:
-            b = min(known + zeta.LOCAL_BRACKETS, gram.size)
-            run_eval = z_eval or zeta.hardy_z_local(gram[a:b])
-            zg[known:b] = z_eval(gram[known:b]) if z_eval else run_eval.at_centres[known - a:]
-            known = b
-            regular = gram_regular(a, zg[a:b])
-            if not regular[0]:
-                raise UncertifiedRange("no regular anchor at the base of the range")
-            anchors = a + np.nonzero(regular)[0]
-            lo, hi, z_lo, z_hi, top, depths = _scan(gram, zg, anchors, run_eval, diag)
-            _refine(lo, hi, z_lo, z_hi, run_eval, Z_CALLS - 1 - depths, diag)
-            zeros[a:top] = 0.5 * (lo + hi)
-            a = top
-            # the next run's evaluator is built after this one is dropped
-            del run_eval, lo, hi, z_lo, z_hi
-            if a < anchors[-1]:
-                break                   # a block that cannot meet its quota
+        a = _build_parts(gram, zg, zeros, split, z_eval, diag)
         return cls(gram[: a + 1], zeros[:a], zg[: a + 1], diag)
 
     # -- queries -----------------------------------------------------------
@@ -258,6 +271,139 @@ class ZeroTable:
         rows = zip(range(i + 1, j + 1), ts.tolist(), near(self.gram, ts).tolist())
         return [CriticalZero(index=k, t=t, bracket_width=BRACKET_HALF_WIDTH, certified=True,
                              ambiguous=a) for k, t, a in rows]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _may_fork() -> bool:
+    """Whether a build may fork its later parts: on Linux, with no other Python
+    thread running, and where os.fork would not warn, which Python 3.12 and
+    later does whenever the process has more than one OS thread."""
+    return (sys.platform == "linux" and threading.active_count() == 1
+            and (sys.version_info < (3, 12) or len(os.listdir("/proc/self/task")) == 1))
+
+
+def _outputs(size: int, shared: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays for Z at the size Gram points and the zeros below the last, in one
+    mapping that forked parts write into if shared.  A met block holds as many
+    zeros as Gram intervals: a build that ends at anchor a locates a zeros."""
+    if not shared:
+        return np.empty(size), np.empty(size - 1)
+    import mmap  # off the CLI's import path
+
+    both = np.frombuffer(mmap.mmap(-1, 8 * (2 * size - 1)), dtype=float)
+    return both[:size], both[size:]
+
+
+def _build_parts(gram, zg, zeros, split, z_eval, diag) -> int:
+    """The anchor a table ends at, its runs built in parts: part p from Gram
+    index split[p] up to split[p + 1].  This process builds part 0, and a
+    child forked for each later part builds it into the shared zg and zeros.
+    The parts are taken in order until one cuts at a block that cannot meet
+    its quota; every part after it is discarded, results and errors alike, as
+    the one-process build never reaches it.  An error of a part taken is
+    raised here.  No child outlives the call."""
+    children = []                               # (pid, read end of its pipe)
+    try:
+        for start, stop in zip(split[1:], split[2:]):
+            children.append(_fork_part(gram, zg, zeros, start, stop))
+        a, cut = _runs(gram, zg, zeros, 0, 0, split[1], z_eval, diag)
+        while children and not cut:
+            pid, pipe = children[0]
+            payload = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if not payload:
+                raise RuntimeError(f"a build part ended without a result "
+                                   f"(wait status {status})")
+            result = pickle.loads(payload)
+            if isinstance(result, BaseException):
+                raise result
+            a, cut, part = result
+            diag.add(part)
+        return a
+    finally:
+        for pid, pipe in children:
+            import signal  # off the CLI's import path
+
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_part(gram, zg, zeros, start, stop):
+    """(pid, pipe) of a child forked to build the runs from Gram index start up
+    to stop into zg and zeros, from the last regular Gram point below start.
+    It pickles (anchor, cut, ScanDiagnostics), or its error, into the pipe and
+    ends with os._exit: it never returns into its caller's frames."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    try:
+        os.close(r)
+        try:
+            diag = ScanDiagnostics()
+            a = _anchor_below(gram, start)
+            result = (*_runs(gram, zg, zeros, a, start, stop, None, diag), diag)
+        except BaseException as e:
+            result = e
+        with os.fdopen(w, "wb") as pipe:
+            pickle.dump(result, pipe)
+    finally:
+        os._exit(0)
+
+
+def _anchor_below(gram, start: int) -> int:
+    """The last regular Gram index below start, where the one-process build
+    starts the run at start: from hardy_z_local's Z at the Gram points just
+    below, a window that widens until it holds one."""
+    width = 16
+    while True:
+        lo = max(start - width, 0)
+        regular = np.nonzero(gram_regular(lo, zeta.hardy_z_local(gram[lo:start]).at_centres))[0]
+        if regular.size:
+            return lo + int(regular[-1])
+        if not lo:
+            raise UncertifiedRange("no regular anchor at the base of the range")
+        width *= 4
+
+
+def _runs(gram, zg, zeros, a, start, stop, z_eval, diag) -> tuple[int, bool]:
+    """Build the runs of Gram points from start up to stop, the first from
+    anchor a: each takes one evaluator over [its anchor, its end), writes Z at
+    its Gram points into zg (the first run over its whole window, a later one
+    past the previous run's end), and its zeros into zeros.  Returns the last
+    anchor and whether a block that cannot meet its quota cut the table there."""
+    known = a                                   # Gram points with Z so far
+    for s in range(start, stop, zeta.LOCAL_BRACKETS):
+        b = min(s + zeta.LOCAL_BRACKETS, stop)
+        run_eval = z_eval or zeta.hardy_z_local(gram[a:b])
+        zg[known:b] = z_eval(gram[known:b]) if z_eval else run_eval.at_centres[known - a:]
+        known = b
+        regular = gram_regular(a, zg[a:b])
+        if not regular[0]:
+            raise UncertifiedRange("no regular anchor at the base of the range")
+        anchors = a + np.nonzero(regular)[0]
+        lo, hi, z_lo, z_hi, top, depths = _scan(gram, zg, anchors, run_eval, diag)
+        _refine(lo, hi, z_lo, z_hi, run_eval, Z_CALLS - 1 - depths, diag)
+        zeros[a:top] = 0.5 * (lo + hi)
+        a = top
+        # the next run's evaluator is built after this one is dropped
+        del run_eval, lo, hi, z_lo, z_hi
+        if a < anchors[-1]:
+            return a, True              # a block that cannot meet its quota
+    return a, False
 
 
 def _scan(gram, zg, anchors, z_eval, diag):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 import struct
 from pathlib import Path
@@ -57,6 +58,17 @@ def _digest(*names: str) -> str:
     for name in names:
         h.update((Path(gramlab.__file__).parent / name).read_bytes())
     return h.hexdigest()
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every child process a test starts has ended and been reaped when it returns."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process outlived the test: waitpid gave {left}")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -816,9 +816,11 @@ _BAD_NUMBERS = [
     _bad(_CEILING, "primes", "--kind", "vxh", "--x", "inf", "--h", "0.2"),
     *(_bad("0 < h < 0.4", "primes", "--kind", "vxh", "--x", "1e6", "--h", h)
       for h in ("nan", "inf", "0.5")),
-    # every finite t is in V_y's domain: -inf stands for the out-of-domain value
     *(_bad("finite t", "primes", "--kind", "vy", "--t", t, "--y", "10")
       for t in ("nan", "inf", "-inf")),
+    # a finite t whose phase t ln 47 float64 resolves no finer than VY_PHASE_STEP
+    *(_bad("float64 step of t ln p", "primes", "--kind", "vy", "--t", t, "--y", "50")
+      for t in ("1e17", "1e300")),
     *(_bad(message, "primes", "--kind", "vy", "--t", "10", "--y", y)
       for y, message in (("nan", "y >= 2"), ("inf", _CEILING), ("1", "y >= 2"))),
     *(_bad(message, "primes", "--kind", "diagonal", "--y", y)

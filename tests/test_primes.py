@@ -365,6 +365,22 @@ def test_v_y_trivial_cases():
         pr.v_y(1.0, 1.5)
 
 
+def test_v_y_refuses_a_phase_without_digits():
+    """One float64 step of t ln p, p = 47 the largest prime below 50, is
+    2^-20 < VY_PHASE_STEP below 2^33 and 2^-19 from there."""
+    edge = 2.0**33 / math.log(47.0)
+    for t in (edge * (1 - 1e-12), -edge * (1 - 1e-12)):
+        assert abs(pr.v_y(t, 50.0)) < 2.0
+    for t in (edge * (1 + 1e-12), -1e17, 1e300):
+        with pytest.raises(PreconditionError, match="at most 1e-06 for p = 47"):
+            pr.v_y(t, 50.0)
+    assert pr.v_y(1e300, 2.0) == 0.0            # no prime below 2: no phase
+    below = pr.sieve_primes(10**4).primes
+    for y in (2.5, 3.0, 47.0, 47.5, 9973.0, 9973.5, 1e4):
+        assert pr._largest_prime_below(y) == int(below[below < y][-1])
+    assert pr._largest_prime_below(47326913) == 47326693    # the gap of 220
+
+
 def test_v_y_strict_cutoff():
     # p < y strictly: y = 7 excludes 7 itself
     t = 2.34

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from dataclasses import asdict
 from pathlib import Path
 
 import mpmath
@@ -387,19 +389,175 @@ def test_build_in_short_runs_matches_one_long_run(monkeypatch):
     assert hidden.diagnostics.failed_blocks == [(126, 128)]
 
 
-def test_build_makes_no_direct_riemann_siegel_call(monkeypatch):
-    """Above RS_SWITCH_T a build takes every Z value from its runs' expansions."""
-    heights = []
-    many = zt.hardy_z_many
+@pytest.mark.parametrize("cpus, step", [(1, zt.LOCAL_BRACKETS), (2, 50)])
+def test_build_makes_no_direct_riemann_siegel_call(monkeypatch, cpus, step):
+    """Above RS_SWITCH_T a build takes every Z value from its runs' expansions,
+    and a forked part finds its first anchor from an expansion's at_centres: a
+    call in a child raises there and reaches the caller."""
+    def refusing(ts):
+        raise AssertionError(f"hardy_z_many on {np.size(ts)} heights in process {os.getpid()}")
 
-    def recording(ts):
-        heights.append(np.array(ts, dtype=float))
-        return many(ts)
-
-    monkeypatch.setattr(zt, "hardy_z_many", recording)
-    table = ZeroTable.build(5000)
+    monkeypatch.setattr(zt, "hardy_z_many", refusing)
+    monkeypatch.setattr(zt, "LOCAL_BRACKETS", step)
+    forks = _count_forks(monkeypatch)
+    table = _build_on_cpus(monkeypatch, cpus)
     assert table.certified_n == 5000
-    assert heights == []
+    assert len(forks) == cpus - 1
+
+
+# -- a build in parts: runs of 50 Gram points make build(5000) 101 runs, cut
+# into one part per usable CPU
+
+@pytest.fixture
+def short_runs(monkeypatch):
+    monkeypatch.setattr(zt, "LOCAL_BRACKETS", 50)
+
+
+def _build_on_cpus(monkeypatch, cpus, z_eval=None, n_max=5000):
+    monkeypatch.setattr(zr, "_usable_cpus", lambda: cpus)
+    return ZeroTable.build(n_max, z_eval)
+
+
+def _count_forks(monkeypatch) -> list:
+    forks, fork = [], os.fork
+
+    def counting():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _assert_same_table(got, want):
+    for name in ("gram", "z_gram", "zeros", "s_gram"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.certified_n == want.certified_n
+    assert asdict(got.diagnostics) == asdict(want.diagnostics)
+
+
+def _hide_local(m):
+    """zeta.hardy_z_local with G_m's zeros hidden, as _hide_g128 hides them
+    from a z_eval: Z keeps its sign at t_(m-1) across G_m, and at_centres,
+    Z at the Gram points, is the expansion's own."""
+    t_lo, t_hi = gram_points(m, m - 1)
+    sign = math.copysign(1.0, zt.hardy_z(float(t_lo)).z)
+    local = zt.hardy_z_local
+
+    def hiding(c):
+        run = local(c)
+
+        def z(ts):
+            out = run(ts)
+            inside = (t_lo < ts) & (ts < t_hi)
+            out[inside] = sign * np.abs(out[inside])
+            return out
+
+        z.at_centres = run.at_centres
+        return z
+
+    return hiding
+
+
+@pytest.fixture(scope="module")
+def one_part_5000():
+    """build(5000) in runs of 50 Gram points, in one part."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zt, "LOCAL_BRACKETS", 50)
+        mp.setattr(zr, "_usable_cpus", lambda: 1)
+        return ZeroTable.build(5000)
+
+
+def test_build_in_parts_is_the_one_part_build(short_runs, monkeypatch, one_part_5000):
+    """Every array and every diagnostic of a build in 2, 3 or 4 parts is the
+    one-part build's."""
+    forks = _count_forks(monkeypatch)
+    for cpus in (2, 3, 4):
+        forks.clear()
+        _assert_same_table(_build_on_cpus(monkeypatch, cpus), one_part_5000)
+        assert len(forks) == cpus - 1
+    assert one_part_5000.certified_n == 5000
+
+
+@pytest.mark.parametrize("where", ["part 0", "a later part"])
+def test_build_in_parts_ends_at_the_first_failed_block(short_runs, monkeypatch, one_part_5000,
+                                                       where):
+    """A block that cannot meet its quota ends the table where the one-part
+    build ends it: in part 0 (G_128) or past split 2500, which two to four
+    parts put in a later part."""
+    if where == "part 0":
+        m = 128
+    else:                                       # a Gram interval holding two zeros
+        counts = np.diff(one_part_5000.n_at(one_part_5000.gram[2600:]))
+        m = 2601 + int(np.nonzero(counts == 2)[0][0])
+    monkeypatch.setattr(zt, "hardy_z_local", _hide_local(m))
+    one = _build_on_cpus(monkeypatch, 1)
+    lo, hi = one.diagnostics.failed_blocks[0]
+    assert one.diagnostics.failed_blocks == [(lo, hi)] and one.certified_n == lo < m <= hi
+    if m == 128:
+        assert (lo, hi) == (126, 128)
+    for cpus in (2, 3, 4):
+        _assert_same_table(_build_on_cpus(monkeypatch, cpus), one)
+
+
+def test_build_in_parts_raises_a_later_parts_error(short_runs, monkeypatch):
+    """An error in a child's part reaches the caller with its type and
+    message; one in a part past a failed block is discarded with it."""
+    t_raise = float(gram_points(4000, 4000)[0])
+    local = zt.hardy_z_local
+
+    def failing(c):
+        if c[-1] > t_raise:
+            raise ValueError(f"no expansion past {t_raise} in process {os.getpid()}")
+        return local(c)
+
+    monkeypatch.setattr(zt, "hardy_z_local", failing)
+    with pytest.raises(ValueError, match=r"^no expansion past [\d.]+ in process \d+$") as err:
+        _build_on_cpus(monkeypatch, 2)
+    assert err.value.args[0].split()[-1] != str(os.getpid())    # raised in the child
+    monkeypatch.setattr(zt, "hardy_z_local", _hide_local(128))     # hides G_128 from `failing`
+    table = _build_on_cpus(monkeypatch, 2)
+    assert table.certified_n == 126 and table.diagnostics.failed_blocks == [(126, 128)]
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_an_error_in_part_0_leaves_no_child(short_runs, monkeypatch, error):
+    """Part 0 failing partway, in this process only, ends the build with its
+    error; conftest's check then finds no child process left."""
+    parent, refine, runs = os.getpid(), zr._refine, []
+
+    def refine_then_fail(*args):
+        if os.getpid() == parent:
+            runs.append(1)
+            if len(runs) == 10:
+                raise error("part 0 failed")
+        refine(*args)
+
+    monkeypatch.setattr(zr, "_refine", refine_then_fail)
+    with pytest.raises(error, match="part 0 failed"):
+        _build_on_cpus(monkeypatch, 4)
+    assert len(runs) == 10
+
+
+def test_build_forks_only_for_its_own_evaluator_and_thread(short_runs, monkeypatch):
+    """One fork per later part; none for a caller's z_eval, or while another
+    Python thread runs."""
+    forks = _count_forks(monkeypatch)
+    for cpus in (1, 2, 3, 4):
+        forks.clear()
+        _build_on_cpus(monkeypatch, cpus, n_max=1000)
+        assert len(forks) == cpus - 1
+    forks.clear()
+    _build_on_cpus(monkeypatch, 4, z_eval=zt.hardy_z_many, n_max=1000)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        _build_on_cpus(monkeypatch, 4, n_max=1000)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive() and forks == []
 
 
 def test_table_ceiling_refuses_before_building(monkeypatch, tmp_path):
