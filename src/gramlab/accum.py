@@ -27,12 +27,10 @@ parts, and math.fsum of exact parts is their correctly rounded total
 entry or a magnitude near overflow gives its values themselves as parts, so
 NaN, infinities and overflow behave as fsum does.
 
-`verify-paper` takes its prime sums on a worker thread, whose allocations go
-to a malloc arena of their own, so the memory held at once is kept small:
-CHUNK is 2^15, 256 KB per buffer, and a stream frees each block before it
-makes the next.  Sums do not depend on CHUNK; the stored parts do, so a
-sidecar written with another CHUNK fails its sample check and is recomputed
-once.
+The memory held at once is kept small: CHUNK is 2^15, 256 KB per buffer,
+and a stream frees each block before it makes the next.  Sums do not depend
+on CHUNK; the stored parts do, so a sidecar written with another CHUNK fails
+its sample check and is recomputed once.
 """
 
 from __future__ import annotations

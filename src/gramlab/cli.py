@@ -252,7 +252,7 @@ def ingest_cmd(obj, path, match_tol):
 @click.pass_obj
 def verify_paper(obj, n_limit):
     """Run every published-value regression; exit 1 on any failure."""
-    require_under_ceiling(n_limit)      # before the prime-sum worker starts
+    require_under_ceiling(n_limit)      # before the prime sums start
     rep = regression.run_paper_regression(_TableOnUse(obj, n_limit), n_limit,
                                           obj["epsilon"], obj["cache_dir"])
     click.echo(render(rep, obj["format"]), nl=False)

@@ -12,14 +12,12 @@ n_limit must be at least 1.  Output is deterministic: same inputs, same bytes.
 
 `run_paper_regression(table, n_limit, epsilon, cache_dir)` is the one way to
 run the rows.  The prime sums and the table are independent inputs, so it
-takes the sums on one worker thread, the 1e8 sieve first, while the calling
-thread obtains the table and runs the rows in order; each row waits for the
-sums it reads.  A table that loads or builds itself when first read, as the
-CLI passes, is obtained only after the worker has started.  The bytes, and
-the error that surfaces first, are those of taking the two one after the
-other: the table is read before any row, and a row raises its sums' error
-where it reads them.  The worker is shut down before the call returns, on
-error too.
+starts the sums at every x of _SUMS_XS, the 1e8 sieve first, as one
+`zeros.Part` before it reads the table, which the CLI loads or builds only
+then, a cold build in parts of its own.  The bytes, and the first error, are
+those of taking the two in turn: the table is read before any row, and a row
+that reads the sums waits for them or raises their error.  The part is
+closed before the call returns, on error too.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 from . import gram_law, moments, primes
 from .reports import Report
 from .theta_gram import gram_points, gram_spacing_report, theta, theta_derivative
-from .zeros import ZeroTable, gram_regular
+from .zeros import Part, ZeroTable, gram_regular
 
 # frozen from a 30-digit prime-zeta evaluation; test suite re-derives it
 MERTENS_CONSTANT = 0.2614972128476428
@@ -290,17 +288,14 @@ def _checks(tab: ZeroTable, top: int, epsilon: float, sums) -> list[tuple]:
 def run_paper_regression(table: ZeroTable, n_limit: int,
                          epsilon: float = moments.EPSILON_DEFAULT,
                          cache_dir: str | None = None) -> Report:
-    """One row per assertion, the prime sums taken on a worker thread while
+    """One row per assertion, the prime sums taken in a forked part while
     the table is obtained (module docstring)."""
-    from concurrent.futures import ThreadPoolExecutor  # off the CLI's import path
-
     rep = Report(kind="paper_regression")
-    pool = ThreadPoolExecutor(max_workers=1)
+    sums = Part(lambda: {x: _prime_sums(x, cache_dir) for x in _SUMS_XS})
     try:
-        futures = {x: pool.submit(_prime_sums, x, cache_dir) for x in _SUMS_XS}
         top = min(n_limit, table.certified_n)
         for name, claim, skip_claim, needs, check in _checks(
-                table, top, epsilon, lambda x: futures[x].result()):
+                table, top, epsilon, lambda x: sums.result()[x]):
             if top < needs:
                 status, claim, detail = "skip", skip_claim, "insufficient range"
             else:
@@ -309,7 +304,7 @@ def run_paper_regression(table: ZeroTable, n_limit: int,
             rep.add("regression", {"assertion": name},
                     assertion=name, claim=claim, status=status, detail=detail)
     finally:
-        pool.shutdown(cancel_futures=True)  # joins the worker
+        sums.close()
     return rep
 
 

@@ -23,12 +23,11 @@ Part p starts at split[p], a multiple of `zeta.LOCAL_BRACKETS` where the
 one-part build starts a run; its first anchor is that run's, the last
 regular Gram point below split[p], found from `hardy_z_local`'s Z at the Gram
 points just below, and its first run takes Z over its whole window.  This
-process builds part 0 and a child forked for each later part builds its runs
-into the output arrays, shared with it; as Z at a Gram point depends on the
-point alone and a run's evaluator on its window alone, the table is bit for
-bit the one-part build's.  P is 1, with no fork, for a caller's z_eval, off Linux, while
-another Python thread runs, and where os.fork would warn (Python 3.12 and
-later, with more than one OS thread in the process).
+process builds part 0, and a `Part` each later part, into output arrays
+shared with its child; as Z at a Gram point depends on the point alone and a
+run's evaluator on its window alone, the table is bit for bit the one-part
+build's.  P is 1, with no fork, for a caller's z_eval and where `_may_fork`
+is false.
 A build holds its output arrays (the Gram points, Z there, and the zeros,
 which each run writes into one array) and one run: a run's evaluator, with its
 moments, is dropped before the next run's is made, and the Gram solve and
@@ -188,8 +187,7 @@ class ZeroTable:
         # part p builds the runs from Gram index split[p] up to split[p + 1]
         split = [step * (runs * p // parts) for p in range(parts)] + [gram.size]
         zg, zeros = _outputs(gram.size, shared=parts > 1)
-        diag = ScanDiagnostics()
-        a = _build_parts(gram, zg, zeros, split, z_eval, diag)
+        a, diag = _build_parts(gram, zg, zeros, split, z_eval)
         return cls(gram[: a + 1], zeros[:a], zg[: a + 1], diag)
 
     # -- queries -----------------------------------------------------------
@@ -279,9 +277,9 @@ def _usable_cpus() -> int:
 
 
 def _may_fork() -> bool:
-    """Whether a build may fork its later parts: on Linux, with no other Python
-    thread running, and where os.fork would not warn, which Python 3.12 and
-    later does whenever the process has more than one OS thread."""
+    """Whether a Part may fork: on Linux, with no other Python thread running,
+    and where os.fork would not warn; Python 3.12 and later warns with more
+    than one OS thread, as once numpy's OpenBLAS has started its pool."""
     return (sys.platform == "linux" and threading.active_count() == 1
             and (sys.version_info < (3, 12) or len(os.listdir("/proc/self/task")) == 1))
 
@@ -298,70 +296,79 @@ def _outputs(size: int, shared: bool) -> tuple[np.ndarray, np.ndarray]:
     return both[:size], both[size:]
 
 
-def _build_parts(gram, zg, zeros, split, z_eval, diag) -> int:
-    """The anchor a table ends at, its runs built in parts: part p from Gram
-    index split[p] up to split[p + 1].  This process builds part 0, and a
-    child forked for each later part builds it into the shared zg and zeros.
-    The parts are taken in order until one cuts at a block that cannot meet
-    its quota; every part after it is discarded, results and errors alike, as
-    the one-process build never reaches it.  An error of a part taken is
-    raised here.  No child outlives the call."""
-    children = []                               # (pid, read end of its pipe)
-    try:
-        for start, stop in zip(split[1:], split[2:]):
-            children.append(_fork_part(gram, zg, zeros, start, stop))
-        a, cut = _runs(gram, zg, zeros, 0, 0, split[1], z_eval, diag)
-        while children and not cut:
-            pid, pipe = children[0]
-            payload = pipe.read()
-            pipe.close()
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            if not payload:
-                raise RuntimeError(f"a build part ended without a result "
-                                   f"(wait status {status})")
-            result = pickle.loads(payload)
-            if isinstance(result, BaseException):
-                raise result
-            a, cut, part = result
-            diag.add(part)
-        return a
-    finally:
-        for pid, pipe in children:
+class Part:
+    """fn(*args) run beside this process: in a child forked at once where
+    `_may_fork`, else here at the first result().  The child pickles fn's result
+    or error into a pipe and ends with os._exit; result() reaps it by its pid and
+    returns that result or raises that error; close() kills and reaps one unreaped."""
+
+    def __init__(self, fn, *args):
+        self._call, self._pid = lambda: fn(*args), 0
+        if _may_fork():
+            r, w = os.pipe()
+            try:
+                self._pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if not self._pid:
+                try:
+                    try:
+                        result = self._call()
+                    except BaseException as e:
+                        result = e
+                    with os.fdopen(w, "wb") as pipe:
+                        pickle.dump(result, pipe)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            self._pipe = os.fdopen(r, "rb")
+
+    def result(self):
+        if self._pid:
+            payload = self._pipe.read()
+            self._pipe.close()
+            status = os.waitpid(self._pid, 0)[1]
+            self._pid = 0
+            self._out = pickle.loads(payload) if payload else RuntimeError(
+                f"a forked part ended without a result (wait status {status})")
+        elif not hasattr(self, "_out"):
+            self._out = self._call()
+        if isinstance(self._out, BaseException):
+            raise self._out
+        return self._out
+
+    def close(self) -> None:
+        if self._pid:
             import signal  # off the CLI's import path
 
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            self._pipe.close()
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = 0
 
 
-def _fork_part(gram, zg, zeros, start, stop):
-    """(pid, pipe) of a child forked to build the runs from Gram index start up
-    to stop into zg and zeros, from the last regular Gram point below start.
-    It pickles (anchor, cut, ScanDiagnostics), or its error, into the pipe and
-    ends with os._exit: it never returns into its caller's frames."""
-    r, w = os.pipe()
+def _build_parts(gram, zg, zeros, split, z_eval) -> tuple[int, ScanDiagnostics]:
+    """The anchor a table ends at and its diagnostics, its runs built into the
+    shared zg and zeros in parts, p from Gram index split[p] up to split[p + 1]:
+    part 0 here, each later one as a `Part`, taken in order up to the first
+    that cuts at a block that cannot meet its quota; the rest are discarded,
+    results and errors alike, as the one-process build never reaches them."""
+    parts = []
     try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, os.fdopen(r, "rb")
-    try:
-        os.close(r)
-        try:
-            diag = ScanDiagnostics()
-            a = _anchor_below(gram, start)
-            result = (*_runs(gram, zg, zeros, a, start, stop, None, diag), diag)
-        except BaseException as e:
-            result = e
-        with os.fdopen(w, "wb") as pipe:
-            pickle.dump(result, pipe)
+        for start, stop in zip(split[1:], split[2:]):
+            parts.append(Part(lambda start=start, stop=stop: _runs(
+                gram, zg, zeros, _anchor_below(gram, start), start, stop, None)))
+        a, cut, diag = _runs(gram, zg, zeros, 0, 0, split[1], z_eval)
+        for part in parts:
+            if not cut:
+                a, cut, part_diag = part.result()
+                diag.add(part_diag)
+        return a, diag
     finally:
-        os._exit(0)
+        for part in parts:
+            part.close()
 
 
 def _anchor_below(gram, start: int) -> int:
@@ -379,13 +386,13 @@ def _anchor_below(gram, start: int) -> int:
         width *= 4
 
 
-def _runs(gram, zg, zeros, a, start, stop, z_eval, diag) -> tuple[int, bool]:
+def _runs(gram, zg, zeros, a, start, stop, z_eval) -> tuple[int, bool, ScanDiagnostics]:
     """Build the runs of Gram points from start up to stop, the first from
     anchor a: each takes one evaluator over [its anchor, its end), writes Z at
     its Gram points into zg (the first run over its whole window, a later one
     past the previous run's end), and its zeros into zeros.  Returns the last
-    anchor and whether a block that cannot meet its quota cut the table there."""
-    known = a                                   # Gram points with Z so far
+    anchor, whether a block that cannot meet its quota cut there, and diagnostics."""
+    known, diag = a, ScanDiagnostics()          # known: Gram points with Z so far
     for s in range(start, stop, zeta.LOCAL_BRACKETS):
         b = min(s + zeta.LOCAL_BRACKETS, stop)
         run_eval = z_eval or zeta.hardy_z_local(gram[a:b])
@@ -402,8 +409,8 @@ def _runs(gram, zg, zeros, a, start, stop, z_eval, diag) -> tuple[int, bool]:
         # the next run's evaluator is built after this one is dropped
         del run_eval, lo, hi, z_lo, z_hi
         if a < anchors[-1]:
-            return a, True              # a block that cannot meet its quota
-    return a, False
+            return a, True, diag        # a block that cannot meet its quota
+    return a, False, diag
 
 
 def _scan(gram, zg, anchors, z_eval, diag):

@@ -60,6 +60,18 @@ def _digest(*names: str) -> str:
     return h.hexdigest()
 
 
+def count_forks(monkeypatch) -> list[int]:
+    """The pids that call os.fork from now on, one entry a fork."""
+    forks, fork = [], os.fork
+
+    def counting():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Every child process a test starts has ended and been reaped when it returns."""

@@ -17,17 +17,19 @@ Each sidecar fault damages the checked directory of the 1e7 prime sums, its
 parts or its manifest, or the sieve that re-checks them, and names what the
 next warm call must do: raise ChecksumMismatch, or recompute the sums in full
 rather than return the stored ones, and rewrite the sidecar as a clean run
-writes it.  `verify-paper` re-checks the 1e8 sidecar on a worker thread while
-it loads the range, and still reports a damaged range first.
+writes it.  `verify-paper` re-checks the 1e8 sidecar in a forked part while
+it loads the range, and still reports a damaged range first; a run cut short
+while the part runs leaves no child, and the next run is a clean run.
 """
 
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
 import sys
-import threading
+import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,7 +43,7 @@ from gramlab import primes as pr
 from gramlab.errors import ChecksumMismatch, GramLabError, VersionMismatch
 from gramlab.zeros import ZeroTable
 
-from conftest import hex_bits, recheck
+from conftest import count_forks, hex_bits, recheck
 
 N_LIMIT = 100000
 
@@ -493,9 +495,10 @@ def test_sidecar_fault_is_caught(fault, tmp_path, monkeypatch, capsys):
 
 def test_verify_paper_errors_come_as_if_taken_in_turn(saved, cache_dir, tmp_path,
                                                      monkeypatch, capsys):
-    """verify-paper takes the 1e8 sums on a worker thread while it loads the
-    range, yet a damaged range still wins over a damaged sidecar, a damaged
-    sidecar alone gives its own error, and no worker outlives a run."""
+    """verify-paper takes the 1e8 sums in a forked part while it loads the
+    range, yet a damaged range still wins over a damaged sidecar, and a
+    damaged sidecar alone gives its own error; conftest's check then finds no
+    child process left."""
     x = pr.SIEVE_CEILING
     pr.prime_sums(x, regression.VXH_GRID[x], cache_dir=cache_dir)  # filled if absent
     cache = tmp_path / "cache"
@@ -511,18 +514,69 @@ def test_verify_paper_errors_come_as_if_taken_in_turn(saved, cache_dir, tmp_path
         with pytest.raises(ChecksumMismatch) as exc:
             load()
         errors.append(f"error: {exc.value}\n")
-    threads, seen, prime_sums = threading.active_count(), [], pr.prime_sums
-    monkeypatch.setattr(pr, "prime_sums",
-                        lambda *a: seen.append(threading.current_thread()) or prime_sums(*a))
+    forks = count_forks(monkeypatch)
     monkeypatch.setattr(sys, "argv", ["gramlab", "--cache-dir", str(cache), "verify-paper",
                                       "--n-limit", "1200"])
     for error in errors:            # both damaged, then the sidecar alone
         with pytest.raises(SystemExit) as exc:
             cli.entry()
         assert (capsys.readouterr(), exc.value.code) == (("", error), 1)
-        assert threading.active_count() == threads
         gram_csv.write_bytes(clean)
-    assert seen and threading.main_thread() not in seen
+    assert len(forks) == 2          # the sums of each run; the range loads
+
+
+def _stalled_write(ready: Path):
+    """A write_checked that removes the old manifest, leaves half of a file
+    beside its place, as a write cut short does, marks ready and stalls."""
+    def write(path, files, **fields):
+        path.mkdir(parents=True, exist_ok=True)
+        (path / "manifest.json").unlink(missing_ok=True)
+        name, blocks = next(iter(files.items()))
+        data = b"".join(blocks)
+        (path / (name + ".tmp")).write_bytes(data[: len(data) // 2])
+        ready.touch()
+        time.sleep(60)
+    return write
+
+
+@pytest.mark.parametrize("when", ["at once", "mid-write"])
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_verify_paper_cut_short_leaves_no_child(when, error, cache_dir, tmp_path,
+                                                 monkeypatch, capsys):
+    """An error raised in this process while the sums part runs, at once or
+    while the part writes the 1e8 sidecar, kills and reaps the part; the
+    next run prints a clean run's bytes and leaves the clean sidecar."""
+    x = pr.SIEVE_CEILING
+    pr.prime_sums(x, regression.VXH_GRID[x], cache_dir=cache_dir)  # filled if absent
+    cache, ready = tmp_path / "cache", tmp_path / "ready"
+    forks = count_forks(monkeypatch)
+
+    class CutShort:                 # a table that raises when first read
+        def __getattr__(self, name):
+            if when == "mid-write":
+                for _ in range(3000):
+                    if ready.exists():
+                        break
+                    time.sleep(0.01)
+                assert ready.exists()
+            raise error("cut short")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(pr, "write_checked", _stalled_write(ready))
+        with pytest.raises(error, match="cut short"):
+            regression.run_paper_regression(CutShort(), 1200, cache_dir=str(cache))
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(sys, "argv", ["gramlab", "--cache-dir", str(cache), "--format", "json",
+                                      "verify-paper", "--n-limit", "1200"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == (Path(__file__).parent / "data"
+                                       / "verify_paper_1200.json").read_text()
+    sidecar = f"primes_{x:012d}"
+    assert _listing(cache / sidecar) == _listing(cache_dir / sidecar)
 
 
 @pytest.mark.parametrize("kind", ["range", "sidecar"])

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import gramlab
 from gramlab import cli, primes, regression, store, zeta
+from gramlab import zeros as zr
 from gramlab import ingest as ing
 from gramlab.errors import ChecksumMismatch, ParseError, VersionMismatch
 from gramlab.gram_law import IntervalRecord
@@ -854,7 +855,8 @@ def test_cli_prime_and_ingest_numbers_out_of_domain_exit_2(args, message, tmp_pa
 def test_warm_verify_paper_resieves_the_sampled_chunks_only(cli_cache_dir, monkeypatch):
     # mertens_sums(1e8), v_xh(1e8, 0.2) and v_xh(1e8, 0.39) come from one
     # sidecar, re-checked by re-sieving 7 of its 49 blocks from their bounds;
-    # no other file of the cache dir is opened but the zero range's
+    # no other file of the cache dir is opened but the zero range's.  The sums
+    # run in process, where the spies see them, not in a forked part
     x = primes.SIEVE_CEILING
     primes.prime_sums(x, regression.VXH_GRID[x], cache_dir=cli_cache_dir)  # filled if absent
     sdir = cli_cache_dir / f"primes_{x:012d}"
@@ -873,6 +875,7 @@ def test_warm_verify_paper_resieves_the_sampled_chunks_only(cli_cache_dir, monke
         opened.append(Path(file) if isinstance(file, (str, os.PathLike)) else file)
         return real_open(file, *args, **kwargs)
 
+    monkeypatch.setattr(zr, "_may_fork", lambda: False)
     monkeypatch.setattr(primes, "_sieve_block", sieving)
     monkeypatch.setattr(io, "open", opening)
     monkeypatch.setattr(builtins, "open", opening)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -13,11 +14,11 @@ import pytest
 
 from gramlab import zeros as zr
 from gramlab import zeta as zt
-from gramlab import store
+from gramlab import cli, store
 from gramlab.errors import PreconditionError, ResourceError, UncertifiedRange
 from gramlab.zeros import ScanDiagnostics, ZeroTable, _refine, _scan
 from gramlab.theta_gram import gram_points, theta
-from conftest import AVX2, AVX512_OFF, X86_V4, pinned, simd_target
+from conftest import AVX2, AVX512_OFF, X86_V4, count_forks, pinned, simd_target
 
 mpmath.mp.dps = 25
 
@@ -399,7 +400,7 @@ def test_build_makes_no_direct_riemann_siegel_call(monkeypatch, cpus, step):
 
     monkeypatch.setattr(zt, "hardy_z_many", refusing)
     monkeypatch.setattr(zt, "LOCAL_BRACKETS", step)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     table = _build_on_cpus(monkeypatch, cpus)
     assert table.certified_n == 5000
     assert len(forks) == cpus - 1
@@ -416,17 +417,6 @@ def short_runs(monkeypatch):
 def _build_on_cpus(monkeypatch, cpus, z_eval=None, n_max=5000):
     monkeypatch.setattr(zr, "_usable_cpus", lambda: cpus)
     return ZeroTable.build(n_max, z_eval)
-
-
-def _count_forks(monkeypatch) -> list:
-    forks, fork = [], os.fork
-
-    def counting():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting)
-    return forks
 
 
 def _assert_same_table(got, want):
@@ -471,7 +461,7 @@ def one_part_5000():
 def test_build_in_parts_is_the_one_part_build(short_runs, monkeypatch, one_part_5000):
     """Every array and every diagnostic of a build in 2, 3 or 4 parts is the
     one-part build's."""
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     for cpus in (2, 3, 4):
         forks.clear()
         _assert_same_table(_build_on_cpus(monkeypatch, cpus), one_part_5000)
@@ -542,7 +532,7 @@ def test_an_error_in_part_0_leaves_no_child(short_runs, monkeypatch, error):
 def test_build_forks_only_for_its_own_evaluator_and_thread(short_runs, monkeypatch):
     """One fork per later part; none for a caller's z_eval, or while another
     Python thread runs."""
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     for cpus in (1, 2, 3, 4):
         forks.clear()
         _build_on_cpus(monkeypatch, cpus, n_max=1000)
@@ -558,6 +548,87 @@ def test_build_forks_only_for_its_own_evaluator_and_thread(short_runs, monkeypat
         release.set()
         other.join(timeout=10)
     assert not other.is_alive() and forks == []
+
+
+def _fails(tag):
+    raise LookupError(f"{tag} in process {os.getpid()}")
+
+
+def test_a_parts_error_reaches_the_caller(monkeypatch):
+    """An error raised in a forked Part is raised by its result(), with its type
+    and message; in process, where no fork is allowed, fn runs at the first
+    result() and no sooner, once."""
+    forks = count_forks(monkeypatch)
+    part = zr.Part(_fails, "forked")
+    assert len(forks) == 1
+    with pytest.raises(LookupError, match=r"^forked in process \d+$") as err:
+        part.result()
+    assert err.value.args[0].split()[-1] != str(os.getpid())
+    part.close()                                # reaped already: a no-op
+    monkeypatch.setattr(zr, "_may_fork", lambda: False)
+    with pytest.raises(LookupError, match=f"^in turn in process {os.getpid()}$"):
+        zr.Part(_fails, "in turn").result()
+    calls = []
+    part = zr.Part(lambda: calls.append(1) or len(calls))
+    assert calls == [] and part.result() == part.result() == 1 and len(forks) == 1
+
+
+@pytest.mark.parametrize("version, tasks, may", [((3, 11, 7), 2, True), ((3, 12, 0), 1, True),
+                                                 ((3, 12, 0), 2, False), ((3, 13, 1), 3, False)])
+def test_a_part_forks_on_3_12_only_in_a_process_of_one_os_thread(monkeypatch, version,
+                                                                 tasks, may):
+    """Python 3.12 and later warns on os.fork in a process of more than one OS
+    thread, so there no Part forks; numpy's OpenBLAS starts a pool thread on
+    import where it has more than one CPU, so in practice nothing forks there."""
+    listdir = os.listdir
+    with monkeypatch.context() as mp:
+        mp.setattr(sys, "version_info", version)
+        mp.setattr(os, "listdir", lambda path: list(map(str, range(tasks)))
+                   if path == "/proc/self/task" else listdir(path))
+        allowed = zr._may_fork()
+    assert allowed is may
+
+
+def test_cold_verify_paper_forks_its_sums_and_a_build_part(monkeypatch, tmp_path, capsys):
+    """With 2 usable CPUs, a cold verify-paper forks twice: its prime sums, and
+    the later part of a build of 3 runs.  While another Python thread runs it
+    forks nothing, takes both in process, and prints the same bytes, the
+    checked-in report's, and the same range and sidecar files."""
+    monkeypatch.setattr(zt, "LOCAL_BRACKETS", 500)
+    monkeypatch.setattr(zr, "_usable_cpus", lambda: 2)
+    forks = count_forks(monkeypatch)
+
+    def verify_paper(cache):
+        monkeypatch.setattr(sys, "argv", ["gramlab", "--cache-dir", str(cache), "--format",
+                                          "json", "verify-paper", "--n-limit", "1200"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        return capsys.readouterr(), exc.value.code
+
+    forked = verify_paper(tmp_path / "forked")
+    assert len(forks) == 2
+    forks.clear()
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        in_process = verify_paper(tmp_path / "in_process")
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive() and forks == []
+    assert forked == in_process
+    pinned_report = (Path(__file__).parent / "data" / "verify_paper_1200.json").read_text()
+    assert forked == ((pinned_report, ""), 0)
+    files = sorted(p.relative_to(tmp_path / "forked")
+                   for p in (tmp_path / "forked").rglob("*") if p.is_file())
+    assert [f.name for f in files] == ["manifest.json", "parts.json", "gram.csv",
+                                       "manifest.json", "zeros.csv"]
+    for f in files:
+        got, want = ((tmp_path / run / f).read_text() for run in ("forked", "in_process"))
+        if f == Path(cli.RANGE_SUBDIR, "manifest.json"):
+            got, want = (re.sub(r'"created": "[^"]*"', "", v) for v in (got, want))
+        assert got == want, f
 
 
 def test_table_ceiling_refuses_before_building(monkeypatch, tmp_path):
