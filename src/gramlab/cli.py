@@ -60,7 +60,7 @@ def _emit(ctx_obj, kind: str, rows) -> None:
               expose_value=False,
               help="only 1 is accepted, and it sets nothing: Z is evaluated on one "
                    "thread per process, and a cold table build forks one child per "
-                   "usable CPU")
+                   "usable CPU where a zeros.Part may fork")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--epsilon", type=float, default=moments.EPSILON_DEFAULT, show_default=True,
@@ -117,8 +117,7 @@ def delta(obj, n_lo, n_hi):
     table = _TableOnUse(obj, n_hi)    # holds certified_n >= n_hi zeros
     deltas = gram_law.delta_array(table, n_lo, n_hi).tolist()
     _emit(obj, "classification", (
-        ("delta_n", {"zero_index": n},
-         {"zero_index": n, "gram_index": n + d, "delta": d, "on_line": True})
+        ("delta_n", {"zero_index": n}, {"zero_index": n, "gram_index": n + d, "delta": d})
         for n, d in enumerate(deltas, n_lo)))
 
 

@@ -32,7 +32,6 @@ class DeltaRecord:
     zero_index: int
     gram_index: int
     delta: int
-    on_line: bool
 
 
 @dataclass(frozen=True)
@@ -88,8 +87,7 @@ def classify_intervals(table: ZeroTable, n_lo: int, n_hi: int) -> list[IntervalR
 def delta_n(table: ZeroTable, zero_index: int) -> DeltaRecord:
     """Offset Delta_n = m - n where t_{m-1} < gamma_n <= t_m."""
     delta = int(delta_array(table, zero_index, zero_index)[0])
-    return DeltaRecord(zero_index=zero_index, gram_index=zero_index + delta,
-                       delta=delta, on_line=True)
+    return DeltaRecord(zero_index=zero_index, gram_index=zero_index + delta, delta=delta)
 
 
 def delta_array(table: ZeroTable, n_lo: int, n_hi: int) -> np.ndarray:

@@ -19,15 +19,13 @@ prime phases through `zeta._sincos` per Gram point also gives Z there.  The
 next run starts at the last anchor the previous one certified, so a block
 open at a run's end is carried.
 A build cuts its runs into P contiguous parts, P = min(usable CPUs, runs).
-Part p starts at split[p], a multiple of `zeta.LOCAL_BRACKETS` where the
-one-part build starts a run; its first anchor is that run's, the last
-regular Gram point below split[p], found from `hardy_z_local`'s Z at the Gram
-points just below, and its first run takes Z over its whole window.  This
-process builds part 0, and a `Part` each later part, into output arrays
-shared with its child; as Z at a Gram point depends on the point alone and a
-run's evaluator on its window alone, the table is bit for bit the one-part
-build's.  P is 1, with no fork, for a caller's z_eval and where `_may_fork`
-is false.
+Part p starts at split[p], where the one-part build starts a run, from that
+run's anchor, and its first run takes Z over its whole window.  This process
+builds part 0, and a `Part` each later part, which returns its window: Z from
+its first anchor through its last, and the zeros between.  As Z at a Gram
+point depends on the point alone and a run's evaluator on its window alone,
+the table is bit for bit the one-part build's.  P is 1, with no fork, for a
+caller's z_eval and where `_may_fork` is false.
 A build holds its output arrays (the Gram points, Z there, and the zeros,
 which each run writes into one array) and one run: a run's evaluator, with its
 moments, is dropped before the next run's is made, and the Gram solve and
@@ -77,7 +75,6 @@ class CriticalZero:
     index: int
     t: float
     bracket_width: float
-    certified: bool
     ambiguous: bool = False
 
 
@@ -86,7 +83,6 @@ class CountResult:
     t: float
     n_of_t: int
     s_of_t: float
-    certified: bool
     at_zero: bool = False
 
 
@@ -184,9 +180,9 @@ class ZeroTable:
         step = zeta.LOCAL_BRACKETS
         runs = -(-gram.size // step)
         parts = 1 if z_eval or not _may_fork() else min(_usable_cpus(), runs)
-        # part p builds the runs from Gram index split[p] up to split[p + 1]
         split = [step * (runs * p // parts) for p in range(parts)] + [gram.size]
-        zg, zeros = _outputs(gram.size, shared=parts > 1)
+        # a met block holds one zero per Gram interval: a build to anchor a has a
+        zg, zeros = np.empty(gram.size), np.empty(gram.size - 1)
         a, diag = _build_parts(gram, zg, zeros, split, z_eval)
         return cls(gram[: a + 1], zeros[:a], zg[: a + 1], diag)
 
@@ -230,8 +226,7 @@ class ZeroTable:
         self._require_certified_t(t)
         n_of_t = int(self.n_at(t))
         s_of_t = n_of_t - theta(t).value / math.pi - 1.0
-        return CountResult(t=float(t), n_of_t=n_of_t, s_of_t=s_of_t,
-                           certified=True, at_zero=bool(near(self.zeros, t)))
+        return CountResult(float(t), n_of_t, s_of_t, at_zero=bool(near(self.zeros, t)))
 
     def s_at_gram(self, n: int) -> int:
         """S(t_n + 0) = N(t_n + 0) - n, an exact integer."""
@@ -267,8 +262,8 @@ class ZeroTable:
         """Zeros i + 1..j by 1-based index, flagged by one near() call."""
         ts = self.zeros[i:j]
         rows = zip(range(i + 1, j + 1), ts.tolist(), near(self.gram, ts).tolist())
-        return [CriticalZero(index=k, t=t, bracket_width=BRACKET_HALF_WIDTH, certified=True,
-                             ambiguous=a) for k, t, a in rows]
+        return [CriticalZero(index=k, t=t, bracket_width=BRACKET_HALF_WIDTH, ambiguous=a)
+                for k, t, a in rows]
 
 
 def _usable_cpus() -> int:
@@ -284,23 +279,13 @@ def _may_fork() -> bool:
             and (sys.version_info < (3, 12) or len(os.listdir("/proc/self/task")) == 1))
 
 
-def _outputs(size: int, shared: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays for Z at the size Gram points and the zeros below the last, in one
-    mapping that forked parts write into if shared.  A met block holds as many
-    zeros as Gram intervals: a build that ends at anchor a locates a zeros."""
-    if not shared:
-        return np.empty(size), np.empty(size - 1)
-    import mmap  # off the CLI's import path
-
-    both = np.frombuffer(mmap.mmap(-1, 8 * (2 * size - 1)), dtype=float)
-    return both[:size], both[size:]
-
-
 class Part:
-    """fn(*args) run beside this process: in a child forked at once where
+    """fn(*args) run beside this process, once: in a child forked at once where
     `_may_fork`, else here at the first result().  The child pickles fn's result
-    or error into a pipe and ends with os._exit; result() reaps it by its pid and
-    returns that result or raises that error; close() kills and reaps one unreaped."""
+    or error whole (else an error naming what did not pickle), then writes it to
+    a pipe and ends with os._exit.  result() reaps it by its pid and returns that
+    result or raises that error at each call; a payload that does not unpickle is
+    a RuntimeError naming the wait status and why.  close() kills and reaps one unreaped."""
 
     def __init__(self, fn, *args):
         self._call, self._pid = lambda: fn(*args), 0
@@ -314,16 +299,24 @@ class Part:
                 raise
             if not self._pid:
                 try:
+                    out = self._outcome()
                     try:
-                        result = self._call()
-                    except BaseException as e:
-                        result = e
+                        payload = pickle.dumps(out)
+                    except Exception as e:
+                        payload = pickle.dumps(RuntimeError(
+                            f"a forked part's {type(out).__name__} did not pickle: {e!r}"))
                     with os.fdopen(w, "wb") as pipe:
-                        pickle.dump(result, pipe)
+                        pipe.write(payload)
                 finally:
                     os._exit(0)
             os.close(w)
             self._pipe = os.fdopen(r, "rb")
+
+    def _outcome(self):
+        try:
+            return self._call()
+        except BaseException as e:
+            return e
 
     def result(self):
         if self._pid:
@@ -331,10 +324,13 @@ class Part:
             self._pipe.close()
             status = os.waitpid(self._pid, 0)[1]
             self._pid = 0
-            self._out = pickle.loads(payload) if payload else RuntimeError(
-                f"a forked part ended without a result (wait status {status})")
+            try:
+                self._out = pickle.loads(payload)
+            except Exception as e:
+                self._out = RuntimeError(
+                    f"a forked part's payload did not unpickle (wait status {status}): {e!r}")
         elif not hasattr(self, "_out"):
-            self._out = self._call()
+            self._out = self._outcome()
         if isinstance(self._out, BaseException):
             raise self._out
         return self._out
@@ -342,7 +338,6 @@ class Part:
     def close(self) -> None:
         if self._pid:
             import signal  # off the CLI's import path
-
             self._pipe.close()
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
@@ -350,20 +345,21 @@ class Part:
 
 
 def _build_parts(gram, zg, zeros, split, z_eval) -> tuple[int, ScanDiagnostics]:
-    """The anchor a table ends at and its diagnostics, its runs built into the
-    shared zg and zeros in parts, p from Gram index split[p] up to split[p + 1]:
-    part 0 here, each later one as a `Part`, taken in order up to the first
-    that cuts at a block that cannot meet its quota; the rest are discarded,
-    results and errors alike, as the one-process build never reaches them."""
+    """The anchor a table ends at and its diagnostics, its runs built into zg
+    and zeros in parts, p from Gram index split[p] up to split[p + 1]: part 0
+    here, each later one as a `Part` whose window is written in at the anchor
+    the previous part ended on (its first by construction; else numpy raises on
+    the lengths), up to the first that cuts at a failed block; the rest go unread."""
     parts = []
     try:
         for start, stop in zip(split[1:], split[2:]):
-            parts.append(Part(lambda start=start, stop=stop: _runs(
-                gram, zg, zeros, _anchor_below(gram, start), start, stop, None)))
+            parts.append(Part(_later_part, gram, zg, zeros, start, stop))
         a, cut, diag = _runs(gram, zg, zeros, 0, 0, split[1], z_eval)
         for part in parts:
             if not cut:
-                a, cut, part_diag = part.result()
+                top, cut, part_diag, z, found = part.result()
+                zg[a : top + 1], zeros[a:top] = z, found
+                a = top
                 diag.add(part_diag)
         return a, diag
     finally:
@@ -371,27 +367,33 @@ def _build_parts(gram, zg, zeros, split, z_eval) -> tuple[int, ScanDiagnostics]:
             part.close()
 
 
-def _anchor_below(gram, start: int) -> int:
-    """The last regular Gram index below start, where the one-process build
-    starts the run at start: from hardy_z_local's Z at the Gram points just
-    below, a window that widens until it holds one."""
+def _later_part(gram, zg, zeros, start, stop):
+    """`_runs` from Gram index start up to stop, from a, the last regular Gram
+    index below start (where the one-part build starts the run at start), found
+    from hardy_z_local's Z at the Gram points just below in a window that widens
+    until it holds one; then the window: Z from a through the last anchor top,
+    and the zeros between."""
     width = 16
     while True:
         lo = max(start - width, 0)
         regular = np.nonzero(gram_regular(lo, zeta.hardy_z_local(gram[lo:start]).at_centres))[0]
         if regular.size:
-            return lo + int(regular[-1])
+            break
         if not lo:
             raise UncertifiedRange("no regular anchor at the base of the range")
         width *= 4
+    a = lo + int(regular[-1])
+    top, cut, diag = _runs(gram, zg, zeros, a, start, stop, None)
+    return top, cut, diag, zg[a : top + 1], zeros[a:top]
 
 
 def _runs(gram, zg, zeros, a, start, stop, z_eval) -> tuple[int, bool, ScanDiagnostics]:
     """Build the runs of Gram points from start up to stop, the first from
     anchor a: each takes one evaluator over [its anchor, its end), writes Z at
     its Gram points into zg (the first run over its whole window, a later one
-    past the previous run's end), and its zeros into zeros.  Returns the last
-    anchor, whether a block that cannot meet its quota cut there, and diagnostics."""
+    past the previous run's end), and its zeros into zeros, a forked part's
+    own copies.  Returns the last anchor, whether a block that cannot meet its
+    quota cut there, and diagnostics."""
     known, diag = a, ScanDiagnostics()          # known: Gram points with Z so far
     for s in range(start, stop, zeta.LOCAL_BRACKETS):
         b = min(s + zeta.LOCAL_BRACKETS, stop)

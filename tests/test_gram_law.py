@@ -86,7 +86,7 @@ def test_delta_examples(table_small):
     assert gl.delta_n(table_small, 128).delta == 0
     assert gl.delta_n(table_small, 136).delta == -1
     rec = gl.delta_n(table_small, 127)
-    assert rec.gram_index == 128 and rec.on_line
+    assert rec == gl.DeltaRecord(zero_index=127, gram_index=128, delta=1)
 
 
 def test_delta_array_matches_scalar(table_small):

@@ -555,7 +555,7 @@ def test_cli_zeros_uses_cache(tmp_path):
     assert r.returncode == 0
     assert (cache / "zrange" / "manifest.json").exists()
     body = r.stdout.strip().splitlines()
-    assert body[0] == "index,t,bracket_width,certified,ambiguous"
+    assert body[0] == "index,t,bracket_width,ambiguous"
     assert len(body) == 1 + 10  # ten zeros below 50
 
     manifest = (cache / "zrange" / "manifest.json").read_bytes()

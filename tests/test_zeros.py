@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -38,7 +39,7 @@ def test_first_three_zeros(table_built):
     for z, ref in zip(zs, FIRST_THREE):
         assert abs(z.t - ref) < 1e-7
         assert z.bracket_width <= 1e-9
-        assert z.certified
+        assert not z.ambiguous
 
 
 def test_published_proximity_of_first_and_third_zero(table_built):
@@ -571,6 +572,91 @@ def test_a_parts_error_reaches_the_caller(monkeypatch):
     calls = []
     part = zr.Part(lambda: calls.append(1) or len(calls))
     assert calls == [] and part.result() == part.result() == 1 and len(forks) == 1
+
+
+def _forks_unless_in_process(monkeypatch, forked):
+    """Forks counted from now on; with no fork allowed unless forked."""
+    if not forked:
+        monkeypatch.setattr(zr, "_may_fork", lambda: False)
+    return count_forks(monkeypatch)
+
+
+_WAYS = pytest.mark.parametrize("forked", [True, False], ids=["forked", "in process"])
+
+
+@_WAYS
+def test_a_parts_error_is_kept(monkeypatch, forked):
+    """A second result() raises the first one's error, the same object, and
+    runs fn no more: forked, fn ran once in the child; in process, once here."""
+    forks, calls = _forks_unless_in_process(monkeypatch, forked), []
+
+    def fails():
+        calls.append(1)
+        raise LookupError(f"call {len(calls)}")
+
+    part = zr.Part(fails)
+    with pytest.raises(LookupError, match="^call 1$") as first:
+        part.result()
+    with pytest.raises(LookupError, match="^call 1$") as second:
+        part.result()
+    assert second.value is first.value
+    assert (len(forks), len(calls)) == ((1, 0) if forked else (0, 1))
+
+
+class _TwoArgError(Exception):
+    """An error its class cannot rebuild from its args: unpickling calls
+    _TwoArgError(message), one argument short."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+def _raises_two_arg_error():
+    raise _TwoArgError("lost", "the child")
+
+
+@_WAYS
+def test_an_error_that_does_not_unpickle_is_named(monkeypatch, forked):
+    """Forked, an error whose class cannot be rebuilt from its args reaches the
+    caller as a RuntimeError naming the wait status and the cause; in process
+    it is raised as it is."""
+    _forks_unless_in_process(monkeypatch, forked)
+    part = zr.Part(_raises_two_arg_error)
+    if not forked:
+        with pytest.raises(_TwoArgError, match="^lost in the child$"):
+            part.result()
+        return
+    with pytest.raises(RuntimeError, match=r"^a forked part's payload did not unpickle "
+                       r"\(wait status 0\): TypeError\(.*'where'.*\)$"):
+        part.result()
+
+
+def test_a_forked_part_that_dies_names_its_wait_status():
+    """A child that ends before it writes its result reaches the caller as a
+    RuntimeError naming its wait status, here SIGKILL's, and the empty payload."""
+    part = zr.Part(lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(RuntimeError, match=rf"^a forked part's payload did not unpickle "
+                       rf"\(wait status {signal.SIGKILL}\): EOFError\('Ran out of input'\)$"):
+        part.result()
+
+
+@_WAYS
+@pytest.mark.parametrize("size", ["past 64 KB", "small"])
+def test_a_result_that_does_not_pickle_is_named(monkeypatch, forked, size):
+    """Forked, a result that cannot be pickled, whether the pickler fails past
+    its first 64 KB or at once, reaches the caller as a RuntimeError naming its
+    type and what did not pickle, both times; in process it is returned."""
+    _forks_unless_in_process(monkeypatch, forked)
+    lock = threading.Lock()
+    out = [bytes(1 << 17), lock] if size == "past 64 KB" else [lock]
+    part = zr.Part(lambda: out)
+    if not forked:
+        assert part.result() is part.result() is out
+        return
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match=r"^a forked part's list did not pickle: "
+                           r"TypeError\(.cannot pickle '_thread.lock' object.\)$"):
+            part.result()
 
 
 @pytest.mark.parametrize("version, tasks, may", [((3, 11, 7), 2, True), ((3, 12, 0), 1, True),
