@@ -12,20 +12,20 @@ cannot be met.  The brackets are then sharpened in lockstep by false position
 with Anderson-Bjorck scaling and a minimum step, from the Z values the scan
 left at their ends: one Z call per pass, on the brackets still wider than
 1e-9, each retiring as it gets there.  A build streams these stages over
-runs of `zeta.LOCAL_BRACKETS` Gram points, each with one evaluator: the
-caller's z_eval, or `zeta.hardy_z_local`, a Taylor expansion of the
-Riemann-Siegel main sum about every Gram point of the run whose one pass of
-prime phases through `zeta._sincos` per Gram point also gives Z there.  The
-next run starts at the last anchor the previous one certified, so a block
-open at a run's end is carried.
-A build cuts its runs into P contiguous parts, P = min(usable CPUs, runs).
-Part p starts at split[p], where the one-part build starts a run, from that
-run's anchor, and its first run takes Z over its whole window.  This process
-builds part 0, and a `Part` each later part, which returns its window: Z from
-its first anchor through its last, and the zeros between.  As Z at a Gram
-point depends on the point alone and a run's evaluator on its window alone,
-the table is bit for bit the one-part build's.  P is 1, with no fork, for a
-caller's z_eval and where `_may_fork` is false.
+runs of `zeta.LOCAL_BRACKETS` Gram points, each with one evaluator,
+`zeta.hardy_z_local`: a Taylor expansion of the Riemann-Siegel main sum about
+every Gram point of the run, whose one pass of prime phases through
+`zeta._sincos` per Gram point also gives Z there.  The next run starts at the
+last anchor the previous one certified, so a block open at a run's end is
+carried.
+A build cuts its runs into P contiguous parts, P = min(usable CPUs, runs),
+and one function, `_part`, builds each: part p starts at split[p], where the
+one-part build starts a run, from that run's anchor, and its first run takes
+Z over its whole window.  This process builds part 0, and a `Part` each later
+part, which returns its window: Z from its first anchor through its last, and
+the zeros between.  As Z at a Gram point depends on the point alone and a
+run's evaluator on its window alone, the table is bit for bit the one-part
+build's, whether the `Part`s fork or, where they may not, run here in turn.
 A build holds its output arrays (the Gram points, Z there, and the zeros,
 which each run writes into one array) and one run: a run's evaluator, with its
 moments, is dropped before the next run's is made, and the Gram solve and
@@ -45,7 +45,6 @@ import pickle
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -58,11 +57,11 @@ AMBIGUITY_TOL = 1e-9
 # final bracket half-width
 BRACKET_HALF_WIDTH = 1e-9
 DEPTH_CAP = 6  # up to 2^6 = 64 segments per Gram interval
-# a bound on the Z calls per run of a build, not the typical count (at most
-# 21 a run for build(100030)): the Gram call, one per densification depth, and
-# at least 32 refinement passes, as halving alone takes G_1, the widest
-# bracket, to 2e-9 in 32.  Refinement takes what densification left.
-Z_CALLS = 1 + DEPTH_CAP + 32
+# the evaluator calls a run of a build may make, a bound, not the typical
+# count (at most 20 a run for build(100030)): one per densification depth,
+# and the rest are refinement passes, at least 32, as halving alone takes G_1,
+# the widest bracket, to 2e-9 in 32
+Z_CALLS = DEPTH_CAP + 32
 # refinement retires a bracket this narrow; its midpoint is the zero
 REFINE_WIDTH = 1e-9
 # least distance of a secant point from a bracket end: a bracket whose end sits
@@ -172,18 +171,17 @@ class ZeroTable:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, n_max: int,
-              z_eval: Callable[[np.ndarray], np.ndarray] | None = None) -> "ZeroTable":
+    def build(cls, n_max: int) -> "ZeroTable":
         if n_max < 1:
             raise DomainError("n_max must be >= 1")
         gram = gram_points(n_max)
         step = zeta.LOCAL_BRACKETS
         runs = -(-gram.size // step)
-        parts = 1 if z_eval or not _may_fork() else min(_usable_cpus(), runs)
+        parts = min(_usable_cpus(), runs)
         split = [step * (runs * p // parts) for p in range(parts)] + [gram.size]
         # a met block holds one zero per Gram interval: a build to anchor a has a
         zg, zeros = np.empty(gram.size), np.empty(gram.size - 1)
-        a, diag = _build_parts(gram, zg, zeros, split, z_eval)
+        a, diag = _build_parts(gram, zg, zeros, split)
         return cls(gram[: a + 1], zeros[:a], zg[: a + 1], diag)
 
     # -- queries -----------------------------------------------------------
@@ -344,17 +342,21 @@ class Part:
             self._pid = 0
 
 
-def _build_parts(gram, zg, zeros, split, z_eval) -> tuple[int, ScanDiagnostics]:
+def _build_parts(gram, zg, zeros, split) -> tuple[int, ScanDiagnostics]:
     """The anchor a table ends at and its diagnostics, its runs built into zg
     and zeros in parts, p from Gram index split[p] up to split[p + 1]: part 0
     here, each later one as a `Part` whose window is written in at the anchor
     the previous part ended on (its first by construction; else numpy raises on
-    the lengths), up to the first that cuts at a failed block; the rest go unread."""
+    the lengths), up to the first that cuts at a failed block; the rest go
+    unread.  The Riemann-Siegel correction table is made here first, so no
+    forked part makes it again."""
     parts = []
     try:
+        if split[2:]:
+            zeta._rs_table()
         for start, stop in zip(split[1:], split[2:]):
-            parts.append(Part(_later_part, gram, zg, zeros, start, stop))
-        a, cut, diag = _runs(gram, zg, zeros, 0, 0, split[1], z_eval)
+            parts.append(Part(_part, gram, zg, zeros, start, stop))
+        a, cut, diag = _part(gram, zg, zeros, 0, split[1])[:3]
         for part in parts:
             if not cut:
                 top, cut, part_diag, z, found = part.result()
@@ -367,52 +369,46 @@ def _build_parts(gram, zg, zeros, split, z_eval) -> tuple[int, ScanDiagnostics]:
             part.close()
 
 
-def _later_part(gram, zg, zeros, start, stop):
-    """`_runs` from Gram index start up to stop, from a, the last regular Gram
-    index below start (where the one-part build starts the run at start), found
-    from hardy_z_local's Z at the Gram points just below in a window that widens
-    until it holds one; then the window: Z from a through the last anchor top,
-    and the zeros between."""
-    width = 16
-    while True:
+def _part(gram, zg, zeros, start, stop):
+    """Build the runs of Gram points from start up to stop into zg and zeros,
+    a forked part's own copies, from a, the last regular Gram index below
+    start (where the one-part build starts the run at start; at Gram index 0,
+    start itself), found from hardy_z_local's Z at the Gram points just below
+    in a window that widens until it holds one.  Each run takes one evaluator
+    over [its anchor, its end) and writes Z at its Gram points (the first run
+    over its whole window, a later one past the previous run's end) and its
+    zeros.  Returns the last anchor top, whether a block that cannot meet its
+    quota cut there, diagnostics, and the window: Z from a through top, and
+    the zeros between."""
+    a, width = start, 16
+    while a == start > 0:
         lo = max(start - width, 0)
         regular = np.nonzero(gram_regular(lo, zeta.hardy_z_local(gram[lo:start]).at_centres))[0]
         if regular.size:
-            break
-        if not lo:
+            a = lo + int(regular[-1])
+        elif not lo:
             raise UncertifiedRange("no regular anchor at the base of the range")
         width *= 4
-    a = lo + int(regular[-1])
-    top, cut, diag = _runs(gram, zg, zeros, a, start, stop, None)
-    return top, cut, diag, zg[a : top + 1], zeros[a:top]
-
-
-def _runs(gram, zg, zeros, a, start, stop, z_eval) -> tuple[int, bool, ScanDiagnostics]:
-    """Build the runs of Gram points from start up to stop, the first from
-    anchor a: each takes one evaluator over [its anchor, its end), writes Z at
-    its Gram points into zg (the first run over its whole window, a later one
-    past the previous run's end), and its zeros into zeros, a forked part's
-    own copies.  Returns the last anchor, whether a block that cannot meet its
-    quota cut there, and diagnostics."""
-    known, diag = a, ScanDiagnostics()          # known: Gram points with Z so far
+    first, diag, cut = a, ScanDiagnostics(), False
+    known = a                           # known: Gram points with Z so far
     for s in range(start, stop, zeta.LOCAL_BRACKETS):
         b = min(s + zeta.LOCAL_BRACKETS, stop)
-        run_eval = z_eval or zeta.hardy_z_local(gram[a:b])
-        zg[known:b] = z_eval(gram[known:b]) if z_eval else run_eval.at_centres[known - a:]
+        run_eval = zeta.hardy_z_local(gram[a:b])
+        zg[known:b] = run_eval.at_centres[known - a:]
         known = b
         regular = gram_regular(a, zg[a:b])
         if not regular[0]:
             raise UncertifiedRange("no regular anchor at the base of the range")
         anchors = a + np.nonzero(regular)[0]
         lo, hi, z_lo, z_hi, top, depths = _scan(gram, zg, anchors, run_eval, diag)
-        _refine(lo, hi, z_lo, z_hi, run_eval, Z_CALLS - 1 - depths, diag)
+        _refine(lo, hi, z_lo, z_hi, run_eval, Z_CALLS - depths, diag)
         zeros[a:top] = 0.5 * (lo + hi)
         a = top
         # the next run's evaluator is built after this one is dropped
         del run_eval, lo, hi, z_lo, z_hi
-        if a < anchors[-1]:
-            return a, True, diag        # a block that cannot meet its quota
-    return a, False, diag
+        if cut := a < anchors[-1]:      # a block that cannot meet its quota
+            break
+    return a, cut, diag, zg[first : a + 1], zeros[first:a]
 
 
 def _scan(gram, zg, anchors, z_eval, diag):

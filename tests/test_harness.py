@@ -479,7 +479,7 @@ def test_cli_rejected_ranges_obtain_no_table(args, tmp_path, capsys):
 
 def _exits_2_past_the_ceiling(args, tmp_path, monkeypatch, capsys):
     """The CLI exits 2 naming the ceiling, and builds and caches nothing."""
-    def no_build(cls, n_max, z_eval=None):
+    def no_build(cls, n_max):
         raise AssertionError(f"built {n_max}")
 
     monkeypatch.setattr(ZeroTable, "build", classmethod(no_build))

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import os
@@ -174,7 +175,7 @@ def test_densification_contract():
     assert certified_n == 0 and lo.size == 0 and depths == zr.DEPTH_CAP
 
 
-def _refine_one(f, lo, hi, passes=zr.Z_CALLS - 1 - zr.DEPTH_CAP):
+def _refine_one(f, lo, hi, passes=zr.Z_CALLS - zr.DEPTH_CAP):
     """_refine on the one bracket [lo, hi]: (lo, hi, Z calls) after it.
 
     The default pass budget is the smallest a build leaves refinement.
@@ -280,40 +281,57 @@ def test_refine_bits_pinned():
     assert h.hexdigest() == REFINE_DIGEST
 
 
-def test_build_evaluates_each_height_once():
+@pytest.fixture(scope="module")
+def direct_local():
+    """A zeta.hardy_z_local stand-in whose evaluator is the direct kernel
+    hardy_z_many, with at_centres hardy_z_many(c).  It records the heights of
+    each evaluator call in `calls`, and each run's centres in `centres`."""
+    def local(c):
+        local.centres.append(np.array(c))
+
+        def z(ts):
+            local.calls.append(np.array(ts, dtype=float))
+            return zt.hardy_z_many(ts)
+
+        z.at_centres = zt.hardy_z_many(c)
+        return z
+
+    local.calls, local.centres = [], []
+    return local
+
+
+def _build_direct(monkeypatch, direct_local, n_max):
+    """build(n_max) in one part through direct_local, its records cleared first."""
+    direct_local.calls.clear()
+    direct_local.centres.clear()
+    monkeypatch.setattr(zt, "hardy_z_local", direct_local)
+    return _build_on_cpus(monkeypatch, 1, n_max)
+
+
+def test_build_evaluates_each_height_once(monkeypatch, direct_local):
     """One Z call per densification depth and per refinement pass, no height twice."""
-    calls = []
-
-    def counter(ts):
-        calls.append(np.array(ts, dtype=float))
-        return zt.hardy_z_many(ts)
-
-    table = ZeroTable.build(2000, z_eval=counter)
-    heights = np.concatenate(calls)
+    table = _build_direct(monkeypatch, direct_local, 2000)
+    heights = np.concatenate(direct_local.calls)
     assert np.unique(heights).size == heights.size
-    # one Gram pass, the densification depths, and the refinement passes:
-    # refinement may use what densification left of the Z_CALLS budget
-    assert len(calls) <= 1 + zr.DEPTH_CAP + 32
-    # an injected z_eval refines through itself: the counter sees every height
-    assert np.array_equal(table.zeros,
-                          ZeroTable.build(2000, z_eval=zt.hardy_z_many).zeros)
+    # the densification depths, and the refinement passes in what they left
+    assert len(direct_local.calls) <= zr.Z_CALLS
+    # the run's evaluator takes every height the build evaluates
+    diag = table.diagnostics
+    assert heights.size == sum(rows << d for d, rows in enumerate(diag.densify_active)) \
+        + sum(diag.refine_heights)
 
 
-def test_build_refinement_counts(monkeypatch):
+def test_build_refinement_counts(monkeypatch, direct_local):
     """Refinement of build(20000) takes 13 passes and 6.41 heights per zero.
 
-    Each run of Gram points makes one Gram call, its densification depths
-    and its refinement passes, in that order, and the passes add up across
-    runs.  Counts, not times, so they repeat exactly.  A budget rule that
-    traps slow rows into bisection to the last pass (33 passes, 9.31 heights)
-    fails it.
+    Each run of Gram points takes Z there from its evaluator's at_centres,
+    then makes its densification depths and its refinement passes, in that
+    order, and the passes add up across runs.  Counts, not times, so they
+    repeat exactly.  A budget rule that traps slow rows into bisection to the
+    last pass (33 passes, 9.31 heights) fails it.
     """
-    calls, marks = [], []
+    calls, marks = direct_local.calls, []
     refine = zr._refine
-
-    def counter(ts):
-        calls.append(np.array(ts, dtype=float))
-        return zt.hardy_z_many(ts)
 
     def marked(*args):
         marks.append(len(calls))
@@ -321,24 +339,24 @@ def test_build_refinement_counts(monkeypatch):
         marks.append(len(calls))
 
     monkeypatch.setattr(zr, "_refine", marked)
-    table = ZeroTable.build(20000, z_eval=counter)
+    table = _build_direct(monkeypatch, direct_local, 20000)
     diag = table.diagnostics
-    starts = [0] + marks[1::2]                   # each run's Gram call, then the end
+    starts = [0] + marks[1::2]                   # each run's first call, then the end
     assert starts[-1] == len(calls) and len(starts) > 2
-    gram_calls = []
     depth_sums = [0] * len(diag.densify_active)
     pass_sums = [0] * len(diag.refine_heights)
     for start, first, last in zip(starts, marks[::2], marks[1::2]):
-        gram_calls.append(calls[start])
-        densify, passes = calls[start + 1 : first], calls[first:last]
+        densify, passes = calls[start:first], calls[first:last]
         assert len(densify) <= zr.DEPTH_CAP
-        assert 1 + len(densify) + len(passes) <= zr.Z_CALLS
+        assert len(densify) + len(passes) <= zr.Z_CALLS
         for d, c in enumerate(densify):
             depth_sums[d] += c.size
         for k, c in enumerate(passes):
             pass_sums[k] += c.size
-    # the Gram calls take every Gram point once, in order
-    assert np.array_equal(np.concatenate(gram_calls), gram_points(20000))
+    # one evaluator a run, whose centres take every Gram point
+    centres = direct_local.centres
+    assert len(centres) == len(starts) - 1
+    assert np.array_equal(np.unique(np.concatenate(centres)), gram_points(20000))
     assert depth_sums == [rows << d for d, rows in enumerate(diag.densify_active)]
     assert pass_sums == diag.refine_heights
     assert len(diag.refine_heights) <= 16
@@ -346,9 +364,11 @@ def test_build_refinement_counts(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def default_and_direct_20000():
-    """build(20000) refined by expansion, and by the direct kernel passed in."""
-    return ZeroTable.build(20000), ZeroTable.build(20000, z_eval=zt.hardy_z_many)
+def default_and_direct_20000(direct_local):
+    """build(20000) refined by expansion, and by the direct kernel through direct_local."""
+    with pytest.MonkeyPatch.context() as mp:
+        direct = _build_direct(mp, direct_local, 20000)
+    return ZeroTable.build(20000), direct
 
 
 def test_build_local_refinement_counts(default_and_direct_20000):
@@ -386,7 +406,8 @@ def test_build_in_short_runs_matches_one_long_run(monkeypatch):
     assert (d.blocks, d.densified_blocks, d.max_depth, d.densify_active, d.failed_blocks) \
         == (w.blocks, w.densified_blocks, w.max_depth, w.densify_active, [])
     assert np.max(np.abs(runs.zeros - whole.zeros)) <= zr.BRACKET_HALF_WIDTH
-    hidden = ZeroTable.build(5000, z_eval=_hide_g128())
+    monkeypatch.setattr(zt, "hardy_z_local", _hide_local(128))
+    hidden = ZeroTable.build(5000)
     assert hidden.certified_n == 126
     assert hidden.diagnostics.failed_blocks == [(126, 128)]
 
@@ -407,6 +428,20 @@ def test_build_makes_no_direct_riemann_siegel_call(monkeypatch, cpus, step):
     assert len(forks) == cpus - 1
 
 
+@contextlib.contextmanager
+def _another_thread():
+    """Another Python thread running through the block, so no Part may fork."""
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        yield
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
 # -- a build in parts: runs of 50 Gram points make build(5000) 101 runs, cut
 # into one part per usable CPU
 
@@ -415,9 +450,9 @@ def short_runs(monkeypatch):
     monkeypatch.setattr(zt, "LOCAL_BRACKETS", 50)
 
 
-def _build_on_cpus(monkeypatch, cpus, z_eval=None, n_max=5000):
+def _build_on_cpus(monkeypatch, cpus, n_max=5000):
     monkeypatch.setattr(zr, "_usable_cpus", lambda: cpus)
-    return ZeroTable.build(n_max, z_eval)
+    return ZeroTable.build(n_max)
 
 
 def _assert_same_table(got, want):
@@ -428,9 +463,9 @@ def _assert_same_table(got, want):
 
 
 def _hide_local(m):
-    """zeta.hardy_z_local with G_m's zeros hidden, as _hide_g128 hides them
-    from a z_eval: Z keeps its sign at t_(m-1) across G_m, and at_centres,
-    Z at the Gram points, is the expansion's own."""
+    """zeta.hardy_z_local with G_m's zeros hidden: Z keeps its sign at t_(m-1)
+    across G_m, and at_centres, Z at the Gram points, is the expansion's own.
+    G_128 holds two zeros, so hiding them fails the block (126, 128)."""
     t_lo, t_hi = gram_points(m, m - 1)
     sign = math.copysign(1.0, zt.hardy_z(float(t_lo)).z)
     local = zt.hardy_z_local
@@ -531,24 +566,64 @@ def test_an_error_in_part_0_leaves_no_child(short_runs, monkeypatch, error):
 
 
 def test_build_forks_only_for_its_own_evaluator_and_thread(short_runs, monkeypatch):
-    """One fork per later part; none for a caller's z_eval, or while another
-    Python thread runs."""
+    """One fork per later part; none while another Python thread runs."""
     forks = count_forks(monkeypatch)
     for cpus in (1, 2, 3, 4):
         forks.clear()
         _build_on_cpus(monkeypatch, cpus, n_max=1000)
         assert len(forks) == cpus - 1
     forks.clear()
-    _build_on_cpus(monkeypatch, 4, z_eval=zt.hardy_z_many, n_max=1000)
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
+    with _another_thread():
         _build_on_cpus(monkeypatch, 4, n_max=1000)
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive() and forks == []
+    assert forks == []
+
+
+@pytest.mark.parametrize("why", ["no fork allowed", "another thread"])
+def test_a_build_takes_its_parts_in_turn_where_none_may_fork(short_runs, monkeypatch,
+                                                             one_part_5000, why):
+    """Where a Part may not fork, a build still cuts one part per usable CPU
+    and builds them here, one part call each, in order, into the one-part
+    build's table; no part past a failed block runs."""
+    forks, starts, part = count_forks(monkeypatch), [], zr._part
+
+    def recorded(gram, zg, zeros, start, stop):
+        starts.append(start)
+        return part(gram, zg, zeros, start, stop)
+
+    monkeypatch.setattr(zr, "_part", recorded)
+    if why == "no fork allowed":
+        monkeypatch.setattr(zr, "_may_fork", lambda: False)
+    with _another_thread() if why == "another thread" else contextlib.nullcontext():
+        for cpus in (2, 3, 4):
+            starts.clear()
+            _assert_same_table(_build_on_cpus(monkeypatch, cpus), one_part_5000)
+            assert starts == [50 * (101 * p // cpus) for p in range(cpus)]
+        starts.clear()
+        monkeypatch.setattr(zt, "hardy_z_local", _hide_local(128))
+        hidden = _build_on_cpus(monkeypatch, 4)
+    assert hidden.certified_n == 126 and hidden.diagnostics.failed_blocks == [(126, 128)]
+    assert starts == [0] and forks == []
+
+
+def test_a_build_makes_the_correction_table_before_it_forks(short_runs, monkeypatch,
+                                                           one_part_5000):
+    """The Riemann-Siegel correction table is made once, in this process,
+    before a build forks its parts: a forked part that would make it raises,
+    and its error reaches the caller through Part.result()."""
+    parent, table, made = os.getpid(), zt._rs_table, []
+
+    def rs_table():
+        if not table.cache_info().currsize:
+            if os.getpid() != parent:
+                raise AssertionError(f"_rs_table made in forked process {os.getpid()}")
+            made.append(parent)
+        return table()
+
+    table.cache_clear()
+    monkeypatch.setattr(zt, "_rs_table", rs_table)
+    forks = count_forks(monkeypatch)
+    _assert_same_table(_build_on_cpus(monkeypatch, 2), one_part_5000)
+    assert len(forks) == 1 and made == [parent]
 
 
 def _fails(tag):
@@ -694,15 +769,9 @@ def test_cold_verify_paper_forks_its_sums_and_a_build_part(monkeypatch, tmp_path
     forked = verify_paper(tmp_path / "forked")
     assert len(forks) == 2
     forks.clear()
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
+    with _another_thread():
         in_process = verify_paper(tmp_path / "in_process")
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive() and forks == []
+    assert forks == []
     assert forked == in_process
     pinned_report = (Path(__file__).parent / "data" / "verify_paper_1200.json").read_text()
     assert forked == ((pinned_report, ""), 0)
@@ -718,7 +787,7 @@ def test_cold_verify_paper_forks_its_sums_and_a_build_part(monkeypatch, tmp_path
 
 
 def test_table_ceiling_refuses_before_building(monkeypatch, tmp_path):
-    def no_build(cls, n_max, z_eval=None):
+    def no_build(cls, n_max):
         raise AssertionError(f"built {n_max}")
 
     monkeypatch.setattr(ZeroTable, "build", classmethod(no_build))
@@ -731,31 +800,18 @@ def test_table_ceiling_refuses_before_building(monkeypatch, tmp_path):
     assert not (tmp_path / "zrange").exists()
 
 
-def _hide_g128(default=zt.hardy_z_many):
-    """Z with G_128's two zeros hidden: the block (126, 128) cannot meet its quota."""
-    t127, t128 = gram_points(128, 127)
-
-    def hide_g128(ts):
-        # Z < 0 at t_126, t_127 and t_128; keep it so across G_128's two zeros
-        z = default(ts)
-        inside = (t127 < ts) & (ts < t128)
-        z[inside] = -np.abs(z[inside])
-        return z
-
-    return hide_g128
-
-
 def test_certified_table_builds_once_and_names_the_failed_block(monkeypatch):
     """A block below the need that cannot meet its quota fails the request."""
     build = ZeroTable.build.__func__
     builds = []
 
-    def capped_build(cls, n_max, z_eval=None):
+    def capped_build(cls, n_max):
         builds.append(n_max)
         assert len(builds) == 1, f"rebuilt at {builds}"
-        return build(cls, n_max, z_eval or _hide_g128())
+        return build(cls, n_max)
 
     monkeypatch.setattr(ZeroTable, "build", classmethod(capped_build))
+    monkeypatch.setattr(zt, "hardy_z_local", _hide_local(128))
     with pytest.raises(UncertifiedRange, match=r"\(126, 128\)"):
         zr.certified_table(200)
     assert builds == [200 + zr.HEADROOM]
@@ -763,9 +819,11 @@ def test_certified_table_builds_once_and_names_the_failed_block(monkeypatch):
 
 @pytest.mark.parametrize("n_max, hide, anchor", [(160, False, 160), (127, False, 126),
                                                 (160, True, 126)])
-def test_build_ends_at_a_regular_anchor(n_max, hide, anchor):
+def test_build_ends_at_a_regular_anchor(monkeypatch, n_max, hide, anchor):
     """A build keeps no Gram point past its certified anchor, and no zero above it."""
-    table = ZeroTable.build(n_max, z_eval=_hide_g128() if hide else None)
+    if hide:
+        monkeypatch.setattr(zt, "hardy_z_local", _hide_local(128))
+    table = ZeroTable.build(n_max)
     n = table.certified_n
     assert n == anchor == table.gram.size - 1
     assert (-1) ** (n - 1) * table.z_values()[n] > 0.0
